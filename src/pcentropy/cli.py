@@ -216,9 +216,7 @@ def cmd_verify(args) -> int:
     n_max = args.n_max
 
     deltas = [delta_n(pcmap, n, cap) for n in range(n_max + 1)]
-    nested = all(
-        all(deltas[n + 1].contains(x) for x in deltas[n]) for n in range(n_max)
-    )
+    nested = all(deltas[n + 1].contains_many(deltas[n].array).all() for n in range(n_max))
     rows.append(("Delta^n nested in Delta^(n+1)", nested, f"n <= {n_max}"))
 
     counts = {n: count_pieces(pcmap, n, cap=cap) for n in range(1, n_max + 1)}

@@ -13,13 +13,14 @@ from __future__ import annotations
 import bisect as _bisect
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .errors import NotACoverError, ResourceCapExceeded
 from .estimators import EntropySeries, SeriesRecord, estimate_table
 from .expr import eval_expr
-from .intervals import Interval, OpenSet, PointSet, RegionSet
+from .intervals import Interval, OpenSet, PointSet, RegionSet, dedupe_sorted
 from .maps import Branch, PcMap, branch_inverse
 from .symbolic import delta_n
 
@@ -194,14 +195,6 @@ class SubcoverResult:
     exact: bool
 
 
-def _snap_table(coords, tol: float) -> list[float]:
-    reps: list[float] = []
-    for x in sorted(coords):
-        if not reps or x - reps[-1] > tol:
-            reps.append(x)
-    return reps
-
-
 def _snap(reps: list[float], x: float, tol: float) -> int:
     i = _bisect.bisect_left(reps, x)
     for j in (i - 1, i):
@@ -234,7 +227,8 @@ def minimal_subcover(
     coords.update(exclude.points)
     if not coords or target.is_empty():
         return SubcoverResult(0, (), True)
-    reps = _snap_table(coords, tol)
+    ordered = sorted(coords)
+    reps = list(compress(ordered, dedupe_sorted(np.asarray(ordered, dtype=float), tol)))
     excluded_idx = {_snap(reps, e, tol) for e in exclude.points}
 
     # atom codes: 2i = the point reps[i], 2i+1 = the open gap (reps[i], reps[i+1])

@@ -232,15 +232,52 @@ class OpenSet:
         return " u ".join(repr(p) for p in self.parts)
 
 
-def _dedupe_sorted(xs: np.ndarray, tol: float) -> np.ndarray:
-    """Greedy left-to-right merge: drop points within tol of the last kept one."""
-    if len(xs) == 0:
-        return xs
-    keep = [xs[0]]
-    for x in xs[1:]:
-        if x - keep[-1] > tol:
-            keep.append(x)
-    return np.asarray(keep)
+def dedupe_sorted(xs: np.ndarray, tol: float, rank: np.ndarray | None = None):
+    """Greedy left-to-right merge of sorted points: a point within ``tol`` of
+    the last kept point is dropped into that point's group.
+
+    Returns the boolean keep mask.  With ``rank``, returns ``(keep, dst, src)``
+    instead: each group's provenance is its first point of smallest rank, and
+    where that is not the kept point ``dst[i]``, it is the point ``src[i]``.
+    """
+    keep = np.ones(len(xs), dtype=bool)
+    if len(xs) > 1:
+        small = np.diff(xs) <= tol  # small[i]: x[i+1] is within tol of x[i]
+        np.logical_not(small, out=keep[1:])
+        # Without two adjacent small gaps, the last kept point before x[i+1]
+        # is x[i] itself.  In a chain of them it may lie further back, so the
+        # points of each chain are decided one by one from its first point,
+        # which a large gap precedes and so is kept.
+        chain_starts = np.flatnonzero(small[:-1] & small[1:])
+        end = -1
+        for s in chain_starts.tolist():
+            if s <= end:
+                continue  # inside the chain decided last
+            end = s + 1
+            while end + 1 < len(small) and small[end + 1]:
+                end += 1
+            last = xs[s]
+            for i in range(s + 1, end + 2):
+                keep[i] = xs[i] - last > tol
+                if keep[i]:
+                    last = xs[i]
+    if rank is None:
+        return keep
+    dropped = np.flatnonzero(~keep)
+    if not len(dropped):
+        return keep, dropped, dropped
+    kept = np.flatnonzero(keep)
+    group = kept[np.searchsorted(kept, dropped) - 1]  # the kept point of each dropped one
+    heads = np.unique(group)
+    members = np.concatenate([heads, dropped])
+    owner = np.concatenate([heads, group])
+    # per group: smallest rank first, then the earliest point
+    order = np.lexsort((members, rank[members], owner))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = owner[order[1:]] != owner[order[:-1]]
+    dst, src = owner[order[first]], members[order[first]]
+    moved = dst != src
+    return keep, dst[moved], src[moved]
 
 
 @dataclass(frozen=True)
@@ -253,7 +290,7 @@ class PointSet:
     @staticmethod
     def of(values, tol: float = DEFAULT_POINT_TOL) -> "PointSet":
         xs = np.sort(np.asarray(list(values), dtype=float))
-        return PointSet(tuple(_dedupe_sorted(xs, tol)), tol)
+        return PointSet(tuple(xs[dedupe_sorted(xs, tol)]), tol)
 
     @staticmethod
     def empty(tol: float = DEFAULT_POINT_TOL) -> "PointSet":
@@ -275,6 +312,18 @@ class PointSet:
             if 0 <= j < len(self.points) and abs(self.points[j] - x) <= self.tol:
                 return True
         return False
+
+    def contains_many(self, xs: np.ndarray) -> np.ndarray:
+        """``contains`` for every entry of ``xs``: the neighbours i-1 and i of
+        each left insertion point are checked."""
+        pts = self.array
+        if not len(pts):
+            return np.zeros(len(xs), dtype=bool)
+        i = np.searchsorted(pts, xs)
+        # clipping only repeats the other neighbour at either end
+        near = np.abs(pts[np.clip(i - 1, 0, len(pts) - 1)] - xs) <= self.tol
+        near |= np.abs(pts[np.minimum(i, len(pts) - 1)] - xs) <= self.tol
+        return near
 
     def nearest(self, x: float) -> float | None:
         if not self.points:

@@ -2,11 +2,18 @@
 
 The n-step discontinuity set is computed backwards, one preimage level at a
 time, never by forward composition: inverting a monotone branch is
-well-conditioned, and the level structure carries enough provenance (first
-orbit step that hits the base set, which base point, and the accumulated
-monotone direction) to decide in O(1) whether a cut point is a removable
-junction of the n-th iterate.  Piece counts then follow from component
-counting plus the removable-junction merge rule.
+well-conditioned, and each level point carries its provenance (first orbit
+step that hits the base set, which base point, and the accumulated monotone
+direction).  Whether a cut point is a removable junction of the n-th iterate
+depends only on its base point and the steps left after the hit, so
+``DeltaTable.count_pieces`` tabulates that verdict once per n from the
+one-sided limit orbits of the base points and decides every cut point with
+one array lookup.  Piece counts then follow from component counting plus the
+removable-junction merge rule.
+
+Tables are cached per map in ``_TABLES`` and grow in place as deeper levels
+are asked for.  Neither the cache nor a ``DeltaTable`` takes a lock: use
+them from one thread at a time.
 """
 
 from __future__ import annotations
@@ -17,13 +24,64 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceCapExceeded, SubadditivityError
+from .errors import DomainError, MonotonicityError, ResourceCapExceeded, SubadditivityError
 from .estimators import EntropySeries, SeriesRecord, estimate_table
-from .intervals import PointSet
-from .maps import LEFT, RIGHT, Branch, PcMap, branch_inverse, limit_step
+from .intervals import PointSet, dedupe_sorted
+from .maps import LEFT, RIGHT, Branch, PcMap, limit_step
 
 DEFAULT_DELTA_CAP = 2_000_000
 _INVERSE_TOL = 1e-15
+
+
+def _bisect_branch(branch: Branch, ys: np.ndarray) -> np.ndarray:
+    """``maps.branch_inverse`` applied to every target at once, with its
+    clipping, end point and stopping rules per element; NaN where absent."""
+    tol = _INVERSE_TOL
+    lo, hi = branch.piece.lo, branch.piece.hi
+    vmin, vmax = branch.image
+    out = np.full(len(ys), np.nan)
+    inside = np.flatnonzero((ys >= vmin - tol) & (ys <= vmax + tol))
+    if not len(inside):
+        return out
+    f = branch.fn
+    sgn = 1.0 if branch.increasing else -1.0
+    flo, fhi = sgn * float(f(lo)), sgn * float(f(hi))
+    if not flo <= fhi:
+        raise MonotonicityError(
+            f"branch values at piece ends contradict declared direction on {branch.piece!r}"
+        )
+    ty = sgn * np.clip(ys[inside], vmin, vmax)
+    out[inside[ty >= fhi]] = hi
+    out[inside[ty <= flo]] = lo  # after hi: lo wins when flo == fhi, as in branch_inverse
+    mid_range = (ty > flo) & (ty < fhi)
+    idx, ty = inside[mid_range], ty[mid_range]
+    a = np.full(len(idx), lo)
+    b = np.full(len(idx), hi)
+    for _ in range(200):
+        if not len(idx):
+            break
+        mid = 0.5 * (a + b)
+        stuck = (mid <= a) | (mid >= b)
+        if stuck.any():
+            out[idx[stuck]] = mid[stuck]
+            go = ~stuck
+            idx, ty, a, b, mid = idx[go], ty[go], a[go], b[go], mid[go]
+        fm = sgn * f(mid)
+        bad = (fm < flo - tol) | (fm > fhi + tol)
+        if bad.any():
+            raise MonotonicityError(
+                f"bracket violation at {mid[bad][0]!r} on {branch.piece!r}"
+            )
+        below = fm < ty
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+        done = b - a <= tol
+        if done.any():
+            out[idx[done]] = 0.5 * (a[done] + b[done])
+            go = ~done
+            idx, ty, a, b = idx[go], ty[go], a[go], b[go]
+    out[idx] = 0.5 * (a + b)
+    return out
 
 
 def _branch_preimages(branch: Branch, ys: np.ndarray) -> np.ndarray:
@@ -36,11 +94,7 @@ def _branch_preimages(branch: Branch, ys: np.ndarray) -> np.ndarray:
         pad = 1e-12 * max(1.0, abs(hi - lo))
         xs = np.where((xs >= lo - pad) & (xs <= hi + pad), np.clip(xs, lo, hi), np.nan)
         return xs
-    out = np.empty(len(ys))
-    for i, y in enumerate(ys):
-        x = branch_inverse(branch, float(y), _INVERSE_TOL)
-        out[i] = np.nan if x is None else x
-    return out
+    return _bisect_branch(branch, ys)
 
 
 class DeltaTable:
@@ -77,48 +131,29 @@ class DeltaTable:
             self.levels.append(empties)
             return
         xs = np.concatenate(xs_all)
-        root_a = np.concatenate(root_all)
-        dirp_a = np.concatenate(dirp_all)
         order = np.argsort(xs, kind="stable")
-        xs, root_a, dirp_a = xs[order], root_a[order], dirp_a[order]
-        keep = self._dedupe_mask(xs, np.full(len(xs), hit_step, dtype=np.int64))
-        hit = np.full(int(keep.sum()), hit_step, dtype=np.int64)
-        self.levels.append((xs[keep], hit, root_a[keep], dirp_a[keep]))
-
-    def _dedupe_mask(self, xs: np.ndarray, hit: np.ndarray) -> np.ndarray:
-        tol = self.map.tol
-        keep = np.ones(len(xs), dtype=bool)
-        last = None
-        last_i = -1
-        for i, x in enumerate(xs):
-            if last is not None and x - last <= tol:
-                keep[i] = False
-                if hit[i] < hit[last_i]:
-                    hit[last_i] = hit[i]  # prefer the earliest hit as provenance
-            else:
-                last, last_i = x, i
-        return keep
+        xs = xs[order]
+        keep = dedupe_sorted(xs, self.map.tol)
+        # gather provenance for the kept points only: a level refused by the
+        # cap can hold millions of points
+        order = order[keep]
+        hit = np.full(len(order), hit_step, dtype=np.int64)
+        root_a = np.concatenate(root_all)[order]
+        dirp_a = np.concatenate(dirp_all)[order]
+        self.levels.append((xs[keep], hit, root_a, dirp_a))
 
     def _merge_cumulative(self, n: int):
         cx, ch, cr, cp = self.cumulative[n - 1]
         lx, lh, lr, lp = self.levels[n - 1]
         xs = np.concatenate([cx, lx])
         hit = np.concatenate([ch, lh])
-        root = np.concatenate([cr, lr])
-        dirp = np.concatenate([cp, lp])
         order = np.lexsort((hit, xs))
-        xs, hit, root, dirp = xs[order], hit[order], root[order], dirp[order]
-        tol = self.map.tol
-        keep = np.ones(len(xs), dtype=bool)
-        last = None
-        last_i = -1
-        for i, x in enumerate(xs):
-            if last is not None and x - last <= tol:
-                keep[i] = False
-                if hit[i] < hit[last_i]:
-                    hit[last_i], root[last_i], dirp[last_i] = hit[i], root[i], dirp[i]
-            else:
-                last, last_i = x, i
+        xs, hit = xs[order], hit[order]
+        root = np.concatenate([cr, lr])[order]
+        dirp = np.concatenate([cp, lp])[order]
+        keep, dst, src = dedupe_sorted(xs, self.map.tol, rank=hit)
+        for a in (hit, root, dirp):
+            a[dst] = a[src]  # the earliest hit of a merged group is its provenance
         self.cumulative.append((xs[keep], hit[keep], root[keep], dirp[keep]))
 
     def ensure(self, n: int, cap: int | None = None):
@@ -155,38 +190,48 @@ class DeltaTable:
             return self.levels[0][0][:0]
         return self.levels[k - 1][0]
 
-    def _limit_seq(self, root: int, side: int, m: int) -> tuple[float, int]:
+    def _limit_seq(self, root: int, side: int, m: int) -> list[tuple[float, int]]:
+        """One-sided limit orbit of base point ``root`` from ``side`` as
+        (value, direction product) pairs, built through at least step m."""
         seq = self._memo.setdefault((root, side), [(float(self.map.delta.points[root]), 1)])
         if len(seq) <= m:
-            v = seq[-1][0]
-            d = seq[-1][1]
-            s = side
+            v, d = seq[-1]
             # recover the current side by replaying the stored prefix direction
             s = side if d > 0 else 1 - side
             for _ in range(len(seq), m + 1):
                 v, s, bi = limit_step(self.map, v, s)
                 d *= self.map.branches[bi].direction
                 seq.append((v, d))
-        return seq[m]
+        return seq
+
+    def _removable(self, n: int) -> np.ndarray:
+        """rem[root, m]: the two one-sided limits of f^m at base point ``root``
+        agree in value and in monotone direction.  A cut point whose orbit
+        first hits ``root`` after n - m steps is then a removable junction of
+        the n-th iterate.  The test is symmetric in the two sides, so which
+        of them the cut point's own left side maps to does not matter."""
+        tol = self.map.tol
+        rem = np.zeros((len(self.map.delta), n + 1), dtype=bool)
+        for r in range(len(rem)):
+            left, right = self._limit_seq(r, LEFT, n), self._limit_seq(r, RIGHT, n)
+            rem[r] = [
+                abs(v_l - v_r) <= tol and d_l == d_r
+                for (v_l, d_l), (v_r, d_r) in zip(left[: n + 1], right[: n + 1])
+            ]
+        return rem
 
     def count_pieces(self, n: int, merge_removable: bool = True) -> int:
         if n < 1:
             raise ValueError("n must be >= 1")
-        xs, hit, root, dirp = self.cumulative[n]
+        xs, hit, root, _ = self.cumulative[n]
         dom = self.map.domain
         tol = self.map.tol
         interior = (xs > dom.lo + tol) & (xs < dom.hi - tol)
         count = int(interior.sum()) + 1
         if not merge_removable or not interior.any():
             return count
-        for x_i, h_i, r_i, p_i in zip(xs[interior], hit[interior], root[interior], dirp[interior]):
-            m = int(n - h_i)
-            s_left = LEFT if p_i > 0 else RIGHT
-            v_l, d_l = self._limit_seq(int(r_i), s_left, m)
-            v_r, d_r = self._limit_seq(int(r_i), 1 - s_left, m)
-            if abs(v_l - v_r) <= tol and d_l == d_r:
-                count -= 1
-        return count
+        merged = self._removable(n)[root, n - hit] & interior
+        return count - int(np.count_nonzero(merged))
 
 
 _TABLES: "weakref.WeakKeyDictionary[PcMap, DeltaTable]" = weakref.WeakKeyDictionary()
@@ -323,16 +368,9 @@ def full_branch_check(pcmap: PcMap, n_max: int, cap: int | None = None) -> FullB
     checked_to = n_max if truncated_at is None else truncated_at
 
     no_connection = True
-    base = np.asarray(pcmap.delta.points)
     for k in range(2, checked_to + 1):
-        level = table.level_points(k)
-        if len(level) == 0 or len(base) == 0:
-            continue
-        idx = np.searchsorted(base, level)
-        for j in (np.clip(idx - 1, 0, len(base) - 1), np.clip(idx, 0, len(base) - 1)):
-            if (np.abs(base[j] - level) <= pcmap.tol).any():
-                no_connection = False
-        if not no_connection:
+        if pcmap.delta.contains_many(table.level_points(k)).any():
+            no_connection = False
             messages.append(f"f^-{k - 1}(Delta) meets Delta: connection at depth {k - 1}")
             break
 

@@ -9,6 +9,7 @@ from pcentropy.intervals import (
     PointSet,
     RegionSet,
     components_of_complement,
+    dedupe_sorted,
     openset_intersect,
     openset_subtract_points,
 )
@@ -181,3 +182,68 @@ class TestRegionSet:
     def test_contains(self):
         r = RegionSet.of((0.0, 0.25), (0.75, 1.0))
         assert r.contains(0.1) and r.contains(0.75) and not r.contains(0.5)
+
+
+def dedupe_reference(xs, tol, rank):
+    """Scalar greedy merge: keep mask and, per kept point, its provenance."""
+    keep = np.ones(len(xs), dtype=bool)
+    prov = list(range(len(xs)))
+    last = None
+    for i, x in enumerate(xs):
+        if last is not None and x - xs[last] <= tol:
+            keep[i] = False
+            if rank[i] < rank[prov[last]]:
+                prov[last] = i
+        else:
+            last = i
+    return keep, prov
+
+
+# gaps in units of tol = 1: exact ties, gaps just at tol, and chains of
+# adjacent sub-tol gaps all occur often
+_GAPS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.25, 2.0, 3.0]), st.floats(0.0, 3.0))
+
+
+class TestDedupeSorted:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.floats(-10.0, 10.0),
+        steps=st.lists(st.tuples(_GAPS, st.integers(0, 3)), max_size=40),
+    )
+    def test_matches_scalar_reference(self, start, steps):
+        xs = start + np.cumsum([0.0] + [g for g, _ in steps])
+        rank = np.array([0] + [r for _, r in steps], dtype=np.int64)
+        keep_ref, prov_ref = dedupe_reference(xs, 1.0, rank)
+        assert np.array_equal(dedupe_sorted(xs, 1.0), keep_ref)
+        keep, dst, src = dedupe_sorted(xs, 1.0, rank=rank)
+        assert np.array_equal(keep, keep_ref)
+        prov = np.arange(len(xs))
+        prov[dst] = src
+        assert prov[keep].tolist() == [prov_ref[i] for i in np.flatnonzero(keep_ref)]
+
+    def test_chain_keeps_every_point_past_tol_from_the_last_kept(self):
+        xs = np.array([0.0, 0.6, 1.2, 1.8, 2.4])
+        assert dedupe_sorted(xs, 1.0).tolist() == [True, False, True, False, True]
+
+    def test_provenance_smallest_rank_then_first(self):
+        xs = np.array([0.0, 0.0, 0.5, 0.5, 5.0])
+        keep, dst, src = dedupe_sorted(xs, 1.0, rank=np.array([3, 2, 1, 1, 0]))
+        assert keep.tolist() == [True, False, False, False, True]
+        assert (dst.tolist(), src.tolist()) == ([0], [2])
+
+    def test_empty_and_single(self):
+        assert dedupe_sorted(np.empty(0), 1e-12).tolist() == []
+        keep, dst, src = dedupe_sorted(np.array([0.3]), 1e-12, rank=np.array([1]))
+        assert keep.tolist() == [True] and not len(dst) and not len(src)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(st.floats(0.0, 1.0), max_size=20),
+    probes=st.lists(st.one_of(st.floats(-0.1, 1.1), st.sampled_from([0.0, 1.0, 1e-12, 1 - 1e-12])), max_size=20),
+    tol=st.sampled_from([0.0, 1e-12, 0.05]),
+)
+def test_contains_many_matches_contains(points, probes, tol):
+    ps = PointSet.of(points, tol=tol)
+    xs = np.asarray(probes, dtype=float)
+    assert ps.contains_many(xs).tolist() == [ps.contains(x) for x in probes]

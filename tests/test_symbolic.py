@@ -1,19 +1,29 @@
+import functools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcentropy.catalog import get as catalog_get, names as catalog_names
 from pcentropy.errors import ResourceCapExceeded
 from pcentropy.expr import parse_expression
 from pcentropy.intervals import PointSet
-from pcentropy.maps import build_map, parse_map
+from pcentropy.maps import LEFT, RIGHT, branch_inverse, build_map, limit_orbit, parse_map
 from pcentropy.symbolic import (
+    _INVERSE_TOL,
+    _branch_preimages,
     count_pieces,
     delta_n,
+    delta_table,
     full_branch_check,
     ms_entropy,
     preimage_set,
 )
+from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
+
+PHI = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +201,79 @@ class TestFullBranchCheck:
             n_branches = m.n_pieces
             for a, b in zip(counts, counts[1:]):
                 assert b - a <= n_branches - 1
+
+
+def count_pieces_scalar(table, n: int, merge_removable: bool) -> int:
+    """Reference: one scalar limit-orbit test per interior cut point."""
+    pcmap = table.map
+    xs, hit, root, dirp = table.cumulative[n]
+    dom, tol = pcmap.domain, pcmap.tol
+    interior = (xs > dom.lo + tol) & (xs < dom.hi - tol)
+    count = int(interior.sum()) + 1
+    if not merge_removable:
+        return count
+
+    @functools.lru_cache(maxsize=None)
+    def limit_seq(r: int, side: int, m: int) -> tuple[float, int]:
+        v, _, d = limit_orbit(pcmap, pcmap.delta.points[r], side, m)
+        return v, d
+
+    for h_i, r_i, p_i in zip(hit[interior], root[interior], dirp[interior]):
+        m = int(n - h_i)
+        s_left = LEFT if p_i > 0 else RIGHT
+        v_l, d_l = limit_seq(int(r_i), s_left, m)
+        v_r, d_r = limit_seq(int(r_i), 1 - s_left, m)
+        if abs(v_l - v_r) <= tol and d_l == d_r:
+            count -= 1
+    return count
+
+
+def _verdict_map(label: str):
+    if label == "tent-phi":
+        return conjugate_map(catalog_get("tent").map, PHI)
+    name, _, power = label.partition("^")
+    pcmap = catalog_get(name).map
+    return iterate_map(pcmap, int(power)) if power else pcmap
+
+
+@pytest.mark.parametrize("label", [*catalog_names(), *(f"{m}^2" for m in catalog_names()), "tent-phi"])
+def test_verdict_table_matches_scalar_loop(label):
+    table = delta_table(_verdict_map(label))
+    for n in range(1, 9):
+        try:
+            table.ensure(n, cap=400_000)
+        except ResourceCapExceeded:
+            break
+        for merge in (True, False):
+            assert table.count_pieces(n, merge) == count_pieces_scalar(table, n, merge), (n, merge)
+
+
+SMOOTH_BRANCHES = [
+    b
+    for m in (catalog_get("lorenz-full").map, conjugate_map(catalog_get("tent").map, PHI))
+    for b in m.branches
+    if b.affine is None
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    branch=st.sampled_from(SMOOTH_BRANCHES),
+    targets=st.lists(
+        st.one_of(
+            st.floats(-0.05, 1.05),
+            st.sampled_from([0.0, 1.0, -1e-15, 1 + 1e-15, -2e-15, 1 + 2e-15, 0.55, 0.5]),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_array_bisection_matches_branch_inverse(branch, targets):
+    ys = np.asarray(targets)
+    xs = _branch_preimages(branch, ys)
+    for y, x in zip(targets, xs):
+        ref = branch_inverse(branch, y, _INVERSE_TOL)
+        if ref is None:
+            assert np.isnan(x), (y, x)
+        else:
+            assert abs(x - ref) <= 2 * _INVERSE_TOL, (y, x, ref)
