@@ -38,8 +38,6 @@ from .intervals import (
     PointSet,
     RegionSet,
     components_of_complement,
-    openset_intersect,
-    openset_subtract_points,
 )
 from .maps import (
     Branch,

@@ -6,6 +6,9 @@ sample: the greedy left-to-right separated set is a lower bound, the greedy
 ball sweep an upper bound.  Every pair of sample points whose base-coordinate
 distance already reaches epsilon is separated outright, so all pair checks
 are confined to a sliding window in the first orbit coordinate.
+
+Orbit matrices are cached per sample in ``_ORBIT_CACHE``.  The cache takes
+no lock: use it from one thread at a time.
 """
 
 from __future__ import annotations
@@ -45,14 +48,11 @@ def rho_n(pcmap: PcMap, x: float, y: float, n: int, metric=None) -> float:
 
 
 def _avoid_mask(pcmap: PcMap, xs: np.ndarray, horizon: int) -> np.ndarray:
+    """``maps.orbit_avoids_delta`` for every entry of ``xs`` at once."""
     ok = np.ones(len(xs), dtype=bool)
-    v = xs.astype(float).copy()
-    d = pcmap._delta_arr
+    v = xs.astype(float)
     for j in range(horizon):
-        if len(d):
-            idx = np.searchsorted(d, v)
-            for jj in (np.clip(idx - 1, 0, len(d) - 1), np.clip(idx, 0, len(d) - 1)):
-                ok &= ~(np.abs(d[jj] - v) <= pcmap.tol)
+        ok &= ~pcmap.delta.contains_many(v)
         if j < horizon - 1:
             v = evaluate_many(pcmap, v)
     return ok

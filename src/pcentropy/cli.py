@@ -27,7 +27,7 @@ from .errors import PcEntropyError
 from .estimators import EntropySeries
 from .intervals import Interval, OpenSet, RegionSet
 from .maps import PcMap, parse_map
-from .symbolic import count_pieces, delta_n, full_branch_check, ms_entropy
+from .symbolic import count_pieces, delta_n, full_branch_check, ms_entropy, submultiplicative_witness
 from .transforms import PlHomeo, conjugate_map, iterate_map, restrict_map
 
 _EXIT_OK, _EXIT_FAIL, _EXIT_TRUNCATED = 0, 1, 2
@@ -175,20 +175,20 @@ def cmd_entropy(args) -> int:
     pcmap = _load_map(args)
     if args.phi:
         pcmap = conjugate_map(pcmap, _parse_phi(args.phi))
+    cap = _cap_from_env()
     if args.power_k:
-        pcmap = iterate_map(pcmap, args.power_k, cap=_cap_from_env())
+        pcmap = iterate_map(pcmap, args.power_k, cap=cap)
     region = _parse_region(args.region) if args.region else None
     if region is not None:
         restricted = restrict_map(pcmap, region)
         print(restricted.report, file=sys.stderr)
-    cap = _cap_from_env()
     series: list[EntropySeries] = []
     methods = ["ms", "cover", "bowen"] if args.method == "all" else [args.method]
     for method in methods:
         if method == "ms":
             target = pcmap
             if region is not None and len(region.parts) == 1:
-                target = restrict_map(pcmap, region).as_pcmap()
+                target = restricted.as_pcmap()
             series.append(ms_entropy(target, args.n_max, estimator=args.estimator, cap=cap))
         elif method == "cover":
             cov = _parse_cover(args.cover) if args.cover else natural_cover(pcmap)
@@ -220,11 +220,8 @@ def cmd_verify(args) -> int:
     rows.append(("Delta^n nested in Delta^(n+1)", nested, f"n <= {n_max}"))
 
     counts = {n: count_pieces(pcmap, n, cap=cap) for n in range(1, n_max + 1)}
-    bad = [
-        (n, m) for n in counts for m in counts
-        if n + m in counts and counts[n + m] > counts[n] * counts[m]
-    ]
-    rows.append(("c_n submultiplicative", not bad, f"witness {bad[0]}" if bad else f"n <= {n_max}"))
+    bad = submultiplicative_witness(counts)
+    rows.append(("c_n submultiplicative", bad is None, f"n <= {n_max}" if bad is None else f"witness {bad}"))
 
     report = full_branch_check(pcmap, n_max, cap)
     if report.surjective:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import NotACoverError, ResourceCapExceeded
 from .estimators import EntropySeries, SeriesRecord, estimate_table
-from .expr import eval_expr
 from .intervals import Interval, OpenSet, PointSet, RegionSet, dedupe_sorted
 from .maps import Branch, PcMap, branch_inverse
 from .symbolic import delta_n
@@ -100,11 +99,10 @@ def vee(covers: list[Cover]) -> Cover:
 
 
 def _branch_image(branch: Branch, domain: Interval) -> Interval:
-    lo_val = min(max(eval_expr(branch.expr, branch.piece.lo), domain.lo), domain.hi)
-    hi_val = min(max(eval_expr(branch.expr, branch.piece.hi), domain.lo), domain.hi)
+    vmin, vmax = (min(max(v, domain.lo), domain.hi) for v in branch.image)
     if branch.increasing:
-        return Interval(lo_val, hi_val, branch.piece.lo_open, branch.piece.hi_open)
-    return Interval(hi_val, lo_val, branch.piece.hi_open, branch.piece.lo_open)
+        return Interval(vmin, vmax, branch.piece.lo_open, branch.piece.hi_open)
+    return Interval(vmin, vmax, branch.piece.hi_open, branch.piece.lo_open)
 
 
 def openset_preimage(pcmap: PcMap, oset: OpenSet) -> OpenSet:
@@ -195,12 +193,11 @@ class SubcoverResult:
     exact: bool
 
 
-def _snap(reps: list[float], x: float, tol: float) -> int:
-    i = _bisect.bisect_left(reps, x)
-    for j in (i - 1, i):
-        if 0 <= j < len(reps) and abs(reps[j] - x) <= tol:
-            return j
-    raise AssertionError("coordinate missing from snap table")
+def _snap(reps: PointSet, x: float) -> int:
+    j = reps.index_near(x)
+    if j is None:
+        raise AssertionError("coordinate missing from snap table")
+    return j
 
 
 def minimal_subcover(
@@ -228,8 +225,10 @@ def minimal_subcover(
     if not coords or target.is_empty():
         return SubcoverResult(0, (), True)
     ordered = sorted(coords)
-    reps = list(compress(ordered, dedupe_sorted(np.asarray(ordered, dtype=float), tol)))
-    excluded_idx = {_snap(reps, e, tol) for e in exclude.points}
+    keep = dedupe_sorted(np.asarray(ordered, dtype=float), tol)
+    snap_table = PointSet(tuple(compress(ordered, keep)), tol)
+    reps = snap_table.points
+    excluded_idx = {_snap(snap_table, e) for e in exclude.points}
 
     # atom codes: 2i = the point reps[i], 2i+1 = the open gap (reps[i], reps[i+1])
     atoms: list[int] = []
@@ -250,8 +249,8 @@ def minimal_subcover(
         return SubcoverResult(0, (), True)
 
     def part_code_range(p: Interval) -> tuple[int, int]:
-        a = _snap(reps, p.lo, tol)
-        b = _snap(reps, p.hi, tol)
+        a = _snap(snap_table, p.lo)
+        b = _snap(snap_table, p.hi)
         lo_code = 2 * a if not p.lo_open else 2 * a + 1
         hi_code = 2 * b if not p.hi_open else 2 * b - 1
         return lo_code, hi_code

@@ -46,7 +46,10 @@ def fekete_estimate(values: list[tuple[int, float]], check: bool = True, slack: 
     For a subadditive sequence this is both an upper bound for the limit and
     equal to it in the n -> infinity limit (Fekete).  Subadditivity is
     asserted over every recorded pair unless ``check`` is off; a violation
-    points at a tolerance undercount upstream, not at this routine.
+    points at a tolerance undercount upstream, not at this routine.  This
+    check is not ``symbolic.submultiplicative_witness``: it tests a
+    real-valued sequence (logs of counts, or any other) with a ``slack`` for
+    round-off, where that one tests integer counts exactly.
     """
     if len(values) < 2:
         raise ValueError("need at least two records")

@@ -109,27 +109,6 @@ def eval_expr(e: Expr, x):
     raise TypeError(f"unknown node {e!r}")
 
 
-def substitute(e: Expr, replacement: Expr) -> Expr:
-    """Replace the variable by another expression."""
-    if isinstance(e, Num):
-        return e
-    if isinstance(e, Var):
-        return replacement
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, replacement))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, substitute(e.left, replacement), substitute(e.right, replacement))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, replacement), e.exponent)
-    if isinstance(e, Call):
-        return Call(e.fn, tuple(substitute(a, replacement) for a in e.args))
-    if isinstance(e, PiecewiseAffine):
-        return PiecewiseAffine(substitute(e.arg, replacement), e.xs, e.ys)
-    if isinstance(e, Compose):
-        return Compose(e.outer, substitute(e.inner, replacement))
-    raise TypeError(f"unknown node {e!r}")
-
-
 def as_affine(e: Expr) -> tuple[float, float] | None:
     """Return (a, b) with e(x) = a*x + b when the tree is affine, else None."""
     if isinstance(e, Num):
@@ -224,23 +203,6 @@ def compile_expr(e: Expr):
     if len(src) > _COMPILE_SRC_CAP:
         return lambda x: eval_expr(e, x)
     return eval(f"lambda x: {src}", env)  # source generated from our own AST
-
-
-def to_source(e: Expr) -> str:
-    """Grammar-conforming text for parser-produced trees (debug/round-trip aid)."""
-    if isinstance(e, Num):
-        return f"{e.value:.17g}"
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, Neg):
-        return f"-({to_source(e.arg)})"
-    if isinstance(e, BinOp):
-        return f"({to_source(e.left)} {e.op} {to_source(e.right)})"
-    if isinstance(e, Pow):
-        return f"({to_source(e.base)})^{e.exponent}"
-    if isinstance(e, Call):
-        return f"{e.fn}({', '.join(to_source(a) for a in e.args)})"
-    raise ValueError(f"{type(e).__name__} node has no source form")
 
 
 _TOKEN_RE = re.compile(

@@ -302,20 +302,28 @@ class PointSet:
     def __iter__(self):
         return iter(self.points)
 
-    @property
+    @cached_property
     def array(self) -> np.ndarray:
-        return np.asarray(self.points)
+        arr = np.asarray(self.points, dtype=float)
+        arr.flags.writeable = False  # shared by every caller
+        return arr
 
-    def contains(self, x: float) -> bool:
+    def index_near(self, x: float) -> int | None:
+        """Index of a point within ``tol`` of x, or None.  The neighbours i-1
+        and i of the left insertion point are checked in that order, so of two
+        such points the left one wins."""
         i = bisect.bisect_left(self.points, x)
         for j in (i - 1, i):
             if 0 <= j < len(self.points) and abs(self.points[j] - x) <= self.tol:
-                return True
-        return False
+                return j
+        return None
+
+    def contains(self, x: float) -> bool:
+        return self.index_near(x) is not None
 
     def contains_many(self, xs: np.ndarray) -> np.ndarray:
         """``contains`` for every entry of ``xs``: the neighbours i-1 and i of
-        each left insertion point are checked."""
+        each left insertion point are checked; all False for an empty set."""
         pts = self.array
         if not len(pts):
             return np.zeros(len(xs), dtype=bool)
@@ -324,17 +332,6 @@ class PointSet:
         near = np.abs(pts[np.clip(i - 1, 0, len(pts) - 1)] - xs) <= self.tol
         near |= np.abs(pts[np.minimum(i, len(pts) - 1)] - xs) <= self.tol
         return near
-
-    def nearest(self, x: float) -> float | None:
-        if not self.points:
-            return None
-        i = bisect.bisect_left(self.points, x)
-        best = None
-        for j in (i - 1, i):
-            if 0 <= j < len(self.points):
-                if best is None or abs(self.points[j] - x) < abs(best - x):
-                    best = self.points[j]
-        return best
 
     def union(self, other: "PointSet") -> "PointSet":
         return PointSet.of(self.points + other.points, min(self.tol, other.tol))
@@ -378,14 +375,6 @@ class RegionSet:
 
     def __repr__(self):
         return " u ".join(repr(p) for p in self.parts) if self.parts else "RegionSet()"
-
-
-def openset_intersect(a: OpenSet, b: OpenSet) -> OpenSet:
-    return a.intersect(b)
-
-
-def openset_subtract_points(a: OpenSet, points) -> OpenSet:
-    return a.subtract_points(points)
 
 
 def components_of_complement(domain: Interval, cuts: PointSet) -> list[Interval]:

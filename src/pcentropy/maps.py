@@ -67,20 +67,8 @@ class PcMap:
         cuts = [b.piece.hi for b in self.branches[:-1]]
         return PointSet(tuple(cuts), self.tol)
 
-    @cached_property
-    def _delta_arr(self) -> np.ndarray:
-        return np.asarray(self.delta.points)
-
     def piece_index(self, x: float) -> int:
         return int(bisect.bisect_right(self.delta.points, x))
-
-    def _delta_index_near(self, x: float) -> int | None:
-        arr = self.delta.points
-        i = bisect.bisect_left(arr, x)
-        for j in (i - 1, i):
-            if 0 <= j < len(arr) and abs(arr[j] - x) <= self.tol:
-                return j
-        return None
 
 
 def _check_in_domain(pcmap: PcMap, x: float) -> float:
@@ -95,7 +83,7 @@ def _check_in_domain(pcmap: PcMap, x: float) -> float:
 def evaluate(pcmap: PcMap, x: float) -> float:
     """Map value at x; at a discontinuity this is the configured one-sided limit."""
     x = _check_in_domain(pcmap, x)
-    j = pcmap._delta_index_near(x)
+    j = pcmap.delta.index_near(x)
     if j is not None:
         b = pcmap.branches[j if pcmap.at_delta == "left" else j + 1]
         v = eval_expr(b.expr, pcmap.delta.points[j])
@@ -105,8 +93,14 @@ def evaluate(pcmap: PcMap, x: float) -> float:
 
 
 def evaluate_many(pcmap: PcMap, xs: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation for points away from the discontinuity set."""
-    idx = np.searchsorted(pcmap._delta_arr, xs, side="right")
+    """Vectorized evaluation for points away from the discontinuity set.
+
+    Values are clipped to the domain, whereas ``evaluate`` raises beyond
+    ``IMAGE_TOL``.  The callers pass only sample orbits and grid points of
+    the domain.  There, validation already keeps every branch value within
+    ``IMAGE_TOL`` of the domain, so the clip only absorbs round-off.
+    """
+    idx = np.searchsorted(pcmap.delta.array, xs, side="right")
     out = np.empty_like(xs, dtype=float)
     for i, b in enumerate(pcmap.branches):
         m = idx == i
@@ -137,7 +131,7 @@ def limit_step(pcmap: PcMap, v: float, side: int) -> tuple[float, int, int]:
     discontinuities.
     """
     v = _check_in_domain(pcmap, v)
-    j = pcmap._delta_index_near(v)
+    j = pcmap.delta.index_near(v)
     if j is not None:
         bi = j if side == LEFT else j + 1
         v = pcmap.delta.points[j]
@@ -168,7 +162,7 @@ def orbit_avoids_delta(pcmap: PcMap, x: float, horizon: int) -> bool:
         raise ValueError("horizon must be >= 1")
     v = _check_in_domain(pcmap, x)
     for _ in range(horizon):
-        if pcmap._delta_index_near(v) is not None:
+        if pcmap.delta.index_near(v) is not None:
             return False
         v = evaluate(pcmap, v)
     return True

@@ -3,13 +3,12 @@
 The n-step discontinuity set is computed backwards, one preimage level at a
 time, never by forward composition: inverting a monotone branch is
 well-conditioned, and each level point carries its provenance (first orbit
-step that hits the base set, which base point, and the accumulated monotone
-direction).  Whether a cut point is a removable junction of the n-th iterate
-depends only on its base point and the steps left after the hit, so
-``DeltaTable.count_pieces`` tabulates that verdict once per n from the
-one-sided limit orbits of the base points and decides every cut point with
-one array lookup.  Piece counts then follow from component counting plus the
-removable-junction merge rule.
+step that hits the base set, and which base point).  Whether a cut point is
+a removable junction of the n-th iterate depends only on its base point and
+the steps left after the hit, so ``DeltaTable.count_pieces`` tabulates that
+verdict once per n from the one-sided limit orbits of the base points and
+decides every cut point with one array lookup.  Piece counts then follow
+from component counting plus the removable-junction merge rule.
 
 Tables are cached per map in ``_TABLES`` and grow in place as deeper levels
 are asked for.  Neither the cache nor a ``DeltaTable`` takes a lock: use
@@ -104,31 +103,29 @@ class DeltaTable:
         self.map = pcmap
         nd = len(pcmap.delta)
         base = np.asarray(pcmap.delta.points)
-        lvl0 = (base, np.zeros(nd, dtype=np.int64), np.arange(nd), np.ones(nd, dtype=np.int64))
-        self.levels = [lvl0]  # index k holds f^{-k}(Delta) as (xs, hit, root, dirp)
-        empty = (np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
+        lvl0 = (base, np.zeros(nd, dtype=np.int64), np.arange(nd))
+        self.levels = [lvl0]  # index k holds f^{-k}(Delta) as (xs, hit, root)
+        empty = (np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64))
         self.cumulative = [empty]  # index n holds merged Delta^n
         if nd:
             self.cumulative.append(lvl0)
-        # one-sided limit orbits from each base point: [(value, dirprod), ...]
+        # one-sided limit orbits from each base point: [(value, direction product), ...]
         self._memo: dict[tuple[int, int], list[tuple[float, int]]] = {}
 
     # -- construction -------------------------------------------------------
 
     def _next_level(self):
-        ys, _, root, dirp = self.levels[-1]
-        xs_all, root_all, dirp_all = [], [], []
+        ys, _, root = self.levels[-1]
+        xs_all, root_all = [], []
         for b in self.map.branches:
             xs = _branch_preimages(b, ys)
             ok = ~np.isnan(xs)
             if ok.any():
                 xs_all.append(xs[ok])
                 root_all.append(root[ok])
-                dirp_all.append(dirp[ok] * b.direction)
         hit_step = len(self.levels)
         if not xs_all:
-            empties = (np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64))
-            self.levels.append(empties)
+            self.levels.append(self.cumulative[0])
             return
         xs = np.concatenate(xs_all)
         order = np.argsort(xs, kind="stable")
@@ -138,23 +135,20 @@ class DeltaTable:
         # cap can hold millions of points
         order = order[keep]
         hit = np.full(len(order), hit_step, dtype=np.int64)
-        root_a = np.concatenate(root_all)[order]
-        dirp_a = np.concatenate(dirp_all)[order]
-        self.levels.append((xs[keep], hit, root_a, dirp_a))
+        self.levels.append((xs[keep], hit, np.concatenate(root_all)[order]))
 
     def _merge_cumulative(self, n: int):
-        cx, ch, cr, cp = self.cumulative[n - 1]
-        lx, lh, lr, lp = self.levels[n - 1]
+        cx, ch, cr = self.cumulative[n - 1]
+        lx, lh, lr = self.levels[n - 1]
         xs = np.concatenate([cx, lx])
         hit = np.concatenate([ch, lh])
         order = np.lexsort((hit, xs))
         xs, hit = xs[order], hit[order]
         root = np.concatenate([cr, lr])[order]
-        dirp = np.concatenate([cp, lp])[order]
         keep, dst, src = dedupe_sorted(xs, self.map.tol, rank=hit)
-        for a in (hit, root, dirp):
+        for a in (hit, root):
             a[dst] = a[src]  # the earliest hit of a merged group is its provenance
-        self.cumulative.append((xs[keep], hit[keep], root[keep], dirp[keep]))
+        self.cumulative.append((xs[keep], hit[keep], root[keep]))
 
     def ensure(self, n: int, cap: int | None = None):
         """Build levels up to n, honoring the point cap as a budget on the set
@@ -223,7 +217,7 @@ class DeltaTable:
     def count_pieces(self, n: int, merge_removable: bool = True) -> int:
         if n < 1:
             raise ValueError("n must be >= 1")
-        xs, hit, root, _ = self.cumulative[n]
+        xs, hit, root = self.cumulative[n]
         dom = self.map.domain
         tol = self.map.tol
         interior = (xs > dom.lo + tol) & (xs < dom.hi - tol)
@@ -284,16 +278,13 @@ def count_pieces(pcmap: PcMap, n: int, merge_removable: bool = True, cap: int | 
     return table.count_pieces(n, merge_removable)
 
 
-def _check_submultiplicative(counts: dict[int, int]):
+def submultiplicative_witness(counts: dict[int, int]) -> tuple[int, int] | None:
+    """The first pair (n, m) with c_{n+m} > c_n * c_m, or None."""
     for n in counts:
         for m in counts:
             if n + m in counts and counts[n + m] > counts[n] * counts[m]:
-                raise SubadditivityError(
-                    f"piece counts are not submultiplicative: c_{n + m}={counts[n + m]} "
-                    f"> c_{n}*c_{m}={counts[n] * counts[m]} "
-                    "(likely a tolerance undercount upstream)",
-                    witness=(n, m),
-                )
+                return n, m
+    return None
 
 
 def ms_entropy(
@@ -318,7 +309,16 @@ def ms_entropy(
         records.append(SeriesRecord(n, table.count_pieces(n, merge_removable)))
     if not records:
         raise ResourceCapExceeded("no level fits under the resource cap", completed=0)
-    _check_submultiplicative({r.n: int(r.value) for r in records})
+    counts = {r.n: int(r.value) for r in records}
+    bad = submultiplicative_witness(counts)
+    if bad is not None:
+        n, m = bad
+        raise SubadditivityError(
+            f"piece counts are not submultiplicative: c_{n + m}={counts[n + m]} "
+            f"> c_{n}*c_{m}={counts[n] * counts[m]} "
+            "(likely a tolerance undercount upstream)",
+            witness=bad,
+        )
     if truncated:
         records[-1] = SeriesRecord(records[-1].n, records[-1].value, flag="truncated")
     pairs = [(r.n, math.log(r.value)) for r in records]

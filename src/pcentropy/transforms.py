@@ -19,6 +19,7 @@ from .maps import (
     evaluate_many,
     identity_map,
     limit_step,
+    orbit_avoids_delta,
 )
 from .symbolic import delta_n
 
@@ -111,13 +112,7 @@ def iterate_map(pcmap: PcMap, k: int, validation_grid: int = 65, cap: int | None
 def _interior_probe(pcmap: PcMap, comp: Interval, k: int) -> float:
     for frac in (0.5, 0.381966, 0.618034, 0.271828, 0.707107):
         x = comp.lo + frac * comp.diameter
-        v, ok = x, True
-        for _ in range(k):
-            if pcmap._delta_index_near(v) is not None:
-                ok = False
-                break
-            v = evaluate(pcmap, v)
-        if ok:
+        if orbit_avoids_delta(pcmap, x, k):
             return x
     raise MapValidationError(f"cannot probe component {comp!r} away from the cut set")
 
@@ -195,16 +190,6 @@ class RestrictedMap:
             validation_grid=validation_grid,
         )
 
-    def bowen_entropy(self, n_range, eps_schedule, grid, metric=None):
-        from .bowen import bowen_entropy
-
-        return bowen_entropy(self.pcmap, self.region, n_range, eps_schedule, grid, metric)
-
-    def cover_entropy(self, cover, n_max, **kw):
-        from .covers import cover_entropy
-
-        return cover_entropy(self.pcmap, cover, n_max, region=self.region, **kw)
-
 
 def restrict_map(pcmap: PcMap, region: RegionSet, grid: int = 10_000, tol: float = 1e-9) -> RestrictedMap:
     """Verify the region is (pseudo-)invariant and return the restriction handle.
@@ -222,13 +207,7 @@ def restrict_map(pcmap: PcMap, region: RegionSet, grid: int = 10_000, tol: float
     checked = 0
     for part in region.parts:
         xs = np.linspace(part.lo, part.hi, max(2, grid))
-        if len(pcmap.delta):
-            d = pcmap._delta_arr
-            idx = np.searchsorted(d, xs)
-            near = np.zeros(len(xs), dtype=bool)
-            for jj in (np.clip(idx - 1, 0, len(d) - 1), np.clip(idx, 0, len(d) - 1)):
-                near |= np.abs(d[jj] - xs) <= pcmap.tol
-            xs = xs[~near]
+        xs = xs[~pcmap.delta.contains_many(xs)]
         vals = evaluate_many(pcmap, xs)
         ok = region.contains_many(vals, tol=tol)
         if not ok.all():

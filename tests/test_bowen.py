@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcentropy.bowen import (
+    _avoid_mask,
     bowen_entropy,
     max_separated,
     min_spanning,
@@ -13,6 +16,8 @@ from pcentropy.bowen import (
 from pcentropy.catalog import get as catalog_get
 from pcentropy.errors import EmptySampleError
 from pcentropy.intervals import RegionSet
+from pcentropy.maps import orbit_avoids_delta
+from pcentropy.symbolic import delta_n
 from pcentropy.transforms import PlHomeo
 
 X = RegionSet.of((0.0, 1.0))
@@ -176,3 +181,26 @@ class TestBowenEntropy:
             s_plain = max_separated(tent, tent_sample, n, 0.05)
             s_metric = max_separated(tent, tent_sample, n, 0.05, metric=phi)
             assert s_metric > 0 and abs(math.log(s_metric / s_plain)) < 1.0
+
+
+WALKER_MAPS = {name: catalog_get(name).map for name in ("tent", "lorenz-full", "anzie", "mod3")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(WALKER_MAPS)),
+    horizon=st.integers(1, 12),
+    data=st.data(),
+)
+def test_avoid_mask_matches_scalar_walker(name, horizon, data):
+    pcmap = WALKER_MAPS[name]
+    point = st.one_of(
+        st.floats(0.0, 1.0),
+        st.integers(1, 12).flatmap(lambda e: st.integers(0, 2**e).map(lambda k: k / 2**e)),  # dyadic grid
+        # the cut points and their preimages: orbits that meet the cut set
+        # at every step up to the last one checked
+        st.sampled_from(delta_n(pcmap, horizon).points),
+    )
+    xs = np.asarray(data.draw(st.lists(point, min_size=1, max_size=30)), dtype=float)
+    mask = _avoid_mask(pcmap, xs, horizon)
+    assert mask.tolist() == [orbit_avoids_delta(pcmap, float(x), horizon) for x in xs]

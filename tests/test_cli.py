@@ -148,6 +148,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "c_n(f^3)" in out
 
+    def test_submultiplicative_failure_row(self, capsys, monkeypatch):
+        fake = {1: 2, 2: 5, 3: 9}
+        monkeypatch.setattr("pcentropy.cli.count_pieces", lambda pcmap, n, cap=None: fake[n])
+        code, out, _ = run(capsys, "verify", "--catalog", "tent", "--n-max", "3")
+        assert code == 1
+        row = next(line for line in out.splitlines() if line.startswith("c_n submultiplicative"))
+        assert row.endswith("FAIL  witness (1, 1)")
+
     def test_conjugacy(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--catalog", "tent", "--n-max", "6",

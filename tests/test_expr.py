@@ -11,7 +11,6 @@ from pcentropy.expr import (
     eval_expr,
     parse_constant,
     parse_expression,
-    substitute,
 )
 
 
@@ -110,10 +109,6 @@ class TestEvaluation:
         fn = compile_expr(e)
         xs = np.linspace(0, 1, 11)
         np.testing.assert_allclose(fn(xs), 2 - 2 * xs)
-
-    def test_substitute(self):
-        e = substitute(parse_expression("2*x + 1"), parse_expression("x^2"))
-        assert eval_expr(e, 3.0) == 19
 
     def test_compose_eval_and_compile(self):
         e = Compose(parse_expression("2*x"), parse_expression("x + 0.25"))

@@ -10,8 +10,6 @@ from pcentropy.intervals import (
     RegionSet,
     components_of_complement,
     dedupe_sorted,
-    openset_intersect,
-    openset_subtract_points,
 )
 
 
@@ -83,7 +81,7 @@ class TestComponentsOfComplement:
 
 class TestOpenSet:
     def test_intersect_simple_overlap(self):
-        w = openset_intersect(OpenSet.of((0.0, 0.6)), OpenSet.of((0.4, 1.0)))
+        w = OpenSet.of((0.0, 0.6)).intersect(OpenSet.of((0.4, 1.0)))
         assert w == OpenSet.of((0.4, 0.6))
 
     def test_intersect_disjoint(self):
@@ -96,7 +94,7 @@ class TestOpenSet:
         assert a.intersect(b) == OpenSet.of((0.4, 0.5), (0.6, 0.7))
 
     def test_subtract_interior_point(self):
-        assert openset_subtract_points(OpenSet.of((0.0, 1.0)), [0.5]) == OpenSet.of((0.0, 0.5), (0.5, 1.0))
+        assert OpenSet.of((0.0, 1.0)).subtract_points([0.5]) == OpenSet.of((0.0, 0.5), (0.5, 1.0))
 
     def test_subtract_point_outside(self):
         assert OpenSet.of((0.0, 1.0)).subtract_points([2.0]) == OpenSet.of((0.0, 1.0))
@@ -247,3 +245,35 @@ def test_contains_many_matches_contains(points, probes, tol):
     ps = PointSet.of(points, tol=tol)
     xs = np.asarray(probes, dtype=float)
     assert ps.contains_many(xs).tolist() == [ps.contains(x) for x in probes]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.lists(st.floats(0.0, 1.0), max_size=20),
+    tol=st.sampled_from([0.0, 1e-12, 0.05]),
+    data=st.data(),
+)
+def test_index_near_matches_brute_force(points, tol, data):
+    ps = PointSet.of(points, tol=tol)
+    pts = ps.points
+    # points at exactly +-tol, the points themselves, and midpoints of
+    # neighbours, which lie within tol of both when their gap is below 2 tol
+    special = [p + s * tol for p in pts for s in (-1, 0, 1)]
+    special += [0.5 * (a + b) for a, b in zip(pts, pts[1:])]
+    probe = st.floats(-0.1, 1.1)
+    if special:
+        probe = st.one_of(probe, st.sampled_from(special))
+    probes = data.draw(st.lists(probe, max_size=20))
+    for x in probes:
+        # PointSet.of keeps neighbours more than tol apart, so the first point
+        # within tol is the left one of any two within tol
+        ref = next((j for j, p in enumerate(pts) if abs(p - x) <= tol), None)
+        assert ps.index_near(x) == ref, (x, ref)
+        assert ps.contains(x) == (ref is not None)
+
+
+def test_index_near_left_wins():
+    assert PointSet.of([0.0, 0.15], tol=0.1).index_near(0.075) == 0
+    assert PointSet.of([0.0, 0.15], tol=0.1).index_near(0.15 + 0.1) == 1
+    assert PointSet.of([0.0, 0.15], tol=0.1).index_near(0.4) is None
+    assert PointSet.empty().index_near(0.0) is None

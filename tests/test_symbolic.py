@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcentropy.catalog import get as catalog_get, names as catalog_names
-from pcentropy.errors import ResourceCapExceeded
+from pcentropy.errors import ResourceCapExceeded, SubadditivityError
 from pcentropy.expr import parse_expression
 from pcentropy.intervals import PointSet
 from pcentropy.maps import LEFT, RIGHT, branch_inverse, build_map, limit_orbit, parse_map
 from pcentropy.symbolic import (
     _INVERSE_TOL,
+    DeltaTable,
     _branch_preimages,
     count_pieces,
     delta_n,
@@ -20,6 +21,7 @@ from pcentropy.symbolic import (
     full_branch_check,
     ms_entropy,
     preimage_set,
+    submultiplicative_witness,
 )
 from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
 
@@ -175,6 +177,25 @@ class TestMsEntropy:
                     if n + m in counts:
                         assert counts[n + m] <= counts[n] * counts[m]
 
+    def test_submultiplicative_witness(self):
+        assert submultiplicative_witness({n: 2**n for n in range(1, 9)}) is None
+        assert submultiplicative_witness({}) is None
+        assert submultiplicative_witness({1: 2, 2: 5, 3: 9}) == (1, 1)
+        # pairs are tried in the order n, then m, of the dict
+        assert submultiplicative_witness({1: 3, 2: 9, 3: 28}) == (1, 2)
+        assert submultiplicative_witness({2: 9, 1: 3, 3: 28}) == (2, 1)
+
+    def test_non_submultiplicative_counts_raise(self, tent, monkeypatch):
+        fake = {1: 2, 2: 5, 3: 9}
+        monkeypatch.setattr(DeltaTable, "count_pieces", lambda self, n, merge_removable=True: fake[n])
+        with pytest.raises(SubadditivityError) as info:
+            ms_entropy(tent, 3)
+        assert info.value.witness == (1, 1)
+        assert str(info.value) == (
+            "piece counts are not submultiplicative: c_2=5 > c_1*c_1=4 "
+            "(likely a tolerance undercount upstream)"
+        )
+
 
 class TestFullBranchCheck:
     def test_doubling(self):
@@ -206,7 +227,7 @@ class TestFullBranchCheck:
 def count_pieces_scalar(table, n: int, merge_removable: bool) -> int:
     """Reference: one scalar limit-orbit test per interior cut point."""
     pcmap = table.map
-    xs, hit, root, dirp = table.cumulative[n]
+    xs, hit, root = table.cumulative[n]
     dom, tol = pcmap.domain, pcmap.tol
     interior = (xs > dom.lo + tol) & (xs < dom.hi - tol)
     count = int(interior.sum()) + 1
@@ -218,11 +239,12 @@ def count_pieces_scalar(table, n: int, merge_removable: bool) -> int:
         v, _, d = limit_orbit(pcmap, pcmap.delta.points[r], side, m)
         return v, d
 
-    for h_i, r_i, p_i in zip(hit[interior], root[interior], dirp[interior]):
+    for h_i, r_i in zip(hit[interior], root[interior]):
         m = int(n - h_i)
-        s_left = LEFT if p_i > 0 else RIGHT
-        v_l, d_l = limit_seq(int(r_i), s_left, m)
-        v_r, d_r = limit_seq(int(r_i), 1 - s_left, m)
+        # the verdict is symmetric in the two sides, so which one the cut
+        # point's own left side maps to does not matter
+        v_l, d_l = limit_seq(int(r_i), LEFT, m)
+        v_r, d_r = limit_seq(int(r_i), RIGHT, m)
         if abs(v_l - v_r) <= tol and d_l == d_r:
             count -= 1
     return count
