@@ -27,6 +27,7 @@ from .errors import (
     MapValidationError,
     MonotonicityError,
     NotACoverError,
+    NotSeparatedError,
     PcEntropyError,
     ResourceCapExceeded,
     SubadditivityError,

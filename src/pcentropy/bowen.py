@@ -7,19 +7,27 @@ ball sweep an upper bound.  Every pair of sample points whose base-coordinate
 distance already reaches epsilon is separated outright, so all pair checks
 are confined to a sliding window in the first orbit coordinate.
 
-Orbit matrices are cached per sample in ``_ORBIT_CACHE``.  The cache takes
-no lock: use it from one thread at a time.
+One kernel, ``_cell``, builds every (n, eps) cell: the greedy separated set
+and the sweep cover, each checked by a certificate that raises before its
+count is reported (``NotSeparatedError`` for two points closer than eps,
+``NotACoverError`` for a sample point outside every ball).  ``max_separated``,
+``min_spanning``, ``bowen_entropy`` and the CLI all read their counts from
+it, so every reported cell has passed both certificates.
+
+Orbit matrices, and the certified cells of each, are cached per sample in
+``_ORBIT_CACHE``.  The cache takes no lock: use it from one thread at a time.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySampleError
+from .errors import EmptySampleError, NotACoverError, NotSeparatedError
 from .estimators import EntropySeries, SeriesRecord
 from .intervals import PointSet, RegionSet
 from .maps import PcMap, evaluate_many, evaluate_orbit
@@ -73,22 +81,20 @@ def sample_region(pcmap: PcMap, region: RegionSet, grid: int, horizon: int) -> S
         xs = np.linspace(part.lo, part.hi, npts)
         h = xs[1] - xs[0] if npts > 1 else part.diameter
         ok = _avoid_mask(pcmap, xs, horizon)
-        kept = list(xs[ok])
-        excised = []
-        for x in xs[~ok]:
-            placed = False
-            for off in (h / 2, -h / 2, h / 4, -h / 4, h / 8, -h / 8, h / 16, -h / 16):
-                cand = x + off
-                if part.lo <= cand <= part.hi and _avoid_mask(pcmap, np.asarray([cand]), horizon)[0]:
-                    kept.append(cand)
-                    placed = True
-                    break
-            if not placed:
-                excised.append(x)
-        kept.sort()
-        if not kept:
+        kept = [xs[ok]]
+        pending = xs[~ok]  # each takes the first offset, in this order, that avoids the cuts
+        for off in (h / 2, -h / 2, h / 4, -h / 4, h / 8, -h / 8, h / 16, -h / 16):
+            if not len(pending):
+                break
+            cand = pending + off
+            placed = (part.lo <= cand) & (cand <= part.hi)
+            placed[placed] = _avoid_mask(pcmap, cand[placed], horizon)
+            kept.append(cand[placed])
+            pending = pending[~placed]
+        excised = list(pending)
+        kept_arr = np.sort(np.concatenate(kept))
+        if not len(kept_arr):
             continue
-        kept_arr = np.asarray(kept)
         kept_parts.append(kept_arr)
         gaps = np.diff(kept_arr)
         for g, a in zip(gaps, kept_arr):
@@ -115,7 +121,7 @@ def orbit_matrix(pcmap: PcMap, sample: SampleSet) -> np.ndarray:
     out[:, 0] = xs
     for j in range(1, sample.horizon):
         out[:, j] = evaluate_many(pcmap, out[:, j - 1])
-    _ORBIT_CACHE[sample] = (pcmap, out)
+    _ORBIT_CACHE[sample] = (pcmap, out, {})  # the dict holds _cell's results
     return out
 
 
@@ -128,30 +134,43 @@ def _prepare(O: np.ndarray, n: int, metric) -> np.ndarray:
 
 
 def _greedy_separated_indices(M: np.ndarray, eps: float) -> list[int]:
-    xs = M[:, 0]
+    xs = M[:, 0].tolist()
     admitted: list[int] = []
     adm_x: list[float] = []
-    for i in range(len(xs)):
-        lo = np.searchsorted(adm_x, xs[i] - eps, side="right")
+    for i, x in enumerate(xs):
+        lo = bisect.bisect_right(adm_x, x - eps)
         window = admitted[lo:]
         if window:
             gaps = np.abs(M[window] - M[i]).max(axis=1)
             if (gaps < eps).any():
                 continue
         admitted.append(i)
-        adm_x.append(float(xs[i]))
+        adm_x.append(x)
     return admitted
 
 
-def _verify_separated(M: np.ndarray, idx: list[int], eps: float) -> bool:
-    xs = M[idx, 0]
-    for a in range(len(idx)):
-        b = a + 1
-        while b < len(idx) and xs[b] - xs[a] < eps:
-            if np.abs(M[idx[a]] - M[idx[b]]).max() < eps:
-                return False
-            b += 1
-    return True
+def _verify_separated(M: np.ndarray, idx: list[int], eps: float) -> tuple[int, int] | None:
+    """A pair of ``idx`` entries closer than eps in the max norm, or None.
+
+    Sorted by first coordinate, the pairs whose gap there is below eps are
+    those at offsets k = 1, 2, ... up to the first offset where no gap is.
+    Each offset takes one vectorized step per orbit coordinate, so the work
+    space stays linear in the size of the set.
+    """
+    order = np.asarray(idx, dtype=np.intp)[np.argsort(M[idx, 0], kind="stable")]
+    cols = [M[order, j] for j in range(M.shape[1])]
+    for k in range(1, len(order)):
+        near = np.flatnonzero(cols[0][k:] - cols[0][:-k] < eps)
+        if not len(near):
+            break
+        # the first coordinates of these pairs are within eps; check the rest
+        gap = np.zeros(len(near))
+        for col in cols[1:]:
+            np.maximum(gap, np.abs(col[near + k] - col[near]), out=gap)
+        bad = near[gap < eps]
+        if len(bad):
+            return int(order[bad[0]]), int(order[bad[0] + k])
+    return None
 
 
 def _ball_cover_mask(M: np.ndarray, centers, eps: float) -> np.ndarray:
@@ -181,39 +200,60 @@ def _greedy_spanning_centers(M: np.ndarray, eps: float) -> list[int]:
         centers.append(c)
 
 
-def max_separated(pcmap: PcMap, sample: SampleSet, n: int, eps: float, metric=None) -> int:
-    """Size of the greedy maximal separated subset: a lower bound for the true
-    maximum over the sampled set, verified pairwise before reporting."""
-    if not 1 <= n <= sample.horizon:
-        raise ValueError("n must satisfy 1 <= n <= sample.horizon")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    M = _prepare(orbit_matrix(pcmap, sample), n, metric)
-    idx = _greedy_separated_indices(M, eps)
-    assert _verify_separated(M, idx, eps), "separated-set certificate failed"
-    return len(idx)
+def _cell(pcmap: PcMap, sample: SampleSet, n: int, eps: float, metric=None) -> tuple[int, int]:
+    """The certified (n, eps) cell of the sample: ``(s, r)``.
 
-
-def min_spanning(pcmap: PcMap, sample: SampleSet, n: int, eps: float, metric=None) -> int:
-    """Size of a verified ball cover of the sample: an upper bound for the true
-    minimum over the sampled set.
-
-    Two covers are built — the leftmost-uncovered sweep and the maximal
-    separated set (always a cover at the same radius) — and the smaller one is
-    reported, which keeps the separated/spanning sandwich exact on the sample.
+    ``s`` is the size of the greedy separated set, after a pairwise check that
+    raises ``NotSeparatedError`` with the offending pair of rows of the sorted
+    orbit matrix.  ``r`` is the size of the smaller of two covers by open
+    eps-balls: the leftmost-uncovered sweep, which must cover every sample
+    point or ``NotACoverError`` is raised, and the separated set, which counts
+    only when it covers.  Taking the smaller keeps the separated/spanning
+    sandwich exact on the sample.  Cells are memoized in the sample's
+    ``_ORBIT_CACHE`` entry under ``(n, eps, metric)``.
     """
     if not 1 <= n <= sample.horizon:
         raise ValueError("n must satisfy 1 <= n <= sample.horizon")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    M = _prepare(orbit_matrix(pcmap, sample), n, metric)
-    sweep = _greedy_spanning_centers(M, eps)
-    assert _ball_cover_mask(M, sweep, eps).all(), "spanning certificate failed"
-    best = len(sweep)
-    sep = _greedy_separated_indices(M, eps)
-    if len(sep) < best and _ball_cover_mask(M, sep, eps).all():
-        best = len(sep)
-    return best
+    O = orbit_matrix(pcmap, sample)
+    cells = _ORBIT_CACHE[sample][2]
+    key = (n, eps, metric)
+    if key not in cells:
+        M = _prepare(O, n, metric)
+        sep = _greedy_separated_indices(M, eps)
+        pair = _verify_separated(M, sep, eps)
+        if pair is not None:
+            raise NotSeparatedError(
+                f"separated-set certificate failed at n={n}, eps={eps:g}: "
+                f"orbit rows {pair[0]} and {pair[1]} are closer than eps",
+                witness=pair,
+            )
+        sweep = _greedy_spanning_centers(M, eps)
+        covered = _ball_cover_mask(M, sweep, eps)
+        if not covered.all():
+            miss = int(np.flatnonzero(~covered)[0])
+            raise NotACoverError(
+                f"spanning certificate failed at n={n}, eps={eps:g}: orbit row {miss} lies in no ball",
+                witness=miss,
+            )
+        r = len(sweep)
+        if len(sep) < r and _ball_cover_mask(M, sep, eps).all():
+            r = len(sep)
+        cells[key] = (len(sep), r)
+    return cells[key]
+
+
+def max_separated(pcmap: PcMap, sample: SampleSet, n: int, eps: float, metric=None) -> int:
+    """Size of the certified greedy separated set: a lower bound for the true
+    maximum over the sampled set."""
+    return _cell(pcmap, sample, n, eps, metric)[0]
+
+
+def min_spanning(pcmap: PcMap, sample: SampleSet, n: int, eps: float, metric=None) -> int:
+    """Size of a certified ball cover of the sample: an upper bound for the
+    true minimum over the sampled set."""
+    return _cell(pcmap, sample, n, eps, metric)[1]
 
 
 SATURATION_FRACTION = 0.2
@@ -241,13 +281,19 @@ def bowen_entropy(
     from the slopes: ``coarse`` when the sample density exceeds eps/4, and
     ``saturated`` when the count exceeds a fixed fraction of the sample, past
     which grid quantization caps the packing and the growth stalls.
+
+    Every reported cell comes from ``_cell`` and has passed both certificates;
+    a failed one raises instead of being reported.  The cells are memoized in
+    ``_ORBIT_CACHE`` under the same single-thread contract as the orbits.
+    The slopes use a plain least-squares fit rather than
+    ``estimators.slope_fit``, which needs at least four records: a fit here
+    can rest on two.
     """
     if sorted(eps_schedule, reverse=True) != list(eps_schedule) or len(set(eps_schedule)) != len(eps_schedule):
         raise ValueError("eps_schedule must be strictly decreasing")
     if sorted(n_range) != list(n_range) or len(set(n_range)) != len(n_range):
         raise ValueError("n_range must be increasing")
     sample = sample_region(pcmap, region, grid, horizon=max(n_range))
-    O = orbit_matrix(pcmap, sample)
     m = len(sample.points.points)
     sat = max(8, int(SATURATION_FRACTION * m))
     sep_records: list[SeriesRecord] = []
@@ -260,11 +306,7 @@ def bowen_entropy(
         sep_pairs, span_pairs = [], []
         sep_all, span_all = [], []
         for n in n_range:
-            M = _prepare(O, n, metric)
-            idx = _greedy_separated_indices(M, eps)
-            s = len(idx)
-            sweep = _greedy_spanning_centers(M, eps)
-            r = min(len(sweep), len(idx) if _ball_cover_mask(M, idx, eps).all() else len(sweep))
+            s, r = _cell(pcmap, sample, n, eps, metric)
             flags = [base_flag] if base_flag else []
             if s > sat:
                 flags.append("saturated")

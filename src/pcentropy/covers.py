@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect as _bisect
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress
 
@@ -323,7 +324,6 @@ def minimal_subcover(
     greedy_picks = greedy()
     best = {"count": len(greedy_picks), "picks": tuple(greedy_picks), "exact": True}
     max_gain = max(m.bit_count() for m in masks)
-    nodes = 0
 
     by_atom: list[list[int]] = [[] for _ in atoms]
     for idx, m in enumerate(masks):
@@ -333,28 +333,41 @@ def minimal_subcover(
             by_atom[b.bit_length() - 1].append(idx)
             mm ^= b
 
-    def dfs(uncovered: int, depth: int, picks: list[int]) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap:
-            return False
-        if not uncovered:
-            if depth < best["count"]:
-                best["count"], best["picks"] = depth, tuple(picks)
-            return True
-        if depth + math.ceil(uncovered.bit_count() / max_gain) >= best["count"]:
-            return True
-        pivot = (uncovered & -uncovered).bit_length() - 1
-        cands = sorted(by_atom[pivot], key=lambda i: -(masks[i] & uncovered).bit_count())
-        for idx in cands:
-            picks.append(idx)
-            if not dfs(uncovered & ~masks[idx], depth + 1, picks):
-                picks.pop()
+    def dfs() -> bool:
+        """Depth-first branch and bound with an explicit stack: each frame is
+        a node's uncovered mask and the iterator over its candidates, and
+        ``picks[d]`` is the candidate taken at depth d.  False if the search
+        hit ``node_cap``."""
+        nodes = 0
+        picks: list[int] = []
+        stack: list[tuple[int, Iterator[int]]] = []
+        uncovered = full
+        while True:
+            nodes += 1
+            if nodes > node_cap:
                 return False
-            picks.pop()
-        return True
+            depth = len(picks)
+            if not uncovered:
+                if depth < best["count"]:
+                    best["count"], best["picks"] = depth, tuple(picks)
+            elif depth + math.ceil(uncovered.bit_count() / max_gain) < best["count"]:
+                pivot = (uncovered & -uncovered).bit_length() - 1
+                cands = sorted(by_atom[pivot], key=lambda i: -(masks[i] & uncovered).bit_count())
+                stack.append((uncovered, iter(cands)))
+            # next node: the next candidate of the deepest frame that has one
+            while stack:
+                parent, cands = stack[-1]
+                del picks[len(stack) - 1:]
+                idx = next(cands, None)
+                if idx is not None:
+                    picks.append(idx)
+                    uncovered = parent & ~masks[idx]
+                    break
+                stack.pop()
+            else:
+                return True
 
-    complete = dfs(full, 0, [])
+    complete = dfs()
     return SubcoverResult(best["count"], best["picks"], complete)
 
 
@@ -418,8 +431,9 @@ def cover_entropy(
 def boundary_of_refined_natural_cover(pcmap: PcMap, n: int) -> PointSet:
     """Interior endpoints of the n-step refinement of the natural cover.
 
-    Equals the n-step discontinuity set; the acceptance suite checks the two
-    agree exactly.
+    Equals the interior points of the n-step discontinuity set: Delta^n can
+    also hold a domain endpoint, which this set leaves out by construction.
+    The acceptance suite checks the two agree on tent, which has none.
     """
     refined = refine_n(pcmap, natural_cover(pcmap), n)
     dom = pcmap.domain

@@ -44,6 +44,15 @@ class NotACoverError(PcEntropyError):
         self.witness = witness
 
 
+class NotSeparatedError(PcEntropyError):
+    """A claimed separated set holds two points closer than epsilon; carries
+    the violating index pair."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 class InvarianceError(PcEntropyError):
     """A region fails the (pseudo-)invariance verification."""
 

@@ -1,12 +1,18 @@
+import ast
 import math
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcentropy import bowen
 from pcentropy.bowen import (
+    SampleSet,
     _avoid_mask,
+    _verify_separated,
     bowen_entropy,
     max_separated,
     min_spanning,
@@ -14,8 +20,8 @@ from pcentropy.bowen import (
     sample_region,
 )
 from pcentropy.catalog import get as catalog_get
-from pcentropy.errors import EmptySampleError
-from pcentropy.intervals import RegionSet
+from pcentropy.errors import EmptySampleError, NotACoverError, NotSeparatedError
+from pcentropy.intervals import PointSet, RegionSet
 from pcentropy.maps import orbit_avoids_delta
 from pcentropy.symbolic import delta_n
 from pcentropy.transforms import PlHomeo
@@ -204,3 +210,174 @@ def test_avoid_mask_matches_scalar_walker(name, horizon, data):
     xs = np.asarray(data.draw(st.lists(point, min_size=1, max_size=30)), dtype=float)
     mask = _avoid_mask(pcmap, xs, horizon)
     assert mask.tolist() == [orbit_avoids_delta(pcmap, float(x), horizon) for x in xs]
+
+
+def sample_region_scalar(pcmap, region, grid, horizon):
+    """``sample_region`` with one ``_avoid_mask`` call per nudged point: the
+    reference for the batched nudging."""
+    total = region.total_length()
+    kept_parts = []
+    density = 0.0
+    for part in region.parts:
+        npts = grid if len(region.parts) == 1 else max(2, round(grid * part.diameter / max(total, 1e-300)))
+        xs = np.linspace(part.lo, part.hi, npts)
+        h = xs[1] - xs[0] if npts > 1 else part.diameter
+        ok = _avoid_mask(pcmap, xs, horizon)
+        kept = list(xs[ok])
+        excised = []
+        for x in xs[~ok]:
+            placed = False
+            for off in (h / 2, -h / 2, h / 4, -h / 4, h / 8, -h / 8, h / 16, -h / 16):
+                cand = x + off
+                if part.lo <= cand <= part.hi and _avoid_mask(pcmap, np.asarray([cand]), horizon)[0]:
+                    kept.append(cand)
+                    placed = True
+                    break
+            if not placed:
+                excised.append(x)
+        kept.sort()
+        if not kept:
+            continue
+        kept_arr = np.asarray(kept)
+        kept_parts.append(kept_arr)
+        gaps = np.diff(kept_arr)
+        for g, a in zip(gaps, kept_arr):
+            if not any(a < e < a + g for e in excised):
+                density = max(density, float(g))
+        if len(kept_arr) == 1:
+            density = max(density, h)
+    if not kept_parts:
+        raise EmptySampleError("empty sample")
+    points = PointSet(tuple(np.concatenate(kept_parts)), tol=0.0)
+    return SampleSet(points=points, horizon=horizon, region=region, density=density)
+
+
+NUDGE_CASES = [
+    *((name, grid, horizon) for name in sorted(WALKER_MAPS) for grid, horizon in ((8193, 12), (4097, 10), (257, 4))),
+    # later offset rounds: anzie places points at h/2, -h/2, h/4 and h/8, tent
+    # only at h/16, and at horizon 13 tent excises every interior grid point
+    ("anzie", 1025, 15),
+    ("tent", 257, 11),
+    ("tent", 257, 13),
+]
+
+
+@pytest.mark.parametrize("name, grid, horizon", NUDGE_CASES)
+def test_batched_nudging_matches_per_point_loop(name, grid, horizon):
+    pcmap = WALKER_MAPS[name]
+    fast = sample_region(pcmap, X, grid, horizon)
+    ref = sample_region_scalar(pcmap, X, grid, horizon)
+    assert fast.points.points == ref.points.points
+    assert fast.density == ref.density
+
+
+def test_batched_nudging_on_a_split_region():
+    tent = WALKER_MAPS["tent"]
+    region = RegionSet.of((0.0, 0.3), (0.5, 0.9))
+    assert sample_region(tent, region, 1025, 8) == sample_region_scalar(tent, region, 1025, 8)
+
+
+def verify_separated_scalar(M, idx, eps):
+    """The pairwise certificate as a scalar loop over sorted first coordinates."""
+    xs = M[idx, 0]
+    for a in range(len(idx)):
+        b = a + 1
+        while b < len(idx) and xs[b] - xs[a] < eps:
+            if np.abs(M[idx[a]] - M[idx[b]]).max() < eps:
+                return False
+            b += 1
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), quarter_steps=st.booleans())
+def test_vectorized_separated_certificate_matches_scalar(data, n, quarter_steps):
+    m = data.draw(st.integers(1, 40))
+    if quarter_steps:
+        # multiples of 1/4 make gaps of exactly eps and tied coordinates common
+        value = st.integers(0, 12).map(lambda k: k / 4)
+        eps = data.draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+    else:
+        value = st.floats(0.0, 1.0)
+        eps = data.draw(st.floats(0.01, 0.5))
+    M = np.asarray(data.draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=m, max_size=m)))
+    M = M[np.argsort(M[:, 0], kind="stable")]
+    idx = sorted(data.draw(st.sets(st.integers(0, m - 1))))
+    pair = _verify_separated(M, idx, eps)
+    assert (pair is None) == verify_separated_scalar(M, idx, eps)
+    if pair is not None:
+        a, b = pair
+        assert a != b and a in idx and b in idx
+        assert np.abs(M[a] - M[b]).max() < eps
+
+
+@pytest.fixture
+def fresh_cells(monkeypatch):
+    """An empty orbit and cell cache, so no memoized cell hides a patched builder."""
+    monkeypatch.setattr(bowen, "_ORBIT_CACHE", weakref.WeakKeyDictionary())
+
+
+def _run_cell(entry, tent):
+    sample = sample_region(tent, X, grid=513, horizon=4)
+    if entry == "bowen_entropy":
+        bowen_entropy(tent, X, [2, 3, 4], [0.1, 0.05], grid=513)
+    elif entry == "max_separated":
+        max_separated(tent, sample, 3, 0.05)
+    else:
+        min_spanning(tent, sample, 3, 0.05)
+
+
+@pytest.mark.parametrize("entry", ["bowen_entropy", "max_separated", "min_spanning"])
+def test_separated_certificate_raises(entry, tent, monkeypatch, fresh_cells):
+    real = bowen._greedy_separated_indices
+
+    def with_near_duplicate(M, eps):
+        idx = real(M, eps)
+        return sorted(idx + [idx[0] + 1])  # the grid neighbour of the first point
+
+    monkeypatch.setattr(bowen, "_greedy_separated_indices", with_near_duplicate)
+    with pytest.raises(NotSeparatedError) as info:
+        _run_cell(entry, tent)
+    assert len(info.value.witness) == 2
+
+
+@pytest.mark.parametrize("entry", ["bowen_entropy", "max_separated", "min_spanning"])
+def test_spanning_certificate_raises(entry, tent, monkeypatch, fresh_cells):
+    real = bowen._greedy_spanning_centers
+    # every later center was chosen outside the first one's ball, so the
+    # first sample point is left uncovered
+    monkeypatch.setattr(bowen, "_greedy_spanning_centers", lambda M, eps: real(M, eps)[1:])
+    with pytest.raises(NotACoverError) as info:
+        _run_cell(entry, tent)
+    assert info.value.witness == 0
+
+
+def test_cells_are_memoized_per_sample(tent, monkeypatch, fresh_cells):
+    calls = []
+    real = bowen._greedy_separated_indices
+    monkeypatch.setattr(bowen, "_greedy_separated_indices", lambda M, eps: calls.append(eps) or real(M, eps))
+    sample = sample_region(tent, X, grid=513, horizon=4)
+    assert max_separated(tent, sample, 3, 0.05) >= min_spanning(tent, sample, 3, 0.05)
+    assert calls == [0.05]
+    max_separated(tent, sample, 3, 0.1)
+    max_separated(tent, sample, 2, 0.05)
+    assert calls == [0.05, 0.1, 0.05]
+    phi = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
+    assert max_separated(tent, sample, 3, 0.05, metric=phi) != max_separated(tent, sample, 3, 0.05)
+    assert len(calls) == 4
+    # another map on the same sample replaces the orbits and their cells
+    max_separated(WALKER_MAPS["anzie"], sample, 3, 0.05)
+    max_separated(tent, sample, 3, 0.05)
+    assert len(calls) == 6
+
+
+def test_no_assert_statements_in_package():
+    # checks written as assert vanish under python -O
+    package = Path(bowen.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -156,6 +156,29 @@ class TestVerifyCommand:
         row = next(line for line in out.splitlines() if line.startswith("c_n submultiplicative"))
         assert row.endswith("FAIL  witness (1, 1)")
 
+    def test_boundary_row_ignores_domain_endpoints(self, capsys):
+        # Delta^n of anzie holds the endpoint 1.0, which no refined cover boundary has
+        code, out, _ = run(capsys, "verify", "--catalog", "anzie")
+        assert code == 0
+        assert "FAIL" not in out
+
+    def test_boundary_row_fails_on_missing_point(self, capsys, monkeypatch):
+        from pcentropy import cli
+        from pcentropy.intervals import PointSet
+
+        real = cli.boundary_of_refined_natural_cover
+
+        def drop_one(pcmap, n):
+            pts = list(real(pcmap, n))
+            del pts[len(pts) // 2]
+            return PointSet.of(pts, tol=pcmap.tol)
+
+        monkeypatch.setattr(cli, "boundary_of_refined_natural_cover", drop_one)
+        code, out, _ = run(capsys, "verify", "--catalog", "anzie", "--n-max", "6")
+        assert code == 1
+        row = next(line for line in out.splitlines() if line.startswith("boundary of refined natural cover"))
+        assert "FAIL" in row
+
     def test_conjugacy(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--catalog", "tent", "--n-max", "6",

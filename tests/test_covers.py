@@ -207,6 +207,13 @@ class TestCoverEntropy:
         assert series.estimate <= math.log(2) + 1e-9
         assert series.estimate >= 0.5
 
+    def test_tent_overlapping_halves_deep_search(self, tent):
+        # the branch and bound goes 1421 picks deep at n = 11, past Python's
+        # default recursion limit
+        series = cover_entropy(tent, Cover((OpenSet.of((0.0, 0.55)), OpenSet.of((0.45, 1.0))), "h"), 11)
+        assert [r.value for r in series.records] == [2, 4, 8, 16, 31, 59, 112, 212, 400, 754, 1421]
+        assert all(r.flag is None for r in series.records)
+
     def test_cover_not_covering_raises(self, tent):
         bad = Cover((OpenSet.of((0.0, 0.4)),), "bad")
         with pytest.raises(NotACoverError):
