@@ -291,6 +291,8 @@ def bowen_entropy(
     """
     if sorted(eps_schedule, reverse=True) != list(eps_schedule) or len(set(eps_schedule)) != len(eps_schedule):
         raise ValueError("eps_schedule must be strictly decreasing")
+    if not n_range:
+        raise ValueError("n_range must not be empty")
     if sorted(n_range) != list(n_range) or len(set(n_range)) != len(n_range):
         raise ValueError("n_range must be increasing")
     sample = sample_region(pcmap, region, grid, horizon=max(n_range))

@@ -67,17 +67,18 @@ def _parse_cover(text: str) -> Cover:
         body = body[1:-1]
     # commas inside parens bound intervals; ',' between parens separates
     # elements and '|' joins intervals into one element
-    ivals = re.findall(r"\(([^,()]+),([^,()]+)\)", body)
-    seps = re.findall(r"\)\s*([,|])\s*\(", body)
-    if not ivals:
-        raise ValueError(f"bad cover literal {text!r}")
-    groups: list[list[Interval]] = [[Interval.open(float(ivals[0][0]), float(ivals[0][1]))]]
-    for (a, b), sep in zip(ivals[1:], seps):
-        iv = Interval.open(float(a), float(b))
+    pieces = re.split(r"(\([^()]*\))", body)
+    seps = [s.strip() for s in pieces[0::2]]
+    ivals = [re.fullmatch(r"\(([^,()]+),([^,()]+)\)", iv) for iv in pieces[1::2]]
+    if not ivals or not all(ivals) or seps[0] or seps[-1] or any(s not in (",", "|") for s in seps[1:-1]):
+        raise ValueError(f"bad cover literal {text!r}; expected intervals (a, b) joined by ',' or '|'")
+    groups: list[list[Interval]] = []
+    for sep, iv in zip(seps, ivals):
+        interval = Interval.open(float(iv[1]), float(iv[2]))
         if sep == "|":
-            groups[-1].append(iv)
+            groups[-1].append(interval)
         else:
-            groups.append([iv])
+            groups.append([interval])
     elements = [OpenSet(tuple(g)) for g in groups]
     return Cover(tuple(elements), label="cli")
 
@@ -192,7 +193,7 @@ def cmd_entropy(args) -> int:
             series.append(ms_entropy(target, args.n_max, estimator=args.estimator, cap=cap))
         elif method == "cover":
             cov = _parse_cover(args.cover) if args.cover else natural_cover(pcmap)
-            series.append(cover_entropy(pcmap, cov, args.n_max, region=region))
+            series.append(cover_entropy(pcmap, cov, args.n_max, region=region, cap=cap))
         elif method == "bowen":
             reg = region if region is not None else RegionSet.of((pcmap.domain.lo, pcmap.domain.hi))
             n_range = _parse_n_range(args.n_range)

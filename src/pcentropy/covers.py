@@ -4,17 +4,16 @@ Cover elements are finite interval unions, relatively open in the map's
 domain.  Refinement intersects the cover with preimages of itself step by
 step; every element of the n-step refinement automatically avoids the n-step
 discontinuity set.  Minimal subcover cardinalities are exact: a greedy sweep
-(optimal) when every element is a single interval, branch-and-bound seeded by
-the greedy value otherwise.
+(optimal) when every element is a single interval, otherwise a branch and
+bound whose first dive is a greedy cover.  The part and node caps are the
+constants ``DEFAULT_PART_CAP`` and ``DEFAULT_NODE_CAP``.
 """
 
 from __future__ import annotations
 
-import bisect as _bisect
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -135,7 +134,7 @@ def openset_preimage(pcmap: PcMap, oset: OpenSet) -> OpenSet:
     return OpenSet(tuple(parts))
 
 
-def pullback_cover(pcmap: PcMap, cover: Cover, j: int, part_cap: int = DEFAULT_PART_CAP) -> Cover:
+def pullback_cover(pcmap: PcMap, cover: Cover, j: int) -> Cover:
     """Elementwise j-step preimage, empty preimages dropped."""
     if j < 0:
         raise ValueError("j must be >= 0")
@@ -143,12 +142,12 @@ def pullback_cover(pcmap: PcMap, cover: Cover, j: int, part_cap: int = DEFAULT_P
     for step in range(j):
         elems = [openset_preimage(pcmap, el) for el in elems]
         elems = [el for el in elems if not el.is_empty()]
-        if sum(len(el.parts) for el in elems) > part_cap:
-            raise ResourceCapExceeded(f"pullback exceeded {part_cap} interval parts", completed=step)
+        if sum(len(el.parts) for el in elems) > DEFAULT_PART_CAP:
+            raise ResourceCapExceeded(f"pullback exceeded {DEFAULT_PART_CAP} interval parts", completed=step)
     return Cover(_dedupe(elems), label=f"f^-{j}({cover.label or '?'})")
 
 
-def refinement_steps(pcmap: PcMap, cover: Cover, n_max: int, part_cap: int = DEFAULT_PART_CAP):
+def refinement_steps(pcmap: PcMap, cover: Cover, n_max: int):
     """Yield the n-step refinements for n = 1..n_max, reusing previous factors."""
     base = []
     for el in cover.elements:
@@ -161,24 +160,18 @@ def refinement_steps(pcmap: PcMap, cover: Cover, n_max: int, part_cap: int = DEF
     for n in range(2, n_max + 1):
         cur = [openset_preimage(pcmap, el) for el in cur]
         cur = [el for el in cur if not el.is_empty()]
-        nxt = {}
-        for a in acc.elements:
-            for b in cur:
-                w = a.intersect(b)
-                if not w.is_empty():
-                    nxt[w] = None
-        acc = Cover(tuple(nxt), label=f"{cover.label or '?'}^{n}")
-        if acc.total_parts() > part_cap:
-            raise ResourceCapExceeded(f"refinement exceeded {part_cap} interval parts", completed=n - 1)
+        acc = Cover(vee([acc, Cover(tuple(cur))]).elements, label=f"{cover.label or '?'}^{n}")
+        if acc.total_parts() > DEFAULT_PART_CAP:
+            raise ResourceCapExceeded(f"refinement exceeded {DEFAULT_PART_CAP} interval parts", completed=n - 1)
         yield acc
 
 
-def refine_n(pcmap: PcMap, cover: Cover, n: int, part_cap: int = DEFAULT_PART_CAP) -> Cover:
+def refine_n(pcmap: PcMap, cover: Cover, n: int) -> Cover:
     """The n-step refinement: product of preimages of the cover minus the cut set."""
     if n < 1:
         raise ValueError("n must be >= 1")
     out = None
-    for out in refinement_steps(pcmap, cover, n, part_cap):
+    for out in refinement_steps(pcmap, cover, n):
         pass
     return out
 
@@ -194,82 +187,54 @@ class SubcoverResult:
     exact: bool
 
 
-def _snap(reps: PointSet, x: float) -> int:
-    j = reps.index_near(x)
-    if j is None:
-        raise AssertionError("coordinate missing from snap table")
-    return j
+def _uncovered(reps: np.ndarray, code: int) -> NotACoverError:
+    i = code // 2
+    x = float(reps[i] if code % 2 == 0 else 0.5 * (reps[i] + reps[i + 1]))
+    return NotACoverError(f"target point {x:.17g} is uncovered", witness=x)
 
 
-def minimal_subcover(
-    cover: Cover,
-    target: RegionSet,
-    exclude: PointSet = PointSet.empty(),
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> SubcoverResult:
+def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointSet.empty()) -> SubcoverResult:
     """Exact minimal subcover of ``target`` minus ``exclude`` points.
 
     The target decomposes into atoms (the endpoint coordinates and the open
     gaps between consecutive ones); an element covers a contiguous block of
     atoms, which makes the greedy sweep optimal for single-interval elements.
+    Union elements go to a branch and bound that stops after
+    ``DEFAULT_NODE_CAP`` nodes once it holds a cover, and then reports that
+    cover with ``exact`` false.
     """
-    tol = max(exclude.tol, 1e-12)
-    coords = set()
-    for p in target.parts:
-        coords.add(p.lo)
-        coords.add(p.hi)
-    for el in cover.elements:
-        for p in el.parts:
-            coords.add(p.lo)
-            coords.add(p.hi)
-    coords.update(exclude.points)
-    if not coords or target.is_empty():
+    if target.is_empty():
         return SubcoverResult(0, (), True)
-    ordered = sorted(coords)
-    keep = dedupe_sorted(np.asarray(ordered, dtype=float), tol)
-    snap_table = PointSet(tuple(compress(ordered, keep)), tol)
-    reps = snap_table.points
-    excluded_idx = {_snap(snap_table, e) for e in exclude.points}
+    tol = max(exclude.tol, 1e-12)
+    owner = [idx for idx, el in enumerate(cover.elements) for _ in el.parts]
+    ends = np.array(
+        [(p.lo, p.hi, p.lo_open, p.hi_open) for el in cover.elements for p in el.parts], dtype=float
+    ).reshape(-1, 4)
+    target_ends = [x for p in target.parts for x in (p.lo, p.hi)]
+    # np.unique drops the exact repeats (adjacent elements share ends), which
+    # dedupe_sorted would otherwise walk one by one as sub-tol chains
+    coords = np.unique(np.concatenate([target_ends, ends[:, 0], ends[:, 1], exclude.array]))
+    reps = coords[dedupe_sorted(coords, tol)]
+
+    def snap(xs: np.ndarray) -> np.ndarray:
+        # reps are more than tol apart and every coordinate lies within tol
+        # above its representative
+        return np.searchsorted(reps, xs, side="right") - 1
 
     # atom codes: 2i = the point reps[i], 2i+1 = the open gap (reps[i], reps[i+1])
-    atoms: list[int] = []
-    for i, r in enumerate(reps):
-        if i > 0:
-            mid = 0.5 * (reps[i - 1] + r)
-            if target.contains(mid):
-                atoms.append(2 * i - 1)
-        if i not in excluded_idx and target.contains(r, tol=tol):
-            atoms.append(2 * i)
-
-    def atom_coord(code: int) -> float:
-        if code % 2 == 0:
-            return reps[code // 2]
-        return 0.5 * (reps[code // 2] + reps[code // 2 + 1])
-
-    if not atoms:
+    inside = np.empty(2 * len(reps) - 1, dtype=bool)
+    inside[0::2] = target.contains_many(reps, tol)
+    inside[1::2] = target.contains_many(0.5 * (reps[:-1] + reps[1:]))
+    inside[2 * snap(exclude.array)] = False
+    atoms = np.flatnonzero(inside)
+    if not len(atoms):
         return SubcoverResult(0, (), True)
+    # each part covers the atoms first..last, none if first > last
+    first = np.searchsorted(atoms, 2 * snap(ends[:, 0]) + ends[:, 2], side="left").tolist()
+    last = (np.searchsorted(atoms, 2 * snap(ends[:, 1]) - ends[:, 3], side="right") - 1).tolist()
 
-    def part_code_range(p: Interval) -> tuple[int, int]:
-        a = _snap(snap_table, p.lo)
-        b = _snap(snap_table, p.hi)
-        lo_code = 2 * a if not p.lo_open else 2 * a + 1
-        hi_code = 2 * b if not p.hi_open else 2 * b - 1
-        return lo_code, hi_code
-
-    def atom_range(lo_code: int, hi_code: int) -> tuple[int, int]:
-        lo_i = _bisect.bisect_left(atoms, lo_code)
-        hi_i = _bisect.bisect_right(atoms, hi_code) - 1
-        return lo_i, hi_i
-
-    single = all(len(el.parts) == 1 for el in cover.elements)
-    if single:
-        ranges = []
-        for idx, el in enumerate(cover.elements):
-            lo_code, hi_code = part_code_range(el.parts[0])
-            lo_i, hi_i = atom_range(lo_code, hi_code)
-            if lo_i <= hi_i:
-                ranges.append((lo_i, hi_i, idx))
-        ranges.sort()
+    if len(owner) == len(cover.elements):  # every element is a single interval
+        ranges = sorted((a, b, idx) for a, b, idx in zip(first, last, owner) if a <= b)
         picks = []
         frontier = 0
         i = 0
@@ -280,104 +245,70 @@ def minimal_subcover(
                     best_hi, best_idx = ranges[i][1], ranges[i][2]
                 i += 1
             if best_hi < frontier:
-                raise NotACoverError(
-                    f"target point {atom_coord(atoms[frontier]):.17g} is uncovered",
-                    witness=atom_coord(atoms[frontier]),
-                )
+                raise _uncovered(reps, atoms[frontier])
             picks.append(best_idx)
             frontier = best_hi + 1
         return SubcoverResult(len(picks), tuple(picks), True)
 
-    # general case: bitmask set cover over atoms
+    # general case: bitmask set cover over atoms; parts come in element order,
+    # so each by_atom list holds its elements in index order
     full = (1 << len(atoms)) - 1
-    masks = []
-    for idx, el in enumerate(cover.elements):
-        m = 0
-        for p in el.parts:
-            lo_i, hi_i = atom_range(*part_code_range(p))
-            if lo_i <= hi_i:
-                m |= ((1 << (hi_i - lo_i + 1)) - 1) << lo_i
-        masks.append(m)
+    masks = [0] * len(cover.elements)
+    by_atom: list[list[int]] = [[] for _ in atoms]
+    for a, b, idx in zip(first, last, owner):
+        if a <= b:
+            masks[idx] |= ((1 << (b - a + 1)) - 1) << a
+            for atom in range(a, b + 1):
+                by_atom[atom].append(idx)
     union = 0
     for m in masks:
         union |= m
     if union != full:
-        missing = (full & ~union).bit_length() - 1
-        raise NotACoverError(
-            f"target point {atom_coord(atoms[missing]):.17g} is uncovered",
-            witness=atom_coord(atoms[missing]),
-        )
-
-    def greedy() -> list[int]:
-        uncovered = full
-        picks = []
-        while uncovered:
-            best_i, best_gain = -1, -1
-            for idx, m in enumerate(masks):
-                gain = (m & uncovered).bit_count()
-                if gain > best_gain:
-                    best_i, best_gain = idx, gain
-            picks.append(best_i)
-            uncovered &= ~masks[best_i]
-        return picks
-
-    greedy_picks = greedy()
-    best = {"count": len(greedy_picks), "picks": tuple(greedy_picks), "exact": True}
+        raise _uncovered(reps, atoms[(full & ~union).bit_length() - 1])
     max_gain = max(m.bit_count() for m in masks)
 
-    by_atom: list[list[int]] = [[] for _ in atoms]
-    for idx, m in enumerate(masks):
-        mm = m
-        while mm:
-            b = mm & -mm
-            by_atom[b.bit_length() - 1].append(idx)
-            mm ^= b
-
-    def dfs() -> bool:
-        """Depth-first branch and bound with an explicit stack: each frame is
-        a node's uncovered mask and the iterator over its candidates, and
-        ``picks[d]`` is the candidate taken at depth d.  False if the search
-        hit ``node_cap``."""
-        nodes = 0
-        picks: list[int] = []
-        stack: list[tuple[int, Iterator[int]]] = []
-        uncovered = full
-        while True:
-            nodes += 1
-            if nodes > node_cap:
-                return False
-            depth = len(picks)
-            if not uncovered:
-                if depth < best["count"]:
-                    best["count"], best["picks"] = depth, tuple(picks)
-            elif depth + math.ceil(uncovered.bit_count() / max_gain) < best["count"]:
-                pivot = (uncovered & -uncovered).bit_length() - 1
-                cands = sorted(by_atom[pivot], key=lambda i: -(masks[i] & uncovered).bit_count())
-                stack.append((uncovered, iter(cands)))
-            # next node: the next candidate of the deepest frame that has one
-            while stack:
-                parent, cands = stack[-1]
-                del picks[len(stack) - 1:]
-                idx = next(cands, None)
-                if idx is not None:
-                    picks.append(idx)
-                    uncovered = parent & ~masks[idx]
-                    break
-                stack.pop()
-            else:
-                return True
-
-    complete = dfs()
-    return SubcoverResult(best["count"], best["picks"], complete)
+    # Depth-first branch and bound with an explicit stack: each frame is a
+    # node's uncovered mask and the iterator over its candidates, and
+    # picks[d] is the candidate taken at depth d.  Candidates cover the
+    # lowest uncovered atom, largest gain first, so the first dive is a
+    # greedy cover of at most len(atoms) picks; the node cap applies only
+    # once a cover is held.
+    best_count, best_picks = math.inf, ()
+    exact = True
+    nodes = 0
+    picks: list[int] = []
+    stack: list[tuple[int, Iterator[int]]] = []
+    uncovered = full
+    while True:
+        nodes += 1
+        if nodes > DEFAULT_NODE_CAP and best_picks:
+            exact = False
+            break
+        depth = len(picks)
+        if not uncovered:
+            if depth < best_count:
+                best_count, best_picks = depth, tuple(picks)
+        elif depth + math.ceil(uncovered.bit_count() / max_gain) < best_count:
+            pivot = (uncovered & -uncovered).bit_length() - 1
+            cands = sorted(by_atom[pivot], key=lambda i: -(masks[i] & uncovered).bit_count())
+            stack.append((uncovered, iter(cands)))
+        # next node: the next candidate of the deepest frame that has one
+        while stack:
+            parent, cands = stack[-1]
+            del picks[len(stack) - 1:]
+            idx = next(cands, None)
+            if idx is not None:
+                picks.append(idx)
+                uncovered = parent & ~masks[idx]
+                break
+            stack.pop()
+        else:
+            break
+    return SubcoverResult(best_count, best_picks, exact)
 
 
-def minimal_subcover_cardinality(
-    cover: Cover,
-    target: RegionSet,
-    exclude: PointSet = PointSet.empty(),
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> int:
-    return minimal_subcover(cover, target, exclude, node_cap).count
+def minimal_subcover_cardinality(cover: Cover, target: RegionSet, exclude: PointSet = PointSet.empty()) -> int:
+    return minimal_subcover(cover, target, exclude).count
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +321,11 @@ def cover_entropy(
     n_max: int,
     region: RegionSet | None = None,
     estimator: str = "fekete-min",
-    part_cap: int = DEFAULT_PART_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
+    cap: int | None = None,
 ) -> EntropySeries:
     """Minimal-subcover growth of the n-step refinements over the region minus
-    the n-step discontinuity set."""
+    the n-step discontinuity set; ``cap`` bounds that set's size as in
+    ``ms_entropy``, and hitting it truncates the series."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if region is None:
@@ -402,17 +333,17 @@ def cover_entropy(
     records = []
     truncated = False
     cover = domainify_cover(cover, pcmap.domain)
-    steps = refinement_steps(pcmap, cover, n_max, part_cap)
+    steps = refinement_steps(pcmap, cover, n_max)
     n = 0
     while n < n_max:
         n += 1
         try:
             refined = next(steps)
-            exclude = delta_n(pcmap, n)
+            exclude = delta_n(pcmap, n, cap)
         except ResourceCapExceeded:
             truncated = True
             break
-        res = minimal_subcover(refined, region, exclude, node_cap)
+        res = minimal_subcover(refined, region, exclude)
         records.append(SeriesRecord(n, res.count, flag=None if res.exact else "inexact"))
     if not records:
         raise ResourceCapExceeded("no refinement fits under the cap", completed=0)

@@ -114,6 +114,30 @@ class TestEntropyCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("literal", [
+        "{(0,0.6) (0.4,1)}",
+        "{(0,0.6);(0.4,1)}",
+        "{(0,0.3),(0.2,1) junk (0.5,0.6)}",
+    ])
+    def test_malformed_cover_literal_rejected(self, capsys, literal):
+        code, out, err = run(
+            capsys, "entropy", "--catalog", "tent", "--method", "cover", "--n-max", "3", "--cover", literal,
+        )
+        assert code == 1 and out == ""
+        assert "bad cover literal" in err
+
+    def test_cap_truncates_cover_route(self, capsys, monkeypatch):
+        monkeypatch.setenv("PCENTROPY_CAP", "50")
+        code, out, _ = run(capsys, "entropy", "--catalog", "mod3", "--method", "cover", "--n-max", "6")
+        assert code == 2
+        lines = out.strip().split("\n")
+        assert lines[1:-1] == ["cover,1,,3,", "cover,2,,9,", "cover,3,,27,"]
+
+    def test_empty_bowen_n_range(self, capsys):
+        code, _, err = run(capsys, "entropy", "--catalog", "tent", "--method", "bowen", "--n-range", "12:4")
+        assert code == 1
+        assert "n_range must not be empty" in err
+
     def test_svg_plot(self, capsys, tmp_path):
         svg = tmp_path / "series.svg"
         code, _, _ = run(

@@ -1,11 +1,17 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pcentropy import covers
 from pcentropy.catalog import get as catalog_get
 from pcentropy.covers import (
     Cover,
+    SubcoverResult,
     boundary_of_refined_natural_cover,
     cover_entropy,
     domainify_cover,
@@ -180,10 +186,96 @@ class TestMinimalSubcover:
         cov = domainify_cover(cov, Interval.closed(0.0, 1.0))
         assert minimal_subcover_cardinality(cov, X) == 1
 
+    def test_node_cap_keeps_the_first_cover(self):
+        # the first dive takes the element with the largest gain and needs
+        # three; elements 0 and 3 suffice
+        cov = Cover(
+            (
+                OpenSet((Interval(-0.125, 0.75, True, False), Interval.point(1.0))),
+                OpenSet((Interval.closed(-0.125, 0.875),)),
+                OpenSet((Interval.closed(0.25, 0.75),)),
+                OpenSet((Interval.open(0.375, 1.0),)),
+            ),
+            "c",
+        )
+        assert minimal_subcover(cov, X) == SubcoverResult(2, (0, 3), True)
+        with mock.patch.object(covers, "DEFAULT_NODE_CAP", 1):
+            assert minimal_subcover(cov, X) == SubcoverResult(3, (1, 3, 0), False)
+
     def test_multi_part_region(self):
         region = RegionSet.of((0.0, 0.2), (0.8, 1.0))
         cov = Cover((OpenSet.of((-0.1, 0.25)), OpenSet.of((0.75, 1.1))), "c")
         assert minimal_subcover_cardinality(cov, region) == 2
+
+
+# Brute-force reference for minimal_subcover: every coordinate is a multiple of
+# 1/8, so membership in each element and in the target is constant between
+# consecutive grid points.  An excluded point either lies within tol of a grid
+# point, and so removes it, or on a half step, where it is a point of its own.
+GRID = [k / 8 for k in range(-1, 10)]
+
+
+@st.composite
+def subcover_cases(draw):
+    def interval():
+        a, b = sorted(draw(st.sampled_from(GRID)) for _ in range(2))
+        if a == b:
+            return Interval.point(a)
+        return Interval(a, b, draw(st.booleans()), draw(st.booleans()))
+
+    max_parts = draw(st.sampled_from([1, 3, 3]))
+    elements = tuple(
+        OpenSet(tuple(interval() for _ in range(draw(st.integers(1, max_parts)))))
+        for _ in range(draw(st.integers(1, 6)))
+    )
+    ends = sorted(draw(st.sampled_from(GRID[1:-1])) for _ in range(draw(st.sampled_from([2, 4]))))
+    target = RegionSet.of(*zip(ends[0::2], ends[1::2]))
+    excluded, removed = [], set()
+    for _ in range(draw(st.integers(0, 3))):
+        g = draw(st.sampled_from(GRID[1:-1]))
+        offset = draw(st.sampled_from([-4e-13, 4e-13, 1 / 16]))
+        excluded.append(g + offset)
+        removed.add(g if abs(offset) < 1e-12 else g + offset)
+    return Cover(elements, "rand"), target, PointSet.of(excluded), removed
+
+
+def _needed_points(target, removed):
+    xs = sorted(set(GRID) | removed)
+    points = [x for x in xs if x not in removed and target.contains(x)]
+    gaps = [0.5 * (a + b) for a, b in zip(xs[:-1], xs[1:]) if target.contains(0.5 * (a + b))]
+    return points + gaps
+
+
+def _covers(cover, picks, needed):
+    return all(any(cover.elements[i].contains(x) for i in picks) for x in needed)
+
+
+def _brute_minimum(cover, needed):
+    for k in range(len(cover) + 1):
+        for picks in itertools.combinations(range(len(cover)), k):
+            if _covers(cover, picks, needed):
+                return k
+    return None
+
+
+@given(subcover_cases())
+@settings(max_examples=400, deadline=None)
+def test_minimal_subcover_matches_brute_force(case):
+    cover, target, exclude, removed = case
+    needed = _needed_points(target, removed)
+    expected = _brute_minimum(cover, needed)
+    if expected is None:
+        with pytest.raises(NotACoverError):
+            minimal_subcover(cover, target, exclude)
+        return
+    res = minimal_subcover(cover, target, exclude)
+    assert (res.count, res.exact) == (expected, True)
+    assert len(res.indices) == res.count and _covers(cover, res.indices, needed)
+    # a search cut by the node cap still reports a real cover
+    with mock.patch.object(covers, "DEFAULT_NODE_CAP", 1):
+        capped = minimal_subcover(cover, target, exclude)
+    assert len(capped.indices) == capped.count >= expected
+    assert _covers(cover, capped.indices, needed)
 
 
 class TestCoverEntropy:
