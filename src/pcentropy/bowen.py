@@ -2,17 +2,18 @@
 
 True extremal cardinalities over the full forward-invariant set are not
 finitely computable, so both quantities are bracketed on a deterministic
-sample: the greedy left-to-right separated set is a lower bound, the greedy
-ball sweep an upper bound.  Every pair of sample points whose base-coordinate
+sample: the greedy left-to-right separated set is a lower bound, and, being
+maximal, its eps-balls cover the sample, which makes its size an upper bound
+for the spanning count.  Every pair of sample points whose base-coordinate
 distance already reaches epsilon is separated outright, so all pair checks
 are confined to a sliding window in the first orbit coordinate.
 
-One kernel, ``_cell``, builds every (n, eps) cell: the greedy separated set
-and the sweep cover, each checked by a certificate that raises before its
-count is reported (``NotSeparatedError`` for two points closer than eps,
-``NotACoverError`` for a sample point outside every ball).  ``max_separated``,
-``min_spanning``, ``bowen_entropy`` and the CLI all read their counts from
-it, so every reported cell has passed both certificates.
+One kernel, ``_cell``, builds every (n, eps) cell: one greedy pass, checked
+by two certificates that raise before its count is reported
+(``NotSeparatedError`` for two points closer than eps, ``NotACoverError`` for
+a sample point outside every ball).  ``max_separated``, ``min_spanning``,
+``bowen_entropy`` and the CLI all read their counts from it, so every
+reported cell has passed both certificates.
 
 Orbit matrices, and the certified cells of each, are cached per sample in
 ``_ORBIT_CACHE``.  The cache takes no lock: use it from one thread at a time.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import bisect
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,20 +134,32 @@ def _prepare(O: np.ndarray, n: int, metric) -> np.ndarray:
     return M[order]
 
 
-def _greedy_separated_indices(M: np.ndarray, eps: float) -> list[int]:
+def _greedy_separated_indices(M: np.ndarray, eps: float) -> tuple[list[int], list[int]]:
+    """Greedy left-to-right separated set of the sorted rows: ``(admitted, witness)``.
+
+    A row is admitted unless an admitted row lies within eps of it in the max
+    norm; ``witness[i]`` is the first such row, or ``i`` when row ``i`` is
+    admitted.  The admitted rows are thus a maximal separated set, and the
+    witnesses show that their eps-balls cover every row.
+    """
     xs = M[:, 0].tolist()
     admitted: list[int] = []
     adm_x: list[float] = []
+    witness = list(range(len(xs)))
     for i, x in enumerate(xs):
         lo = bisect.bisect_right(adm_x, x - eps)
+        while lo and x - adm_x[lo - 1] < eps:  # x - eps rounds up past a row the norm puts within eps
+            lo -= 1
         window = admitted[lo:]
         if window:
-            gaps = np.abs(M[window] - M[i]).max(axis=1)
-            if (gaps < eps).any():
+            near = np.abs(M[window] - M[i]).max(axis=1) < eps
+            k = int(near.argmax())
+            if near[k]:
+                witness[i] = window[k]
                 continue
         admitted.append(i)
         adm_x.append(x)
-    return admitted
+    return admitted, witness
 
 
 def _verify_separated(M: np.ndarray, idx: list[int], eps: float) -> tuple[int, int] | None:
@@ -173,55 +186,29 @@ def _verify_separated(M: np.ndarray, idx: list[int], eps: float) -> tuple[int, i
     return None
 
 
-def _ball_cover_mask(M: np.ndarray, centers, eps: float) -> np.ndarray:
-    xs = M[:, 0]
-    covered = np.zeros(len(M), dtype=bool)
-    for c in centers:
-        lo = np.searchsorted(xs, xs[c] - eps, side="right")
-        hi = np.searchsorted(xs, xs[c] + eps, side="left")
-        covered[lo:hi] |= np.abs(M[lo:hi] - M[c]).max(axis=1) < eps
-    return covered
+def _cell(pcmap: PcMap, sample: SampleSet, n: int, eps: float, metric=None) -> int:
+    """The certified (n, eps) cell of the sample: the size ``s`` of the greedy
+    separated set, which is also the size of a cover of the sample by open
+    eps-balls.
 
-
-def _greedy_spanning_centers(M: np.ndarray, eps: float) -> list[int]:
-    xs = M[:, 0]
-    covered = np.zeros(len(M), dtype=bool)
-    centers: list[int] = []
-    i = 0
-    while True:
-        while i < len(M) and covered[i]:
-            i += 1
-        if i == len(M):
-            return centers
-        c = i
-        lo = np.searchsorted(xs, xs[c] - eps, side="right")
-        hi = np.searchsorted(xs, xs[c] + eps, side="left")
-        covered[lo:hi] |= np.abs(M[lo:hi] - M[c]).max(axis=1) < eps
-        centers.append(c)
-
-
-def _cell(pcmap: PcMap, sample: SampleSet, n: int, eps: float, metric=None) -> tuple[int, int]:
-    """The certified (n, eps) cell of the sample: ``(s, r)``.
-
-    ``s`` is the size of the greedy separated set, after a pairwise check that
+    A maximal separated set spans (Bowen 1971), so one set gives both counts.
+    Two certificates check it before ``s`` is reported: a pairwise check that
     raises ``NotSeparatedError`` with the offending pair of rows of the sorted
-    orbit matrix.  ``r`` is the size of the smaller of two covers by open
-    eps-balls: the leftmost-uncovered sweep, which must cover every sample
-    point or ``NotACoverError`` is raised, and the separated set, which counts
-    only when it covers.  Taking the smaller keeps the separated/spanning
-    sandwich exact on the sample.  Cells are memoized in the sample's
-    ``_ORBIT_CACHE`` entry under ``(n, eps, metric)``.
+    orbit matrix, and a check that each row lies within eps of an admitted
+    witness, which raises ``NotACoverError`` with the first row that does not.
+    Cells are memoized in the sample's ``_ORBIT_CACHE`` entry under
+    ``(n, eps, metric)``.
     """
     if not 1 <= n <= sample.horizon:
         raise ValueError("n must satisfy 1 <= n <= sample.horizon")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     O = orbit_matrix(pcmap, sample)
     cells = _ORBIT_CACHE[sample][2]
     key = (n, eps, metric)
     if key not in cells:
         M = _prepare(O, n, metric)
-        sep = _greedy_separated_indices(M, eps)
+        sep, witness = _greedy_separated_indices(M, eps)
         pair = _verify_separated(M, sep, eps)
         if pair is not None:
             raise NotSeparatedError(
@@ -229,31 +216,30 @@ def _cell(pcmap: PcMap, sample: SampleSet, n: int, eps: float, metric=None) -> t
                 f"orbit rows {pair[0]} and {pair[1]} are closer than eps",
                 witness=pair,
             )
-        sweep = _greedy_spanning_centers(M, eps)
-        covered = _ball_cover_mask(M, sweep, eps)
+        is_center = np.zeros(len(M), dtype=bool)
+        is_center[sep] = True
+        covered = is_center[witness] & (np.abs(M - M[witness]).max(axis=1) < eps)
         if not covered.all():
             miss = int(np.flatnonzero(~covered)[0])
             raise NotACoverError(
                 f"spanning certificate failed at n={n}, eps={eps:g}: orbit row {miss} lies in no ball",
                 witness=miss,
             )
-        r = len(sweep)
-        if len(sep) < r and _ball_cover_mask(M, sep, eps).all():
-            r = len(sep)
-        cells[key] = (len(sep), r)
+        cells[key] = len(sep)
     return cells[key]
 
 
 def max_separated(pcmap: PcMap, sample: SampleSet, n: int, eps: float, metric=None) -> int:
     """Size of the certified greedy separated set: a lower bound for the true
     maximum over the sampled set."""
-    return _cell(pcmap, sample, n, eps, metric)[0]
+    return _cell(pcmap, sample, n, eps, metric)
 
 
 def min_spanning(pcmap: PcMap, sample: SampleSet, n: int, eps: float, metric=None) -> int:
-    """Size of a certified ball cover of the sample: an upper bound for the
-    true minimum over the sampled set."""
-    return _cell(pcmap, sample, n, eps, metric)[1]
+    """Size of a certified ball cover of the sample, the greedy separated set's
+    own: an upper bound for the true minimum over the sampled set, equal to
+    ``max_separated`` on the sample."""
+    return _cell(pcmap, sample, n, eps, metric)
 
 
 SATURATION_FRACTION = 0.2
@@ -283,12 +269,15 @@ def bowen_entropy(
     which grid quantization caps the packing and the growth stalls.
 
     Every reported cell comes from ``_cell`` and has passed both certificates;
-    a failed one raises instead of being reported.  The cells are memoized in
-    ``_ORBIT_CACHE`` under the same single-thread contract as the orbits.
-    The slopes use a plain least-squares fit rather than
-    ``estimators.slope_fit``, which needs at least four records: a fit here
-    can rest on two.
+    a failed one raises instead of being reported.  The spanning series holds
+    the same counts as the separated one, since each cell's separated set is
+    its certified cover.  The cells are memoized in ``_ORBIT_CACHE`` under
+    the same single-thread contract as the orbits.  The slopes use a plain
+    least-squares fit rather than ``estimators.slope_fit``, which needs at
+    least four records: a fit here can rest on two.
     """
+    if not eps_schedule:
+        raise ValueError("eps_schedule must not be empty")
     if sorted(eps_schedule, reverse=True) != list(eps_schedule) or len(set(eps_schedule)) != len(eps_schedule):
         raise ValueError("eps_schedule must be strictly decreasing")
     if not n_range:
@@ -298,45 +287,27 @@ def bowen_entropy(
     sample = sample_region(pcmap, region, grid, horizon=max(n_range))
     m = len(sample.points.points)
     sat = max(8, int(SATURATION_FRACTION * m))
-    sep_records: list[SeriesRecord] = []
-    span_records: list[SeriesRecord] = []
-    sep_slopes: dict[str, float] = {}
-    span_slopes: dict[str, float] = {}
-    estimate_sep = estimate_span = math.nan
+    records: list[SeriesRecord] = []
+    slopes: dict[str, float] = {}
     for eps in eps_schedule:
         base_flag = "coarse" if sample.density > eps / 4 else None
-        sep_pairs, span_pairs = [], []
-        sep_all, span_all = [], []
+        pairs, all_pairs = [], []
         for n in n_range:
-            s, r = _cell(pcmap, sample, n, eps, metric)
+            s = _cell(pcmap, sample, n, eps, metric)
             flags = [base_flag] if base_flag else []
             if s > sat:
                 flags.append("saturated")
-            flag = "+".join(flags) or None
-            sep_records.append(SeriesRecord(n, s, aux=eps, flag=flag))
-            span_records.append(SeriesRecord(n, r, aux=eps, flag=flag))
-            sep_all.append((n, math.log(s)))
-            span_all.append((n, math.log(r)))
+            records.append(SeriesRecord(n, s, aux=eps, flag="+".join(flags) or None))
+            all_pairs.append((n, math.log(s)))
             if s <= sat:
-                sep_pairs.append((n, math.log(s)))
-                span_pairs.append((n, math.log(r)))
-        slope_s = _lsq_slope(sep_pairs if len(sep_pairs) >= 2 else sep_all)
-        slope_r = _lsq_slope(span_pairs if len(span_pairs) >= 2 else span_all)
-        sep_slopes[f"slope(eps={eps:g})"] = slope_s
-        span_slopes[f"slope(eps={eps:g})"] = slope_r
-        estimate_sep, estimate_span = slope_s, slope_r
+                pairs.append((n, math.log(s)))
+        slope = _lsq_slope(pairs if len(pairs) >= 2 else all_pairs)
+        slopes[f"slope(eps={eps:g})"] = slope
     sep = EntropySeries(
         method="bowen-separated",
-        records=tuple(sep_records),
-        estimate=estimate_sep,
+        records=tuple(records),
+        estimate=slope,
         estimate_method="slope-fit",
-        estimates=sep_slopes,
+        estimates=slopes,
     )
-    span = EntropySeries(
-        method="bowen-spanning",
-        records=tuple(span_records),
-        estimate=estimate_span,
-        estimate_method="slope-fit",
-        estimates=span_slopes,
-    )
-    return sep, span
+    return sep, replace(sep, method="bowen-spanning", estimates=dict(slopes))

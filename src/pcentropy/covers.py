@@ -347,6 +347,9 @@ def cover_entropy(
         records.append(SeriesRecord(n, res.count, flag=None if res.exact else "inexact"))
     if not records:
         raise ResourceCapExceeded("no refinement fits under the cap", completed=0)
+    if truncated:
+        last = records[-1]
+        records[-1] = SeriesRecord(last.n, last.value, flag="+".join(filter(None, (last.flag, "truncated"))))
     pairs = [(r.n, math.log(r.value)) for r in records]
     estimate, method, estimates = estimate_table(pairs, estimator, fallback=truncated)
     return EntropySeries(

@@ -160,8 +160,10 @@ class TestBowenEntropy:
         # grid and schedule matched so the finest eps still resolves: the full
         # 8193-point configuration is exercised by the acceptance suite
         sep, span = bowen_entropy(tent, X, list(range(4, 11)), [0.1, 0.05], grid=2049)
-        for est in (sep.estimate, span.estimate):
-            assert abs(est - math.log(2)) <= 0.15 * math.log(2)
+        assert abs(sep.estimate - math.log(2)) <= 0.15 * math.log(2)
+        # each cell's separated set is its certified cover
+        assert span.records == sep.records
+        assert (span.estimate, span.estimates) == (sep.estimate, sep.estimates)
 
     def test_contraction_trends_to_zero(self):
         pw = catalog_get("pw-contraction").map
@@ -311,6 +313,51 @@ def test_vectorized_separated_certificate_matches_scalar(data, n, quarter_steps)
         assert np.abs(M[a] - M[b]).max() < eps
 
 
+def greedy_spanning_reference(M, eps):
+    """The leftmost-uncovered ball sweep over rows sorted by first coordinate:
+    each row no earlier center covers becomes a center, and its open eps-ball
+    in the max norm covers every row it holds."""
+    covered = np.zeros(len(M), dtype=bool)
+    centers = []
+    for i in range(len(M)):
+        if not covered[i]:
+            centers.append(i)
+            covered |= np.abs(M - M[i]).max(axis=1) < eps
+    return centers
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), steps=st.sampled_from([None, 4, 10]))
+def test_greedy_witnesses_match_the_spanning_sweep(data, n, steps):
+    m = data.draw(st.integers(1, 40))
+    if steps:
+        # gaps of exactly eps on quarter steps; on tenths, gaps that round
+        # to either side of eps
+        value = st.integers(0, 12).map(lambda k: k / steps)
+        eps = data.draw(st.sampled_from([1 / steps, 2 / steps, 3 / steps, 4 / steps]))
+    else:
+        value = st.floats(0.0, 1.0)
+        eps = data.draw(st.floats(0.01, 0.5))
+    M = np.asarray(data.draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=m, max_size=m)))
+    M = M[np.argsort(M[:, 0], kind="stable")]
+    admitted, witness = bowen._greedy_separated_indices(M, eps)
+    assert greedy_spanning_reference(M, eps) == admitted
+    assert set(witness) <= set(admitted)
+    assert (np.abs(M - M[witness]).max(axis=1) < eps).all()
+    assert _verify_separated(M, admitted, eps) is None
+
+
+def test_greedy_window_matches_the_certificate_norm():
+    # 1.0 - 0.1 rounds up to the double 0.9, yet 1.0 - 0.9 < 0.1: a window
+    # bounded by x - eps alone admits both rows, and the pairwise certificate
+    # then rejects them
+    assert bowen._greedy_separated_indices(np.asarray([[0.9], [1.0]]), 0.1) == ([0], [0, 0])
+    identity = catalog_get("identity").map
+    s = sample_region(identity, X, grid=11, horizon=1)
+    # seven of the ten grid gaps round below 0.1
+    assert max_separated(identity, s, 1, 0.1) == 8
+
+
 @pytest.fixture
 def fresh_cells(monkeypatch):
     """An empty orbit and cell cache, so no memoized cell hides a patched builder."""
@@ -332,8 +379,8 @@ def test_separated_certificate_raises(entry, tent, monkeypatch, fresh_cells):
     real = bowen._greedy_separated_indices
 
     def with_near_duplicate(M, eps):
-        idx = real(M, eps)
-        return sorted(idx + [idx[0] + 1])  # the grid neighbour of the first point
+        idx, witness = real(M, eps)
+        return sorted(idx + [idx[0] + 1]), witness  # the grid neighbour of the first point
 
     monkeypatch.setattr(bowen, "_greedy_separated_indices", with_near_duplicate)
     with pytest.raises(NotSeparatedError) as info:
@@ -343,10 +390,15 @@ def test_separated_certificate_raises(entry, tent, monkeypatch, fresh_cells):
 
 @pytest.mark.parametrize("entry", ["bowen_entropy", "max_separated", "min_spanning"])
 def test_spanning_certificate_raises(entry, tent, monkeypatch, fresh_cells):
-    real = bowen._greedy_spanning_centers
-    # every later center was chosen outside the first one's ball, so the
-    # first sample point is left uncovered
-    monkeypatch.setattr(bowen, "_greedy_spanning_centers", lambda M, eps: real(M, eps)[1:])
+    real = bowen._greedy_separated_indices
+
+    def without_first_center(M, eps):
+        # the first row is always admitted and is its own witness, so it is
+        # left in no ball of the remaining rows
+        admitted, witness = real(M, eps)
+        return admitted[1:], witness
+
+    monkeypatch.setattr(bowen, "_greedy_separated_indices", without_first_center)
     with pytest.raises(NotACoverError) as info:
         _run_cell(entry, tent)
     assert info.value.witness == 0
@@ -357,7 +409,7 @@ def test_cells_are_memoized_per_sample(tent, monkeypatch, fresh_cells):
     real = bowen._greedy_separated_indices
     monkeypatch.setattr(bowen, "_greedy_separated_indices", lambda M, eps: calls.append(eps) or real(M, eps))
     sample = sample_region(tent, X, grid=513, horizon=4)
-    assert max_separated(tent, sample, 3, 0.05) >= min_spanning(tent, sample, 3, 0.05)
+    assert max_separated(tent, sample, 3, 0.05) == min_spanning(tent, sample, 3, 0.05)
     assert calls == [0.05]
     max_separated(tent, sample, 3, 0.1)
     max_separated(tent, sample, 2, 0.05)

@@ -131,12 +131,25 @@ class TestEntropyCommand:
         code, out, _ = run(capsys, "entropy", "--catalog", "mod3", "--method", "cover", "--n-max", "6")
         assert code == 2
         lines = out.strip().split("\n")
-        assert lines[1:-1] == ["cover,1,,3,", "cover,2,,9,", "cover,3,,27,"]
+        assert lines[1:-1] == ["cover,1,,3,", "cover,2,,9,", "cover,3,,27,truncated"]
 
     def test_empty_bowen_n_range(self, capsys):
         code, _, err = run(capsys, "entropy", "--catalog", "tent", "--method", "bowen", "--n-range", "12:4")
         assert code == 1
         assert "n_range must not be empty" in err
+
+    def test_empty_bowen_eps_schedule(self, capsys):
+        code, _, err = run(capsys, "entropy", "--catalog", "tent", "--method", "bowen", "--eps", ",")
+        assert code == 1
+        assert "eps_schedule must not be empty" in err
+
+    def test_nan_bowen_eps(self, capsys):
+        code, _, err = run(
+            capsys, "entropy", "--catalog", "tent", "--method", "bowen",
+            "--n-range", "2:3", "--eps", "0.05,nan", "--grid", "257",
+        )
+        assert code == 1
+        assert "eps must be positive" in err
 
     def test_svg_plot(self, capsys, tmp_path):
         svg = tmp_path / "series.svg"

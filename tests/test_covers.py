@@ -306,6 +306,17 @@ class TestCoverEntropy:
         assert [r.value for r in series.records] == [2, 4, 8, 16, 31, 59, 112, 212, 400, 754, 1421]
         assert all(r.flag is None for r in series.records)
 
+    def test_cap_flags_the_last_record(self, tent):
+        cover = Cover((OpenSet.of((0.0, 0.3), (0.5, 0.8)), OpenSet.of((0.2, 0.6), (0.7, 1.0))), "u")
+        # Delta^6 of tent has 63 points, past the cap
+        series = cover_entropy(tent, cover, 8, cap=50)
+        assert series.truncated
+        assert [r.value for r in series.records] == [2, 4, 8, 15, 27]
+        assert [r.flag for r in series.records] == [None, None, None, None, "truncated"]
+        with mock.patch.object(covers, "DEFAULT_NODE_CAP", 1):
+            series = cover_entropy(tent, cover, 8, cap=50)
+        assert [r.flag for r in series.records[-2:]] == ["inexact", "inexact+truncated"]
+
     def test_cover_not_covering_raises(self, tent):
         bad = Cover((OpenSet.of((0.0, 0.4)),), "bad")
         with pytest.raises(NotACoverError):
