@@ -167,6 +167,12 @@ def _svg_plot(series: list[EntropySeries], path: str):
         fh.write("\n".join(lines) + "\n")
 
 
+def _power_k(args) -> int | None:
+    if args.power_k is not None and args.power_k < 1:
+        raise ValueError("--power-k must be >= 1")
+    return args.power_k
+
+
 def _cap_from_env() -> int | None:
     raw = os.environ.get("PCENTROPY_CAP")
     return int(raw) if raw else None
@@ -177,8 +183,9 @@ def cmd_entropy(args) -> int:
     if args.phi:
         pcmap = conjugate_map(pcmap, _parse_phi(args.phi))
     cap = _cap_from_env()
-    if args.power_k:
-        pcmap = iterate_map(pcmap, args.power_k, cap=cap)
+    k = _power_k(args)
+    if k is not None:
+        pcmap = iterate_map(pcmap, k, cap=cap)
     region = _parse_region(args.region) if args.region else None
     if region is not None:
         restricted = restrict_map(pcmap, region)
@@ -187,9 +194,7 @@ def cmd_entropy(args) -> int:
     methods = ["ms", "cover", "bowen"] if args.method == "all" else [args.method]
     for method in methods:
         if method == "ms":
-            target = pcmap
-            if region is not None and len(region.parts) == 1:
-                target = restricted.as_pcmap()
+            target = pcmap if region is None else restricted.as_pcmap()
             series.append(ms_entropy(target, args.n_max, estimator=args.estimator, cap=cap))
         elif method == "cover":
             cov = _parse_cover(args.cover) if args.cover else natural_cover(pcmap)
@@ -213,6 +218,7 @@ def cmd_entropy(args) -> int:
 def cmd_verify(args) -> int:
     pcmap = _load_map(args)
     cap = _cap_from_env()
+    k = _power_k(args)
     rows: list[tuple[str, bool, str]] = []
     n_max = args.n_max
 
@@ -238,8 +244,7 @@ def cmd_verify(args) -> int:
     same = len(bnd) == len(dn) and all(abs(a - b) <= 1e-9 for a, b in zip(bnd, dn))
     rows.append(("boundary of refined natural cover = Delta^n", same, f"n = {min(n_max, 6)}"))
 
-    if args.power_k:
-        k = args.power_k
+    if k is not None:
         fk = iterate_map(pcmap, k, cap=cap)
         ok = all(
             count_pieces(fk, n, cap=cap) == count_pieces(pcmap, k * n, cap=cap)

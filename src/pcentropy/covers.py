@@ -2,11 +2,13 @@
 
 Cover elements are finite interval unions, relatively open in the map's
 domain.  Refinement intersects the cover with preimages of itself step by
-step; every element of the n-step refinement automatically avoids the n-step
-discontinuity set.  Minimal subcover cardinalities are exact: a greedy sweep
-(optimal) when every element is a single interval, otherwise a branch and
-bound whose first dive is a greedy cover.  The part and node caps are the
-constants ``DEFAULT_PART_CAP`` and ``DEFAULT_NODE_CAP``.
+step, pulling the whole cover back through ``maps.branch_preimages``, the
+branch inverse of the MS levels; every element of the n-step refinement
+automatically avoids the n-step discontinuity set.  Minimal subcover
+cardinalities are exact: a greedy sweep (optimal) when every element is a
+single interval, otherwise a branch and bound whose first dive is a greedy
+cover.  The part and node caps are the constants ``DEFAULT_PART_CAP`` and
+``DEFAULT_NODE_CAP``.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotACoverError, ResourceCapExceeded
-from .estimators import EntropySeries, SeriesRecord, estimate_table
+from .estimators import EntropySeries, SeriesRecord, count_series
 from .intervals import Interval, OpenSet, PointSet, RegionSet, dedupe_sorted
-from .maps import Branch, PcMap, branch_inverse
+from .maps import PcMap, branch_preimages
 from .symbolic import delta_n
 
 DEFAULT_PART_CAP = 1_000_000
@@ -38,10 +40,6 @@ class Cover:
 
     def __len__(self):
         return len(self.elements)
-
-    @property
-    def diameter(self) -> float:
-        return max((el.diameter for el in self.elements), default=0.0)
 
     def total_parts(self) -> int:
         return sum(len(el.parts) for el in self.elements)
@@ -98,40 +96,46 @@ def vee(covers: list[Cover]) -> Cover:
     return Cover(elems, label=label)
 
 
-def _branch_image(branch: Branch, domain: Interval) -> Interval:
-    vmin, vmax = (min(max(v, domain.lo), domain.hi) for v in branch.image)
-    if branch.increasing:
-        return Interval(vmin, vmax, branch.piece.lo_open, branch.piece.hi_open)
-    return Interval(vmin, vmax, branch.piece.hi_open, branch.piece.lo_open)
+def _pullback(pcmap: PcMap, elements) -> list[OpenSet]:
+    """One-step preimages of the elements, relatively open in the domain;
+    empty preimages are dropped.
 
-
-def openset_preimage(pcmap: PcMap, oset: OpenSet) -> OpenSet:
-    """One-step preimage as a set relatively open in the domain.
-
-    Points of the discontinuity set are never included, matching the
-    convention-independent refinement semantics.
+    Each branch intersects every part with its image and inverts all the
+    part ends with one ``branch_preimages`` call.  An end on an image end
+    maps to the piece end exactly, so points of the discontinuity set are
+    never included, matching the convention-independent refinement semantics.
     """
-    parts = []
+    rows = [(i, p.lo, p.hi, p.lo_open, p.hi_open) for i, el in enumerate(elements) for p in el.parts]
+    if not rows:
+        return []
+    owner, lo, hi, lo_open, hi_open = (np.array(col) for col in zip(*rows))
+    parts: list[list[Interval]] = [[] for _ in elements]
     for b in pcmap.branches:
-        img = _branch_image(b, pcmap.domain)
-        for w0 in oset.parts:
-            w = w0.intersect(img)
-            if w is None:
-                continue
-            if b.increasing:
-                xlo = b.piece.lo if w.lo == img.lo else branch_inverse(b, w.lo, 1e-15)
-                xhi = b.piece.hi if w.hi == img.hi else branch_inverse(b, w.hi, 1e-15)
-                lo_open, hi_open = w.lo_open, w.hi_open
-            else:
-                xlo = b.piece.lo if w.hi == img.hi else branch_inverse(b, w.hi, 1e-15)
-                xhi = b.piece.hi if w.lo == img.lo else branch_inverse(b, w.lo, 1e-15)
-                lo_open, hi_open = w.hi_open, w.lo_open
-            if xlo is None or xhi is None or xlo > xhi:
-                continue
-            if xlo == xhi and (lo_open or hi_open):
-                continue
-            parts.append(Interval(xlo, xhi, lo_open, hi_open))
-    return OpenSet(tuple(parts))
+        vmin, vmax = (min(max(v, pcmap.domain.lo), pcmap.domain.hi) for v in b.image)
+        img_lo_open, img_hi_open = (b.piece.lo_open, b.piece.hi_open)[:: b.direction]
+        # Interval.intersect with the image: at an equal end, open if either side is;
+        # row 0 holds the lower ends, row 1 the upper ones
+        ends = np.stack([np.maximum(lo, vmin), np.minimum(hi, vmax)])
+        opens = np.stack([
+            np.where(lo > vmin, lo_open, img_lo_open) | ((lo == vmin) & lo_open),
+            np.where(hi < vmax, hi_open, img_hi_open) | ((hi == vmax) & hi_open),
+        ])
+        keep = np.flatnonzero((ends[0] < ends[1]) | ((ends[0] == ends[1]) & ~opens.any(axis=0)))
+        if not len(keep):
+            continue
+        ends = ends[:, keep]
+        xs = branch_preimages(b, ends.ravel()).reshape(ends.shape)
+        # image ends go to piece ends exactly; a decreasing branch swaps the rows
+        piece_ends = np.array([[b.piece.lo], [b.piece.hi]])[:: b.direction]
+        xs = np.where(ends == [[vmin], [vmax]], piece_ends, xs)[:: b.direction]
+        opens = opens[:, keep][:: b.direction]
+        # NaN ends fail both comparisons
+        ok = (xs[0] < xs[1]) | ((xs[0] == xs[1]) & ~opens.any(axis=0))
+        kept = zip(owner[keep][ok].tolist(), xs[:, ok].T.tolist(), opens[:, ok].T.tolist())
+        for i, (x0, x1), (o0, o1) in kept:
+            parts[i].append(Interval(x0, x1, o0, o1))
+    out = (OpenSet(tuple(ps)) for ps in parts)
+    return [el for el in out if not el.is_empty()]
 
 
 def pullback_cover(pcmap: PcMap, cover: Cover, j: int) -> Cover:
@@ -140,8 +144,7 @@ def pullback_cover(pcmap: PcMap, cover: Cover, j: int) -> Cover:
         raise ValueError("j must be >= 0")
     elems = list(cover.elements)
     for step in range(j):
-        elems = [openset_preimage(pcmap, el) for el in elems]
-        elems = [el for el in elems if not el.is_empty()]
+        elems = _pullback(pcmap, elems)
         if sum(len(el.parts) for el in elems) > DEFAULT_PART_CAP:
             raise ResourceCapExceeded(f"pullback exceeded {DEFAULT_PART_CAP} interval parts", completed=step)
     return Cover(_dedupe(elems), label=f"f^-{j}({cover.label or '?'})")
@@ -158,8 +161,7 @@ def refinement_steps(pcmap: PcMap, cover: Cover, n_max: int):
     yield acc
     cur = base
     for n in range(2, n_max + 1):
-        cur = [openset_preimage(pcmap, el) for el in cur]
-        cur = [el for el in cur if not el.is_empty()]
+        cur = _pullback(pcmap, cur)
         acc = Cover(vee([acc, Cover(tuple(cur))]).elements, label=f"{cover.label or '?'}^{n}")
         if acc.total_parts() > DEFAULT_PART_CAP:
             raise ResourceCapExceeded(f"refinement exceeded {DEFAULT_PART_CAP} interval parts", completed=n - 1)
@@ -347,19 +349,7 @@ def cover_entropy(
         records.append(SeriesRecord(n, res.count, flag=None if res.exact else "inexact"))
     if not records:
         raise ResourceCapExceeded("no refinement fits under the cap", completed=0)
-    if truncated:
-        last = records[-1]
-        records[-1] = SeriesRecord(last.n, last.value, flag="+".join(filter(None, (last.flag, "truncated"))))
-    pairs = [(r.n, math.log(r.value)) for r in records]
-    estimate, method, estimates = estimate_table(pairs, estimator, fallback=truncated)
-    return EntropySeries(
-        method="cover",
-        records=tuple(records),
-        estimate=estimate,
-        estimate_method=method,
-        estimates=estimates,
-        truncated=truncated,
-    )
+    return count_series("cover", records, estimator, truncated)
 
 
 def boundary_of_refined_natural_cover(pcmap: PcMap, n: int) -> PointSet:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,31 +89,33 @@ def slope_fit(values: list[tuple[int, float]], window_fraction: float = 0.5) -> 
     return SequenceFit(float(slope), float(intercept), residual, (int(nw[0]), int(nw[-1])))
 
 
-def estimate_table(
-    values: list[tuple[int, float]],
-    primary: str,
-    window_fraction: float = 0.5,
-    fallback: bool = False,
-):
-    """All applicable estimates for a log-count series.
+def count_series(
+    method: str, records: list[SeriesRecord], estimator: str, truncated: bool
+) -> EntropySeries:
+    """The entropy series of a list of positive counts, estimated from their logs.
 
-    Returns (value, method actually used, table).  With ``fallback`` (used for
-    cap-truncated series) an uncomputable primary degrades to the best
-    available estimator instead of failing.
+    With ``truncated`` (a resource cap cut the series) the last record is
+    flagged ``truncated`` and an uncomputable ``estimator`` degrades to the
+    best available one instead of failing.
     """
+    if truncated:
+        last = records[-1]
+        flag = "+".join(filter(None, (last.flag, "truncated")))
+        records = [*records[:-1], SeriesRecord(last.n, last.value, last.aux, flag)]
+    values = [(r.n, math.log(r.value)) for r in records]
     table: dict[str, float] = {"last-ratio": last_ratio(values)}
     try:
         table["fekete-min"] = fekete_estimate(values)
     except (ValueError, SubadditivityError):
         pass
     try:
-        table["slope-fit"] = slope_fit(values, window_fraction).slope
+        table["slope-fit"] = slope_fit(values).slope
     except ValueError:
         pass
-    method = primary
-    if method not in table:
-        if not fallback:
-            raise ValueError(f"estimator {primary!r} not computable for this series "
+    chosen = estimator
+    if chosen not in table:
+        if not truncated:
+            raise ValueError(f"estimator {estimator!r} not computable for this series "
                              f"(available: {sorted(table)})")
-        method = "fekete-min" if "fekete-min" in table else "last-ratio"
-    return table[method], method, table
+        chosen = "fekete-min" if "fekete-min" in table else "last-ratio"
+    return EntropySeries(method, tuple(records), table[chosen], chosen, table, truncated)

@@ -60,9 +60,6 @@ class Interval:
             return False
         return True
 
-    def interior_contains(self, x: float) -> bool:
-        return self.lo < x < self.hi
-
     def intersect(self, other: "Interval") -> "Interval | None":
         if self.lo > other.lo or (self.lo == other.lo and self.lo_open):
             lo, lo_open = self.lo, self.lo_open
@@ -146,9 +143,6 @@ class OpenSet:
             return 0.0
         return self.parts[-1].hi - self.parts[0].lo
 
-    def total_length(self) -> float:
-        return sum(p.diameter for p in self.parts)
-
     @cached_property
     def _his(self) -> tuple[float, ...]:
         # parts are disjoint and sorted, so the hi endpoints are sorted too
@@ -173,37 +167,18 @@ class OpenSet:
         return out
 
     def intersect(self, other: "OpenSet") -> "OpenSet":
-        a, b = self.parts, other.parts
-        if len(a) > len(b):
-            a, b, big = b, a, self
-        else:
-            big = other
-        if len(a) * 4 < len(b):
-            # few-vs-many: bisect into the long side instead of sweeping it
-            out = []
-            his = big._his
-            for p in a:
-                j = bisect.bisect_left(his, p.lo)
-                while j < len(b) and b[j].lo <= p.hi:
-                    w = p.intersect(b[j])
-                    if w is not None:
-                        out.append(w)
-                    j += 1
-            return OpenSet(tuple(out))
+        """Each part of the shorter set is bisected into the longer one."""
+        small, big = (self, other) if len(self.parts) <= len(other.parts) else (other, self)
+        b, his = big.parts, big._his
         out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            w = a[i].intersect(b[j])
-            if w is not None:
-                out.append(w)
-            if a[i].hi < b[j].hi or (a[i].hi == b[j].hi and a[i].hi_open):
-                i += 1
-            else:
+        for p in small.parts:
+            j = bisect.bisect_left(his, p.lo)
+            while j < len(b) and b[j].lo <= p.hi:
+                w = p.intersect(b[j])
+                if w is not None:
+                    out.append(w)
                 j += 1
         return OpenSet(tuple(out))
-
-    def union(self, other: "OpenSet") -> "OpenSet":
-        return OpenSet(self.parts + other.parts)
 
     def subtract_points(self, points) -> "OpenSet":
         """Remove finitely many points, splitting parts at interior hits."""

@@ -172,7 +172,9 @@ def branch_inverse(branch: Branch, y: float, tol: float = 1e-12) -> float | None
     """Solve branch(x) = y on the piece closure; None when y is out of range.
 
     Affine branches are solved in closed form; anything else falls back to
-    bisection with bracket width at most ``tol``.
+    bisection with bracket width at most ``tol``.  This is the scalar
+    reference for ``branch_preimages``, which both preimage routes use; no
+    runtime code calls it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -215,6 +217,69 @@ def branch_inverse(branch: Branch, y: float, tol: float = 1e-12) -> float | None
         if b - a <= tol:
             break
     return 0.5 * (a + b)
+
+
+_INVERSE_TOL = 1e-15
+
+
+def branch_preimages(branch: Branch, ys: np.ndarray) -> np.ndarray:
+    """Preimages of every target under the branch closure at once; NaN where absent.
+
+    Affine branches use the closed form and clip onto the piece what lands
+    within a relative ``1e-12`` of it.  Other branches apply
+    ``branch_inverse`` at tolerance ``_INVERSE_TOL`` element by element, with
+    its clipping, end point and stopping rules.
+    """
+    lo, hi = branch.piece.lo, branch.piece.hi
+    aff = branch.affine
+    if aff is not None:
+        a, b = aff
+        xs = (ys - b) / a
+        pad = 1e-12 * max(1.0, abs(hi - lo))
+        return np.where((xs >= lo - pad) & (xs <= hi + pad), np.clip(xs, lo, hi), np.nan)
+    tol = _INVERSE_TOL
+    vmin, vmax = branch.image
+    out = np.full(len(ys), np.nan)
+    inside = np.flatnonzero((ys >= vmin - tol) & (ys <= vmax + tol))
+    if not len(inside):
+        return out
+    f = branch.fn
+    sgn = 1.0 if branch.increasing else -1.0
+    flo, fhi = sgn * float(f(lo)), sgn * float(f(hi))
+    if not flo <= fhi:
+        raise MonotonicityError(
+            f"branch values at piece ends contradict declared direction on {branch.piece!r}"
+        )
+    ty = sgn * np.clip(ys[inside], vmin, vmax)
+    out[inside[ty >= fhi]] = hi
+    out[inside[ty <= flo]] = lo  # after hi: lo wins when flo == fhi, as in branch_inverse
+    mid_range = (ty > flo) & (ty < fhi)
+    idx, ty = inside[mid_range], ty[mid_range]
+    a = np.full(len(idx), lo)
+    b = np.full(len(idx), hi)
+    for _ in range(200):
+        if not len(idx):
+            break
+        mid = 0.5 * (a + b)
+        stuck = (mid <= a) | (mid >= b)
+        if stuck.any():
+            out[idx[stuck]] = mid[stuck]
+            go = ~stuck
+            idx, ty, a, b, mid = idx[go], ty[go], a[go], b[go], mid[go]
+        fm = sgn * f(mid)
+        bad = (fm < flo - tol) | (fm > fhi + tol)
+        if bad.any():
+            raise MonotonicityError(f"bracket violation at {mid[bad][0]!r} on {branch.piece!r}")
+        below = fm < ty
+        a = np.where(below, mid, a)
+        b = np.where(below, b, mid)
+        done = b - a <= tol
+        if done.any():
+            out[idx[done]] = 0.5 * (a[done] + b[done])
+            go = ~done
+            idx, ty, a, b = idx[go], ty[go], a[go], b[go]
+    out[idx] = 0.5 * (a + b)
+    return out
 
 
 # ---------------------------------------------------------------------------

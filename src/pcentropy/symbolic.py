@@ -17,83 +17,17 @@ them from one thread at a time.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MonotonicityError, ResourceCapExceeded, SubadditivityError
-from .estimators import EntropySeries, SeriesRecord, estimate_table
+from .errors import DomainError, ResourceCapExceeded, SubadditivityError
+from .estimators import EntropySeries, SeriesRecord, count_series
 from .intervals import PointSet, dedupe_sorted
-from .maps import LEFT, RIGHT, Branch, PcMap, limit_step
+from .maps import LEFT, RIGHT, PcMap, branch_preimages, limit_step
 
 DEFAULT_DELTA_CAP = 2_000_000
-_INVERSE_TOL = 1e-15
-
-
-def _bisect_branch(branch: Branch, ys: np.ndarray) -> np.ndarray:
-    """``maps.branch_inverse`` applied to every target at once, with its
-    clipping, end point and stopping rules per element; NaN where absent."""
-    tol = _INVERSE_TOL
-    lo, hi = branch.piece.lo, branch.piece.hi
-    vmin, vmax = branch.image
-    out = np.full(len(ys), np.nan)
-    inside = np.flatnonzero((ys >= vmin - tol) & (ys <= vmax + tol))
-    if not len(inside):
-        return out
-    f = branch.fn
-    sgn = 1.0 if branch.increasing else -1.0
-    flo, fhi = sgn * float(f(lo)), sgn * float(f(hi))
-    if not flo <= fhi:
-        raise MonotonicityError(
-            f"branch values at piece ends contradict declared direction on {branch.piece!r}"
-        )
-    ty = sgn * np.clip(ys[inside], vmin, vmax)
-    out[inside[ty >= fhi]] = hi
-    out[inside[ty <= flo]] = lo  # after hi: lo wins when flo == fhi, as in branch_inverse
-    mid_range = (ty > flo) & (ty < fhi)
-    idx, ty = inside[mid_range], ty[mid_range]
-    a = np.full(len(idx), lo)
-    b = np.full(len(idx), hi)
-    for _ in range(200):
-        if not len(idx):
-            break
-        mid = 0.5 * (a + b)
-        stuck = (mid <= a) | (mid >= b)
-        if stuck.any():
-            out[idx[stuck]] = mid[stuck]
-            go = ~stuck
-            idx, ty, a, b, mid = idx[go], ty[go], a[go], b[go], mid[go]
-        fm = sgn * f(mid)
-        bad = (fm < flo - tol) | (fm > fhi + tol)
-        if bad.any():
-            raise MonotonicityError(
-                f"bracket violation at {mid[bad][0]!r} on {branch.piece!r}"
-            )
-        below = fm < ty
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-        done = b - a <= tol
-        if done.any():
-            out[idx[done]] = 0.5 * (a[done] + b[done])
-            go = ~done
-            idx, ty, a, b = idx[go], ty[go], a[go], b[go]
-    out[idx] = 0.5 * (a + b)
-    return out
-
-
-def _branch_preimages(branch: Branch, ys: np.ndarray) -> np.ndarray:
-    """Preimages of each target under one branch closure; NaN where absent."""
-    lo, hi = branch.piece.lo, branch.piece.hi
-    aff = branch.affine
-    if aff is not None:
-        a, b = aff
-        xs = (ys - b) / a
-        pad = 1e-12 * max(1.0, abs(hi - lo))
-        xs = np.where((xs >= lo - pad) & (xs <= hi + pad), np.clip(xs, lo, hi), np.nan)
-        return xs
-    return _bisect_branch(branch, ys)
 
 
 class DeltaTable:
@@ -118,7 +52,7 @@ class DeltaTable:
         ys, _, root = self.levels[-1]
         xs_all, root_all = [], []
         for b in self.map.branches:
-            xs = _branch_preimages(b, ys)
+            xs = branch_preimages(b, ys)
             ok = ~np.isnan(xs)
             if ok.any():
                 xs_all.append(xs[ok])
@@ -245,13 +179,8 @@ def preimage_set(pcmap: PcMap, targets: PointSet) -> PointSet:
     for t in targets:
         if t < dom.lo - pcmap.tol or t > dom.hi + pcmap.tol:
             raise DomainError(f"target {t!r} outside domain {dom!r}")
-    ys = np.asarray(targets.points)
-    hits: list[np.ndarray] = []
-    for b in pcmap.branches:
-        xs = _branch_preimages(b, ys)
-        hits.append(xs[~np.isnan(xs)])
-    merged = np.concatenate(hits) if hits else np.empty(0)
-    return PointSet.of(merged, tol=pcmap.tol)
+    xs = np.concatenate([branch_preimages(b, targets.array) for b in pcmap.branches])
+    return PointSet.of(xs[~np.isnan(xs)], tol=pcmap.tol)
 
 
 def delta_n(pcmap: PcMap, n: int, cap: int | None = None) -> PointSet:
@@ -319,18 +248,7 @@ def ms_entropy(
             "(likely a tolerance undercount upstream)",
             witness=bad,
         )
-    if truncated:
-        records[-1] = SeriesRecord(records[-1].n, records[-1].value, flag="truncated")
-    pairs = [(r.n, math.log(r.value)) for r in records]
-    estimate, method, estimates = estimate_table(pairs, estimator, fallback=truncated)
-    return EntropySeries(
-        method="misiurewicz-szlenk",
-        records=tuple(records),
-        estimate=estimate,
-        estimate_method=method,
-        estimates=estimates,
-        truncated=truncated,
-    )
+    return count_series("misiurewicz-szlenk", records, estimator, truncated)
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,15 @@ class TestEntropyCommand:
         est = float(out.strip().split("\n")[-1].split(",")[3])
         assert est == pytest.approx(2 * math.log(2), abs=1e-9)
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_power_k_below_one_rejected(self, capsys, k):
+        code, out, err = run(
+            capsys, "entropy", "--catalog", "tent", "--method", "ms", "--n-max", "4", "--power-k", k,
+        )
+        assert code == 1
+        assert out == ""
+        assert "--power-k must be >= 1" in err
+
     def test_region_restriction(self, capsys):
         code, out, _ = run(
             capsys, "entropy", "--catalog", "anzie", "--method", "ms",
@@ -97,6 +106,30 @@ class TestEntropyCommand:
         assert code == 0
         est = float(out.strip().split("\n")[-1].split(",")[3])
         assert est == pytest.approx(math.log(2), abs=1e-6)
+
+    def test_multi_part_region(self, capsys, tmp_path):
+        # identity on [0, 0.2], three full slope-3 branches onto [0.2, 0.5],
+        # a tent on [0.5, 1]: the region [0, 0.2] u [0.5, 1] carries log 2
+        f = tmp_path / "three-parts.pcm"
+        f.write_text(
+            "domain = [0, 1]\n"
+            "piece (0, 0.2): x\n"
+            "piece (0.2, 0.3): 3*x - 0.4\n"
+            "piece (0.3, 0.4): 3*x - 0.7\n"
+            "piece (0.4, 0.5): 3*x - 1\n"
+            "piece (0.5, 0.75): 2*x - 0.5\n"
+            "piece (0.75, 1): 2.5 - 2*x\n"
+        )
+        argv = ["entropy", "--map", str(f), "--n-max", "8", "--region", "[0,0.2]|[0.5,1]"]
+        for method in ("ms", "all"):
+            code, out, err = run(capsys, *argv, "--method", method)
+            assert code == 1
+            assert out == ""
+            assert "only single-interval regions restrict to a pc-map" in err
+        code, out, _ = run(capsys, *argv, "--method", "cover")
+        assert code == 0
+        est = float(out.strip().split("\n")[-1].split(",")[3])
+        assert est == pytest.approx(math.log(2), abs=0.01)
 
     def test_custom_cover(self, capsys):
         code, out, _ = run(
@@ -184,6 +217,12 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--catalog", "tent", "--n-max", "9", "--power-k", "3")
         assert code == 0
         assert "c_n(f^3)" in out
+
+    def test_power_k_zero_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--catalog", "tent", "--n-max", "4", "--power-k", "0")
+        assert code == 1
+        assert out == ""
+        assert "--power-k must be >= 1" in err
 
     def test_submultiplicative_failure_row(self, capsys, monkeypatch):
         fake = {1: 2, 2: 5, 3: 9}

@@ -25,7 +25,9 @@ from pcentropy.covers import (
 )
 from pcentropy.errors import NotACoverError
 from pcentropy.intervals import Interval, OpenSet, PointSet, RegionSet
+from pcentropy.maps import branch_inverse
 from pcentropy.symbolic import delta_n
+from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
 
 X = RegionSet.of((0.0, 1.0))
 
@@ -93,6 +95,78 @@ class TestPullback:
         c = Cover((OpenSet.of((0.1, 0.4)), OpenSet.of((0.3, 0.9))), "c")
         for j in (1, 2, 5):
             assert set(pullback_cover(ident, c, j).elements) == set(c.elements)
+
+
+def openset_preimage_scalar(pcmap, oset):
+    """Scalar reference for ``covers._pullback``: one element, and one
+    ``branch_inverse`` call per part end."""
+    dom = pcmap.domain
+    parts = []
+    for b in pcmap.branches:
+        vmin, vmax = (min(max(v, dom.lo), dom.hi) for v in b.image)
+        if b.increasing:
+            img = Interval(vmin, vmax, b.piece.lo_open, b.piece.hi_open)
+        else:
+            img = Interval(vmin, vmax, b.piece.hi_open, b.piece.lo_open)
+        for w0 in oset.parts:
+            w = w0.intersect(img)
+            if w is None:
+                continue
+            if b.increasing:
+                xlo = b.piece.lo if w.lo == img.lo else branch_inverse(b, w.lo, 1e-15)
+                xhi = b.piece.hi if w.hi == img.hi else branch_inverse(b, w.hi, 1e-15)
+                lo_open, hi_open = w.lo_open, w.hi_open
+            else:
+                xlo = b.piece.lo if w.hi == img.hi else branch_inverse(b, w.hi, 1e-15)
+                xhi = b.piece.hi if w.lo == img.lo else branch_inverse(b, w.lo, 1e-15)
+                lo_open, hi_open = w.hi_open, w.lo_open
+            if xlo is None or xhi is None or xlo > xhi:
+                continue
+            if xlo == xhi and (lo_open or hi_open):
+                continue
+            parts.append(Interval(xlo, xhi, lo_open, hi_open))
+    return OpenSet(tuple(parts))
+
+
+PULLBACK_MAPS = [
+    catalog_get(name).map for name in ("tent", "asym-tent", "lorenz-full", "anzie", "mod3")
+] + [
+    conjugate_map(catalog_get("tent").map, PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))),
+    iterate_map(catalog_get("tent").map, 2),
+]
+
+
+@st.composite
+def pullback_cases(draw):
+    pcmap = draw(st.sampled_from(PULLBACK_MAPS))
+    dom = pcmap.domain
+    special = sorted(
+        {dom.lo, dom.hi, *pcmap.delta.points}
+        | {min(max(v, dom.lo), dom.hi) for b in pcmap.branches for v in b.image}
+    )
+    coord = st.one_of(st.floats(dom.lo, dom.hi), st.sampled_from(special))
+
+    def part():
+        a, b = sorted((draw(coord), draw(coord)))
+        if draw(st.booleans()):
+            b = a  # a closed point part
+        if a == b:
+            return Interval.point(a)
+        return Interval(a, b, draw(st.booleans()), draw(st.booleans()))
+
+    elements = [
+        OpenSet(tuple(part() for _ in range(draw(st.integers(1, 4)))))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return pcmap, elements
+
+
+@given(pullback_cases())
+@settings(max_examples=300, deadline=None)
+def test_pullback_matches_scalar_reference(case):
+    pcmap, elements = case
+    expected = [openset_preimage_scalar(pcmap, el) for el in elements]
+    assert covers._pullback(pcmap, elements) == [el for el in expected if not el.is_empty()]
 
 
 class TestRefine:

@@ -10,11 +10,18 @@ from pcentropy.catalog import get as catalog_get, names as catalog_names
 from pcentropy.errors import ResourceCapExceeded, SubadditivityError
 from pcentropy.expr import parse_expression
 from pcentropy.intervals import PointSet
-from pcentropy.maps import LEFT, RIGHT, branch_inverse, build_map, limit_orbit, parse_map
-from pcentropy.symbolic import (
+from pcentropy.maps import (
     _INVERSE_TOL,
+    LEFT,
+    RIGHT,
+    branch_inverse,
+    branch_preimages,
+    build_map,
+    limit_orbit,
+    parse_map,
+)
+from pcentropy.symbolic import (
     DeltaTable,
-    _branch_preimages,
     count_pieces,
     delta_n,
     delta_table,
@@ -292,7 +299,7 @@ SMOOTH_BRANCHES = [
 )
 def test_array_bisection_matches_branch_inverse(branch, targets):
     ys = np.asarray(targets)
-    xs = _branch_preimages(branch, ys)
+    xs = branch_preimages(branch, ys)
     for y, x in zip(targets, xs):
         ref = branch_inverse(branch, y, _INVERSE_TOL)
         if ref is None:
