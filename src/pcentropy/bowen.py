@@ -40,7 +40,6 @@ _ORBIT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 class SampleSet:
     points: PointSet
     horizon: int
-    region: RegionSet
     density: float
 
 
@@ -109,7 +108,7 @@ def sample_region(pcmap: PcMap, region: RegionSet, grid: int, horizon: int) -> S
             f"no point of {region!r} avoids the cut set to depth {horizon} at this grid"
         )
     points = PointSet(tuple(np.concatenate(kept_parts)), tol=0.0)
-    return SampleSet(points=points, horizon=horizon, region=region, density=density)
+    return SampleSet(points=points, horizon=horizon, density=density)
 
 
 def orbit_matrix(pcmap: PcMap, sample: SampleSet) -> np.ndarray:

@@ -80,12 +80,15 @@ def _parse_cover(text: str) -> Cover:
         else:
             groups.append([interval])
     elements = [OpenSet(tuple(g)) for g in groups]
-    return Cover(tuple(elements), label="cli")
+    return Cover(tuple(elements))
 
 
 def _parse_phi(text: str) -> PlHomeo:
-    nodes = ast.literal_eval(text)
-    return PlHomeo(tuple((float(x), float(y)) for x, y in nodes))
+    try:
+        nodes = tuple((float(x), float(y)) for x, y in ast.literal_eval(text))
+    except (SyntaxError, TypeError, ValueError):
+        raise ValueError(f"bad phi literal {text!r}; expected [(x0, y0), (x1, y1), ...]") from None
+    return PlHomeo(nodes)
 
 
 def _fmt(v) -> str:
@@ -190,15 +193,17 @@ def cmd_entropy(args) -> int:
     if region is not None:
         restricted = restrict_map(pcmap, region)
         print(restricted.report, file=sys.stderr)
+    # each count route keeps its own default estimator unless one is asked for
+    est = {} if args.estimator is None else {"estimator": args.estimator}
     series: list[EntropySeries] = []
     methods = ["ms", "cover", "bowen"] if args.method == "all" else [args.method]
     for method in methods:
         if method == "ms":
             target = pcmap if region is None else restricted.as_pcmap()
-            series.append(ms_entropy(target, args.n_max, estimator=args.estimator, cap=cap))
+            series.append(ms_entropy(target, args.n_max, cap=cap, **est))
         elif method == "cover":
             cov = _parse_cover(args.cover) if args.cover else natural_cover(pcmap)
-            series.append(cover_entropy(pcmap, cov, args.n_max, region=region, cap=cap))
+            series.append(cover_entropy(pcmap, cov, args.n_max, region=region, cap=cap, **est))
         elif method == "bowen":
             reg = region if region is not None else RegionSet.of((pcmap.domain.lo, pcmap.domain.hi))
             n_range = _parse_n_range(args.n_range)
@@ -328,7 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default="0.05,0.02,0.01,0.005", help="bowen epsilon schedule")
     p.add_argument("--grid", type=int, default=4097, help="bowen sample grid")
     p.add_argument("--estimator", choices=["slope-fit", "fekete-min", "last-ratio"],
-                   default="slope-fit")
+                   help="estimate of the ms and cover series (default: slope-fit for ms, "
+                   "fekete-min for cover); the bowen series is always a slope fit")
     p.add_argument("--region", help="restrict to a region, e.g. '[0.7, 1]'")
     p.add_argument("--cover", help="cover literal, e.g. '{(0,0.6), (0.4,1)}'")
     p.add_argument("--phi", help="conjugating homeomorphism nodes, e.g. '[(0,0),(0.4,0.6),(1,1)]'")

@@ -32,7 +32,6 @@ DEFAULT_NODE_CAP = 1_000_000
 @dataclass(frozen=True)
 class Cover:
     elements: tuple[OpenSet, ...]
-    label: str = ""
 
     def __post_init__(self):
         if any(el.is_empty() for el in self.elements):
@@ -47,7 +46,7 @@ class Cover:
 
 def natural_cover(pcmap: PcMap) -> Cover:
     """One element per continuity piece (relatively open in the domain)."""
-    return Cover(tuple(OpenSet((b.piece,)) for b in pcmap.branches), label="natural")
+    return Cover(tuple(OpenSet((b.piece,)) for b in pcmap.branches))
 
 
 def domainify_cover(cover: Cover, domain: Interval) -> Cover:
@@ -72,7 +71,7 @@ def domainify_cover(cover: Cover, domain: Interval) -> Cover:
         cut = OpenSet(tuple(parts))
         if not cut.is_empty():
             elements.append(cut)
-    return Cover(_dedupe(elements), label=cover.label)
+    return Cover(_dedupe(elements))
 
 
 def _dedupe(elements) -> tuple[OpenSet, ...]:
@@ -92,8 +91,7 @@ def vee(covers: list[Cover]) -> Cover:
                 if not w.is_empty():
                     nxt[w] = None
         elems = tuple(nxt)
-    label = " v ".join(c.label or "?" for c in covers)
-    return Cover(elems, label=label)
+    return Cover(elems)
 
 
 def _pullback(pcmap: PcMap, elements) -> list[OpenSet]:
@@ -147,7 +145,7 @@ def pullback_cover(pcmap: PcMap, cover: Cover, j: int) -> Cover:
         elems = _pullback(pcmap, elems)
         if sum(len(el.parts) for el in elems) > DEFAULT_PART_CAP:
             raise ResourceCapExceeded(f"pullback exceeded {DEFAULT_PART_CAP} interval parts", completed=step)
-    return Cover(_dedupe(elems), label=f"f^-{j}({cover.label or '?'})")
+    return Cover(_dedupe(elems))
 
 
 def refinement_steps(pcmap: PcMap, cover: Cover, n_max: int):
@@ -157,12 +155,12 @@ def refinement_steps(pcmap: PcMap, cover: Cover, n_max: int):
         cut = el.subtract_points(pcmap.delta)
         if not cut.is_empty():
             base.append(cut)
-    acc = Cover(_dedupe(base), label=f"{cover.label or '?'}^1")
+    acc = Cover(_dedupe(base))
     yield acc
     cur = base
     for n in range(2, n_max + 1):
         cur = _pullback(pcmap, cur)
-        acc = Cover(vee([acc, Cover(tuple(cur))]).elements, label=f"{cover.label or '?'}^{n}")
+        acc = vee([acc, Cover(tuple(cur))])
         if acc.total_parts() > DEFAULT_PART_CAP:
             raise ResourceCapExceeded(f"refinement exceeded {DEFAULT_PART_CAP} interval parts", completed=n - 1)
         yield acc
@@ -370,13 +368,13 @@ def boundary_of_refined_natural_cover(pcmap: PcMap, n: int) -> PointSet:
     return PointSet.of(pts, tol=pcmap.tol)
 
 
-def lebesgue_number(cover: Cover, region: RegionSet, grid: int = 1000) -> float:
-    """Conservative Lebesgue number: min over grid points of the best one-sided
-    slack of an element containing the point (domain-clipped sides count as
-    unbounded)."""
+def lebesgue_number(cover: Cover, region: RegionSet) -> float:
+    """Conservative Lebesgue number: min over a 1000-point grid of the best
+    one-sided slack of an element containing the point (domain-clipped sides
+    count as unbounded)."""
     delta = math.inf
     for part in region.parts:
-        xs = np.linspace(part.lo, part.hi, max(2, int(grid * part.diameter / region.total_length())))
+        xs = np.linspace(part.lo, part.hi, max(2, int(1000 * part.diameter / region.total_length())))
         for x in xs:
             best = 0.0
             for el in cover.elements:

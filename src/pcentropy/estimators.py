@@ -41,45 +41,42 @@ def last_ratio(values: list[tuple[int, float]]) -> float:
     return v / n
 
 
-def fekete_estimate(values: list[tuple[int, float]], check: bool = True, slack: float = 1e-9) -> float:
+def fekete_estimate(values: list[tuple[int, float]]) -> float:
     """min of value/n over the records.
 
     For a subadditive sequence this is both an upper bound for the limit and
     equal to it in the n -> infinity limit (Fekete).  Subadditivity is
-    asserted over every recorded pair unless ``check`` is off; a violation
-    points at a tolerance undercount upstream, not at this routine.  This
-    check is not ``symbolic.submultiplicative_witness``: it tests a
-    real-valued sequence (logs of counts, or any other) with a ``slack`` for
-    round-off, where that one tests integer counts exactly.
+    asserted over every recorded pair; a violation points at a tolerance
+    undercount upstream, not at this routine.  This check is not
+    ``symbolic.submultiplicative_witness``: it tests a real-valued sequence
+    (logs of counts, or any other) with a slack of 1e-9 for round-off, where
+    that one tests integer counts exactly.
     """
     if len(values) < 2:
         raise ValueError("need at least two records")
     table = dict(values)
-    if check:
-        ns = sorted(table)
-        for n in ns:
-            for k in ns:
-                if n + k in table and table[n + k] > table[n] + table[k] + slack:
-                    raise SubadditivityError(
-                        f"a_{n + k}={table[n + k]:.12g} > a_{n}+a_{k}={table[n] + table[k]:.12g}",
-                        witness=(n, k),
-                    )
+    ns = sorted(table)
+    for n in ns:
+        for k in ns:
+            if n + k in table and table[n + k] > table[n] + table[k] + 1e-9:
+                raise SubadditivityError(
+                    f"a_{n + k}={table[n + k]:.12g} > a_{n}+a_{k}={table[n] + table[k]:.12g}",
+                    witness=(n, k),
+                )
     return min(v / n for n, v in values)
 
 
-def slope_fit(values: list[tuple[int, float]], window_fraction: float = 0.5) -> SequenceFit:
-    """Least-squares line over the top ``window_fraction`` of the n-range.
+def slope_fit(values: list[tuple[int, float]]) -> SequenceFit:
+    """Least-squares line over the top half of the n-range.
 
     The slope is the entropy estimate; small-n records carry additive
-    transients, so the default window drops the lower half.
+    transients, so the window drops the lower half.
     """
     if len(values) < 4:
         raise ValueError("need at least four records for a slope fit")
-    if not 0 < window_fraction <= 1:
-        raise ValueError("window_fraction must be in (0, 1]")
     ns = np.asarray([n for n, _ in values], dtype=float)
     ys = np.asarray([v for _, v in values], dtype=float)
-    cutoff = ns[-1] - window_fraction * (ns[-1] - ns[0])
+    cutoff = ns[-1] - 0.5 * (ns[-1] - ns[0])
     mask = ns >= cutoff
     if mask.sum() < 2:
         raise ValueError("degenerate window: fewer than two records")

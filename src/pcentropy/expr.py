@@ -247,10 +247,6 @@ class _Tokens:
         if kind != "op" or val != op:
             raise ExprParseError(f"expected {op!r}, found {val!r}", self.line, col)
 
-    def error(self, msg: str):
-        _, _, col = self.peek()
-        raise ExprParseError(msg, self.line, col)
-
 
 def _parse_additive(t: _Tokens) -> Expr:
     node = _parse_multiplicative(t)

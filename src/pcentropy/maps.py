@@ -13,6 +13,7 @@ import bisect
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -56,7 +57,7 @@ class PcMap:
     domain: Interval
     branches: tuple[Branch, ...]
     at_delta: str = "left"  # value convention at discontinuities: left|right limit
-    tol: float = DEFAULT_MAP_TOL
+    tol: ClassVar[float] = DEFAULT_MAP_TOL
 
     @property
     def n_pieces(self) -> int:
@@ -326,7 +327,6 @@ def build_map(
     domain: tuple[float, float],
     pieces: list[tuple[float, float, Expr, bool | None]],
     at_delta: str = "left",
-    tol: float = DEFAULT_MAP_TOL,
     validation_grid: int = VALIDATION_GRID,
 ) -> PcMap:
     """Assemble and validate a map from (lo, hi, expr, increasing?) rows."""
@@ -357,17 +357,18 @@ def build_map(
     n = len(rows)
     for i, (a, b, expr, inc) in enumerate(rows):
         piece = Interval(a, b, lo_open=(i > 0), hi_open=(i < n - 1))
-        if inc is None:
-            inc = _infer_direction(expr, piece)
-        branches.append(Branch(piece, expr, inc))
-    pcmap = PcMap(dom, tuple(branches), at_delta, tol)
-    for br in branches:
-        _validate_branch(dom, br, validation_grid)
-    return pcmap
+        try:
+            branch = Branch(piece, expr, _infer_direction(expr, piece) if inc is None else inc)
+            _validate_branch(dom, branch, validation_grid)
+        except (RecursionError, SyntaxError):
+            # evaluation recurses, and compile_expr's source nests, as deep as the tree
+            raise MapValidationError(f"branch on {piece!r} nests too deeply to evaluate") from None
+        branches.append(branch)
+    return PcMap(dom, tuple(branches), at_delta)
 
 
-def identity_map(domain: tuple[float, float], tol: float = DEFAULT_MAP_TOL) -> PcMap:
-    return build_map(domain, [(domain[0], domain[1], Var(), True)], tol=tol)
+def identity_map(domain: tuple[float, float]) -> PcMap:
+    return build_map(domain, [(domain[0], domain[1], Var(), True)])
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +379,7 @@ _DOMAIN_RE = re.compile(r"^domain\s*=\s*\[(?P<lo>[^,]+),(?P<hi>[^\]]+)\]\s*$")
 _AT_DELTA_RE = re.compile(r"^at_delta\s*=\s*(?P<side>\w+)\s*$")
 
 
-def parse_map(source: str, tol: float = DEFAULT_MAP_TOL, validation_grid: int = VALIDATION_GRID) -> PcMap:
+def parse_map(source: str) -> PcMap:
     """Parse the map-definition format.
 
     Header ``domain = [lo, hi]``, optional ``at_delta = left|right``, then one
@@ -416,7 +417,11 @@ def parse_map(source: str, tol: float = DEFAULT_MAP_TOL, validation_grid: int = 
             if len(tail) == 2 and tail[1] in ("inc", "dec"):
                 body, inc = tail[0], tail[1] == "inc"
             col = raw.index(":") + 2 if ":" in raw else 1
-            expr = parse_expression(body, lineno, col)
+            try:
+                expr = parse_expression(body, lineno, col)
+            except RecursionError:
+                msg = f"branch on ({lo!r}, {hi!r}) nests too deeply to parse"
+                raise ExprParseError(msg, lineno, col) from None
             pieces.append((lo, hi, expr, inc))
             continue
         raise ExprParseError(f"unrecognized line: {line!r}", lineno, 1)
@@ -424,4 +429,4 @@ def parse_map(source: str, tol: float = DEFAULT_MAP_TOL, validation_grid: int = 
         raise ExprParseError("missing domain line", 1, 1)
     if not pieces:
         raise ExprParseError("no piece lines", 1, 1)
-    return build_map(domain, pieces, at_delta=at_delta, tol=tol, validation_grid=validation_grid)
+    return build_map(domain, pieces, at_delta=at_delta)

@@ -2,13 +2,14 @@
 
 The n-step discontinuity set is computed backwards, one preimage level at a
 time, never by forward composition: inverting a monotone branch is
-well-conditioned, and each level point carries its provenance (first orbit
-step that hits the base set, and which base point).  Whether a cut point is
-a removable junction of the n-th iterate depends only on its base point and
-the steps left after the hit, so ``DeltaTable.count_pieces`` tabulates that
-verdict once per n from the one-sided limit orbits of the base points and
-decides every cut point with one array lookup.  Piece counts then follow
-from component counting plus the removable-junction merge rule.
+well-conditioned, and each point carries its provenance: the first orbit
+step that hits the base set (for a level point, the level's index) and
+which base point.  Whether a cut point is a removable junction of the n-th
+iterate depends only on its base point and the steps left after the hit, so
+``DeltaTable.count_pieces`` tabulates that verdict once per n from the
+one-sided limit orbits of the base points and decides every cut point with
+one array lookup.  Piece counts then follow from component counting plus
+the removable-junction merge rule.
 
 Tables are cached per map in ``_TABLES`` and grow in place as deeper levels
 are asked for.  Neither the cache nor a ``DeltaTable`` takes a lock: use
@@ -36,20 +37,22 @@ class DeltaTable:
     def __init__(self, pcmap: PcMap):
         self.map = pcmap
         nd = len(pcmap.delta)
-        base = np.asarray(pcmap.delta.points)
-        lvl0 = (base, np.zeros(nd, dtype=np.int64), np.arange(nd))
-        self.levels = [lvl0]  # index k holds f^{-k}(Delta) as (xs, hit, root)
-        empty = (np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64))
-        self.cumulative = [empty]  # index n holds merged Delta^n
+        base, root = np.asarray(pcmap.delta.points), np.arange(nd)
+        # index k holds f^{-k}(Delta) as (xs, root); every point of it first
+        # hits the base set after k steps, so the hit step is the index itself
+        self.levels = [(base, root)]
+        empty = np.empty(0, np.int64)
+        # index n holds merged Delta^n as (xs, hit, root)
+        self.cumulative = [(np.empty(0), empty, empty)]
         if nd:
-            self.cumulative.append(lvl0)
+            self.cumulative.append((base, np.zeros(nd, dtype=np.int64), root))
         # one-sided limit orbits from each base point: [(value, direction product), ...]
         self._memo: dict[tuple[int, int], list[tuple[float, int]]] = {}
 
     # -- construction -------------------------------------------------------
 
     def _next_level(self):
-        ys, _, root = self.levels[-1]
+        ys, root = self.levels[-1]
         xs_all, root_all = [], []
         for b in self.map.branches:
             xs = branch_preimages(b, ys)
@@ -57,9 +60,8 @@ class DeltaTable:
             if ok.any():
                 xs_all.append(xs[ok])
                 root_all.append(root[ok])
-        hit_step = len(self.levels)
         if not xs_all:
-            self.levels.append(self.cumulative[0])
+            self.levels.append((np.empty(0), np.empty(0, np.int64)))
             return
         xs = np.concatenate(xs_all)
         order = np.argsort(xs, kind="stable")
@@ -68,14 +70,13 @@ class DeltaTable:
         # gather provenance for the kept points only: a level refused by the
         # cap can hold millions of points
         order = order[keep]
-        hit = np.full(len(order), hit_step, dtype=np.int64)
-        self.levels.append((xs[keep], hit, np.concatenate(root_all)[order]))
+        self.levels.append((xs[keep], np.concatenate(root_all)[order]))
 
     def _merge_cumulative(self, n: int):
         cx, ch, cr = self.cumulative[n - 1]
-        lx, lh, lr = self.levels[n - 1]
+        lx, lr = self.levels[n - 1]
         xs = np.concatenate([cx, lx])
-        hit = np.concatenate([ch, lh])
+        hit = np.concatenate([ch, np.full(len(lx), n - 1, dtype=np.int64)])
         order = np.lexsort((hit, xs))
         xs, hit = xs[order], hit[order]
         root = np.concatenate([cr, lr])[order]
@@ -221,7 +222,6 @@ def ms_entropy(
     n_max: int,
     estimator: str = "slope-fit",
     cap: int | None = None,
-    merge_removable: bool = True,
 ) -> EntropySeries:
     """Piece-count growth series and its entropy estimate."""
     if n_max < 2:
@@ -235,7 +235,7 @@ def ms_entropy(
         except ResourceCapExceeded:
             truncated = True
             break
-        records.append(SeriesRecord(n, table.count_pieces(n, merge_removable)))
+        records.append(SeriesRecord(n, table.count_pieces(n)))
     if not records:
         raise ResourceCapExceeded("no level fits under the resource cap", completed=0)
     counts = {r.n: int(r.value) for r in records}

@@ -74,13 +74,13 @@ class PlHomeo:
         return PiecewiseAffine(arg if arg is not None else Var(), self.xs, self.ys)
 
 
-def iterate_map(pcmap: PcMap, k: int, validation_grid: int = 65, cap: int | None = None) -> PcMap:
+def iterate_map(pcmap: PcMap, k: int, cap: int | None = None) -> PcMap:
     """The k-th iterate as a map in its own right: pieces are the components of
     the domain minus the k-step cut set, branches the k-fold compositions."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
-        return identity_map((pcmap.domain.lo, pcmap.domain.hi), tol=pcmap.tol)
+        return identity_map((pcmap.domain.lo, pcmap.domain.hi))
     if k == 1:
         return pcmap
     cuts = delta_n(pcmap, k, cap)
@@ -100,13 +100,7 @@ def iterate_map(pcmap: PcMap, k: int, validation_grid: int = 65, cap: int | None
             expr = Compose(pcmap.branches[bi].expr, expr)
             inc = inc == pcmap.branches[bi].increasing
         rows.append((comp.lo, comp.hi, expr, inc))
-    return build_map(
-        (pcmap.domain.lo, pcmap.domain.hi),
-        rows,
-        at_delta=pcmap.at_delta,
-        tol=pcmap.tol,
-        validation_grid=validation_grid,
-    )
+    return build_map((pcmap.domain.lo, pcmap.domain.hi), rows, at_delta=pcmap.at_delta, validation_grid=65)
 
 
 def _interior_probe(pcmap: PcMap, comp: Interval, k: int) -> float:
@@ -117,7 +111,7 @@ def _interior_probe(pcmap: PcMap, comp: Interval, k: int) -> float:
     raise MapValidationError(f"cannot probe component {comp!r} away from the cut set")
 
 
-def conjugate_map(pcmap: PcMap, phi: PlHomeo, validation_grid: int = 129) -> PcMap:
+def conjugate_map(pcmap: PcMap, phi: PlHomeo) -> PcMap:
     """Change of coordinates g = phi o f o phi^-1 with the cut set mapped along."""
     dlo, dhi = phi.domain
     if abs(dlo - pcmap.domain.lo) > 1e-9 or abs(dhi - pcmap.domain.hi) > 1e-9:
@@ -136,26 +130,18 @@ def conjugate_map(pcmap: PcMap, phi: PlHomeo, validation_grid: int = 129) -> PcM
     at_delta = pcmap.at_delta
     if not phi.increasing:
         at_delta = "right" if at_delta == "left" else "left"
-    return build_map(
-        phi.codomain,
-        rows,
-        at_delta=at_delta,
-        tol=pcmap.tol,
-        validation_grid=validation_grid,
-    )
+    return build_map(phi.codomain, rows, at_delta=at_delta, validation_grid=129)
 
 
 @dataclass(frozen=True)
 class InvarianceReport:
     region: RegionSet
-    grid: int
     checked_points: int
-    boundary_limits_ok: bool
 
     def __str__(self):
         return (
             f"invariance verified on {self.checked_points} grid points of {self.region!r}; "
-            f"one-sided limits at interior cut points stay inside: {self.boundary_limits_ok}"
+            "one-sided limits at interior cut points stay inside"
         )
 
 
@@ -167,7 +153,7 @@ class RestrictedMap:
     region: RegionSet
     report: InvarianceReport
 
-    def as_pcmap(self, validation_grid: int = 257) -> PcMap:
+    def as_pcmap(self) -> PcMap:
         """The restriction as a map on its own interval (single-part regions)."""
         if len(self.region.parts) != 1:
             raise MapValidationError("only single-interval regions restrict to a pc-map")
@@ -182,16 +168,10 @@ class RestrictedMap:
             mid = 0.5 * (comp.lo + comp.hi)
             b = self.pcmap.branches[self.pcmap.piece_index(mid)]
             rows.append((comp.lo, comp.hi, b.expr, b.increasing))
-        return build_map(
-            (part.lo, part.hi),
-            rows,
-            at_delta=self.pcmap.at_delta,
-            tol=self.pcmap.tol,
-            validation_grid=validation_grid,
-        )
+        return build_map((part.lo, part.hi), rows, at_delta=self.pcmap.at_delta, validation_grid=257)
 
 
-def restrict_map(pcmap: PcMap, region: RegionSet, grid: int = 10_000, tol: float = 1e-9) -> RestrictedMap:
+def restrict_map(pcmap: PcMap, region: RegionSet) -> RestrictedMap:
     """Verify the region is (pseudo-)invariant and return the restriction handle.
 
     Grid-based: failures are certain (a witness point is reported), passes are
@@ -200,13 +180,14 @@ def restrict_map(pcmap: PcMap, region: RegionSet, grid: int = 10_000, tol: float
     """
     if region.is_empty():
         raise InvarianceError("region is empty")
+    tol = 1e-9
     dom = pcmap.domain
     for p in region.parts:
         if p.lo < dom.lo - tol or p.hi > dom.hi + tol:
             raise InvarianceError(f"region part {p!r} is not inside the domain {dom!r}")
     checked = 0
     for part in region.parts:
-        xs = np.linspace(part.lo, part.hi, max(2, grid))
+        xs = np.linspace(part.lo, part.hi, 10_000)
         xs = xs[~pcmap.delta.contains_many(xs)]
         vals = evaluate_many(pcmap, xs)
         ok = region.contains_many(vals, tol=tol)
@@ -217,7 +198,6 @@ def restrict_map(pcmap: PcMap, region: RegionSet, grid: int = 10_000, tol: float
                 witness=float(xs[i]),
             )
         checked += len(xs)
-    limits_ok = True
     for d in pcmap.delta:
         if not region.contains(d, tol=tol):
             continue
@@ -228,5 +208,4 @@ def restrict_map(pcmap: PcMap, region: RegionSet, grid: int = 10_000, tol: float
                 f"both one-sided limits at {d:.17g} ({vl:.17g}, {vr:.17g}) leave the region",
                 witness=float(d),
             )
-    report = InvarianceReport(region, grid, checked, limits_ok)
-    return RestrictedMap(pcmap, region, report)
+    return RestrictedMap(pcmap, region, InvarianceReport(region, checked))

@@ -206,7 +206,7 @@ def test_criterion_11b_aleph_bounds_on_random_covers():
         a_c = minimal_subcover_cardinality(c, X)
         a_d = minimal_subcover_cardinality(d, X)
         assert a_c <= a_d  # (a) refinement monotonicity
-        sup = Cover(c.elements + d.elements, "sup")
+        sup = Cover(c.elements + d.elements)
         assert minimal_subcover_cardinality(sup, X) <= a_c  # (b) sub-collection
         e = _random_cover(rng)
         a_e = minimal_subcover_cardinality(e, X)
@@ -226,7 +226,7 @@ def _random_cover(rng) -> Cover:
     elements = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         elements.append(OpenSet.of((lo - rng.uniform(0.01, 0.2), hi + rng.uniform(0.01, 0.2))))
-    return domainify_cover(Cover(tuple(elements), "rand"), Interval.closed(0.0, 1.0))
+    return domainify_cover(Cover(tuple(elements)), Interval.closed(0.0, 1.0))
 
 
 def _finer_cover(rng, cover: Cover) -> Cover:
@@ -237,7 +237,7 @@ def _finer_cover(rng, cover: Cover) -> Cover:
         pad = 0.05 * p.diameter
         out.append(OpenSet((Interval(p.lo, mid + pad, p.lo_open, True),)))
         out.append(OpenSet((Interval(mid - pad, p.hi, True, p.hi_open),)))
-    return Cover(tuple(out), "finer")
+    return Cover(tuple(out))
 
 
 def test_criterion_11c_refinement_subadditivity_on_tent():
@@ -248,7 +248,7 @@ def test_criterion_11c_refinement_subadditivity_on_tent():
     for n in range(1, 7):
         for k in range(1, 7):
             assert math.log(counts[n + k]) <= math.log(counts[n]) + math.log(counts[k]) + 1e-9
-    halves = Cover((OpenSet.of((0.0, 0.55)), OpenSet.of((0.45, 1.0))), "halves")
+    halves = Cover((OpenSet.of((0.0, 0.55)), OpenSet.of((0.45, 1.0))))
     halves = domainify_cover(halves, tent.domain)
     hcounts = {}
     for n, refined in enumerate(refinement_steps(tent, halves, 6), start=1):

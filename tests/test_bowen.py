@@ -251,7 +251,7 @@ def sample_region_scalar(pcmap, region, grid, horizon):
     if not kept_parts:
         raise EmptySampleError("empty sample")
     points = PointSet(tuple(np.concatenate(kept_parts)), tol=0.0)
-    return SampleSet(points=points, horizon=horizon, region=region, density=density)
+    return SampleSet(points=points, horizon=horizon, density=density)
 
 
 NUDGE_CASES = [

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from pcentropy.cli import main
+from pcentropy.maps import evaluate, parse_map
 
 TENT_SRC = "domain = [0, 1]\npiece (0, 0.5): 2*x inc\npiece (0.5, 1): 2 - 2*x dec\n"
 
@@ -159,6 +160,32 @@ class TestEntropyCommand:
         assert code == 1 and out == ""
         assert "bad cover literal" in err
 
+    @pytest.mark.parametrize("method, estimator, expected", [
+        ("cover", None, "fekete-min"),
+        ("cover", "last-ratio", "last-ratio"),
+        ("cover", "slope-fit", "slope-fit"),
+        ("ms", None, "slope-fit"),
+        ("ms", "last-ratio", "last-ratio"),
+    ])
+    def test_estimator_reaches_both_count_routes(self, capsys, method, estimator, expected):
+        argv = ["entropy", "--catalog", "tent", "--method", method, "--n-max", "6"]
+        if estimator is not None:
+            argv += ["--estimator", estimator]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        est = out.strip().split("\n")[-1].split(",")
+        assert est[4] == expected
+        if expected == "last-ratio":
+            last = out.strip().split("\n")[-2].split(",")
+            assert float(est[3]) == math.log(float(last[3])) / 6
+
+    @pytest.mark.parametrize("phi", ["[(0,0),(0.5", "[(0,0),(1,1)", "5", "[(0,0),(0.5,0.6,7),(1,1)]"])
+    @pytest.mark.parametrize("command", ["entropy", "verify"])
+    def test_malformed_phi_rejected(self, capsys, command, phi):
+        code, out, err = run(capsys, command, "--catalog", "tent", "--n-max", "3", "--phi", phi)
+        assert code == 1 and out == ""
+        assert err == f"error: bad phi literal {phi!r}; expected [(x0, y0), (x1, y1), ...]\n"
+
     def test_cap_truncates_cover_route(self, capsys, monkeypatch):
         monkeypatch.setenv("PCENTROPY_CAP", "50")
         code, out, _ = run(capsys, "entropy", "--catalog", "mod3", "--method", "cover", "--n-max", "6")
@@ -293,6 +320,33 @@ class TestValidateCommand:
         code, _, err = run(capsys, "validate", str(f))
         assert code == 1
         assert "escapes" in err
+
+    @pytest.mark.parametrize("body", [
+        "(" + " + ".join(["x"] + ["0.001"] * 299) + ")/1.5",
+        "x/2 + 1 + " + "-" * 1200 + "1",
+        "(" * 1200 + "x" + ")" * 1200,
+        " + ".join(["x"] + ["0"] * 1499),
+        " + ".join(["x"] + ["0"] * 1499) + " inc",
+    ])
+    def test_deep_expression_rejected(self, capsys, tmp_path, body):
+        f = tmp_path / "deep.pcm"
+        f.write_text(f"domain = [0, 1]\npiece (0, 1): {body}\n")
+        code, out, err = run(capsys, "validate", str(f))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nests too deeply" in err and ("[0, 1]" in err or "(0.0, 1.0)" in err)
+
+    def test_long_sum_still_validates(self, capsys, tmp_path):
+        f = tmp_path / "sum190.pcm"
+        f.write_text("domain = [0, 1]\npiece (0, 1): (" + " + ".join(["x"] + ["0.001"] * 189) + ")/1.5 inc\n")
+        code, out, _ = run(capsys, "validate", str(f))
+        assert code == 0 and out.startswith("ok: 1 piece(s)")
+        pcmap = parse_map(f.read_text())
+        for x in (0.0, 0.3, 1.0):
+            ref = x
+            for _ in range(189):
+                ref += 0.001
+            assert evaluate(pcmap, x) == ref / 1.5
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/x.pcm")

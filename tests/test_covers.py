@@ -57,14 +57,14 @@ class TestNaturalCover:
 
 class TestVee:
     def test_two_covers(self):
-        c = Cover((OpenSet.of((0.0, 0.6)), OpenSet.of((0.4, 1.0))), "a")
-        d = Cover((OpenSet.of((0.0, 0.5)), OpenSet.of((0.5, 1.0))), "b")
+        c = Cover((OpenSet.of((0.0, 0.6)), OpenSet.of((0.4, 1.0))))
+        d = Cover((OpenSet.of((0.0, 0.5)), OpenSet.of((0.5, 1.0))))
         w = vee([c, d])
         assert spans(w) == [(0.0, 0.5), (0.4, 0.5), (0.5, 0.6), (0.5, 1.0)]
 
     def test_identity_element(self, tent):
         c = natural_cover(tent)
-        whole = Cover((OpenSet((tent.domain,)),), "X")
+        whole = Cover((OpenSet((tent.domain,)),))
         assert set(vee([c, whole]).elements) == set(c.elements)
 
     def test_self_product_cardinality(self, tent):
@@ -76,14 +76,14 @@ class TestVee:
         )
 
     def test_empty_intersections_dropped(self):
-        c = Cover((OpenSet.of((0.0, 0.3)),), "a")
-        d = Cover((OpenSet.of((0.5, 1.0)),), "b")
+        c = Cover((OpenSet.of((0.0, 0.3)),))
+        d = Cover((OpenSet.of((0.5, 1.0)),))
         assert len(vee([c, d])) == 0
 
 
 class TestPullback:
     def test_tent_interval(self, tent):
-        pb = pullback_cover(tent, Cover((OpenSet.of((0.4, 0.6)),), "c"), 1)
+        pb = pullback_cover(tent, Cover((OpenSet.of((0.4, 0.6)),)), 1)
         assert spans(pb) == [(0.2, 0.3), (0.7, 0.8)]
 
     def test_j_zero_identity(self, tent):
@@ -92,7 +92,7 @@ class TestPullback:
 
     def test_identity_map_fixed(self):
         ident = catalog_get("identity").map
-        c = Cover((OpenSet.of((0.1, 0.4)), OpenSet.of((0.3, 0.9))), "c")
+        c = Cover((OpenSet.of((0.1, 0.4)), OpenSet.of((0.3, 0.9))))
         for j in (1, 2, 5):
             assert set(pullback_cover(ident, c, j).elements) == set(c.elements)
 
@@ -181,11 +181,11 @@ class TestRefine:
 
     def test_identity_fixed(self):
         ident = catalog_get("identity").map
-        single = Cover((OpenSet((ident.domain,)),), "X")
+        single = Cover((OpenSet((ident.domain,)),))
         assert set(refine_n(ident, single, 4).elements) == set(single.elements)
         # with several elements the product picks up self-intersections, but
         # the original elements survive and the minimal cardinality is unchanged
-        c = Cover((OpenSet.of((0.0, 0.6)), OpenSet.of((0.5, 1.0))), "c")
+        c = Cover((OpenSet.of((0.0, 0.6)), OpenSet.of((0.5, 1.0))))
         c = domainify_cover(c, ident.domain)
         refined = refine_n(ident, c, 4)
         assert set(c.elements) <= set(refined.elements)
@@ -200,11 +200,11 @@ class TestRefine:
 
 class TestMinimalSubcover:
     def test_two_overlapping(self):
-        cov = Cover((OpenSet.of((-0.1, 0.6)), OpenSet.of((0.4, 1.1))), "c")
+        cov = Cover((OpenSet.of((-0.1, 0.6)), OpenSet.of((0.4, 1.1))))
         assert minimal_subcover_cardinality(cov, X) == 2
 
     def test_whole_domain_single(self):
-        cov = Cover((OpenSet((Interval.closed(0.0, 1.0),)),), "X")
+        cov = Cover((OpenSet((Interval.closed(0.0, 1.0),)),))
         assert minimal_subcover_cardinality(cov, X) == 1
 
     def test_refined_natural_cover(self, tent):
@@ -213,7 +213,7 @@ class TestMinimalSubcover:
 
     def test_redundant_elements_skipped(self):
         cov = Cover(
-            (OpenSet.of((-0.1, 0.4)), OpenSet.of((0.2, 0.5)), OpenSet.of((0.3, 1.1))), "c"
+            (OpenSet.of((-0.1, 0.4)), OpenSet.of((0.2, 0.5)), OpenSet.of((0.3, 1.1))),
         )
         res = minimal_subcover(cov, X)
         assert res.count == 2 and res.exact
@@ -221,7 +221,7 @@ class TestMinimalSubcover:
 
     def test_not_a_cover(self):
         cov = domainify_cover(
-            Cover((OpenSet.of((0.0, 0.4)), OpenSet.of((0.6, 1.0))), "c"),
+            Cover((OpenSet.of((0.0, 0.4)), OpenSet.of((0.6, 1.0)))),
             Interval.closed(0.0, 1.0),
         )
         with pytest.raises(NotACoverError) as exc:
@@ -229,7 +229,7 @@ class TestMinimalSubcover:
         assert 0.4 <= exc.value.witness <= 0.6
 
     def test_excluded_points_do_not_need_cover(self):
-        cov = Cover((OpenSet.of((0.0, 0.5)), OpenSet.of((0.5, 1.0))), "c")
+        cov = Cover((OpenSet.of((0.0, 0.5)), OpenSet.of((0.5, 1.0))))
         cov = domainify_cover(cov, Interval.closed(0.0, 1.0))
         with pytest.raises(NotACoverError):
             minimal_subcover_cardinality(cov, X)
@@ -243,7 +243,6 @@ class TestMinimalSubcover:
                 OpenSet.of((0.25, 0.6)),
                 OpenSet.of((0.55, 0.75)),
             ),
-            "c",
         )
         cov = domainify_cover(cov, Interval.closed(0.0, 1.0))
         res = minimal_subcover(cov, X)
@@ -255,7 +254,6 @@ class TestMinimalSubcover:
                 OpenSet.of((0.0, 0.6), (0.5, 1.0)),  # merges to the whole interval
                 OpenSet.of((0.2, 0.9)),
             ),
-            "c",
         )
         cov = domainify_cover(cov, Interval.closed(0.0, 1.0))
         assert minimal_subcover_cardinality(cov, X) == 1
@@ -270,7 +268,6 @@ class TestMinimalSubcover:
                 OpenSet((Interval.closed(0.25, 0.75),)),
                 OpenSet((Interval.open(0.375, 1.0),)),
             ),
-            "c",
         )
         assert minimal_subcover(cov, X) == SubcoverResult(2, (0, 3), True)
         with mock.patch.object(covers, "DEFAULT_NODE_CAP", 1):
@@ -278,7 +275,7 @@ class TestMinimalSubcover:
 
     def test_multi_part_region(self):
         region = RegionSet.of((0.0, 0.2), (0.8, 1.0))
-        cov = Cover((OpenSet.of((-0.1, 0.25)), OpenSet.of((0.75, 1.1))), "c")
+        cov = Cover((OpenSet.of((-0.1, 0.25)), OpenSet.of((0.75, 1.1))))
         assert minimal_subcover_cardinality(cov, region) == 2
 
 
@@ -310,7 +307,7 @@ def subcover_cases(draw):
         offset = draw(st.sampled_from([-4e-13, 4e-13, 1 / 16]))
         excluded.append(g + offset)
         removed.add(g if abs(offset) < 1e-12 else g + offset)
-    return Cover(elements, "rand"), target, PointSet.of(excluded), removed
+    return Cover(elements), target, PointSet.of(excluded), removed
 
 
 def _needed_points(target, removed):
@@ -361,13 +358,13 @@ class TestCoverEntropy:
 
     def test_identity_whole_cover(self):
         ident = catalog_get("identity").map
-        series = cover_entropy(ident, Cover((OpenSet((ident.domain,)),), "X"), 6)
+        series = cover_entropy(ident, Cover((OpenSet((ident.domain,)),)), 6)
         assert series.estimate == 0.0
 
     def test_tent_overlapping_halves(self, tent):
         # frozen from a direct refinement run; growth stays below the natural
         # cover's rate, consistent with refinement monotonicity
-        series = cover_entropy(tent, Cover((OpenSet.of((0.0, 0.55)), OpenSet.of((0.45, 1.0))), "h"), 8)
+        series = cover_entropy(tent, Cover((OpenSet.of((0.0, 0.55)), OpenSet.of((0.45, 1.0)))), 8)
         assert [r.value for r in series.records] == [2, 4, 8, 16, 31, 59, 112, 212]
         assert all(r.flag is None for r in series.records)  # exact, no cap hit
         assert series.estimate <= math.log(2) + 1e-9
@@ -376,12 +373,12 @@ class TestCoverEntropy:
     def test_tent_overlapping_halves_deep_search(self, tent):
         # the branch and bound goes 1421 picks deep at n = 11, past Python's
         # default recursion limit
-        series = cover_entropy(tent, Cover((OpenSet.of((0.0, 0.55)), OpenSet.of((0.45, 1.0))), "h"), 11)
+        series = cover_entropy(tent, Cover((OpenSet.of((0.0, 0.55)), OpenSet.of((0.45, 1.0)))), 11)
         assert [r.value for r in series.records] == [2, 4, 8, 16, 31, 59, 112, 212, 400, 754, 1421]
         assert all(r.flag is None for r in series.records)
 
     def test_cap_flags_the_last_record(self, tent):
-        cover = Cover((OpenSet.of((0.0, 0.3), (0.5, 0.8)), OpenSet.of((0.2, 0.6), (0.7, 1.0))), "u")
+        cover = Cover((OpenSet.of((0.0, 0.3), (0.5, 0.8)), OpenSet.of((0.2, 0.6), (0.7, 1.0))))
         # Delta^6 of tent has 63 points, past the cap
         series = cover_entropy(tent, cover, 8, cap=50)
         assert series.truncated
@@ -392,7 +389,7 @@ class TestCoverEntropy:
         assert [r.flag for r in series.records[-2:]] == ["inexact", "inexact+truncated"]
 
     def test_cover_not_covering_raises(self, tent):
-        bad = Cover((OpenSet.of((0.0, 0.4)),), "bad")
+        bad = Cover((OpenSet.of((0.0, 0.4)),))
         with pytest.raises(NotACoverError):
             cover_entropy(tent, bad, 4)
 
@@ -421,7 +418,7 @@ class TestAlephProperties:
             pad_lo = rng.uniform(0.01, 0.2)
             pad_hi = rng.uniform(0.01, 0.2)
             elements.append(OpenSet.of((lo - pad_lo, hi + pad_hi)))
-        return domainify_cover(Cover(tuple(elements), "rand"), Interval.closed(0.0, 1.0))
+        return domainify_cover(Cover(tuple(elements)), Interval.closed(0.0, 1.0))
 
     def _refine_elements(self, rng, cover):
         out = []
@@ -431,7 +428,7 @@ class TestAlephProperties:
             pad = 0.05 * p.diameter
             out.append(OpenSet((Interval(p.lo, mid + pad, p.lo_open, True),)))
             out.append(OpenSet((Interval(mid - pad, p.hi, True, p.hi_open),)))
-        return Cover(tuple(out), "finer")
+        return Cover(tuple(out))
 
     def test_monotone_product_subcollection(self):
         rng = np.random.RandomState(3)
@@ -441,7 +438,7 @@ class TestAlephProperties:
             a_c = minimal_subcover_cardinality(c, X)
             a_d = minimal_subcover_cardinality(d, X)
             assert a_c <= a_d  # finer cover needs at least as many elements
-            bigger = Cover(c.elements + (OpenSet.of((0.3, 0.7)),), "sup")
+            bigger = Cover(c.elements + (OpenSet.of((0.3, 0.7)),))
             assert minimal_subcover_cardinality(bigger, X) <= a_c  # sub-collection bound
             e = self._random_cover(rng, rng.randint(2, 5))
             a_ve = minimal_subcover_cardinality(vee([c, e]), X)
@@ -471,9 +468,9 @@ class TestAlephProperties:
 class TestLebesgue:
     def test_every_ball_fits(self, tent):
         cov = domainify_cover(
-            Cover((OpenSet.of((0.0, 0.55)), OpenSet.of((0.45, 1.0))), "h"), tent.domain
+            Cover((OpenSet.of((0.0, 0.55)), OpenSet.of((0.45, 1.0)))), tent.domain
         )
-        delta = lebesgue_number(cov, X, grid=1000)
+        delta = lebesgue_number(cov, X)
         assert delta > 0
         for x in np.linspace(0.0, 1.0, 1000):
             ball_lo, ball_hi = max(0.0, x - delta), min(1.0, x + delta)
@@ -483,6 +480,6 @@ class TestLebesgue:
             )
 
     def test_uncovered_point_raises(self):
-        cov = Cover((OpenSet.of((0.0, 0.4)),), "partial")
+        cov = Cover((OpenSet.of((0.0, 0.4)),))
         with pytest.raises(NotACoverError):
-            lebesgue_number(cov, X, grid=100)
+            lebesgue_number(cov, X)

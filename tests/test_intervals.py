@@ -277,3 +277,44 @@ def test_index_near_left_wins():
     assert PointSet.of([0.0, 0.15], tol=0.1).index_near(0.15 + 0.1) == 1
     assert PointSet.of([0.0, 0.15], tol=0.1).index_near(0.4) is None
     assert PointSet.empty().index_near(0.0) is None
+
+
+# ends on a quarter grid, so parts touch, overlap and share ends often
+@st.composite
+def quarter_intervals(draw):
+    lo = draw(st.integers(0, 8)) / 4
+    hi = lo + draw(st.integers(0, 4)) / 4
+    if lo == hi:
+        return Interval.point(lo)
+    return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+def end_probes(parts, tol: float, extra) -> np.ndarray:
+    """Part ends, the ends moved by tol and by one ulp either way, and midpoints."""
+    ends = np.array([x for p in parts for x in (p.lo, p.hi)], dtype=float)
+    moved = np.concatenate([ends - tol, ends + tol])
+    around = np.concatenate([ends, moved])
+    mids = [0.5 * (p.lo + p.hi) for p in parts]
+    return np.concatenate([
+        around, np.nextafter(around, -np.inf), np.nextafter(around, np.inf), mids, extra
+    ])
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(quarter_intervals(), max_size=6), extra=st.lists(st.floats(-0.5, 3.5), max_size=10))
+def test_openset_contains_many_matches_contains(parts, extra):
+    oset = OpenSet(tuple(parts))
+    xs = end_probes(parts, 0.0, extra)
+    assert oset.contains_many(xs).tolist() == [oset.contains(float(x)) for x in xs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    parts=st.lists(quarter_intervals(), max_size=6),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9, 0.125]),
+    extra=st.lists(st.floats(-0.5, 3.5), max_size=10),
+)
+def test_regionset_contains_many_matches_contains(parts, tol, extra):
+    region = RegionSet(tuple(parts))
+    xs = end_probes(parts, tol, extra)
+    assert region.contains_many(xs, tol).tolist() == [region.contains(float(x), tol) for x in xs]

@@ -18,6 +18,7 @@ from pcentropy.maps import (
     branch_preimages,
     build_map,
     limit_orbit,
+    limit_step,
     parse_map,
 )
 from pcentropy.symbolic import (
@@ -275,6 +276,30 @@ def test_verdict_table_matches_scalar_loop(label):
             break
         for merge in (True, False):
             assert table.count_pieces(n, merge) == count_pieces_scalar(table, n, merge), (n, merge)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_provenance_matches_limit_orbits(name):
+    """Each point x of Delta^n with hit h and root r reaches base point r
+    after h one-sided limit steps from one of its sides, and meets no cut
+    point on the way."""
+    pcmap = catalog_get(name).map
+    table = delta_table(pcmap)
+    for n in range(1, 6):
+        try:
+            table.ensure(n, cap=100_000)
+        except ResourceCapExceeded:
+            break
+        for x, h, r in zip(*(a.tolist() for a in table.cumulative[n])):
+            target = pcmap.delta.points[r]
+            reached = False
+            for side in (LEFT, RIGHT):
+                v, s, clear = x, side, True
+                for _ in range(h):
+                    clear &= pcmap.delta.index_near(v) is None
+                    v, s, _ = limit_step(pcmap, v, s)
+                reached |= clear and abs(v - target) <= 1e-9
+            assert reached, (n, x, h, r)
 
 
 SMOOTH_BRANCHES = [
