@@ -281,6 +281,8 @@ def bowen_entropy(
         raise ValueError("eps_schedule must be strictly decreasing")
     if not n_range:
         raise ValueError("n_range must not be empty")
+    if len(n_range) < 2:
+        raise ValueError("n_range needs at least two values to fit a slope")
     if sorted(n_range) != list(n_range) or len(set(n_range)) != len(n_range):
         raise ValueError("n_range must be increasing")
     sample = sample_region(pcmap, region, grid, horizon=max(n_range))

@@ -224,8 +224,11 @@ def cmd_verify(args) -> int:
     pcmap = _load_map(args)
     cap = _cap_from_env()
     k = _power_k(args)
-    rows: list[tuple[str, bool, str]] = []
     n_max = args.n_max
+    if n_max < 1:
+        raise ValueError("--n-max must be >= 1")
+    conj = conjugate_map(pcmap, _parse_phi(args.phi)) if args.phi else None
+    rows: list[tuple[str, bool, str]] = []
 
     deltas = [delta_n(pcmap, n, cap) for n in range(n_max + 1)]
     nested = all(deltas[n + 1].contains_many(deltas[n].array).all() for n in range(n_max))
@@ -257,9 +260,7 @@ def cmd_verify(args) -> int:
         )
         rows.append((f"c_n(f^{k}) = c_(n*{k})(f)", ok, f"n*k <= {n_max}"))
 
-    if args.phi:
-        phi = _parse_phi(args.phi)
-        conj = conjugate_map(pcmap, phi)
+    if conj is not None:
         ok = all(
             len(delta_n(conj, n, cap)) == len(deltas[n])
             and count_pieces(conj, n, cap=cap) == counts[n]
@@ -372,7 +373,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (PcEntropyError, OSError, KeyError, ValueError) as exc:
-        msg = exc.args[0] if exc.args else exc
+        # an OSError's first argument is its errno, and str() of a KeyError adds quotes
+        msg = exc.args[0] if exc.args and not isinstance(exc, OSError) else exc
         print(f"error: {msg}", file=sys.stderr)
         return _EXIT_FAIL
 

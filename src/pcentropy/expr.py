@@ -6,10 +6,15 @@ kinds exist only internally (never produced by the parser): a piecewise
 affine interpolant, used to conjugate maps by piecewise-linear
 homeomorphisms, and function composition, used to build iterates without
 blowing up the tree.
+
+``compile_expr`` is the only evaluator, for floats and ndarrays alike.  Its
+generated source nests as deep as the tree, so a tree nested more than about
+200 levels deep fails to compile with ``SyntaxError`` or ``RecursionError``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -20,9 +25,6 @@ from .errors import ExprParseError
 
 class Expr:
     __slots__ = ()
-
-    def __call__(self, x):
-        return eval_expr(self, x)
 
 
 @dataclass(frozen=True)
@@ -76,39 +78,6 @@ class Compose(Expr):
     inner: Expr
 
 
-def eval_expr(e: Expr, x):
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, x)
-    if isinstance(e, BinOp):
-        a = eval_expr(e.left, x)
-        b = eval_expr(e.right, x)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        return a / b
-    if isinstance(e, Pow):
-        return eval_expr(e.base, x) ** e.exponent
-    if isinstance(e, Call):
-        vals = [eval_expr(a, x) for a in e.args]
-        if e.fn == "abs":
-            return abs(vals[0])
-        if e.fn == "min":
-            return min(vals)
-        return max(vals)
-    if isinstance(e, PiecewiseAffine):
-        return float(np.interp(eval_expr(e.arg, x), e.xs, e.ys))
-    if isinstance(e, Compose):
-        return eval_expr(e.outer, eval_expr(e.inner, x))
-    raise TypeError(f"unknown node {e!r}")
-
-
 def as_affine(e: Expr) -> tuple[float, float] | None:
     """Return (a, b) with e(x) = a*x + b when the tree is affine, else None."""
     if isinstance(e, Num):
@@ -152,9 +121,6 @@ def as_affine(e: Expr) -> tuple[float, float] | None:
     return None
 
 
-_COMPILE_SRC_CAP = 500_000
-
-
 def _to_py(e: Expr, var_src: str, env: dict) -> str:
     if isinstance(e, Num):
         return repr(e.value)
@@ -196,13 +162,7 @@ def compile_expr(e: Expr):
         "_max": np.maximum,
         "_interp": np.interp,
     }
-    try:
-        src = _to_py(e, "x", env)
-    except TypeError:
-        return lambda x: eval_expr(e, x)
-    if len(src) > _COMPILE_SRC_CAP:
-        return lambda x: eval_expr(e, x)
-    return eval(f"lambda x: {src}", env)  # source generated from our own AST
+    return eval(f"lambda x: {_to_py(e, 'x', env)}", env)  # source generated from our own AST
 
 
 _TOKEN_RE = re.compile(
@@ -299,7 +259,10 @@ def _parse_power(t: _Tokens) -> Expr:
 def _parse_primary(t: _Tokens) -> Expr:
     kind, val, col = t.next()
     if kind == "num":
-        return Num(float(val))
+        value = float(val)
+        if not math.isfinite(value):
+            raise ExprParseError(f"number {val!r} is out of range", t.line, col)
+        return Num(value)
     if kind == "name":
         if val == "x":
             return Var()

@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError, ExprParseError, MapValidationError, MonotonicityError
-from .expr import Expr, Var, as_affine, compile_expr, eval_expr, parse_constant, parse_expression
+from .expr import Expr, Var, as_affine, compile_expr, parse_constant, parse_expression
 from .intervals import Interval, PointSet
 
 DEFAULT_MAP_TOL = 1e-10
@@ -43,8 +43,7 @@ class Branch:
     @cached_property
     def image(self) -> tuple[float, float]:
         """One-sided limit values at the piece ends, sorted (closure of image)."""
-        lo_val = eval_expr(self.expr, self.piece.lo)
-        hi_val = eval_expr(self.expr, self.piece.hi)
+        lo_val, hi_val = float(self.fn(self.piece.lo)), float(self.fn(self.piece.hi))
         return (min(lo_val, hi_val), max(lo_val, hi_val))
 
     @property
@@ -87,7 +86,7 @@ def evaluate(pcmap: PcMap, x: float) -> float:
     j = pcmap.delta.index_near(x)
     if j is not None:
         b = pcmap.branches[j if pcmap.at_delta == "left" else j + 1]
-        v = eval_expr(b.expr, pcmap.delta.points[j])
+        v = float(b.fn(pcmap.delta.points[j]))
     else:
         v = float(pcmap.branches[pcmap.piece_index(x)].fn(x))
     return _check_in_domain(pcmap, v)
@@ -143,7 +142,7 @@ def limit_step(pcmap: PcMap, v: float, side: int) -> tuple[float, int, int]:
     else:
         bi = pcmap.piece_index(v)
     b = pcmap.branches[bi]
-    value = _check_in_domain(pcmap, eval_expr(b.expr, v))
+    value = _check_in_domain(pcmap, float(b.fn(v)))
     new_side = side if b.increasing else 1 - side
     return value, new_side, bi
 
@@ -288,8 +287,8 @@ def branch_preimages(branch: Branch, ys: np.ndarray) -> np.ndarray:
 
 
 def _infer_direction(expr: Expr, piece: Interval) -> bool:
-    lo_val = eval_expr(expr, piece.lo)
-    hi_val = eval_expr(expr, piece.hi)
+    fn = compile_expr(expr)
+    lo_val, hi_val = float(fn(piece.lo)), float(fn(piece.hi))
     if lo_val == hi_val:
         raise MapValidationError(f"branch on {piece!r} is not strictly monotone")
     return hi_val > lo_val
@@ -361,7 +360,7 @@ def build_map(
             branch = Branch(piece, expr, _infer_direction(expr, piece) if inc is None else inc)
             _validate_branch(dom, branch, validation_grid)
         except (RecursionError, SyntaxError):
-            # evaluation recurses, and compile_expr's source nests, as deep as the tree
+            # compile_expr's source nests as deep as the tree
             raise MapValidationError(f"branch on {piece!r} nests too deeply to evaluate") from None
         branches.append(branch)
     return PcMap(dom, tuple(branches), at_delta)

@@ -43,9 +43,7 @@ class DeltaTable:
         self.levels = [(base, root)]
         empty = np.empty(0, np.int64)
         # index n holds merged Delta^n as (xs, hit, root)
-        self.cumulative = [(np.empty(0), empty, empty)]
-        if nd:
-            self.cumulative.append((base, np.zeros(nd, dtype=np.int64), root))
+        self.cumulative = [(np.empty(0), empty, empty), (base, np.zeros(nd, dtype=np.int64), root)]
         # one-sided limit orbits from each base point: [(value, direction product), ...]
         self._memo: dict[tuple[int, int], list[tuple[float, int]]] = {}
 
@@ -89,10 +87,6 @@ class DeltaTable:
         """Build levels up to n, honoring the point cap as a budget on the set
         size itself (so a cached deeper table still respects a smaller cap)."""
         cap = DEFAULT_DELTA_CAP if cap is None else cap
-        if not len(self.map.delta):
-            while len(self.cumulative) <= n:
-                self.cumulative.append(self.cumulative[0])
-            return
         for k in range(1, n + 1):
             if k < len(self.cumulative):
                 size = len(self.cumulative[k][0])
@@ -115,8 +109,6 @@ class DeltaTable:
 
     def level_points(self, k: int) -> np.ndarray:
         """f^{-(k-1)}(Delta) for k >= 1."""
-        if k - 1 >= len(self.levels):  # no cut set, so no levels were built
-            return self.levels[0][0][:0]
         return self.levels[k - 1][0]
 
     def _limit_seq(self, root: int, side: int, m: int) -> list[tuple[float, int]]:

@@ -183,6 +183,10 @@ class TestBowenEntropy:
         with pytest.raises(ValueError):
             bowen_entropy(identity, X, [2, 3, 4, 5], [0.01, 0.05], grid=65)
 
+    def test_one_n_cannot_fit_a_slope(self, identity):
+        with pytest.raises(ValueError, match="at least two values"):
+            bowen_entropy(identity, X, [5], [0.05], grid=65)
+
     def test_metric_transform_is_order_preserving(self, tent, tent_sample):
         phi = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
         for n in (3, 6):

@@ -198,6 +198,25 @@ class TestEntropyCommand:
         assert code == 1
         assert "n_range must not be empty" in err
 
+    def test_single_bowen_n_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "entropy", "--catalog", "tent", "--method", "bowen",
+            "--n-range", "5", "--eps", "0.05,0.02", "--grid", "257",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: n_range needs at least two values to fit a slope\n"
+
+    @pytest.mark.parametrize("args", [
+        ["--map", "{path}"],
+        ["--catalog", "tent", "--n-max", "4", "--out", "{path}"],
+        ["--catalog", "tent", "--n-max", "4", "--plot", "{path}"],
+    ])
+    def test_file_errors_name_the_path(self, capsys, tmp_path, args):
+        path = str(tmp_path / "missing" / "file")
+        code, _, err = run(capsys, "entropy", *[a.format(path=path) for a in args])
+        assert code == 1
+        assert err.startswith("error: ") and path in err
+
     def test_empty_bowen_eps_schedule(self, capsys):
         code, _, err = run(capsys, "entropy", "--catalog", "tent", "--method", "bowen", "--eps", ",")
         assert code == 1
@@ -250,6 +269,20 @@ class TestVerifyCommand:
         assert code == 1
         assert out == ""
         assert "--power-k must be >= 1" in err
+
+    def test_n_max_below_one_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--catalog", "tent", "--n-max", "0")
+        assert code == 1 and out == ""
+        assert err == "error: --n-max must be >= 1\n"
+
+    def test_phi_checked_before_any_work(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise RuntimeError("verify built Delta^n before checking its inputs")
+
+        monkeypatch.setattr("pcentropy.cli.delta_n", no_work)
+        code, out, err = run(capsys, "verify", "--catalog", "tent", "--phi", "5")
+        assert code == 1 and out == ""
+        assert "bad phi literal" in err
 
     def test_submultiplicative_failure_row(self, capsys, monkeypatch):
         fake = {1: 2, 2: 5, 3: 9}
@@ -351,3 +384,22 @@ class TestValidateCommand:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/x.pcm")
         assert code == 1
+        assert err.startswith("error: ") and "/nonexistent/x.pcm" in err
+
+    def test_directory_names_the_path(self, capsys, tmp_path):
+        code, _, err = run(capsys, "validate", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("src,line", [
+        ("domain = [0, 1]\npiece (0, 1): x/(1 + 1/1e999) inc\n", 2),
+        ("domain = [0, 1]\npiece (0, 1): x + 0*1e999\n", 2),
+        ("domain = [0, 1e999]\npiece (0, 1e999): x inc\n", 1),
+    ])
+    def test_overflowing_literal_rejected(self, capsys, tmp_path, src, line):
+        f = tmp_path / "inf.pcm"
+        f.write_text(src)
+        code, out, err = run(capsys, "validate", str(f))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: line {line}, col ") and err.count("\n") == 1
+        assert err.endswith("number '1e999' is out of range\n")

@@ -1,21 +1,27 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcentropy.errors import ExprParseError
 from pcentropy.expr import (
+    BinOp,
+    Call,
     Compose,
+    Num,
     PiecewiseAffine,
     Var,
     as_affine,
     compile_expr,
-    eval_expr,
     parse_constant,
     parse_expression,
 )
 
 
 def ev(text, x=0.0):
-    return eval_expr(parse_expression(text), x)
+    return compile_expr(parse_expression(text))(x)
 
 
 class TestParsing:
@@ -95,14 +101,56 @@ class TestAffineDetection:
         assert (a, b) == pytest.approx((6.0, -2.5))
 
 
+# random fully parenthesized expressions of the grammar; the oracle is the same
+# text evaluated by Python itself, with ^ read as **
+_NUMBERS = st.floats(-10, 10, allow_nan=False).map(lambda v: repr(v) if v >= 0 else f"({v!r})")
+
+
+def _extend(children):
+    binop = st.tuples(children, st.sampled_from("+-*/"), children).map(lambda t: f"({t[0]} {t[1]} {t[2]})")
+    neg = children.map(lambda a: f"(-{a})")
+    power = st.tuples(children, st.integers(-3, 4)).map(lambda t: f"({t[0]}^{t[1]})")
+    call = st.one_of(
+        children.map(lambda a: f"abs({a})"),
+        st.tuples(st.sampled_from(["min", "max"]), st.lists(children, min_size=2, max_size=3)).map(
+            lambda t: f"{t[0]}({', '.join(t[1])})"
+        ),
+    )
+    return st.one_of(binop, neg, power, call)
+
+
+_TREES = st.recursive(st.one_of(_NUMBERS, st.just("x")), _extend, max_leaves=12)
+
+
 class TestEvaluation:
-    def test_compiled_matches_tree(self):
-        rng = np.random.RandomState(0)
-        for text in ["2*x", "2 - 2*x", "(2*x - 1)^2", "abs(x - 0.5) + x^3", "min(x, 1 - x)"]:
-            e = parse_expression(text)
-            fn = compile_expr(e)
-            for x in rng.uniform(0, 1, 50):
-                assert fn(float(x)) == pytest.approx(eval_expr(e, float(x)), abs=1e-15)
+    @settings(max_examples=400, deadline=None)
+    @given(_TREES, st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=5))
+    def test_compiled_matches_python_eval(self, text, points):
+        fn = compile_expr(parse_expression(text))
+        py = compile(text.replace("^", "**"), "<oracle>", "eval")
+        for x in points:
+            try:
+                want = eval(py, {"abs": abs, "min": min, "max": max}, {"x": x})
+            except ArithmeticError:
+                continue
+            if not math.isfinite(want):
+                continue
+            # scalars only: numpy's array power may differ from scalar ** by a few ulp
+            assert float(fn(x)) == want, (text, x)
+
+    def test_wide_tree_compiles_and_evaluates_arrays(self):
+        def balanced(n):
+            if n == 1:
+                return parse_expression("1.0*x")
+            return BinOp("+", balanced(n // 2), balanced(n - n // 2))
+
+        terms = 55_000  # about 550 000 characters of generated source
+        inner = Call("min", (BinOp("/", balanced(terms), Num(float(terms))), Num(2.0)))
+        xs, ys = (0.0, 0.35, 1.0), (0.0, 0.55, 1.0)
+        fn = compile_expr(PiecewiseAffine(inner, xs, ys))
+        grid = np.linspace(0, 1, 33)
+        np.testing.assert_allclose(fn(grid), np.interp(grid, xs, ys), rtol=1e-12, atol=1e-15)
+        assert fn(0.5) == pytest.approx(np.interp(0.5, xs, ys), rel=1e-12)
 
     def test_compiled_vectorized(self):
         e = parse_expression("2 - 2*x")
@@ -112,21 +160,18 @@ class TestEvaluation:
 
     def test_compose_eval_and_compile(self):
         e = Compose(parse_expression("2*x"), parse_expression("x + 0.25"))
-        assert eval_expr(e, 0.25) == 1.0
         assert compile_expr(e)(0.25) == 1.0
 
     def test_piecewise_affine_matches_interp(self):
         xs, ys = (0.0, 0.35, 1.0), (0.0, 0.55, 1.0)
         e = PiecewiseAffine(Var(), xs, ys)
         grid = np.linspace(0, 1, 101)
-        for x in grid:
-            assert eval_expr(e, float(x)) == pytest.approx(float(np.interp(x, xs, ys)))
         fn = compile_expr(e)
         np.testing.assert_allclose(fn(grid), np.interp(grid, xs, ys))
 
     def test_division_by_zero_propagates(self):
         with pytest.raises(ZeroDivisionError):
-            eval_expr(parse_expression("1/x"), 0.0)
+            compile_expr(parse_expression("1/x"))(0.0)
 
     def test_deep_composition_stays_cheap(self):
         e = parse_expression("2*x")
@@ -136,3 +181,4 @@ class TestEvaluation:
         assert fn(1.0) == pytest.approx(2.0)
         a, b = as_affine(e)
         assert (a, b) == pytest.approx((2.0, 0.0))
+
