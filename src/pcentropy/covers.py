@@ -1,9 +1,14 @@
 """Open covers, their products and pullbacks, and exact minimal subcovers.
 
 Cover elements are finite interval unions, relatively open in the map's
-domain.  Refinement intersects the cover with preimages of itself step by
-step, pulling the whole cover back through ``maps.branch_preimages``, the
-branch inverse of the MS levels; every element of the n-step refinement
+domain.  A ``Cover`` holds the parts of all its elements as flat arrays
+(owner element, ``lo``, ``hi``, ``lo_open``, ``hi_open``), sorted by element
+and then by ``lo``, each element in ``OpenSet``'s canonical form; the
+``OpenSet`` elements are built only when ``Cover.elements`` is read.
+Refinement intersects the cover with preimages of itself step by step: each
+step pulls the whole cover back through ``maps.branch_preimages``, the branch
+inverse of the MS levels, and joins it with the product so far by a sorted
+overlap join of the part arrays.  Every element of the n-step refinement
 automatically avoids the n-step discontinuity set.  Minimal subcover
 cardinalities are exact: a greedy sweep (optimal) when every element is a
 single interval, otherwise a branch and bound whose first dive is a greedy
@@ -16,6 +21,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,19 +36,140 @@ DEFAULT_PART_CAP = 1_000_000
 DEFAULT_NODE_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class Cover:
-    elements: tuple[OpenSet, ...]
+class Parts(NamedTuple):
+    """One row per part: the index of its element, its ends and their flags."""
 
-    def __post_init__(self):
-        if any(el.is_empty() for el in self.elements):
+    owner: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    lo_open: np.ndarray
+    hi_open: np.ndarray
+
+    def take(self, idx) -> "Parts":
+        return Parts(*(col[idx] for col in self))
+
+
+class Cover:
+    """A finite sequence of non-empty open sets, held as flat part arrays.
+
+    ``parts`` lists the parts of every element, sorted by element and then by
+    ``lo``; each element's parts are in ``OpenSet``'s canonical form.
+    ``Cover(elements)`` takes ``OpenSet``s; the routes below build covers
+    from part arrays, and ``elements`` makes the ``OpenSet``s on first read.
+    """
+
+    def __init__(self, elements=()):
+        elements = tuple(elements)
+        if any(el.is_empty() for el in elements):
             raise ValueError("covers must not contain the empty set")
+        rows = [(i, p.lo, p.hi, p.lo_open, p.hi_open) for i, el in enumerate(elements) for p in el.parts]
+        cols = zip(*rows) if rows else ((),) * 5
+        dtypes = (np.intp, float, float, bool, bool)
+        self._init(len(elements), Parts(*(np.array(c, dtype=t) for c, t in zip(cols, dtypes))))
+        self.__dict__["elements"] = elements
+
+    @classmethod
+    def _of(cls, n: int, parts: Parts) -> "Cover":
+        """A cover of ``n`` elements from canonical part rows sorted by owner."""
+        cover = cls.__new__(cls)
+        cover._init(n, parts)
+        return cover
+
+    def _init(self, n: int, parts: Parts):
+        for col in parts:
+            col.flags.writeable = False  # covers share part arrays
+        self._n = n
+        self.parts = parts
+
+    @cached_property
+    def elements(self) -> tuple[OpenSet, ...]:
+        owner, lo, hi, lo_open, hi_open = self.parts
+        bounds = np.searchsorted(owner, np.arange(self._n + 1)).tolist()
+        rows = [Interval(*r) for r in zip(lo.tolist(), hi.tolist(), lo_open.tolist(), hi_open.tolist())]
+        return tuple(OpenSet(tuple(rows[a:b])) for a, b in zip(bounds[:-1], bounds[1:]))
 
     def __len__(self):
-        return len(self.elements)
+        return self._n
 
     def total_parts(self) -> int:
-        return sum(len(el.parts) for el in self.elements)
+        return len(self.parts.lo)
+
+
+def _ranges(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) with start[i] <= j < stop[i], grouped by i."""
+    counts = stop - start
+    row = np.repeat(np.arange(len(start)), counts)
+    return row, start[row] + np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _canonical(key: np.ndarray, lo, hi, lo_open, hi_open) -> Cover:
+    """The cover whose i-th element is the union of the parts with the i-th
+    smallest key, in ``OpenSet``'s canonical form; empty intervals are dropped.
+
+    Parts are sorted by key, ``lo`` and closed before open, and merged by
+    ``_merge_sorted_parts``'s rules: a part joins its group when it starts
+    below the furthest end so far, or at that end with the junction point in
+    either part.  The furthest end, the closed one at equal ends, is a
+    running maximum of end ranks, offset per key so that it restarts.
+    """
+    keep = (lo < hi) | ((lo == hi) & ~(lo_open | hi_open))
+    key, lo, hi, lo_open, hi_open = (col[keep] for col in (key, lo, hi, lo_open, hi_open))
+    n = len(lo)
+    if not n:
+        return Cover()
+    order = np.lexsort((lo_open, lo, key))
+    key, lo, hi, lo_open, hi_open = (col[order] for col in (key, lo, hi, lo_open, hi_open))
+    start = np.ones(n, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=start[1:])
+    owner = np.cumsum(start) - 1
+    by_end = np.lexsort((~hi_open, hi))
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_end] = np.arange(n)
+    offset = owner.astype(np.int64) * n
+    furthest = by_end[np.maximum.accumulate(offset + rank) - offset]
+    reach, reach_open = hi[furthest[:-1]], hi_open[furthest[:-1]]
+    start[1:] |= (lo[1:] > reach) | ((lo[1:] == reach) & lo_open[1:] & reach_open)
+    first = np.flatnonzero(start)
+    last = furthest[np.append(first[1:], n) - 1]
+    parts = Parts(owner[first], lo[first], hi[last], lo_open[first], hi_open[last])
+    return Cover._of(int(owner[-1]) + 1, parts)
+
+
+def _sorted_rows(cols) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order that sorts the rows of the columns ``cols``, and a
+    mask over that order marking the first of each run of equal rows."""
+    order = np.lexsort(cols[::-1])
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for col in cols:
+        col = col[order]
+        first[1:] |= col[1:] != col[:-1]
+    return order, first
+
+
+def _dedupe(cover: Cover) -> Cover:
+    """The cover without repeated elements, first occurrences kept in order.
+
+    Equal part rows share an id, and elements with the same number of parts
+    are compared as rows of part ids.
+    """
+    if len(cover) < 2:
+        return cover
+    owner = cover.parts.owner
+    order, first = _sorted_rows(cover.parts[1:])
+    row_id = np.empty(len(owner), dtype=np.intp)
+    row_id[order] = np.cumsum(first)
+    counts = np.bincount(owner, minlength=len(cover))
+    starts = np.cumsum(counts) - counts
+    kept = np.zeros(len(cover), dtype=bool)
+    for k in set(counts.tolist()):
+        els = np.flatnonzero(counts == k)
+        order, first = _sorted_rows(tuple(row_id[starts[els, None] + np.arange(k)].T))
+        kept[els[order[first]]] = True
+    if kept.all():
+        return cover
+    parts = cover.parts.take(kept[owner])
+    return Cover._of(int(kept.sum()), parts._replace(owner=(np.cumsum(kept) - 1)[parts.owner]))
 
 
 def natural_cover(pcmap: PcMap) -> Cover:
@@ -55,46 +183,61 @@ def domainify_cover(cover: Cover, domain: Interval) -> Cover:
     Parts are clipped to the domain; a part reaching a domain endpoint closes
     there, the way a piece such as [lo, d) is open in [lo, hi].
     """
-    elements = []
-    for el in cover.elements:
-        parts = []
-        for p in el.parts:
-            lo = max(p.lo, domain.lo)
-            hi = min(p.hi, domain.hi)
-            if lo > hi:
-                continue
-            lo_open = p.lo_open and lo != domain.lo
-            hi_open = p.hi_open and hi != domain.hi
-            if lo == hi and (lo_open or hi_open):
-                continue
-            parts.append(Interval(lo, hi, lo_open, hi_open))
-        cut = OpenSet(tuple(parts))
-        if not cut.is_empty():
-            elements.append(cut)
-    return Cover(_dedupe(elements))
+    owner, lo, hi, lo_open, hi_open = cover.parts
+    lo, hi = np.maximum(lo, domain.lo), np.minimum(hi, domain.hi)
+    return _dedupe(_canonical(owner, lo, hi, lo_open & (lo != domain.lo), hi_open & (hi != domain.hi)))
 
 
-def _dedupe(elements) -> tuple[OpenSet, ...]:
-    return tuple(dict.fromkeys(elements))
+def _subtract_points(cover: Cover, xs: np.ndarray) -> Cover:
+    """Every element minus the sorted points ``xs``, as ``OpenSet.subtract_points``
+    does it: a part splits at the points inside it and opens at a point on an
+    end; emptied elements are dropped."""
+    owner, lo, hi, lo_open, hi_open = cover.parts
+    first = np.searchsorted(xs, lo, "right")
+    stop = np.maximum(np.searchsorted(xs, hi, "left"), first)  # xs[first:stop] lie inside (lo, hi)
+    # piece c of a part runs from xs[c] to xs[c + 1], with the part's own ends at either side
+    row, c = _ranges(first - 1, stop)
+    head, tail = c < first[row], c + 1 == stop[row]
+    pad = np.append(xs, np.nan)
+    return _canonical(
+        owner[row],
+        np.where(head, lo[row], pad[c]),
+        np.where(tail, hi[row], pad[c + 1]),
+        ~head | (lo_open | (pad[np.searchsorted(xs, lo)] == lo))[row],
+        ~tail | (hi_open | (pad[np.searchsorted(xs, hi)] == hi))[row],
+    )
+
+
+def _join(a: Cover, b: Cover) -> Cover:
+    """The non-empty intersections of an element of ``a`` with one of ``b``,
+    in (a, b) order, without repeats.
+
+    Parts p of a and q of b overlap when q.lo lies in [p.lo, p.hi] or p.lo in
+    (q.lo, q.hi]: one range expansion each over the other cover's parts
+    sorted by ``lo``.  Each pair's ends follow ``Interval.intersect``.
+    """
+    pa, pb = a.parts, b.parts
+    sa, sb = np.argsort(pa.lo, kind="stable"), np.argsort(pb.lo, kind="stable")
+    ia, jb = _ranges(np.searchsorted(pb.lo[sb], pa.lo, "left"), np.searchsorted(pb.lo[sb], pa.hi, "right"))
+    ib, ja = _ranges(np.searchsorted(pa.lo[sa], pb.lo, "right"), np.searchsorted(pa.lo[sa], pb.hi, "right"))
+    p, q = pa.take(np.concatenate([ia, sa[ja]])), pb.take(np.concatenate([sb[jb], ib]))
+    lo_open = np.where(p.lo == q.lo, p.lo_open | q.lo_open, np.where(p.lo > q.lo, p.lo_open, q.lo_open))
+    hi_open = np.where(p.hi == q.hi, p.hi_open | q.hi_open, np.where(p.hi < q.hi, p.hi_open, q.hi_open))
+    key = p.owner * len(b) + q.owner
+    return _dedupe(_canonical(key, np.maximum(p.lo, q.lo), np.minimum(p.hi, q.hi), lo_open, hi_open))
 
 
 def vee(covers: list[Cover]) -> Cover:
     """All non-empty intersections picking one element from each cover."""
     if not covers:
         raise ValueError("need at least one cover")
-    elems = _dedupe(covers[0].elements)
+    out = _dedupe(covers[0])
     for c in covers[1:]:
-        nxt = {}
-        for a in elems:
-            for b in c.elements:
-                w = a.intersect(b)
-                if not w.is_empty():
-                    nxt[w] = None
-        elems = tuple(nxt)
-    return Cover(elems)
+        out = _join(out, c)
+    return out
 
 
-def _pullback(pcmap: PcMap, elements) -> list[OpenSet]:
+def _pullback(pcmap: PcMap, cover: Cover) -> Cover:
     """One-step preimages of the elements, relatively open in the domain;
     empty preimages are dropped.
 
@@ -103,11 +246,8 @@ def _pullback(pcmap: PcMap, elements) -> list[OpenSet]:
     maps to the piece end exactly, so points of the discontinuity set are
     never included, matching the convention-independent refinement semantics.
     """
-    rows = [(i, p.lo, p.hi, p.lo_open, p.hi_open) for i, el in enumerate(elements) for p in el.parts]
-    if not rows:
-        return []
-    owner, lo, hi, lo_open, hi_open = (np.array(col) for col in zip(*rows))
-    parts: list[list[Interval]] = [[] for _ in elements]
+    owner, lo, hi, lo_open, hi_open = cover.parts
+    pieces = []
     for b in pcmap.branches:
         vmin, vmax = (min(max(v, pcmap.domain.lo), pcmap.domain.hi) for v in b.image)
         img_lo_open, img_hi_open = (b.piece.lo_open, b.piece.hi_open)[:: b.direction]
@@ -127,40 +267,31 @@ def _pullback(pcmap: PcMap, elements) -> list[OpenSet]:
         piece_ends = np.array([[b.piece.lo], [b.piece.hi]])[:: b.direction]
         xs = np.where(ends == [[vmin], [vmax]], piece_ends, xs)[:: b.direction]
         opens = opens[:, keep][:: b.direction]
-        # NaN ends fail both comparisons
-        ok = (xs[0] < xs[1]) | ((xs[0] == xs[1]) & ~opens.any(axis=0))
-        kept = zip(owner[keep][ok].tolist(), xs[:, ok].T.tolist(), opens[:, ok].T.tolist())
-        for i, (x0, x1), (o0, o1) in kept:
-            parts[i].append(Interval(x0, x1, o0, o1))
-    out = (OpenSet(tuple(ps)) for ps in parts)
-    return [el for el in out if not el.is_empty()]
+        # NaN ends fail both of _canonical's emptiness comparisons
+        pieces.append((owner[keep], xs[0], xs[1], opens[0], opens[1]))
+    if not pieces:
+        return Cover()
+    return _canonical(*(np.concatenate(col) for col in zip(*pieces)))
 
 
 def pullback_cover(pcmap: PcMap, cover: Cover, j: int) -> Cover:
     """Elementwise j-step preimage, empty preimages dropped."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    elems = list(cover.elements)
     for step in range(j):
-        elems = _pullback(pcmap, elems)
-        if sum(len(el.parts) for el in elems) > DEFAULT_PART_CAP:
+        cover = _pullback(pcmap, cover)
+        if cover.total_parts() > DEFAULT_PART_CAP:
             raise ResourceCapExceeded(f"pullback exceeded {DEFAULT_PART_CAP} interval parts", completed=step)
-    return Cover(_dedupe(elems))
+    return _dedupe(cover)
 
 
 def refinement_steps(pcmap: PcMap, cover: Cover, n_max: int):
     """Yield the n-step refinements for n = 1..n_max, reusing previous factors."""
-    base = []
-    for el in cover.elements:
-        cut = el.subtract_points(pcmap.delta)
-        if not cut.is_empty():
-            base.append(cut)
-    acc = Cover(_dedupe(base))
+    acc = cur = _dedupe(_subtract_points(cover, pcmap.delta.array))
     yield acc
-    cur = base
     for n in range(2, n_max + 1):
         cur = _pullback(pcmap, cur)
-        acc = vee([acc, Cover(tuple(cur))])
+        acc = _join(acc, cur)
         if acc.total_parts() > DEFAULT_PART_CAP:
             raise ResourceCapExceeded(f"refinement exceeded {DEFAULT_PART_CAP} interval parts", completed=n - 1)
         yield acc
@@ -206,14 +337,11 @@ def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointS
     if target.is_empty():
         return SubcoverResult(0, (), True)
     tol = max(exclude.tol, 1e-12)
-    owner = [idx for idx, el in enumerate(cover.elements) for _ in el.parts]
-    ends = np.array(
-        [(p.lo, p.hi, p.lo_open, p.hi_open) for el in cover.elements for p in el.parts], dtype=float
-    ).reshape(-1, 4)
+    owner, lo, hi, lo_open, hi_open = cover.parts
     target_ends = [x for p in target.parts for x in (p.lo, p.hi)]
     # np.unique drops the exact repeats (adjacent elements share ends), which
     # dedupe_sorted would otherwise walk one by one as sub-tol chains
-    coords = np.unique(np.concatenate([target_ends, ends[:, 0], ends[:, 1], exclude.array]))
+    coords = np.unique(np.concatenate([target_ends, lo, hi, exclude.array]))
     reps = coords[dedupe_sorted(coords, tol)]
 
     def snap(xs: np.ndarray) -> np.ndarray:
@@ -230,10 +358,11 @@ def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointS
     if not len(atoms):
         return SubcoverResult(0, (), True)
     # each part covers the atoms first..last, none if first > last
-    first = np.searchsorted(atoms, 2 * snap(ends[:, 0]) + ends[:, 2], side="left").tolist()
-    last = (np.searchsorted(atoms, 2 * snap(ends[:, 1]) - ends[:, 3], side="right") - 1).tolist()
+    first = np.searchsorted(atoms, 2 * snap(lo) + lo_open, side="left").tolist()
+    last = (np.searchsorted(atoms, 2 * snap(hi) - hi_open, side="right") - 1).tolist()
+    owner = owner.tolist()
 
-    if len(owner) == len(cover.elements):  # every element is a single interval
+    if len(owner) == len(cover):  # every element is a single interval
         ranges = sorted((a, b, idx) for a, b, idx in zip(first, last, owner) if a <= b)
         picks = []
         frontier = 0
@@ -253,7 +382,7 @@ def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointS
     # general case: bitmask set cover over atoms; parts come in element order,
     # so each by_atom list holds its elements in index order
     full = (1 << len(atoms)) - 1
-    masks = [0] * len(cover.elements)
+    masks = [0] * len(cover)
     by_atom: list[list[int]] = [[] for _ in atoms]
     for a, b, idx in zip(first, last, owner):
         if a <= b:
@@ -357,15 +486,10 @@ def boundary_of_refined_natural_cover(pcmap: PcMap, n: int) -> PointSet:
     also hold a domain endpoint, which this set leaves out by construction.
     The acceptance suite checks the two agree on tent, which has none.
     """
-    refined = refine_n(pcmap, natural_cover(pcmap), n)
+    parts = refine_n(pcmap, natural_cover(pcmap), n).parts
     dom = pcmap.domain
-    pts = []
-    for el in refined.elements:
-        for p in el.parts:
-            for x in (p.lo, p.hi):
-                if dom.lo + pcmap.tol < x < dom.hi - pcmap.tol:
-                    pts.append(x)
-    return PointSet.of(pts, tol=pcmap.tol)
+    xs = np.concatenate([parts.lo, parts.hi])
+    return PointSet.of(xs[(xs > dom.lo + pcmap.tol) & (xs < dom.hi - pcmap.tol)], tol=pcmap.tol)
 
 
 def lebesgue_number(cover: Cover, region: RegionSet) -> float:

@@ -111,7 +111,8 @@ def as_affine(e: Expr) -> tuple[float, float] | None:
         if e.exponent == 1:
             return r
         if r is not None and r[0] == 0.0:
-            return (0.0, r[1] ** e.exponent)
+            power = math.prod([r[1]] * abs(e.exponent))  # the same products as compile_expr
+            return (0.0, power if e.exponent > 0 else 1 / power)
         return None
     if isinstance(e, Compose):
         outer, inner = as_affine(e.outer), as_affine(e.inner)
@@ -131,7 +132,14 @@ def _to_py(e: Expr, var_src: str, env: dict) -> str:
     if isinstance(e, BinOp):
         return f"({_to_py(e.left, var_src, env)}{e.op}{_to_py(e.right, var_src, env)})"
     if isinstance(e, Pow):
-        return f"({_to_py(e.base, var_src, env)}**{e.exponent})"
+        # a chain of products, so that a float and an ndarray take the same
+        # IEEE operations (C pow and numpy's power differ in the last ulp);
+        # the base is bound once, as for Compose
+        if e.exponent == 0:
+            return f"({_to_py(e.base, var_src, env)}**0)"
+        chain = "*".join(["_p"] * abs(e.exponent))
+        body = chain if e.exponent > 0 else f"1/({chain})"
+        return f"(lambda _p: {body})({_to_py(e.base, var_src, env)})"
     if isinstance(e, Call):
         args = [_to_py(a, var_src, env) for a in e.args]
         if e.fn == "abs":

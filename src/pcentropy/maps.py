@@ -30,7 +30,14 @@ VALIDATION_GRID = 257
 class Branch:
     piece: Interval  # open at interior boundaries, closed at domain endpoints
     expr: Expr
-    increasing: bool
+    increasing: bool | None = None  # None: read from the values at the piece ends
+
+    def __post_init__(self):
+        if self.increasing is None:
+            lo_val, hi_val = float(self.fn(self.piece.lo)), float(self.fn(self.piece.hi))
+            if lo_val == hi_val:
+                raise MapValidationError(f"branch on {self.piece!r} is not strictly monotone")
+            object.__setattr__(self, "increasing", hi_val > lo_val)
 
     @cached_property
     def fn(self):
@@ -286,14 +293,6 @@ def branch_preimages(branch: Branch, ys: np.ndarray) -> np.ndarray:
 # construction and validation
 
 
-def _infer_direction(expr: Expr, piece: Interval) -> bool:
-    fn = compile_expr(expr)
-    lo_val, hi_val = float(fn(piece.lo)), float(fn(piece.hi))
-    if lo_val == hi_val:
-        raise MapValidationError(f"branch on {piece!r} is not strictly monotone")
-    return hi_val > lo_val
-
-
 def _validate_branch(domain: Interval, branch: Branch, grid: int):
     xs = np.linspace(branch.piece.lo, branch.piece.hi, max(grid, 8))
     with np.errstate(all="ignore"):
@@ -357,7 +356,7 @@ def build_map(
     for i, (a, b, expr, inc) in enumerate(rows):
         piece = Interval(a, b, lo_open=(i > 0), hi_open=(i < n - 1))
         try:
-            branch = Branch(piece, expr, _infer_direction(expr, piece) if inc is None else inc)
+            branch = Branch(piece, expr, inc)
             _validate_branch(dom, branch, validation_grid)
         except (RecursionError, SyntaxError):
             # compile_expr's source nests as deep as the tree
@@ -392,11 +391,12 @@ def parse_map(source: str) -> PcMap:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        indent = len(raw) - len(raw.lstrip())  # match offsets are in the stripped line
         m = _DOMAIN_RE.match(line)
         if m:
             if domain is not None:
                 raise ExprParseError("duplicate domain line", lineno, 1)
-            domain = (parse_constant(m.group("lo"), lineno), parse_constant(m.group("hi"), lineno))
+            domain = tuple(parse_constant(m[g], lineno, indent + m.start(g)) for g in ("lo", "hi"))
             continue
         m = _AT_DELTA_RE.match(line)
         if m:
@@ -408,19 +408,18 @@ def parse_map(source: str) -> PcMap:
         if m:
             if domain is None:
                 raise ExprParseError("piece line before domain line", lineno, 1)
-            lo = parse_constant(m.group("lo"), lineno)
-            hi = parse_constant(m.group("hi"), lineno)
+            lo, hi = (parse_constant(m[g], lineno, indent + m.start(g)) for g in ("lo", "hi"))
             body = m.group("body").strip()
             inc: bool | None = None
             tail = body.rsplit(None, 1)
             if len(tail) == 2 and tail[1] in ("inc", "dec"):
                 body, inc = tail[0], tail[1] == "inc"
-            col = raw.index(":") + 2 if ":" in raw else 1
+            col = indent + m.start("body")
             try:
                 expr = parse_expression(body, lineno, col)
             except RecursionError:
                 msg = f"branch on ({lo!r}, {hi!r}) nests too deeply to parse"
-                raise ExprParseError(msg, lineno, col) from None
+                raise ExprParseError(msg, lineno, col + 1) from None
             pieces.append((lo, hi, expr, inc))
             continue
         raise ExprParseError(f"unrecognized line: {line!r}", lineno, 1)

@@ -21,6 +21,7 @@ from pcentropy.covers import (
     natural_cover,
     pullback_cover,
     refine_n,
+    refinement_steps,
     vee,
 )
 from pcentropy.errors import NotACoverError
@@ -39,6 +40,12 @@ def tent():
 
 def spans(cover):
     return sorted((p.lo, p.hi) for el in cover.elements for p in el.parts)
+
+
+def part_rows(cover):
+    """The cover's part arrays as rows (owner, lo, hi, lo_open, hi_open); unlike
+    ``elements``, they show parts that ``OpenSet`` would merge."""
+    return list(zip(*(col.tolist() for col in cover.parts)))
 
 
 class TestNaturalCover:
@@ -136,9 +143,43 @@ PULLBACK_MAPS = [
 ]
 
 
-@st.composite
-def pullback_cases(draw):
-    pcmap = draw(st.sampled_from(PULLBACK_MAPS))
+def _dedupe(elements) -> tuple[OpenSet, ...]:
+    return tuple(dict.fromkeys(elements))
+
+
+def vee_reference(covers: list[Cover]) -> Cover:
+    """Pairwise reference for ``covers.vee``: one ``OpenSet.intersect`` per
+    element pair, first occurrences kept in (a, b) order."""
+    if not covers:
+        raise ValueError("need at least one cover")
+    elems = _dedupe(covers[0].elements)
+    for c in covers[1:]:
+        nxt = {}
+        for a in elems:
+            for b in c.elements:
+                w = a.intersect(b)
+                if not w.is_empty():
+                    nxt[w] = None
+        elems = tuple(nxt)
+    return Cover(elems)
+
+
+def refinement_reference(pcmap, cover, n_max):
+    """Reference for ``refinement_steps`` built from ``vee_reference`` and
+    ``openset_preimage_scalar``."""
+    base = [cut for cut in (el.subtract_points(pcmap.delta) for el in cover.elements) if not cut.is_empty()]
+    acc = Cover(_dedupe(base))
+    yield acc
+    cur = base
+    for _ in range(2, n_max + 1):
+        cur = [pre for pre in (openset_preimage_scalar(pcmap, el) for el in cur) if not pre.is_empty()]
+        acc = vee_reference([acc, Cover(tuple(cur))])
+        yield acc
+
+
+def random_elements(draw, pcmap, max_elements=4, max_parts=4) -> list[OpenSet]:
+    """Union elements with closed point parts, whose ends are random or shared:
+    domain ends, cut points and branch image ends."""
     dom = pcmap.domain
     special = sorted(
         {dom.lo, dom.hi, *pcmap.delta.points}
@@ -154,11 +195,16 @@ def pullback_cases(draw):
             return Interval.point(a)
         return Interval(a, b, draw(st.booleans()), draw(st.booleans()))
 
-    elements = [
-        OpenSet(tuple(part() for _ in range(draw(st.integers(1, 4)))))
-        for _ in range(draw(st.integers(1, 4)))
+    return [
+        OpenSet(tuple(part() for _ in range(draw(st.integers(1, max_parts)))))
+        for _ in range(draw(st.integers(1, max_elements)))
     ]
-    return pcmap, elements
+
+
+@st.composite
+def pullback_cases(draw):
+    pcmap = draw(st.sampled_from(PULLBACK_MAPS))
+    return pcmap, random_elements(draw, pcmap)
 
 
 @given(pullback_cases())
@@ -166,7 +212,41 @@ def pullback_cases(draw):
 def test_pullback_matches_scalar_reference(case):
     pcmap, elements = case
     expected = [openset_preimage_scalar(pcmap, el) for el in elements]
-    assert covers._pullback(pcmap, elements) == [el for el in expected if not el.is_empty()]
+    pulled = covers._pullback(pcmap, Cover(elements))
+    assert list(pulled.elements) == [el for el in expected if not el.is_empty()]
+    assert part_rows(pulled) == part_rows(Cover(pulled.elements))
+
+
+@st.composite
+def refinement_cases(draw):
+    pcmap = draw(st.sampled_from(PULLBACK_MAPS))
+    elements = random_elements(draw, pcmap, 3, 3)
+    if draw(st.booleans()):  # a cover of the domain minus the cut points
+        elements += [OpenSet((b.piece,)) for b in pcmap.branches]
+    return pcmap, Cover(elements), Cover(random_elements(draw, pcmap, 3, 3)), draw(st.integers(1, 5))
+
+
+def _subcover_outcome(cover, target, exclude):
+    try:
+        return minimal_subcover(cover, target, exclude)
+    except NotACoverError as exc:
+        return exc.witness
+
+
+@given(refinement_cases())
+@settings(max_examples=100, deadline=None)
+def test_refinement_matches_pairwise_reference(case):
+    pcmap, cover, other, n_max = case
+    assert vee([cover, other]).elements == vee_reference([cover, other]).elements
+    target = RegionSet.of((pcmap.domain.lo, pcmap.domain.hi))
+    steps = zip(refinement_steps(pcmap, cover, n_max), refinement_reference(pcmap, cover, n_max))
+    # the same capped search on both sides keeps the union covers cheap
+    with mock.patch.object(covers, "DEFAULT_NODE_CAP", 2000):
+        for n, (flat, expected) in enumerate(steps, start=1):
+            exclude = delta_n(pcmap, n)
+            assert _subcover_outcome(flat, target, exclude) == _subcover_outcome(expected, target, exclude)
+            assert flat.elements == expected.elements
+            assert part_rows(flat) == part_rows(expected)
 
 
 class TestRefine:
@@ -175,9 +255,11 @@ class TestRefine:
         assert spans(refined) == [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]
 
     def test_depth_one_is_cover_minus_cuts(self, tent):
-        refined = refine_n(tent, natural_cover(tent), 1)
-        expected = [el.subtract_points(tent.delta) for el in natural_cover(tent).elements]
-        assert set(refined.elements) == set(expected)
+        closed = Cover((OpenSet((Interval.closed(0.0, 0.5),)), OpenSet((Interval.closed(0.5, 1.0),))))
+        for cover in (natural_cover(tent), closed):
+            refined = refine_n(tent, cover, 1)
+            expected = [el.subtract_points(tent.delta) for el in cover.elements]
+            assert set(refined.elements) == set(expected)
 
     def test_identity_fixed(self):
         ident = catalog_get("identity").map
@@ -347,6 +429,22 @@ def test_minimal_subcover_matches_brute_force(case):
         capped = minimal_subcover(cover, target, exclude)
     assert len(capped.indices) == capped.count >= expected
     assert _covers(cover, capped.indices, needed)
+
+
+@given(st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from(GRID), st.sampled_from(GRID), st.booleans(), st.booleans()),
+    max_size=12,
+))
+@settings(max_examples=300, deadline=None)
+def test_canonical_merges_like_openset(rows):
+    # rows are (key, lo, hi, lo_open, hi_open); empty intervals are dropped
+    parts = {}
+    for key, lo, hi, lo_open, hi_open in rows:
+        if lo < hi or (lo == hi and not (lo_open or hi_open)):
+            parts.setdefault(key, []).append(Interval(lo, hi, lo_open, hi_open))
+    dtypes = (np.intp, float, float, bool, bool)
+    cover = covers._canonical(*(np.array([r[i] for r in rows], dtype=t) for i, t in enumerate(dtypes)))
+    assert part_rows(cover) == part_rows(Cover(OpenSet(tuple(parts[key])) for key in sorted(parts)))
 
 
 class TestCoverEntropy:

@@ -101,42 +101,66 @@ class TestAffineDetection:
         assert (a, b) == pytest.approx((6.0, -2.5))
 
 
-# random fully parenthesized expressions of the grammar; the oracle is the same
-# text evaluated by Python itself, with ^ read as **
+# random fully parenthesized expressions of the grammar, each paired with the
+# same expression as Python text: the oracle is that text evaluated by Python
+# itself, with A^k read as the chain of products _pw(A, k)
 _NUMBERS = st.floats(-10, 10, allow_nan=False).map(lambda v: repr(v) if v >= 0 else f"({v!r})")
 
 
+def _pw(v, k):
+    if k == 0:
+        return v**0
+    power = v
+    for _ in range(abs(k) - 1):
+        power = power * v
+    return power if k > 0 else 1 / power
+
+
 def _extend(children):
-    binop = st.tuples(children, st.sampled_from("+-*/"), children).map(lambda t: f"({t[0]} {t[1]} {t[2]})")
-    neg = children.map(lambda a: f"(-{a})")
-    power = st.tuples(children, st.integers(-3, 4)).map(lambda t: f"({t[0]}^{t[1]})")
+    binop = st.tuples(children, st.sampled_from("+-*/"), children).map(
+        lambda t: tuple(f"({a} {t[1]} {b})" for a, b in zip(t[0], t[2]))
+    )
+    neg = children.map(lambda a: tuple(f"(-{s})" for s in a))
+    power = st.tuples(children, st.integers(-3, 4)).map(
+        lambda t: (f"({t[0][0]}^{t[1]})", f"_pw({t[0][1]}, {t[1]})")
+    )
     call = st.one_of(
-        children.map(lambda a: f"abs({a})"),
+        children.map(lambda a: tuple(f"abs({s})" for s in a)),
         st.tuples(st.sampled_from(["min", "max"]), st.lists(children, min_size=2, max_size=3)).map(
-            lambda t: f"{t[0]}({', '.join(t[1])})"
+            lambda t: tuple(f"{t[0]}({', '.join(args)})" for args in zip(*t[1]))
         ),
     )
     return st.one_of(binop, neg, power, call)
 
 
-_TREES = st.recursive(st.one_of(_NUMBERS, st.just("x")), _extend, max_leaves=12)
+_TREES = st.recursive(st.one_of(_NUMBERS, st.just("x")).map(lambda s: (s, s)), _extend, max_leaves=12)
 
 
 class TestEvaluation:
     @settings(max_examples=400, deadline=None)
     @given(_TREES, st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=5))
-    def test_compiled_matches_python_eval(self, text, points):
+    def test_compiled_matches_python_eval(self, texts, points):
+        text, py_text = texts
         fn = compile_expr(parse_expression(text))
-        py = compile(text.replace("^", "**"), "<oracle>", "eval")
-        for x in points:
+        py = compile(py_text, "<oracle>", "eval")
+        try:
+            with np.errstate(all="ignore"):
+                on_array = fn(np.array(points))
+        except ArithmeticError:  # a constant subexpression divides by zero
+            on_array = None
+        for i, x in enumerate(points):
             try:
-                want = eval(py, {"abs": abs, "min": min, "max": max}, {"x": x})
+                want = eval(py, {"abs": abs, "min": min, "max": max, "_pw": _pw}, {"x": x})
             except ArithmeticError:
                 continue
             if not math.isfinite(want):
                 continue
-            # scalars only: numpy's array power may differ from scalar ** by a few ulp
-            assert float(fn(x)) == want, (text, x)
+            on_float = float(fn(x))
+            assert on_float == want, (text, x)
+            # the array call takes the same IEEE operations, to the bit
+            if on_array is not None:
+                on_array_x = np.broadcast_to(on_array, len(points))[i]
+                assert np.float64(on_array_x).tobytes() == np.float64(on_float).tobytes(), (text, x)
 
     def test_wide_tree_compiles_and_evaluates_arrays(self):
         def balanced(n):

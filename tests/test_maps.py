@@ -3,7 +3,8 @@ import pytest
 
 from pcentropy.catalog import get as catalog_get, names as catalog_names
 from pcentropy.errors import DomainError, ExprParseError, MapValidationError
-from pcentropy.expr import parse_expression
+from pcentropy import maps
+from pcentropy.expr import compile_expr, parse_expression
 from pcentropy.maps import (
     LEFT,
     RIGHT,
@@ -75,6 +76,24 @@ class TestParseMap:
         with pytest.raises(ExprParseError) as exc:
             parse_map("domain = [0, 1]\npiece (0, 1): 2*+x inc\n")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "line",
+        ["domain = [0, 1e999]", "domain = [1e999, 1]", "  piece (0, 1e999): x", "piece (1e999, 1): x",
+         "piece (0, 1):x + 1e999"],
+    )
+    def test_error_column_in_bounds_and_body(self, line):
+        src = line if line.startswith("domain") else f"domain = [0, 1]\n{line}"
+        with pytest.raises(ExprParseError) as exc:
+            parse_map(src + "\n")
+        assert exc.value.column == line.index("1e999") + 1
+
+    def test_inferred_direction_compiles_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(maps, "compile_expr", lambda e: calls.append(e) or compile_expr(e))
+        pcmap = parse_map(catalog_get("lorenz-full").source.replace(" inc", ""))
+        assert [b.increasing for b in pcmap.branches] == [True, True]
+        assert len(calls) == pcmap.n_pieces == 2
 
     def test_comments_and_fractional_bounds(self):
         src = "# a map\ndomain = [0, 1]\npiece (0, 1/3): 3*x inc  # left\npiece (1/3, 1): 1.5 - 1.5*x dec\n"
