@@ -43,12 +43,10 @@ from .intervals import (
 from .maps import (
     Branch,
     PcMap,
-    branch_inverse,
     build_map,
     evaluate,
     evaluate_orbit,
     identity_map,
-    orbit_avoids_delta,
     parse_map,
 )
 from .symbolic import count_pieces, delta_n, full_branch_check, ms_entropy, preimage_set

@@ -56,7 +56,8 @@ def rho_n(pcmap: PcMap, x: float, y: float, n: int, metric=None) -> float:
 
 
 def _avoid_mask(pcmap: PcMap, xs: np.ndarray, horizon: int) -> np.ndarray:
-    """``maps.orbit_avoids_delta`` for every entry of ``xs`` at once."""
+    """True where the first ``horizon`` orbit points of an entry of ``xs`` miss
+    the cut set; the scalar reference is ``tests/reference.py::orbit_avoids_delta``."""
     ok = np.ones(len(xs), dtype=bool)
     v = xs.astype(float)
     for j in range(horizon):

@@ -339,9 +339,9 @@ def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointS
     tol = max(exclude.tol, 1e-12)
     owner, lo, hi, lo_open, hi_open = cover.parts
     target_ends = [x for p in target.parts for x in (p.lo, p.hi)]
-    # np.unique drops the exact repeats (adjacent elements share ends), which
-    # dedupe_sorted would otherwise walk one by one as sub-tol chains
-    coords = np.unique(np.concatenate([target_ends, lo, hi, exclude.array]))
+    # exact repeats (adjacent elements share ends) go first: dedupe_sorted walks them one by one
+    coords = np.sort(np.concatenate([target_ends, lo, hi, exclude.array]))
+    coords = coords[np.r_[True, coords[1:] != coords[:-1]]]
     reps = coords[dedupe_sorted(coords, tol)]
 
     def snap(xs: np.ndarray) -> np.ndarray:

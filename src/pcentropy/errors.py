@@ -36,37 +36,29 @@ class ResourceCapExceeded(PcEntropyError):
         self.completed = completed  # deepest level finished before the cap
 
 
-class NotACoverError(PcEntropyError):
-    """The claimed cover leaves part of the target uncovered."""
+class WitnessError(PcEntropyError):
+    """A failed certificate; ``witness`` holds the offending point or pair."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
 
 
-class NotSeparatedError(PcEntropyError):
+class NotACoverError(WitnessError):
+    """The claimed cover leaves part of the target uncovered."""
+
+
+class NotSeparatedError(WitnessError):
     """A claimed separated set holds two points closer than epsilon; carries
     the violating index pair."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
-
-class InvarianceError(PcEntropyError):
+class InvarianceError(WitnessError):
     """A region fails the (pseudo-)invariance verification."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
-
-class SubadditivityError(PcEntropyError):
+class SubadditivityError(WitnessError):
     """A sequence expected to be subadditive is not; carries the witness pair."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class EmptySampleError(PcEntropyError):

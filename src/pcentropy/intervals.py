@@ -243,7 +243,7 @@ def dedupe_sorted(xs: np.ndarray, tol: float, rank: np.ndarray | None = None):
         return keep, dropped, dropped
     kept = np.flatnonzero(keep)
     group = kept[np.searchsorted(kept, dropped) - 1]  # the kept point of each dropped one
-    heads = np.unique(group)
+    heads = group[np.r_[True, group[1:] != group[:-1]]]  # group is non-decreasing
     members = np.concatenate([heads, dropped])
     owner = np.concatenate([heads, group])
     # per group: smallest rank first, then the earliest point

@@ -154,78 +154,6 @@ def limit_step(pcmap: PcMap, v: float, side: int) -> tuple[float, int, int]:
     return value, new_side, bi
 
 
-def limit_orbit(pcmap: PcMap, x: float, side: int, n: int) -> tuple[float, int, int]:
-    """n-step one-sided limit orbit; returns (value, side, direction product)."""
-    v, s, d = x, side, 1
-    for _ in range(n):
-        v, s, bi = limit_step(pcmap, v, s)
-        d *= pcmap.branches[bi].direction
-    return v, s, d
-
-
-def orbit_avoids_delta(pcmap: PcMap, x: float, horizon: int) -> bool:
-    """True iff the first ``horizon`` orbit points miss the discontinuity set."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    v = _check_in_domain(pcmap, x)
-    for _ in range(horizon):
-        if pcmap.delta.index_near(v) is not None:
-            return False
-        v = evaluate(pcmap, v)
-    return True
-
-
-def branch_inverse(branch: Branch, y: float, tol: float = 1e-12) -> float | None:
-    """Solve branch(x) = y on the piece closure; None when y is out of range.
-
-    Affine branches are solved in closed form; anything else falls back to
-    bisection with bracket width at most ``tol``.  This is the scalar
-    reference for ``branch_preimages``, which both preimage routes use; no
-    runtime code calls it.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    lo, hi = branch.piece.lo, branch.piece.hi
-    aff = branch.affine
-    if aff is not None:
-        a, b = aff
-        x = (y - b) / a
-        if x < lo - tol or x > hi + tol:
-            return None
-        return min(max(x, lo), hi)
-    vmin, vmax = branch.image
-    if y < vmin - tol or y > vmax + tol:
-        return None
-    y = min(max(y, vmin), vmax)
-    f = branch.fn
-    sgn = 1.0 if branch.increasing else -1.0
-    flo, fhi = sgn * float(f(lo)), sgn * float(f(hi))
-    ty = sgn * y
-    if not flo <= fhi:
-        raise MonotonicityError(
-            f"branch values at piece ends contradict declared direction on {branch.piece!r}"
-        )
-    if ty <= flo:
-        return lo
-    if ty >= fhi:
-        return hi
-    a, b = lo, hi
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        fm = sgn * float(f(mid))
-        if fm < flo - tol or fm > fhi + tol:
-            raise MonotonicityError(f"bracket violation at {mid!r} on {branch.piece!r}")
-        if fm < ty:
-            a = mid
-        else:
-            b = mid
-        if b - a <= tol:
-            break
-    return 0.5 * (a + b)
-
-
 _INVERSE_TOL = 1e-15
 
 
@@ -233,9 +161,12 @@ def branch_preimages(branch: Branch, ys: np.ndarray) -> np.ndarray:
     """Preimages of every target under the branch closure at once; NaN where absent.
 
     Affine branches use the closed form and clip onto the piece what lands
-    within a relative ``1e-12`` of it.  Other branches apply
-    ``branch_inverse`` at tolerance ``_INVERSE_TOL`` element by element, with
-    its clipping, end point and stopping rules.
+    within a relative ``1e-12`` of it.  Other branches clip onto the image
+    what lies within ``_INVERSE_TOL`` of it, send a target at or past an end
+    value to that piece end (the left one on a tie), and bisect the rest until
+    the bracket is ``_INVERSE_TOL`` wide or its midpoint stops splitting it.
+    End or midpoint values out of order raise ``MonotonicityError``.  The
+    scalar reference is ``tests/reference.py::branch_inverse``.
     """
     lo, hi = branch.piece.lo, branch.piece.hi
     aff = branch.affine
@@ -259,7 +190,7 @@ def branch_preimages(branch: Branch, ys: np.ndarray) -> np.ndarray:
         )
     ty = sgn * np.clip(ys[inside], vmin, vmax)
     out[inside[ty >= fhi]] = hi
-    out[inside[ty <= flo]] = lo  # after hi: lo wins when flo == fhi, as in branch_inverse
+    out[inside[ty <= flo]] = lo  # after hi: lo wins when flo == fhi
     mid_range = (ty > flo) & (ty < fhi)
     idx, ty = inside[mid_range], ty[mid_range]
     a = np.full(len(idx), lo)

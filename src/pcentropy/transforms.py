@@ -19,7 +19,6 @@ from .maps import (
     evaluate_many,
     identity_map,
     limit_step,
-    orbit_avoids_delta,
 )
 from .symbolic import delta_n
 
@@ -87,13 +86,19 @@ def iterate_map(pcmap: PcMap, k: int, cap: int | None = None) -> PcMap:
     comps = components_of_complement(pcmap.domain, cuts)
     rows = []
     for comp in comps:
-        probe = _interior_probe(pcmap, comp, k)
-        v = probe
-        seq = []
-        for _ in range(k):
-            bi = pcmap.piece_index(v)
-            seq.append(bi)
-            v = evaluate(pcmap, v)
+        # the branch sequence of the first probe whose k-step orbit misses the cut set
+        for frac in (0.5, 0.381966, 0.618034, 0.271828, 0.707107):
+            v = comp.lo + frac * comp.diameter
+            seq = []
+            for _ in range(k):
+                if pcmap.delta.index_near(v) is not None:
+                    break
+                seq.append(pcmap.piece_index(v))
+                v = evaluate(pcmap, v)
+            else:
+                break
+        else:
+            raise MapValidationError(f"cannot probe component {comp!r} away from the cut set")
         expr = pcmap.branches[seq[0]].expr
         inc = pcmap.branches[seq[0]].increasing
         for bi in seq[1:]:
@@ -101,14 +106,6 @@ def iterate_map(pcmap: PcMap, k: int, cap: int | None = None) -> PcMap:
             inc = inc == pcmap.branches[bi].increasing
         rows.append((comp.lo, comp.hi, expr, inc))
     return build_map((pcmap.domain.lo, pcmap.domain.hi), rows, at_delta=pcmap.at_delta, validation_grid=65)
-
-
-def _interior_probe(pcmap: PcMap, comp: Interval, k: int) -> float:
-    for frac in (0.5, 0.381966, 0.618034, 0.271828, 0.707107):
-        x = comp.lo + frac * comp.diameter
-        if orbit_avoids_delta(pcmap, x, k):
-            return x
-    raise MapValidationError(f"cannot probe component {comp!r} away from the cut set")
 
 
 def conjugate_map(pcmap: PcMap, phi: PlHomeo) -> PcMap:

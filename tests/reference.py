@@ -1,0 +1,259 @@
+"""Scalar references for the array kernels of ``pcentropy``.
+
+Each function is the plain loop that a vectorized routine of the library
+must agree with; the test modules compare the two.  None of them runs in
+the library itself.
+"""
+
+import functools
+
+import numpy as np
+
+from pcentropy.bowen import SampleSet, _avoid_mask
+from pcentropy.covers import Cover
+from pcentropy.errors import EmptySampleError, MonotonicityError
+from pcentropy.intervals import Interval, OpenSet, PointSet
+from pcentropy.maps import LEFT, RIGHT, Branch, PcMap, _check_in_domain, evaluate, limit_step
+
+
+def limit_orbit(pcmap: PcMap, x: float, side: int, n: int) -> tuple[float, int, int]:
+    """n-step one-sided limit orbit; returns (value, side, direction product)."""
+    v, s, d = x, side, 1
+    for _ in range(n):
+        v, s, bi = limit_step(pcmap, v, s)
+        d *= pcmap.branches[bi].direction
+    return v, s, d
+
+
+def orbit_avoids_delta(pcmap: PcMap, x: float, horizon: int) -> bool:
+    """True iff the first ``horizon`` orbit points miss the discontinuity set."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    v = _check_in_domain(pcmap, x)
+    for _ in range(horizon):
+        if pcmap.delta.index_near(v) is not None:
+            return False
+        v = evaluate(pcmap, v)
+    return True
+
+
+def branch_inverse(branch: Branch, y: float, tol: float = 1e-12) -> float | None:
+    """Solve branch(x) = y on the piece closure; None when y is out of range.
+
+    Affine branches are solved in closed form; anything else falls back to
+    bisection with bracket width at most ``tol``.  This is the scalar
+    reference for ``branch_preimages``, which both preimage routes use; no
+    runtime code calls it.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    lo, hi = branch.piece.lo, branch.piece.hi
+    aff = branch.affine
+    if aff is not None:
+        a, b = aff
+        x = (y - b) / a
+        if x < lo - tol or x > hi + tol:
+            return None
+        return min(max(x, lo), hi)
+    vmin, vmax = branch.image
+    if y < vmin - tol or y > vmax + tol:
+        return None
+    y = min(max(y, vmin), vmax)
+    f = branch.fn
+    sgn = 1.0 if branch.increasing else -1.0
+    flo, fhi = sgn * float(f(lo)), sgn * float(f(hi))
+    ty = sgn * y
+    if not flo <= fhi:
+        raise MonotonicityError(
+            f"branch values at piece ends contradict declared direction on {branch.piece!r}"
+        )
+    if ty <= flo:
+        return lo
+    if ty >= fhi:
+        return hi
+    a, b = lo, hi
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        fm = sgn * float(f(mid))
+        if fm < flo - tol or fm > fhi + tol:
+            raise MonotonicityError(f"bracket violation at {mid!r} on {branch.piece!r}")
+        if fm < ty:
+            a = mid
+        else:
+            b = mid
+        if b - a <= tol:
+            break
+    return 0.5 * (a + b)
+
+
+def dedupe_reference(xs, tol, rank):
+    """Scalar greedy merge: keep mask and, per kept point, its provenance."""
+    keep = np.ones(len(xs), dtype=bool)
+    prov = list(range(len(xs)))
+    last = None
+    for i, x in enumerate(xs):
+        if last is not None and x - xs[last] <= tol:
+            keep[i] = False
+            if rank[i] < rank[prov[last]]:
+                prov[last] = i
+        else:
+            last = i
+    return keep, prov
+
+
+def count_pieces_scalar(table, n: int, merge_removable: bool) -> int:
+    """Reference: one scalar limit-orbit test per interior cut point."""
+    pcmap = table.map
+    xs, hit, root = table.cumulative[n]
+    dom, tol = pcmap.domain, pcmap.tol
+    interior = (xs > dom.lo + tol) & (xs < dom.hi - tol)
+    count = int(interior.sum()) + 1
+    if not merge_removable:
+        return count
+
+    @functools.lru_cache(maxsize=None)
+    def limit_seq(r: int, side: int, m: int) -> tuple[float, int]:
+        v, _, d = limit_orbit(pcmap, pcmap.delta.points[r], side, m)
+        return v, d
+
+    for h_i, r_i in zip(hit[interior], root[interior]):
+        m = int(n - h_i)
+        # the verdict is symmetric in the two sides, so which one the cut
+        # point's own left side maps to does not matter
+        v_l, d_l = limit_seq(int(r_i), LEFT, m)
+        v_r, d_r = limit_seq(int(r_i), RIGHT, m)
+        if abs(v_l - v_r) <= tol and d_l == d_r:
+            count -= 1
+    return count
+
+
+def sample_region_scalar(pcmap, region, grid, horizon):
+    """``sample_region`` with one ``_avoid_mask`` call per nudged point: the
+    reference for the batched nudging."""
+    total = region.total_length()
+    kept_parts = []
+    density = 0.0
+    for part in region.parts:
+        npts = grid if len(region.parts) == 1 else max(2, round(grid * part.diameter / max(total, 1e-300)))
+        xs = np.linspace(part.lo, part.hi, npts)
+        h = xs[1] - xs[0] if npts > 1 else part.diameter
+        ok = _avoid_mask(pcmap, xs, horizon)
+        kept = list(xs[ok])
+        excised = []
+        for x in xs[~ok]:
+            placed = False
+            for off in (h / 2, -h / 2, h / 4, -h / 4, h / 8, -h / 8, h / 16, -h / 16):
+                cand = x + off
+                if part.lo <= cand <= part.hi and _avoid_mask(pcmap, np.asarray([cand]), horizon)[0]:
+                    kept.append(cand)
+                    placed = True
+                    break
+            if not placed:
+                excised.append(x)
+        kept.sort()
+        if not kept:
+            continue
+        kept_arr = np.asarray(kept)
+        kept_parts.append(kept_arr)
+        gaps = np.diff(kept_arr)
+        for g, a in zip(gaps, kept_arr):
+            if not any(a < e < a + g for e in excised):
+                density = max(density, float(g))
+        if len(kept_arr) == 1:
+            density = max(density, h)
+    if not kept_parts:
+        raise EmptySampleError("empty sample")
+    points = PointSet(tuple(np.concatenate(kept_parts)), tol=0.0)
+    return SampleSet(points=points, horizon=horizon, density=density)
+
+
+def verify_separated_scalar(M, idx, eps):
+    """The pairwise certificate as a scalar loop over sorted first coordinates."""
+    xs = M[idx, 0]
+    for a in range(len(idx)):
+        b = a + 1
+        while b < len(idx) and xs[b] - xs[a] < eps:
+            if np.abs(M[idx[a]] - M[idx[b]]).max() < eps:
+                return False
+            b += 1
+    return True
+
+
+def greedy_spanning_reference(M, eps):
+    """The leftmost-uncovered ball sweep over rows sorted by first coordinate:
+    each row no earlier center covers becomes a center, and its open eps-ball
+    in the max norm covers every row it holds."""
+    covered = np.zeros(len(M), dtype=bool)
+    centers = []
+    for i in range(len(M)):
+        if not covered[i]:
+            centers.append(i)
+            covered |= np.abs(M - M[i]).max(axis=1) < eps
+    return centers
+
+
+def openset_preimage_scalar(pcmap, oset):
+    """Scalar reference for ``covers._pullback``: one element, and one
+    ``branch_inverse`` call per part end."""
+    dom = pcmap.domain
+    parts = []
+    for b in pcmap.branches:
+        vmin, vmax = (min(max(v, dom.lo), dom.hi) for v in b.image)
+        if b.increasing:
+            img = Interval(vmin, vmax, b.piece.lo_open, b.piece.hi_open)
+        else:
+            img = Interval(vmin, vmax, b.piece.hi_open, b.piece.lo_open)
+        for w0 in oset.parts:
+            w = w0.intersect(img)
+            if w is None:
+                continue
+            if b.increasing:
+                xlo = b.piece.lo if w.lo == img.lo else branch_inverse(b, w.lo, 1e-15)
+                xhi = b.piece.hi if w.hi == img.hi else branch_inverse(b, w.hi, 1e-15)
+                lo_open, hi_open = w.lo_open, w.hi_open
+            else:
+                xlo = b.piece.lo if w.hi == img.hi else branch_inverse(b, w.hi, 1e-15)
+                xhi = b.piece.hi if w.lo == img.lo else branch_inverse(b, w.lo, 1e-15)
+                lo_open, hi_open = w.hi_open, w.lo_open
+            if xlo is None or xhi is None or xlo > xhi:
+                continue
+            if xlo == xhi and (lo_open or hi_open):
+                continue
+            parts.append(Interval(xlo, xhi, lo_open, hi_open))
+    return OpenSet(tuple(parts))
+
+
+def _dedupe(elements) -> tuple[OpenSet, ...]:
+    return tuple(dict.fromkeys(elements))
+
+
+def vee_reference(covers: list[Cover]) -> Cover:
+    """Pairwise reference for ``covers.vee``: one ``OpenSet.intersect`` per
+    element pair, first occurrences kept in (a, b) order."""
+    if not covers:
+        raise ValueError("need at least one cover")
+    elems = _dedupe(covers[0].elements)
+    for c in covers[1:]:
+        nxt = {}
+        for a in elems:
+            for b in c.elements:
+                w = a.intersect(b)
+                if not w.is_empty():
+                    nxt[w] = None
+        elems = tuple(nxt)
+    return Cover(elems)
+
+
+def refinement_reference(pcmap, cover, n_max):
+    """Reference for ``refinement_steps`` built from ``vee_reference`` and
+    ``openset_preimage_scalar``."""
+    base = [cut for cut in (el.subtract_points(pcmap.delta) for el in cover.elements) if not cut.is_empty()]
+    acc = Cover(_dedupe(base))
+    yield acc
+    cur = base
+    for _ in range(2, n_max + 1):
+        cur = [pre for pre in (openset_preimage_scalar(pcmap, el) for el in cur) if not pre.is_empty()]
+        acc = vee_reference([acc, Cover(tuple(cur))])
+        yield acc

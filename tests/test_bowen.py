@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from pcentropy import bowen
 from pcentropy.bowen import (
-    SampleSet,
     _avoid_mask,
     _verify_separated,
     bowen_entropy,
@@ -21,22 +20,17 @@ from pcentropy.bowen import (
 )
 from pcentropy.catalog import get as catalog_get
 from pcentropy.errors import EmptySampleError, NotACoverError, NotSeparatedError
-from pcentropy.intervals import PointSet, RegionSet
-from pcentropy.maps import orbit_avoids_delta
+from pcentropy.intervals import RegionSet
 from pcentropy.symbolic import delta_n
 from pcentropy.transforms import PlHomeo
+from reference import (
+    greedy_spanning_reference,
+    orbit_avoids_delta,
+    sample_region_scalar,
+    verify_separated_scalar,
+)
 
 X = RegionSet.of((0.0, 1.0))
-
-
-@pytest.fixture(scope="module")
-def tent():
-    return catalog_get("tent").map
-
-
-@pytest.fixture(scope="module")
-def identity():
-    return catalog_get("identity").map
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +87,6 @@ class TestSampleRegion:
             sample_region(tent, RegionSet.of((0.5, 0.5)), grid=2, horizon=1)
 
     def test_all_points_avoid_cuts(self, tent, tent_sample):
-        from pcentropy.maps import orbit_avoids_delta
-
         for p in list(tent_sample.points)[::53]:
             assert orbit_avoids_delta(tent, p, tent_sample.horizon)
 
@@ -218,46 +210,6 @@ def test_avoid_mask_matches_scalar_walker(name, horizon, data):
     assert mask.tolist() == [orbit_avoids_delta(pcmap, float(x), horizon) for x in xs]
 
 
-def sample_region_scalar(pcmap, region, grid, horizon):
-    """``sample_region`` with one ``_avoid_mask`` call per nudged point: the
-    reference for the batched nudging."""
-    total = region.total_length()
-    kept_parts = []
-    density = 0.0
-    for part in region.parts:
-        npts = grid if len(region.parts) == 1 else max(2, round(grid * part.diameter / max(total, 1e-300)))
-        xs = np.linspace(part.lo, part.hi, npts)
-        h = xs[1] - xs[0] if npts > 1 else part.diameter
-        ok = _avoid_mask(pcmap, xs, horizon)
-        kept = list(xs[ok])
-        excised = []
-        for x in xs[~ok]:
-            placed = False
-            for off in (h / 2, -h / 2, h / 4, -h / 4, h / 8, -h / 8, h / 16, -h / 16):
-                cand = x + off
-                if part.lo <= cand <= part.hi and _avoid_mask(pcmap, np.asarray([cand]), horizon)[0]:
-                    kept.append(cand)
-                    placed = True
-                    break
-            if not placed:
-                excised.append(x)
-        kept.sort()
-        if not kept:
-            continue
-        kept_arr = np.asarray(kept)
-        kept_parts.append(kept_arr)
-        gaps = np.diff(kept_arr)
-        for g, a in zip(gaps, kept_arr):
-            if not any(a < e < a + g for e in excised):
-                density = max(density, float(g))
-        if len(kept_arr) == 1:
-            density = max(density, h)
-    if not kept_parts:
-        raise EmptySampleError("empty sample")
-    points = PointSet(tuple(np.concatenate(kept_parts)), tol=0.0)
-    return SampleSet(points=points, horizon=horizon, density=density)
-
-
 NUDGE_CASES = [
     *((name, grid, horizon) for name in sorted(WALKER_MAPS) for grid, horizon in ((8193, 12), (4097, 10), (257, 4))),
     # later offset rounds: anzie places points at h/2, -h/2, h/4 and h/8, tent
@@ -283,18 +235,6 @@ def test_batched_nudging_on_a_split_region():
     assert sample_region(tent, region, 1025, 8) == sample_region_scalar(tent, region, 1025, 8)
 
 
-def verify_separated_scalar(M, idx, eps):
-    """The pairwise certificate as a scalar loop over sorted first coordinates."""
-    xs = M[idx, 0]
-    for a in range(len(idx)):
-        b = a + 1
-        while b < len(idx) and xs[b] - xs[a] < eps:
-            if np.abs(M[idx[a]] - M[idx[b]]).max() < eps:
-                return False
-            b += 1
-    return True
-
-
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n=st.integers(1, 4), quarter_steps=st.booleans())
 def test_vectorized_separated_certificate_matches_scalar(data, n, quarter_steps):
@@ -315,19 +255,6 @@ def test_vectorized_separated_certificate_matches_scalar(data, n, quarter_steps)
         a, b = pair
         assert a != b and a in idx and b in idx
         assert np.abs(M[a] - M[b]).max() < eps
-
-
-def greedy_spanning_reference(M, eps):
-    """The leftmost-uncovered ball sweep over rows sorted by first coordinate:
-    each row no earlier center covers becomes a center, and its open eps-ball
-    in the max norm covers every row it holds."""
-    covered = np.zeros(len(M), dtype=bool)
-    centers = []
-    for i in range(len(M)):
-        if not covered[i]:
-            centers.append(i)
-            covered |= np.abs(M - M[i]).max(axis=1) < eps
-    return centers
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from pcentropy import cli
 from pcentropy.cli import main
 from pcentropy.maps import evaluate, parse_map
 
@@ -403,3 +408,28 @@ class TestValidateCommand:
         assert code == 1 and out == ""
         assert err.startswith(f"error: line {line}, col ") and err.count("\n") == 1
         assert err.endswith("number '1e999' is out of range\n")
+
+
+_MA_PROBE = """
+import json, sys
+import pcentropy.cli
+before = "numpy.ma" in sys.modules
+seen = {}
+for method in ("ms", "cover"):
+    pcentropy.cli.main(["entropy", "--catalog", "anzie", "--method", method, "--n-max", "6"])
+    seen[method] = "numpy.ma" in sys.modules
+print(json.dumps([before, seen]))
+"""
+
+
+def test_entropy_runs_do_not_import_numpy_ma():
+    # numpy >= 2 loads numpy.ma lazily and np.unique loads it, which costs
+    # each fresh process milliseconds and memory
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _MA_PROBE], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"ms": before, "cover": before}

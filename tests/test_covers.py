@@ -26,16 +26,11 @@ from pcentropy.covers import (
 )
 from pcentropy.errors import NotACoverError
 from pcentropy.intervals import Interval, OpenSet, PointSet, RegionSet
-from pcentropy.maps import branch_inverse
 from pcentropy.symbolic import delta_n
 from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
+from reference import openset_preimage_scalar, refinement_reference, vee_reference
 
 X = RegionSet.of((0.0, 1.0))
-
-
-@pytest.fixture(scope="module")
-def tent():
-    return catalog_get("tent").map
 
 
 def spans(cover):
@@ -104,77 +99,12 @@ class TestPullback:
             assert set(pullback_cover(ident, c, j).elements) == set(c.elements)
 
 
-def openset_preimage_scalar(pcmap, oset):
-    """Scalar reference for ``covers._pullback``: one element, and one
-    ``branch_inverse`` call per part end."""
-    dom = pcmap.domain
-    parts = []
-    for b in pcmap.branches:
-        vmin, vmax = (min(max(v, dom.lo), dom.hi) for v in b.image)
-        if b.increasing:
-            img = Interval(vmin, vmax, b.piece.lo_open, b.piece.hi_open)
-        else:
-            img = Interval(vmin, vmax, b.piece.hi_open, b.piece.lo_open)
-        for w0 in oset.parts:
-            w = w0.intersect(img)
-            if w is None:
-                continue
-            if b.increasing:
-                xlo = b.piece.lo if w.lo == img.lo else branch_inverse(b, w.lo, 1e-15)
-                xhi = b.piece.hi if w.hi == img.hi else branch_inverse(b, w.hi, 1e-15)
-                lo_open, hi_open = w.lo_open, w.hi_open
-            else:
-                xlo = b.piece.lo if w.hi == img.hi else branch_inverse(b, w.hi, 1e-15)
-                xhi = b.piece.hi if w.lo == img.lo else branch_inverse(b, w.lo, 1e-15)
-                lo_open, hi_open = w.hi_open, w.lo_open
-            if xlo is None or xhi is None or xlo > xhi:
-                continue
-            if xlo == xhi and (lo_open or hi_open):
-                continue
-            parts.append(Interval(xlo, xhi, lo_open, hi_open))
-    return OpenSet(tuple(parts))
-
-
 PULLBACK_MAPS = [
     catalog_get(name).map for name in ("tent", "asym-tent", "lorenz-full", "anzie", "mod3")
 ] + [
     conjugate_map(catalog_get("tent").map, PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))),
     iterate_map(catalog_get("tent").map, 2),
 ]
-
-
-def _dedupe(elements) -> tuple[OpenSet, ...]:
-    return tuple(dict.fromkeys(elements))
-
-
-def vee_reference(covers: list[Cover]) -> Cover:
-    """Pairwise reference for ``covers.vee``: one ``OpenSet.intersect`` per
-    element pair, first occurrences kept in (a, b) order."""
-    if not covers:
-        raise ValueError("need at least one cover")
-    elems = _dedupe(covers[0].elements)
-    for c in covers[1:]:
-        nxt = {}
-        for a in elems:
-            for b in c.elements:
-                w = a.intersect(b)
-                if not w.is_empty():
-                    nxt[w] = None
-        elems = tuple(nxt)
-    return Cover(elems)
-
-
-def refinement_reference(pcmap, cover, n_max):
-    """Reference for ``refinement_steps`` built from ``vee_reference`` and
-    ``openset_preimage_scalar``."""
-    base = [cut for cut in (el.subtract_points(pcmap.delta) for el in cover.elements) if not cut.is_empty()]
-    acc = Cover(_dedupe(base))
-    yield acc
-    cur = base
-    for _ in range(2, n_max + 1):
-        cur = [pre for pre in (openset_preimage_scalar(pcmap, el) for el in cur) if not pre.is_empty()]
-        acc = vee_reference([acc, Cover(tuple(cur))])
-        yield acc
 
 
 def random_elements(draw, pcmap, max_elements=4, max_parts=4) -> list[OpenSet]:

@@ -11,6 +11,7 @@ from pcentropy.intervals import (
     components_of_complement,
     dedupe_sorted,
 )
+from reference import dedupe_reference
 
 
 def grid_membership(oset: OpenSet, xs: np.ndarray) -> np.ndarray:
@@ -180,21 +181,6 @@ class TestRegionSet:
     def test_contains(self):
         r = RegionSet.of((0.0, 0.25), (0.75, 1.0))
         assert r.contains(0.1) and r.contains(0.75) and not r.contains(0.5)
-
-
-def dedupe_reference(xs, tol, rank):
-    """Scalar greedy merge: keep mask and, per kept point, its provenance."""
-    keep = np.ones(len(xs), dtype=bool)
-    prov = list(range(len(xs)))
-    last = None
-    for i, x in enumerate(xs):
-        if last is not None and x - xs[last] <= tol:
-            keep[i] = False
-            if rank[i] < rank[prov[last]]:
-                prov[last] = i
-        else:
-            last = i
-    return keep, prov
 
 
 # gaps in units of tol = 1: exact ties, gaps just at tol, and chains of

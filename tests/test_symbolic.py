@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -14,10 +13,8 @@ from pcentropy.maps import (
     _INVERSE_TOL,
     LEFT,
     RIGHT,
-    branch_inverse,
     branch_preimages,
     build_map,
-    limit_orbit,
     limit_step,
     parse_map,
 )
@@ -32,13 +29,9 @@ from pcentropy.symbolic import (
     submultiplicative_witness,
 )
 from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
+from reference import branch_inverse, count_pieces_scalar
 
 PHI = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
-
-
-@pytest.fixture(scope="module")
-def tent():
-    return catalog_get("tent").map
 
 
 class TestPreimageSet:
@@ -230,32 +223,6 @@ class TestFullBranchCheck:
             n_branches = m.n_pieces
             for a, b in zip(counts, counts[1:]):
                 assert b - a <= n_branches - 1
-
-
-def count_pieces_scalar(table, n: int, merge_removable: bool) -> int:
-    """Reference: one scalar limit-orbit test per interior cut point."""
-    pcmap = table.map
-    xs, hit, root = table.cumulative[n]
-    dom, tol = pcmap.domain, pcmap.tol
-    interior = (xs > dom.lo + tol) & (xs < dom.hi - tol)
-    count = int(interior.sum()) + 1
-    if not merge_removable:
-        return count
-
-    @functools.lru_cache(maxsize=None)
-    def limit_seq(r: int, side: int, m: int) -> tuple[float, int]:
-        v, _, d = limit_orbit(pcmap, pcmap.delta.points[r], side, m)
-        return v, d
-
-    for h_i, r_i in zip(hit[interior], root[interior]):
-        m = int(n - h_i)
-        # the verdict is symmetric in the two sides, so which one the cut
-        # point's own left side maps to does not matter
-        v_l, d_l = limit_seq(int(r_i), LEFT, m)
-        v_r, d_r = limit_seq(int(r_i), RIGHT, m)
-        if abs(v_l - v_r) <= tol and d_l == d_r:
-            count -= 1
-    return count
 
 
 def _verdict_map(label: str):

@@ -13,11 +13,6 @@ from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map, restrict_m
 PHI3 = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
 
 
-@pytest.fixture(scope="module")
-def tent():
-    return catalog_get("tent").map
-
-
 class TestPlHomeo:
     def test_requires_monotone(self):
         with pytest.raises(ValueError):
