@@ -108,8 +108,7 @@ def sample_region(pcmap: PcMap, region: RegionSet, grid: int, horizon: int) -> S
         raise EmptySampleError(
             f"no point of {region!r} avoids the cut set to depth {horizon} at this grid"
         )
-    points = PointSet(tuple(np.concatenate(kept_parts)), tol=0.0)
-    return SampleSet(points=points, horizon=horizon, density=density)
+    return SampleSet(PointSet(np.concatenate(kept_parts), tol=0.0), horizon, density)
 
 
 def orbit_matrix(pcmap: PcMap, sample: SampleSet) -> np.ndarray:
@@ -117,7 +116,7 @@ def orbit_matrix(pcmap: PcMap, sample: SampleSet) -> np.ndarray:
     cached = _ORBIT_CACHE.get(sample)
     if cached is not None and cached[0] == pcmap:
         return cached[1]
-    xs = np.asarray(sample.points.points)
+    xs = sample.points.points
     out = np.empty((len(xs), sample.horizon))
     out[:, 0] = xs
     for j in range(1, sample.horizon):
@@ -287,7 +286,7 @@ def bowen_entropy(
     if sorted(n_range) != list(n_range) or len(set(n_range)) != len(n_range):
         raise ValueError("n_range must be increasing")
     sample = sample_region(pcmap, region, grid, horizon=max(n_range))
-    m = len(sample.points.points)
+    m = len(sample.points)
     sat = max(8, int(SATURATION_FRACTION * m))
     records: list[SeriesRecord] = []
     slopes: dict[str, float] = {}

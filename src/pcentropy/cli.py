@@ -178,6 +178,8 @@ def _power_k(args) -> int | None:
 
 def _cap_from_env() -> int | None:
     raw = os.environ.get("PCENTROPY_CAP")
+    if raw and not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"PCENTROPY_CAP must be a non-negative integer, got {raw!r}")
     return int(raw) if raw else None
 
 
@@ -231,7 +233,7 @@ def cmd_verify(args) -> int:
     rows: list[tuple[str, bool, str]] = []
 
     deltas = [delta_n(pcmap, n, cap) for n in range(n_max + 1)]
-    nested = all(deltas[n + 1].contains_many(deltas[n].array).all() for n in range(n_max))
+    nested = all(deltas[n + 1].contains_many(deltas[n].points).all() for n in range(n_max))
     rows.append(("Delta^n nested in Delta^(n+1)", nested, f"n <= {n_max}"))
 
     counts = {n: count_pieces(pcmap, n, cap=cap) for n in range(1, n_max + 1)}
@@ -258,7 +260,7 @@ def cmd_verify(args) -> int:
             count_pieces(fk, n, cap=cap) == count_pieces(pcmap, k * n, cap=cap)
             for n in range(1, max(1, n_max // k) + 1)
         )
-        rows.append((f"c_n(f^{k}) = c_(n*{k})(f)", ok, f"n*k <= {n_max}"))
+        rows.append((f"c_n(f^{k}) = c_(n*{k})(f)", ok, f"n*k <= {max(n_max, k)}"))
 
     if conj is not None:
         ok = all(

@@ -287,7 +287,7 @@ def pullback_cover(pcmap: PcMap, cover: Cover, j: int) -> Cover:
 
 def refinement_steps(pcmap: PcMap, cover: Cover, n_max: int):
     """Yield the n-step refinements for n = 1..n_max, reusing previous factors."""
-    acc = cur = _dedupe(_subtract_points(cover, pcmap.delta.array))
+    acc = cur = _dedupe(_subtract_points(cover, pcmap.delta.points))
     yield acc
     for n in range(2, n_max + 1):
         cur = _pullback(pcmap, cur)
@@ -324,6 +324,28 @@ def _uncovered(reps: np.ndarray, code: int) -> NotACoverError:
     return NotACoverError(f"target point {x:.17g} is uncovered", witness=x)
 
 
+def _sweep(first, last, owner, reps, atoms) -> SubcoverResult:
+    """Greedy sweep over single-interval parts that cover the atoms first..last;
+    the scalar reference is ``tests/reference.py::subcover_sweep_reference``."""
+    ok = first <= last
+    order = np.lexsort((owner[ok], last[ok], first[ok]))
+    first, last, owner = (col[ok][order] for col in (first, last, owner))
+    # the pick among parts 0..p is the first of them to reach their furthest atom
+    reach = np.maximum.accumulate(last)
+    rose = np.diff(reach, prepend=-1) > 0
+    best, reach = owner[rose][np.cumsum(rose) - 1].tolist(), reach.tolist()
+    # upto[a]: the last part starting at or before atom a, -1 if none
+    upto = (np.searchsorted(first, np.arange(len(atoms)), side="right") - 1).tolist()
+    picks, frontier = [], 0
+    while frontier < len(atoms):
+        p = upto[frontier]
+        if p < 0 or reach[p] < frontier:
+            raise _uncovered(reps, atoms[frontier])
+        picks.append(best[p])
+        frontier = reach[p] + 1
+    return SubcoverResult(len(picks), tuple(picks), True)
+
+
 def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointSet.empty()) -> SubcoverResult:
     """Exact minimal subcover of ``target`` minus ``exclude`` points.
 
@@ -340,7 +362,7 @@ def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointS
     owner, lo, hi, lo_open, hi_open = cover.parts
     target_ends = [x for p in target.parts for x in (p.lo, p.hi)]
     # exact repeats (adjacent elements share ends) go first: dedupe_sorted walks them one by one
-    coords = np.sort(np.concatenate([target_ends, lo, hi, exclude.array]))
+    coords = np.sort(np.concatenate([target_ends, lo, hi, exclude.points]))
     coords = coords[np.r_[True, coords[1:] != coords[:-1]]]
     reps = coords[dedupe_sorted(coords, tol)]
 
@@ -353,38 +375,22 @@ def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointS
     inside = np.empty(2 * len(reps) - 1, dtype=bool)
     inside[0::2] = target.contains_many(reps, tol)
     inside[1::2] = target.contains_many(0.5 * (reps[:-1] + reps[1:]))
-    inside[2 * snap(exclude.array)] = False
+    inside[2 * snap(exclude.points)] = False
     atoms = np.flatnonzero(inside)
     if not len(atoms):
         return SubcoverResult(0, (), True)
     # each part covers the atoms first..last, none if first > last
-    first = np.searchsorted(atoms, 2 * snap(lo) + lo_open, side="left").tolist()
-    last = (np.searchsorted(atoms, 2 * snap(hi) - hi_open, side="right") - 1).tolist()
-    owner = owner.tolist()
-
+    first = np.searchsorted(atoms, 2 * snap(lo) + lo_open, side="left")
+    last = np.searchsorted(atoms, 2 * snap(hi) - hi_open, side="right") - 1
     if len(owner) == len(cover):  # every element is a single interval
-        ranges = sorted((a, b, idx) for a, b, idx in zip(first, last, owner) if a <= b)
-        picks = []
-        frontier = 0
-        i = 0
-        best_hi, best_idx = -1, -1
-        while frontier < len(atoms):
-            while i < len(ranges) and ranges[i][0] <= frontier:
-                if ranges[i][1] > best_hi:
-                    best_hi, best_idx = ranges[i][1], ranges[i][2]
-                i += 1
-            if best_hi < frontier:
-                raise _uncovered(reps, atoms[frontier])
-            picks.append(best_idx)
-            frontier = best_hi + 1
-        return SubcoverResult(len(picks), tuple(picks), True)
+        return _sweep(first, last, owner, reps, atoms)
 
     # general case: bitmask set cover over atoms; parts come in element order,
     # so each by_atom list holds its elements in index order
     full = (1 << len(atoms)) - 1
     masks = [0] * len(cover)
     by_atom: list[list[int]] = [[] for _ in atoms]
-    for a, b, idx in zip(first, last, owner):
+    for a, b, idx in zip(first.tolist(), last.tolist(), owner.tolist()):
         if a <= b:
             masks[idx] |= ((1 << (b - a + 1)) - 1) << a
             for atom in range(a, b + 1):

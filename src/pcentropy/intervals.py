@@ -4,7 +4,8 @@ Intervals carry open/closed flags on both ends so that a union can be open in
 the subspace topology of a compact domain: a continuity piece such as
 ``[lo, d)`` is open in ``[lo, hi]`` even though it contains the domain
 endpoint.  Everything here is immutable; operations return new objects in
-canonical form.
+canonical form.  A point set is one sorted, read-only float64 array, which
+the routes that compute it (Delta^n, samples) hand over without a copy.
 """
 
 from __future__ import annotations
@@ -126,10 +127,6 @@ class OpenSet:
         object.__setattr__(self, "parts", _merge_sorted_parts(parts))
 
     @staticmethod
-    def empty() -> "OpenSet":
-        return OpenSet(())
-
-    @staticmethod
     def of(*bounds: tuple[float, float]) -> "OpenSet":
         return OpenSet(tuple(Interval.open(a, b) for a, b in bounds))
 
@@ -182,9 +179,8 @@ class OpenSet:
 
     def subtract_points(self, points) -> "OpenSet":
         """Remove finitely many points, splitting parts at interior hits."""
-        xs = points.points if isinstance(points, PointSet) else tuple(points)
         parts = list(self.parts)
-        for x in xs:
+        for x in points:
             nxt = []
             for p in parts:
                 if not p.contains(x):
@@ -255,33 +251,42 @@ def dedupe_sorted(xs: np.ndarray, tol: float, rank: np.ndarray | None = None):
     return keep, dst[moved], src[moved]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """Sorted finite set of reals; points closer than ``tol`` are one point."""
+    """Sorted finite set of reals; points closer than ``tol`` are one point.
 
-    points: tuple[float, ...] = ()
+    ``points`` is a read-only view of a sorted float64 array (the constructor
+    also takes a sorted tuple or list).  Iteration yields Python floats, and
+    equality and hashing are by value."""
+
+    points: np.ndarray = ()
     tol: float = DEFAULT_POINT_TOL
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", np.asarray(self.points, dtype=float).view())
+        self.points.flags.writeable = False  # shared by every caller
 
     @staticmethod
     def of(values, tol: float = DEFAULT_POINT_TOL) -> "PointSet":
-        xs = np.sort(np.asarray(list(values), dtype=float))
-        return PointSet(tuple(xs[dedupe_sorted(xs, tol)]), tol)
+        xs = np.sort(np.asarray(values, dtype=float))
+        return PointSet(xs[dedupe_sorted(xs, tol)], tol)
 
     @staticmethod
     def empty(tol: float = DEFAULT_POINT_TOL) -> "PointSet":
         return PointSet((), tol)
 
+    def __eq__(self, other):
+        return isinstance(other, PointSet) and self.tol == other.tol and np.array_equal(self.points, other.points)
+
+    def __hash__(self):
+        # adding 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.tol, (self.points + 0.0).tobytes()))
+
     def __len__(self):
         return len(self.points)
 
     def __iter__(self):
-        return iter(self.points)
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        arr = np.asarray(self.points, dtype=float)
-        arr.flags.writeable = False  # shared by every caller
-        return arr
+        return iter(self.points.tolist())
 
     def index_near(self, x: float) -> int | None:
         """Index of a point within ``tol`` of x, or None.  The neighbours i-1
@@ -299,7 +304,7 @@ class PointSet:
     def contains_many(self, xs: np.ndarray) -> np.ndarray:
         """``contains`` for every entry of ``xs``: the neighbours i-1 and i of
         each left insertion point are checked; all False for an empty set."""
-        pts = self.array
+        pts = self.points
         if not len(pts):
             return np.zeros(len(xs), dtype=bool)
         i = np.searchsorted(pts, xs)
@@ -307,9 +312,6 @@ class PointSet:
         near = np.abs(pts[np.clip(i - 1, 0, len(pts) - 1)] - xs) <= self.tol
         near |= np.abs(pts[np.minimum(i, len(pts) - 1)] - xs) <= self.tol
         return near
-
-    def union(self, other: "PointSet") -> "PointSet":
-        return PointSet.of(self.points + other.points, min(self.tol, other.tol))
 
     def __repr__(self):
         inner = ", ".join(f"{x:g}" for x in self.points[:8])
@@ -359,16 +361,14 @@ def components_of_complement(domain: Interval, cuts: PointSet) -> list[Interval]
     always (number of interior cuts) + 1.  The returned intervals are open at
     every cut and keep the domain's own end flags elsewhere.
     """
-    for c in cuts:
-        if c < domain.lo - cuts.tol or c > domain.hi + cuts.tol:
-            raise ValueError(f"cut point {c!r} outside domain {domain!r}")
-    interior = [c for c in cuts if domain.lo + cuts.tol < c < domain.hi - cuts.tol]
-    cut_at_lo = any(abs(c - domain.lo) <= cuts.tol for c in cuts)
-    cut_at_hi = any(abs(c - domain.hi) <= cuts.tol for c in cuts)
+    xs, tol = cuts.points, cuts.tol
+    outside = xs[(xs < domain.lo - tol) | (xs > domain.hi + tol)].tolist()
+    if outside:
+        raise ValueError(f"cut point {outside[0]!r} outside domain {domain!r}")
     out = []
-    lo, lo_open = domain.lo, domain.lo_open or cut_at_lo
-    for c in interior:
+    lo, lo_open = domain.lo, domain.lo_open or bool(np.any(np.abs(xs - domain.lo) <= tol))
+    for c in xs[(xs > domain.lo + tol) & (xs < domain.hi - tol)].tolist():
         out.append(Interval(lo, c, lo_open, True))
         lo, lo_open = c, True
-    out.append(Interval(lo, domain.hi, lo_open, domain.hi_open or cut_at_hi))
+    out.append(Interval(lo, domain.hi, lo_open, domain.hi_open or bool(np.any(np.abs(xs - domain.hi) <= tol))))
     return out

@@ -71,8 +71,7 @@ class PcMap:
 
     @cached_property
     def delta(self) -> PointSet:
-        cuts = [b.piece.hi for b in self.branches[:-1]]
-        return PointSet(tuple(cuts), self.tol)
+        return PointSet([b.piece.hi for b in self.branches[:-1]], self.tol)
 
     def piece_index(self, x: float) -> int:
         return int(bisect.bisect_right(self.delta.points, x))
@@ -93,7 +92,7 @@ def evaluate(pcmap: PcMap, x: float) -> float:
     j = pcmap.delta.index_near(x)
     if j is not None:
         b = pcmap.branches[j if pcmap.at_delta == "left" else j + 1]
-        v = float(b.fn(pcmap.delta.points[j]))
+        v = float(b.fn(float(pcmap.delta.points[j])))
     else:
         v = float(pcmap.branches[pcmap.piece_index(x)].fn(x))
     return _check_in_domain(pcmap, v)
@@ -107,7 +106,7 @@ def evaluate_many(pcmap: PcMap, xs: np.ndarray) -> np.ndarray:
     the domain.  There, validation already keeps every branch value within
     ``IMAGE_TOL`` of the domain, so the clip only absorbs round-off.
     """
-    idx = np.searchsorted(pcmap.delta.array, xs, side="right")
+    idx = np.searchsorted(pcmap.delta.points, xs, side="right")
     out = np.empty_like(xs, dtype=float)
     for i, b in enumerate(pcmap.branches):
         m = idx == i
@@ -141,7 +140,7 @@ def limit_step(pcmap: PcMap, v: float, side: int) -> tuple[float, int, int]:
     j = pcmap.delta.index_near(v)
     if j is not None:
         bi = j if side == LEFT else j + 1
-        v = pcmap.delta.points[j]
+        v = float(pcmap.delta.points[j])
     elif v - pcmap.domain.lo <= pcmap.tol:
         bi, v = 0, pcmap.domain.lo
     elif pcmap.domain.hi - v <= pcmap.tol:

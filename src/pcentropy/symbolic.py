@@ -37,7 +37,7 @@ class DeltaTable:
     def __init__(self, pcmap: PcMap):
         self.map = pcmap
         nd = len(pcmap.delta)
-        base, root = np.asarray(pcmap.delta.points), np.arange(nd)
+        base, root = pcmap.delta.points, np.arange(nd)
         # index k holds f^{-k}(Delta) as (xs, root); every point of it first
         # hits the base set after k steps, so the hit step is the index itself
         self.levels = [(base, root)]
@@ -172,7 +172,7 @@ def preimage_set(pcmap: PcMap, targets: PointSet) -> PointSet:
     for t in targets:
         if t < dom.lo - pcmap.tol or t > dom.hi + pcmap.tol:
             raise DomainError(f"target {t!r} outside domain {dom!r}")
-    xs = np.concatenate([branch_preimages(b, targets.array) for b in pcmap.branches])
+    xs = np.concatenate([branch_preimages(b, targets.points) for b in pcmap.branches])
     return PointSet.of(xs[~np.isnan(xs)], tol=pcmap.tol)
 
 
@@ -182,7 +182,7 @@ def delta_n(pcmap: PcMap, n: int, cap: int | None = None) -> PointSet:
         raise ValueError("n must be >= 0")
     table = delta_table(pcmap)
     table.ensure(n, cap)
-    return PointSet(tuple(table.delta_points(n)), pcmap.tol)
+    return PointSet(table.delta_points(n), pcmap.tol)
 
 
 def count_pieces(pcmap: PcMap, n: int, merge_removable: bool = True, cap: int | None = None) -> int:

@@ -82,8 +82,7 @@ def iterate_map(pcmap: PcMap, k: int, cap: int | None = None) -> PcMap:
         return identity_map((pcmap.domain.lo, pcmap.domain.hi))
     if k == 1:
         return pcmap
-    cuts = delta_n(pcmap, k, cap)
-    comps = components_of_complement(pcmap.domain, cuts)
+    comps = components_of_complement(pcmap.domain, delta_n(pcmap, k, cap))
     rows = []
     for comp in comps:
         # the branch sequence of the first probe whose k-step orbit misses the cut set
@@ -155,10 +154,8 @@ class RestrictedMap:
         if len(self.region.parts) != 1:
             raise MapValidationError("only single-interval regions restrict to a pc-map")
         part = self.region.parts[0]
-        inner = PointSet.of(
-            [d for d in self.pcmap.delta if part.lo + self.pcmap.tol < d < part.hi - self.pcmap.tol],
-            tol=self.pcmap.tol,
-        )
+        cuts, tol = self.pcmap.delta.points, self.pcmap.tol
+        inner = PointSet.of(cuts[(cuts > part.lo + tol) & (cuts < part.hi - tol)], tol)
         comps = components_of_complement(Interval.closed(part.lo, part.hi), inner)
         rows = []
         for comp in comps:

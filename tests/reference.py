@@ -10,7 +10,7 @@ import functools
 import numpy as np
 
 from pcentropy.bowen import SampleSet, _avoid_mask
-from pcentropy.covers import Cover
+from pcentropy.covers import Cover, SubcoverResult, _uncovered
 from pcentropy.errors import EmptySampleError, MonotonicityError
 from pcentropy.intervals import Interval, OpenSet, PointSet
 from pcentropy.maps import LEFT, RIGHT, Branch, PcMap, _check_in_domain, evaluate, limit_step
@@ -257,3 +257,24 @@ def refinement_reference(pcmap, cover, n_max):
         cur = [pre for pre in (openset_preimage_scalar(pcmap, el) for el in cur) if not pre.is_empty()]
         acc = vee_reference([acc, Cover(tuple(cur))])
         yield acc
+
+
+def subcover_sweep_reference(first, last, owner, reps, atoms) -> SubcoverResult:
+    """Tuple sweep reference for ``covers._sweep``: the parts sorted as
+    ``(first, last, owner)`` tuples, and the best reach kept while the
+    frontier advances."""
+    ranges = sorted((a, b, idx) for a, b, idx in zip(first, last, owner) if a <= b)
+    picks = []
+    frontier = 0
+    i = 0
+    best_hi, best_idx = -1, -1
+    while frontier < len(atoms):
+        while i < len(ranges) and ranges[i][0] <= frontier:
+            if ranges[i][1] > best_hi:
+                best_hi, best_idx = ranges[i][1], ranges[i][2]
+            i += 1
+        if best_hi < frontier:
+            raise _uncovered(reps, atoms[frontier])
+        picks.append(best_idx)
+        frontier = best_hi + 1
+    return SubcoverResult(len(picks), tuple(picks), True)

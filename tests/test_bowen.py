@@ -225,7 +225,7 @@ def test_batched_nudging_matches_per_point_loop(name, grid, horizon):
     pcmap = WALKER_MAPS[name]
     fast = sample_region(pcmap, X, grid, horizon)
     ref = sample_region_scalar(pcmap, X, grid, horizon)
-    assert fast.points.points == ref.points.points
+    assert np.array_equal(fast.points.points, ref.points.points)
     assert fast.density == ref.density
 
 

@@ -95,6 +95,22 @@ class TestEntropyCommand:
         est = float(out.strip().split("\n")[-1].split(",")[3])
         assert est == pytest.approx(2 * math.log(2), abs=1e-9)
 
+    @pytest.mark.parametrize("raw", ["abc", "1e6", "-5"])
+    def test_bad_cap_rejected(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("PCENTROPY_CAP", raw)
+        code, out, err = run(capsys, "entropy", "--catalog", "tent", "--method", "ms", "--n-max", "4")
+        assert code == 1
+        assert out == ""
+        assert f"PCENTROPY_CAP must be a non-negative integer, got '{raw}'" in err
+
+    def test_zero_cap_fits_a_map_without_cuts(self, capsys, monkeypatch):
+        monkeypatch.setenv("PCENTROPY_CAP", "0")
+        code, out, _ = run(
+            capsys, "entropy", "--catalog", "identity", "--method", "ms", "--n-max", "4", "--estimator", "fekete-min",
+        )
+        assert code == 0
+        assert "truncated" not in out
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_power_k_below_one_rejected(self, capsys, k):
         code, out, err = run(
@@ -268,6 +284,13 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--catalog", "tent", "--n-max", "9", "--power-k", "3")
         assert code == 0
         assert "c_n(f^3)" in out
+
+    def test_power_bound_covers_k_above_n_max(self, capsys):
+        # c_1(f^3) is compared with c_3(f), so the checked bound is 3, not n_max
+        code, out, _ = run(capsys, "verify", "--catalog", "tent", "--n-max", "2", "--power-k", "3")
+        assert code == 0
+        row = next(line for line in out.splitlines() if line.startswith("c_n(f^3)"))
+        assert row.endswith("n*k <= 3")
 
     def test_power_k_zero_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "--catalog", "tent", "--n-max", "4", "--power-k", "0")

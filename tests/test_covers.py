@@ -28,7 +28,7 @@ from pcentropy.errors import NotACoverError
 from pcentropy.intervals import Interval, OpenSet, PointSet, RegionSet
 from pcentropy.symbolic import delta_n
 from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
-from reference import openset_preimage_scalar, refinement_reference, vee_reference
+from reference import openset_preimage_scalar, refinement_reference, subcover_sweep_reference, vee_reference
 
 X = RegionSet.of((0.0, 1.0))
 
@@ -359,6 +359,32 @@ def test_minimal_subcover_matches_brute_force(case):
         capped = minimal_subcover(cover, target, exclude)
     assert len(capped.indices) == capped.count >= expected
     assert _covers(cover, capped.indices, needed)
+
+
+@st.composite
+def sweep_cases(draw):
+    # few distinct (first, last) values, so ties and uncovered atoms are common
+    n_reps = draw(st.integers(1, 6))
+    codes = draw(st.lists(st.integers(0, 2 * n_reps - 2), min_size=1, unique=True))
+    n_atoms = len(codes)
+    ranges = draw(st.lists(st.tuples(st.integers(0, n_atoms), st.integers(-1, n_atoms - 1)), max_size=10))
+    owner = draw(st.permutations(range(len(ranges))))
+    first, last = [a for a, _ in ranges], [b for _, b in ranges]
+    cols = [np.array(c, dtype=np.intp) for c in (first, last, owner)]
+    return (*cols, np.arange(n_reps, dtype=float), np.array(sorted(codes)))
+
+
+def _sweep_outcome(sweep, case):
+    try:
+        return sweep(*case)
+    except NotACoverError as exc:
+        return exc.witness
+
+
+@given(sweep_cases())
+@settings(max_examples=400, deadline=None)
+def test_sweep_matches_tuple_reference(case):
+    assert _sweep_outcome(covers._sweep, case) == _sweep_outcome(subcover_sweep_reference, case)
 
 
 @given(st.lists(

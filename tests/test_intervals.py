@@ -170,9 +170,6 @@ class TestPointSet:
         assert ps.contains(0.5 + 1e-10)
         assert not ps.contains(0.5 + 1e-6)
 
-    def test_union(self):
-        assert len(PointSet.of([0.1, 0.2]).union(PointSet.of([0.2, 0.3]))) == 3
-
 
 class TestRegionSet:
     def test_merges_touching_closed_parts(self):

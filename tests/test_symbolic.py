@@ -72,6 +72,15 @@ class TestDeltaN:
             assert previous <= current
             previous = current
 
+    def test_points_are_a_read_only_view_of_the_table(self):
+        m3 = catalog_get("mod3").map
+        pts = delta_n(m3, 4).points
+        assert pts.dtype == np.float64
+        assert np.shares_memory(pts, delta_table(m3).delta_points(4))
+        with pytest.raises(ValueError):
+            pts[0] = 0.5
+        assert not hasattr(PointSet, "array")
+
     def test_resource_cap(self):
         m3 = catalog_get("mod3").map
         with pytest.raises(ResourceCapExceeded) as exc:
