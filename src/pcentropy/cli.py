@@ -23,7 +23,7 @@ from .covers import (
     cover_entropy,
     natural_cover,
 )
-from .errors import PcEntropyError
+from .errors import PcEntropyError, ResourceCapExceeded
 from .estimators import EntropySeries
 from .intervals import Interval, OpenSet, RegionSet
 from .maps import PcMap, parse_map
@@ -232,18 +232,29 @@ def cmd_verify(args) -> int:
     conj = conjugate_map(pcmap, _parse_phi(args.phi)) if args.phi else None
     rows: list[tuple[str, bool, str]] = []
 
+    # under a point cap, every row runs up to the deepest Delta^n that fits
+    capped = ""
+    try:
+        delta_n(pcmap, n_max, cap)
+    except ResourceCapExceeded as exc:
+        if exc.completed < 1:
+            raise
+        n_max, capped = exc.completed, " (cap)"
+
     deltas = [delta_n(pcmap, n, cap) for n in range(n_max + 1)]
     nested = all(deltas[n + 1].contains_many(deltas[n].points).all() for n in range(n_max))
-    rows.append(("Delta^n nested in Delta^(n+1)", nested, f"n <= {n_max}"))
+    rows.append(("Delta^n nested in Delta^(n+1)", nested, f"n <= {n_max}{capped}"))
 
     counts = {n: count_pieces(pcmap, n, cap=cap) for n in range(1, n_max + 1)}
     bad = submultiplicative_witness(counts)
-    rows.append(("c_n submultiplicative", bad is None, f"n <= {n_max}" if bad is None else f"witness {bad}"))
+    rows.append(
+        ("c_n submultiplicative", bad is None, f"n <= {n_max}{capped}" if bad is None else f"witness {bad}")
+    )
 
     report = full_branch_check(pcmap, n_max, cap)
     if report.surjective:
         n_br = pcmap.n_pieces
-        rows.append((f"#Delta^n = {n_br}^n - 1", report.passed, f"n <= {report.checked_to}"))
+        rows.append((f"#Delta^n = {n_br}^n - 1", report.passed, f"n <= {report.checked_to}{capped}"))
     else:
         rows.append(("full-branch counts", True, "skipped: branches not surjective"))
 
@@ -252,15 +263,18 @@ def cmd_verify(args) -> int:
     dom, tol = pcmap.domain, pcmap.tol
     dn = [x for x in deltas[min(n_max, 6)] if dom.lo + tol < x < dom.hi - tol]
     same = len(bnd) == len(dn) and all(abs(a - b) <= 1e-9 for a, b in zip(bnd, dn))
-    rows.append(("boundary of refined natural cover = Delta^n", same, f"n = {min(n_max, 6)}"))
+    rows.append(("boundary of refined natural cover = Delta^n", same, f"n = {min(n_max, 6)}{capped}"))
 
-    if k is not None:
+    if k is not None and capped and k > n_max:
+        # f^k needs Delta^k, which the cap refused
+        rows.append((f"c_n(f^{k}) = c_(n*{k})(f)", True, f"skipped: k > n = {n_max}{capped}"))
+    elif k is not None:
         fk = iterate_map(pcmap, k, cap=cap)
         ok = all(
             count_pieces(fk, n, cap=cap) == count_pieces(pcmap, k * n, cap=cap)
             for n in range(1, max(1, n_max // k) + 1)
         )
-        rows.append((f"c_n(f^{k}) = c_(n*{k})(f)", ok, f"n*k <= {max(n_max, k)}"))
+        rows.append((f"c_n(f^{k}) = c_(n*{k})(f)", ok, f"n*k <= {max(n_max, k)}{capped}"))
 
     if conj is not None:
         ok = all(
@@ -268,7 +282,7 @@ def cmd_verify(args) -> int:
             and count_pieces(conj, n, cap=cap) == counts[n]
             for n in range(1, n_max + 1)
         )
-        rows.append(("conjugate has identical #Delta^n and c_n", ok, f"n <= {n_max}"))
+        rows.append(("conjugate has identical #Delta^n and c_n", ok, f"n <= {n_max}{capped}"))
 
     reg = RegionSet.of((pcmap.domain.lo, pcmap.domain.hi))
     ns = [2, 3, 4]
@@ -291,7 +305,9 @@ def cmd_verify(args) -> int:
     for name, ok, note in rows:
         all_ok &= ok
         print(f"{name:<{width}} {'pass' if ok else 'FAIL'}  {note}")
-    return _EXIT_OK if all_ok else _EXIT_FAIL
+    if not all_ok:
+        return _EXIT_FAIL
+    return _EXIT_TRUNCATED if capped else _EXIT_OK
 
 
 def cmd_catalog(args) -> int:

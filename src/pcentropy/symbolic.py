@@ -12,8 +12,10 @@ one array lookup.  Piece counts then follow from component counting plus
 the removable-junction merge rule.
 
 Tables are cached per map in ``_TABLES`` and grow in place as deeper levels
-are asked for.  Neither the cache nor a ``DeltaTable`` takes a lock: use
-them from one thread at a time.
+are asked for, up to a point cap.  A level the cap refuses is not kept, and
+mostly not even built: the refusal rests on a lower bound of its size, taken
+one branch at a time, and the message states that bound.  Neither the cache
+nor a ``DeltaTable`` takes a lock: use them from one thread at a time.
 """
 
 from __future__ import annotations
@@ -46,29 +48,52 @@ class DeltaTable:
         self.cumulative = [(np.empty(0), empty, empty), (base, np.zeros(nd, dtype=np.int64), root)]
         # one-sided limit orbits from each base point: [(value, direction product), ...]
         self._memo: dict[tuple[int, int], list[tuple[float, int]]] = {}
+        # (k, lower bound on its size) of the last level the cap refused
+        self._refused = (0, 0)
 
     # -- construction -------------------------------------------------------
 
-    def _next_level(self):
+    def _next_level(self, budget: int) -> tuple[tuple[np.ndarray, np.ndarray] | None, int]:
+        """f^{-k}(Delta) from level k - 1 as ``((xs, root), size)``, or
+        ``(None, bound)`` once a lower bound on its size passes ``budget``.
+
+        A target has at most one preimage per branch.  When that many points
+        fit the budget, the level is built in one pass.  Otherwise each
+        branch's part is sorted and deduped alone first, and the level is
+        refused as soon as ``_merged_size_bound`` of the parts so far passes
+        the budget; only a level that gets through is merged and counted.
+        """
         ys, root = self.levels[-1]
-        xs_all, root_all = [], []
+        tol = self.map.tol
+        careful = len(ys) * len(self.map.branches) > budget
+        xs_all, root_all, counts = [], [], []
         for b in self.map.branches:
             xs = branch_preimages(b, ys)
             ok = ~np.isnan(xs)
-            if ok.any():
-                xs_all.append(xs[ok])
-                root_all.append(root[ok])
+            if not ok.any():
+                continue
+            xs, r = xs[ok], root[ok]
+            if careful:
+                # a stable sort of each part keeps the merged order below the
+                # same as from the unsorted parts
+                order = np.argsort(xs, kind="stable")
+                xs, r = xs[order], r[order]
+                counts.append(int(np.count_nonzero(dedupe_sorted(xs, tol))))
+                bound = _merged_size_bound(counts)
+                if bound > budget:
+                    return None, bound
+            xs_all.append(xs)
+            root_all.append(r)
         if not xs_all:
-            self.levels.append((np.empty(0), np.empty(0, np.int64)))
-            return
+            return (np.empty(0), np.empty(0, np.int64)), 0
         xs = np.concatenate(xs_all)
         order = np.argsort(xs, kind="stable")
         xs = xs[order]
-        keep = dedupe_sorted(xs, self.map.tol)
-        # gather provenance for the kept points only: a level refused by the
-        # cap can hold millions of points
+        keep = dedupe_sorted(xs, tol)
+        # gather provenance for the kept points only
         order = order[keep]
-        self.levels.append((xs[keep], np.concatenate(root_all)[order]))
+        xs = xs[keep]
+        return (xs, np.concatenate(root_all)[order]), len(xs)
 
     def _merge_cumulative(self, n: int):
         cx, ch, cr = self.cumulative[n - 1]
@@ -84,23 +109,36 @@ class DeltaTable:
         self.cumulative.append((xs[keep], hit[keep], root[keep]))
 
     def ensure(self, n: int, cap: int | None = None):
-        """Build levels up to n, honoring the point cap as a budget on the set
-        size itself (so a cached deeper table still respects a smaller cap)."""
+        """Build Delta^1 .. Delta^n, or raise ``ResourceCapExceeded`` with
+        ``completed = k - 1`` at the first k whose size passes the point cap.
+
+        The size of a new Delta^k is |Delta^{k-1}| plus its new level's point
+        count, before the two are merged; a merged Delta^k counts its own
+        points, so a cached deeper table still respects a smaller cap.  A
+        level is refused on a lower bound of that size, mostly before it is
+        built in full, and the message states the bound.  A refused level is
+        never stored: asking again under the same cap refuses at once, and a
+        larger cap builds it as a fresh table would."""
         cap = DEFAULT_DELTA_CAP if cap is None else cap
         for k in range(1, n + 1):
             if k < len(self.cumulative):
                 size = len(self.cumulative[k][0])
+            elif self._refused[0] == k and self._refused[1] > cap:
+                size = self._refused[1]
             else:
-                while len(self.levels) < k:
-                    self._next_level()
-                size = len(self.cumulative[k - 1][0]) + len(self.levels[k - 1][0])
+                held = len(self.cumulative[k - 1][0])
+                level, size = self._next_level(cap - held)
+                size += held
+                if size <= cap:
+                    self.levels.append(level)
+                    self._merge_cumulative(k)
+                else:
+                    self._refused = (k, size)
             if size > cap:
                 raise ResourceCapExceeded(
-                    f"Delta^{k} holds about {size} points (cap {cap})",
+                    f"Delta^{k} holds at least {size} points (cap {cap})",
                     completed=k - 1,
                 )
-            if k >= len(self.cumulative):
-                self._merge_cumulative(k)
 
     # -- queries -------------------------------------------------------------
 
@@ -153,6 +191,20 @@ class DeltaTable:
             return count
         merged = self._removable(n)[root, n - hit] & interior
         return count - int(np.count_nonzero(merged))
+
+
+def _merged_size_bound(counts: list[int]) -> int:
+    """Lower bound on the dedupe count of the union of sorted parts, from
+    the dedupe count of each nonempty part; each part lies in the closure of
+    its own piece, and the pieces do not overlap.
+
+    The greedy count is the fewest ``tol``-wide windows that cover the
+    points, and the union's greedy windows are disjoint.  Each part needs
+    its own count of them, and a window shared by m parts holds m - 1 piece
+    ends, one between each two neighbouring parts, which no other window
+    holds.  So the union needs at least ``sum(counts) - (len(counts) - 1)``.
+    """
+    return sum(counts) - len(counts) + 1
 
 
 _TABLES: "weakref.WeakKeyDictionary[PcMap, DeltaTable]" = weakref.WeakKeyDictionary()

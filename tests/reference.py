@@ -12,8 +12,17 @@ import numpy as np
 from pcentropy.bowen import SampleSet, _avoid_mask
 from pcentropy.covers import Cover, SubcoverResult, _uncovered
 from pcentropy.errors import EmptySampleError, MonotonicityError
-from pcentropy.intervals import Interval, OpenSet, PointSet
-from pcentropy.maps import LEFT, RIGHT, Branch, PcMap, _check_in_domain, evaluate, limit_step
+from pcentropy.intervals import Interval, OpenSet, PointSet, dedupe_sorted
+from pcentropy.maps import (
+    LEFT,
+    RIGHT,
+    Branch,
+    PcMap,
+    _check_in_domain,
+    branch_preimages,
+    evaluate,
+    limit_step,
+)
 
 
 def limit_orbit(pcmap: PcMap, x: float, side: int, n: int) -> tuple[float, int, int]:
@@ -101,6 +110,36 @@ def dedupe_reference(xs, tol, rank):
         else:
             last = i
     return keep, prov
+
+
+def cap_sizes_full_build(pcmap: PcMap, n: int, limit: int) -> list[tuple[int, int]]:
+    """The sizes a point cap is held against when every level is built in
+    full, as ``[(size, bound)]`` for k = 1 .. n or up to the first size
+    above ``limit``: ``DeltaTable.ensure`` must refuse at the first k whose
+    size passes the cap.
+
+    At k = 1 the size is |Delta^1|; after that it is |Delta^{k-1}| plus the
+    deduped level f^{-(k-1)}(Delta), before the two are merged.  ``bound``
+    is |Delta^{k-1}| plus the level's lower bound from its branch parts, each
+    deduped alone: one point per nonempty part, and one more per point that
+    part keeps beyond its first.
+    """
+    tol = pcmap.tol
+    level = cum = pcmap.delta.points
+    out = [(len(cum), len(cum))]
+    for _ in range(2, n + 1):
+        if out[-1][0] > limit:
+            break
+        parts = [branch_preimages(b, level) for b in pcmap.branches]
+        parts = [np.sort(p[~np.isnan(p)]) for p in parts]
+        counts = [int(dedupe_sorted(p, tol).sum()) for p in parts if len(p)]
+        xs = np.sort(np.concatenate(parts))
+        level = xs[dedupe_sorted(xs, tol)]
+        bound = 1 + sum(c - 1 for c in counts) if counts else 0
+        out.append((len(cum) + len(level), len(cum) + bound))
+        merged = np.sort(np.concatenate([cum, level]))
+        cum = merged[dedupe_sorted(merged, tol)]
+    return out
 
 
 def count_pieces_scalar(table, n: int, merge_removable: bool) -> int:

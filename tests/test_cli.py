@@ -292,6 +292,26 @@ class TestVerifyCommand:
         row = next(line for line in out.splitlines() if line.startswith("c_n(f^3)"))
         assert row.endswith("n*k <= 3")
 
+    def test_cap_gives_partial_rows_and_exit_two(self, capsys, monkeypatch):
+        # Delta^6 of tent holds 63 points, so rows stop at n = 5
+        monkeypatch.setenv("PCENTROPY_CAP", "50")
+        code, out, err = run(capsys, "verify", "--catalog", "tent", "--n-max", "8", "--power-k", "2")
+        assert (code, err) == (2, "")
+        assert "FAIL" not in out
+        rows = out.splitlines()
+        assert rows[0].endswith("n <= 5 (cap)")
+        assert next(r for r in rows if r.startswith("c_n(f^2)")).endswith("n*k <= 5 (cap)")
+        # f^7 needs Delta^7, beyond the cap
+        code, out, err = run(capsys, "verify", "--catalog", "tent", "--n-max", "8", "--power-k", "7")
+        assert (code, err) == (2, "")
+        assert next(r for r in out.splitlines() if r.startswith("c_n(f^7)")).endswith("skipped: k > n = 5 (cap)")
+
+    def test_cap_below_delta_one_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("PCENTROPY_CAP", "0")
+        code, out, err = run(capsys, "verify", "--catalog", "tent", "--n-max", "4")
+        assert (code, out) == (1, "")
+        assert "Delta^1 holds at least 1 points (cap 0)" in err
+
     def test_power_k_zero_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "--catalog", "tent", "--n-max", "4", "--power-k", "0")
         assert code == 1

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pcentropy import symbolic
 from pcentropy.catalog import get as catalog_get, names as catalog_names
 from pcentropy.errors import ResourceCapExceeded, SubadditivityError
 from pcentropy.expr import parse_expression
-from pcentropy.intervals import PointSet
+from pcentropy.intervals import PointSet, dedupe_sorted
 from pcentropy.maps import (
     _INVERSE_TOL,
     LEFT,
@@ -20,6 +22,7 @@ from pcentropy.maps import (
 )
 from pcentropy.symbolic import (
     DeltaTable,
+    _merged_size_bound,
     count_pieces,
     delta_n,
     delta_table,
@@ -29,7 +32,7 @@ from pcentropy.symbolic import (
     submultiplicative_witness,
 )
 from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
-from reference import branch_inverse, count_pieces_scalar
+from reference import branch_inverse, cap_sizes_full_build, count_pieces_scalar
 
 PHI = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
 
@@ -276,6 +279,86 @@ def test_provenance_matches_limit_orbits(name):
                     v, s, _ = limit_step(pcmap, v, s)
                 reached |= clear and abs(v - target) <= 1e-9
             assert reached, (n, x, h, r)
+
+
+@pytest.mark.parametrize("label", [*catalog_names(), *(f"{m}^2" for m in catalog_names())])
+def test_cap_refuses_where_the_full_build_does(label, monkeypatch):
+    """Caps at, just below and between a level's lower bound and its size:
+    the same completed depth as building every level in full, nothing kept
+    from a refusal, and nothing rebuilt to refuse again."""
+    pcmap = _verdict_map(label)
+    sizes = cap_sizes_full_build(pcmap, 8, limit=20_000)
+    n = len(sizes)
+    fresh = DeltaTable(pcmap)
+    fresh.ensure(n)
+    built = []
+    monkeypatch.setattr(symbolic, "branch_preimages", lambda b, ys: built.append(b) or branch_preimages(b, ys))
+    caps = {c for size, bound in sizes for c in (size, size - 1, (size + bound) // 2) if c >= 0}
+    for cap in sorted(caps):
+        expected = next((k - 1 for k, (size, _) in enumerate(sizes, 1) if size > cap), n)
+        table = DeltaTable(pcmap)
+        try:
+            table.ensure(n, cap)
+        except ResourceCapExceeded as exc:
+            assert exc.completed == expected, cap
+            # Delta^1 and its base level are there from the start
+            assert len(table.cumulative) - 1 == len(table.levels) == max(expected, 1), cap
+            built.clear()
+            with pytest.raises(ResourceCapExceeded) as again:
+                table.ensure(n, cap)
+            assert again.value.completed == expected and not built, cap
+            table.ensure(n)  # the default cap fits every level here
+        else:
+            assert expected == n, cap
+        for got, want in zip(table.levels + table.cumulative, fresh.levels + fresh.cumulative, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True)), cap
+
+
+@st.composite
+def _parts_in_adjacent_pieces(draw, tol=1e-3):
+    """Sorted points in each piece of a partition of [0, 1], with tol chains
+    running from each piece end into the piece, starting on the end itself."""
+    ends = sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=4)))
+    edges = [0.0, *ends, 1.0]
+    parts = []
+    for lo, hi in zip(edges, edges[1:]):
+        pts = draw(st.lists(st.floats(lo, hi), max_size=6))
+        for end, sign in ((lo, 1.0), (hi, -1.0)):
+            step = draw(st.sampled_from([0.3, 0.5, 0.999, 1.0, 1.001])) * tol
+            pts += [end + sign * j * step for j in range(draw(st.integers(0, 5)))]
+        parts.append(np.sort(np.clip(pts, lo, hi)))
+    return tol, parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_parts_in_adjacent_pieces())
+def test_merged_size_bound_never_exceeds_the_union_dedupe(case):
+    tol, parts = case
+    counts = [int(dedupe_sorted(p, tol).sum()) for p in parts if len(p)]
+    assume(counts)
+    union = np.sort(np.concatenate(parts))
+    assert _merged_size_bound(counts) <= int(dedupe_sorted(union, tol).sum())
+
+
+def test_cap_refusal_peaks_near_one_branch_part():
+    """mod5 under cap 100 000 refuses Delta^8, whose level holds 312 500
+    points before dedupe; refusing must not build that array several times
+    over, nor keep any of it."""
+    pcmap = catalog_get("mod5").map
+    table = DeltaTable(pcmap)
+    table.ensure(7, cap=100_000)
+    ys = table.levels[-1][0]
+    raw = sum(int(np.count_nonzero(~np.isnan(branch_preimages(b, ys)))) for b in pcmap.branches)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapExceeded) as exc:
+            table.ensure(8, cap=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.completed == 7
+    assert len(table.levels) == 7
+    assert peak < 2 * raw * np.dtype(np.float64).itemsize, (peak, raw)
 
 
 SMOOTH_BRANCHES = [
