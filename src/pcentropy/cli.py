@@ -24,10 +24,10 @@ from .covers import (
     natural_cover,
 )
 from .errors import PcEntropyError, ResourceCapExceeded
-from .estimators import EntropySeries
+from .estimators import EntropySeries, submultiplicative_witness
 from .intervals import Interval, OpenSet, RegionSet
 from .maps import PcMap, parse_map
-from .symbolic import count_pieces, delta_n, full_branch_check, ms_entropy, submultiplicative_witness
+from .symbolic import count_pieces, delta_n, full_branch_check, ms_entropy
 from .transforms import PlHomeo, conjugate_map, iterate_map, restrict_map
 
 _EXIT_OK, _EXIT_FAIL, _EXIT_TRUNCATED = 0, 1, 2
@@ -287,7 +287,7 @@ def cmd_verify(args) -> int:
     reg = RegionSet.of((pcmap.domain.lo, pcmap.domain.hi))
     ns = [2, 3, 4]
     eps_list = [0.1, 0.05]
-    sample = sample_region(pcmap, reg, grid=max(257, args.grid // 16), horizon=max(ns))
+    sample = sample_region(pcmap, reg, grid=257, horizon=max(ns))
     sandwich_ok = True
     witness = ""
     for eps in eps_list:
@@ -368,7 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--power-k", type=int)
     p.add_argument("--phi")
-    p.add_argument("--grid", type=int, default=4097)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("catalog", help="list or show built-in maps")
@@ -387,7 +386,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse printed help (code 0) or a usage error (code 2)
+        return _EXIT_OK if exc.code == 0 else _EXIT_FAIL
     try:
         return args.fn(args)
     except (PcEntropyError, OSError, KeyError, ValueError) as exc:

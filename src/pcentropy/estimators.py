@@ -1,4 +1,5 @@
-"""Limit extrapolation for subadditive growth sequences, plus the series record type."""
+"""Limit extrapolation for subadditive growth sequences, the submultiplicativity
+certificate that every count series passes first, and the series record type."""
 
 from __future__ import annotations
 
@@ -48,9 +49,9 @@ def fekete_estimate(values: list[tuple[int, float]]) -> float:
     equal to it in the n -> infinity limit (Fekete).  Subadditivity is
     asserted over every recorded pair; a violation points at a tolerance
     undercount upstream, not at this routine.  This check is not
-    ``symbolic.submultiplicative_witness``: it tests a real-valued sequence
-    (logs of counts, or any other) with a slack of 1e-9 for round-off, where
-    that one tests integer counts exactly.
+    ``submultiplicative_witness``: it tests a real-valued sequence (logs of
+    counts, or any other) with a slack of 1e-9 for round-off, where that one
+    tests integer counts exactly.
     """
     if len(values) < 2:
         raise ValueError("need at least two records")
@@ -86,11 +87,22 @@ def slope_fit(values: list[tuple[int, float]]) -> SequenceFit:
     return SequenceFit(float(slope), float(intercept), residual, (int(nw[0]), int(nw[-1])))
 
 
+def submultiplicative_witness(counts: dict[int, int]) -> tuple[int, int] | None:
+    """The first pair (n, m) with c_{n+m} > c_n * c_m, or None."""
+    pairs = ((n, m) for n in counts for m in counts if n + m in counts)
+    return next(((n, m) for n, m in pairs if counts[n + m] > counts[n] * counts[m]), None)
+
+
+_COUNTED = {"misiurewicz-szlenk": "piece", "cover": "subcover"}  # per count route
+
+
 def count_series(
     method: str, records: list[SeriesRecord], estimator: str, truncated: bool
 ) -> EntropySeries:
     """The entropy series of a list of positive counts, estimated from their logs.
 
+    The counts are certified submultiplicative first: a violation raises
+    ``SubadditivityError`` with its witness pair instead of an estimate.
     With ``truncated`` (a resource cap cut the series) the last record is
     flagged ``truncated`` and an uncomputable ``estimator`` degrades to the
     best available one instead of failing.
@@ -99,11 +111,20 @@ def count_series(
         last = records[-1]
         flag = "+".join(filter(None, (last.flag, "truncated")))
         records = [*records[:-1], SeriesRecord(last.n, last.value, last.aux, flag)]
+    counts = {r.n: int(r.value) for r in records}
+    bad = submultiplicative_witness(counts)
+    if bad is not None:
+        n, m = bad
+        raise SubadditivityError(
+            f"{_COUNTED[method]} counts are not submultiplicative: c_{n + m}={counts[n + m]} "
+            f"> c_{n}*c_{m}={counts[n] * counts[m]} (likely a tolerance undercount upstream)",
+            witness=bad,
+        )
     values = [(r.n, math.log(r.value)) for r in records]
     table: dict[str, float] = {"last-ratio": last_ratio(values)}
     try:
         table["fekete-min"] = fekete_estimate(values)
-    except (ValueError, SubadditivityError):
+    except ValueError:
         pass
     try:
         table["slope-fit"] = slope_fit(values).slope

@@ -203,13 +203,13 @@ class OpenSet:
         return " u ".join(repr(p) for p in self.parts)
 
 
-def dedupe_sorted(xs: np.ndarray, tol: float, rank: np.ndarray | None = None):
+def dedupe_sorted(xs: np.ndarray, tol: float) -> np.ndarray:
     """Greedy left-to-right merge of sorted points: a point within ``tol`` of
     the last kept point is dropped into that point's group.
 
-    Returns the boolean keep mask.  With ``rank``, returns ``(keep, dst, src)``
-    instead: each group's provenance is its first point of smallest rank, and
-    where that is not the kept point ``dst[i]``, it is the point ``src[i]``.
+    Returns the boolean keep mask.  The kept points lie more than ``tol``
+    apart, and a dropped point belongs to the group of the last kept point
+    before it.
     """
     keep = np.ones(len(xs), dtype=bool)
     if len(xs) > 1:
@@ -232,23 +232,7 @@ def dedupe_sorted(xs: np.ndarray, tol: float, rank: np.ndarray | None = None):
                 keep[i] = xs[i] - last > tol
                 if keep[i]:
                     last = xs[i]
-    if rank is None:
-        return keep
-    dropped = np.flatnonzero(~keep)
-    if not len(dropped):
-        return keep, dropped, dropped
-    kept = np.flatnonzero(keep)
-    group = kept[np.searchsorted(kept, dropped) - 1]  # the kept point of each dropped one
-    heads = group[np.r_[True, group[1:] != group[:-1]]]  # group is non-decreasing
-    members = np.concatenate([heads, dropped])
-    owner = np.concatenate([heads, group])
-    # per group: smallest rank first, then the earliest point
-    order = np.lexsort((members, rank[members], owner))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = owner[order[1:]] != owner[order[:-1]]
-    dst, src = owner[order[first]], members[order[first]]
-    moved = dst != src
-    return keep, dst[moved], src[moved]
+    return keep
 
 
 @dataclass(frozen=True, eq=False)

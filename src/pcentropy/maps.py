@@ -270,15 +270,15 @@ def build_map(
         raise MapValidationError("first piece must start at the domain's left endpoint")
     if rows[-1][1] != dhi:
         raise MapValidationError("last piece must end at the domain's right endpoint")
-    for (a, b, _, _), (c, _, _, _) in zip(rows, rows[1:]):
-        if not a < b:
-            raise MapValidationError(f"piece ({a!r}, {b!r}) has empty interior")
+    for a, b, _, _ in rows:
+        # cut points closer than tol would be one point to every merge of Delta^n
+        if not b - a > PcMap.tol:
+            raise MapValidationError(f"piece ({a!r}, {b!r}) is no wider than the map tolerance {PcMap.tol:g}")
+    for (_, b, _, _), (c, _, _, _) in zip(rows, rows[1:]):
         if c < b:
             raise MapValidationError(f"pieces overlap at {c!r}")
         if c > b:
             raise MapValidationError(f"pieces leave a gap between {b!r} and {c!r}")
-    if not rows[-1][0] < rows[-1][1]:
-        raise MapValidationError("piece has empty interior")
 
     dom = Interval.closed(dlo, dhi)
     branches = []

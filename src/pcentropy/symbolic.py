@@ -4,12 +4,17 @@ The n-step discontinuity set is computed backwards, one preimage level at a
 time, never by forward composition: inverting a monotone branch is
 well-conditioned, and each point carries its provenance: the first orbit
 step that hits the base set (for a level point, the level's index) and
-which base point.  Whether a cut point is a removable junction of the n-th
-iterate depends only on its base point and the steps left after the hit, so
-``DeltaTable.count_pieces`` tabulates that verdict once per n from the
-one-sided limit orbits of the base points and decides every cut point with
-one array lookup.  Piece counts then follow from component counting plus
-the removable-junction merge rule.
+which base point.  Delta^n merges Delta^{n-1} and level n - 1 by one stable
+sort and one dedupe.  The points of Delta^{n-1} lie more than ``tol`` apart
+(dedupe output, or the cut points, which ``build_map`` keeps that far apart),
+so a merged group holds at most one of them, and its hit, below n - 1, is
+the group's earliest: the group takes that point's provenance.
+
+Whether a cut point is a removable junction of the n-th iterate depends
+only on its base point and the m steps left after the hit, so a table
+rem[root, m] grows one column per m from the one-sided limit orbits of the
+base points, and ``count_pieces`` decides every cut point with one lookup.
+Piece counts then follow from component counting plus that merge rule.
 
 Tables are cached per map in ``_TABLES`` and grow in place as deeper levels
 are asked for, up to a point cap.  A level the cap refuses is not kept, and
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceCapExceeded, SubadditivityError
+from .errors import DomainError, ResourceCapExceeded
 from .estimators import EntropySeries, SeriesRecord, count_series
 from .intervals import PointSet, dedupe_sorted
 from .maps import LEFT, RIGHT, PcMap, branch_preimages, limit_step
@@ -46,8 +51,10 @@ class DeltaTable:
         empty = np.empty(0, np.int64)
         # index n holds merged Delta^n as (xs, hit, root)
         self.cumulative = [(np.empty(0), empty, empty), (base, np.zeros(nd, dtype=np.int64), root)]
-        # one-sided limit orbits from each base point: [(value, direction product), ...]
-        self._memo: dict[tuple[int, int], list[tuple[float, int]]] = {}
+        # one-sided limit orbit heads (value, side, direction product), left then
+        # right per base point, and the verdict columns they gave (``_removable``)
+        self._heads = [(x, side, 1) for x in base.tolist() for side in (LEFT, RIGHT)]
+        self._rem = np.ones((nd, 1), dtype=bool)
         # (k, lower bound on its size) of the last level the cap refused
         self._refused = (0, 0)
 
@@ -96,16 +103,22 @@ class DeltaTable:
         return (xs, np.concatenate(root_all)[order]), len(xs)
 
     def _merge_cumulative(self, n: int):
+        """Delta^n; a dropped Delta^{n-1} point hands its provenance to the
+        kept head of its group (see the module docstring)."""
         cx, ch, cr = self.cumulative[n - 1]
         lx, lr = self.levels[n - 1]
         xs = np.concatenate([cx, lx])
-        hit = np.concatenate([ch, np.full(len(lx), n - 1, dtype=np.int64)])
-        order = np.lexsort((hit, xs))
-        xs, hit = xs[order], hit[order]
+        order = np.argsort(xs, kind="stable")
+        xs = xs[order]
+        hit = np.concatenate([ch, np.full(len(lx), n - 1, dtype=np.int64)])[order]
         root = np.concatenate([cr, lr])[order]
-        keep, dst, src = dedupe_sorted(xs, self.map.tol, rank=hit)
-        for a in (hit, root):
-            a[dst] = a[src]  # the earliest hit of a merged group is its provenance
+        keep = dedupe_sorted(xs, self.map.tol)
+        dropped = np.flatnonzero(~keep)
+        dropped = dropped[order[dropped] < len(cx)]
+        if len(dropped):
+            kept = np.flatnonzero(keep)
+            head = kept[np.searchsorted(kept, dropped) - 1]
+            hit[head], root[head] = hit[dropped], root[dropped]
         self.cumulative.append((xs[keep], hit[keep], root[keep]))
 
     def ensure(self, n: int, cap: int | None = None):
@@ -145,46 +158,28 @@ class DeltaTable:
     def delta_points(self, n: int) -> np.ndarray:
         return self.cumulative[n][0]
 
-    def level_points(self, k: int) -> np.ndarray:
-        """f^{-(k-1)}(Delta) for k >= 1."""
-        return self.levels[k - 1][0]
-
-    def _limit_seq(self, root: int, side: int, m: int) -> list[tuple[float, int]]:
-        """One-sided limit orbit of base point ``root`` from ``side`` as
-        (value, direction product) pairs, built through at least step m."""
-        seq = self._memo.setdefault((root, side), [(float(self.map.delta.points[root]), 1)])
-        if len(seq) <= m:
-            v, d = seq[-1]
-            # recover the current side by replaying the stored prefix direction
-            s = side if d > 0 else 1 - side
-            for _ in range(len(seq), m + 1):
-                v, s, bi = limit_step(self.map, v, s)
-                d *= self.map.branches[bi].direction
-                seq.append((v, d))
-        return seq
-
     def _removable(self, n: int) -> np.ndarray:
-        """rem[root, m]: the two one-sided limits of f^m at base point ``root``
-        agree in value and in monotone direction.  A cut point whose orbit
-        first hits ``root`` after n - m steps is then a removable junction of
-        the n-th iterate.  The test is symmetric in the two sides, so which
-        of them the cut point's own left side maps to does not matter."""
-        tol = self.map.tol
-        rem = np.zeros((len(self.map.delta), n + 1), dtype=bool)
-        for r in range(len(rem)):
-            left, right = self._limit_seq(r, LEFT, n), self._limit_seq(r, RIGHT, n)
-            rem[r] = [
-                abs(v_l - v_r) <= tol and d_l == d_r
-                for (v_l, d_l), (v_r, d_r) in zip(left[: n + 1], right[: n + 1])
+        """rem[root, m] for m <= n: the one-sided limits of f^m at base point
+        ``root`` agree in value and in monotone direction, so a cut point whose
+        orbit first hits ``root`` after n - m steps is a removable junction of
+        the n-th iterate.  The test is symmetric in the two sides.  Column m
+        does not depend on n: it is built once, by one more step of each head."""
+        pcmap, tol = self.map, self.map.tol
+        while self._rem.shape[1] <= n:
+            steps = [limit_step(pcmap, v, s) for v, s, _ in self._heads]
+            self._heads = [
+                (v, s, d * pcmap.branches[bi].direction) for (v, s, bi), (_, _, d) in zip(steps, self._heads)
             ]
-        return rem
+            h = np.array(self._heads, dtype=float).reshape(-1, 2, 3)  # [root, side, field]
+            col = (np.abs(h[:, 0, 0] - h[:, 1, 0]) <= tol) & (h[:, 0, 2] == h[:, 1, 2])
+            self._rem = np.column_stack([self._rem, col])
+        return self._rem
 
     def count_pieces(self, n: int, merge_removable: bool = True) -> int:
         if n < 1:
             raise ValueError("n must be >= 1")
         xs, hit, root = self.cumulative[n]
-        dom = self.map.domain
-        tol = self.map.tol
+        dom, tol = self.map.domain, self.map.tol
         interior = (xs > dom.lo + tol) & (xs < dom.hi - tol)
         count = int(interior.sum()) + 1
         if not merge_removable or not interior.any():
@@ -252,15 +247,6 @@ def count_pieces(pcmap: PcMap, n: int, merge_removable: bool = True, cap: int | 
     return table.count_pieces(n, merge_removable)
 
 
-def submultiplicative_witness(counts: dict[int, int]) -> tuple[int, int] | None:
-    """The first pair (n, m) with c_{n+m} > c_n * c_m, or None."""
-    for n in counts:
-        for m in counts:
-            if n + m in counts and counts[n + m] > counts[n] * counts[m]:
-                return n, m
-    return None
-
-
 def ms_entropy(
     pcmap: PcMap,
     n_max: int,
@@ -282,16 +268,6 @@ def ms_entropy(
         records.append(SeriesRecord(n, table.count_pieces(n)))
     if not records:
         raise ResourceCapExceeded("no level fits under the resource cap", completed=0)
-    counts = {r.n: int(r.value) for r in records}
-    bad = submultiplicative_witness(counts)
-    if bad is not None:
-        n, m = bad
-        raise SubadditivityError(
-            f"piece counts are not submultiplicative: c_{n + m}={counts[n + m]} "
-            f"> c_{n}*c_{m}={counts[n] * counts[m]} "
-            "(likely a tolerance undercount upstream)",
-            witness=bad,
-        )
     return count_series("misiurewicz-szlenk", records, estimator, truncated)
 
 
@@ -331,7 +307,7 @@ def full_branch_check(pcmap: PcMap, n_max: int, cap: int | None = None) -> FullB
 
     no_connection = True
     for k in range(2, checked_to + 1):
-        if pcmap.delta.contains_many(table.level_points(k)).any():
+        if pcmap.delta.contains_many(table.levels[k - 1][0]).any():
             no_connection = False
             messages.append(f"f^-{k - 1}(Delta) meets Delta: connection at depth {k - 1}")
             break

@@ -112,6 +112,23 @@ def dedupe_reference(xs, tol, rank):
     return keep, prov
 
 
+def merge_cumulative_reference(cum, level, n: int, tol: float):
+    """Delta^n as ``(xs, hit, root)`` from Delta^{n-1} (``cum``, the same
+    triple) and the level f^{-(n-1)}(Delta) (``level``, ``(xs, root)``, hit
+    n - 1): a lexsort by (x, hit), then the greedy dedupe in which each group
+    takes the provenance of its first point of smallest hit."""
+    cx, ch, cr = cum
+    lx, lr = level
+    xs = np.concatenate([cx, lx])
+    hit = np.concatenate([ch, np.full(len(lx), n - 1, dtype=np.int64)])
+    root = np.concatenate([cr, lr])
+    order = np.lexsort((hit, xs))
+    xs, hit, root = xs[order], hit[order], root[order]
+    keep, prov = dedupe_reference(xs.tolist(), tol, hit.tolist())
+    src = np.asarray(prov, dtype=np.int64)[keep]
+    return xs[keep], hit[src], root[src]
+
+
 def cap_sizes_full_build(pcmap: PcMap, n: int, limit: int) -> list[tuple[int, int]]:
     """The sizes a point cap is held against when every level is built in
     full, as ``[(size, bound)]`` for k = 1 .. n or up to the first size

@@ -268,6 +268,22 @@ class TestEntropyCommand:
         assert "bogus" in err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["entropy", "--catalog", "tent", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["entropy", "--catalog", "tent", "--n-max", "abc"], "argument --n-max: invalid int value: 'abc'"),
+    ])
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        # exit code 2 means a resource cap truncated the run
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert message in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, "entropy", "--help")
+        assert code == 0 and "--n-max" in out
+
+
 class TestVerifyCommand:
     def test_mod2(self, capsys):
         code, out, _ = run(capsys, "verify", "--catalog", "mod2", "--n-max", "8")
@@ -401,6 +417,16 @@ class TestValidateCommand:
         code, _, err = run(capsys, "validate", str(f))
         assert code == 1
         assert "escapes" in err
+
+    def test_sliver_piece_rejected(self, capsys, tmp_path):
+        f = tmp_path / "sliver.pcm"
+        f.write_text(
+            "domain = [0, 1]\npiece (0, 0.5): 2*x inc\npiece (0.5, 0.50000000005): x inc\n"
+            "piece (0.50000000005, 1): 2 - 2*x dec\n"
+        )
+        code, out, err = run(capsys, "validate", str(f))
+        assert code == 1 and out == ""
+        assert err == "error: piece (0.5, 0.50000000005) is no wider than the map tolerance 1e-10\n"
 
     @pytest.mark.parametrize("body", [
         "(" + " + ".join(["x"] + ["0.001"] * 299) + ")/1.5",

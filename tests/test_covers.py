@@ -24,7 +24,7 @@ from pcentropy.covers import (
     refinement_steps,
     vee,
 )
-from pcentropy.errors import NotACoverError
+from pcentropy.errors import NotACoverError, SubadditivityError
 from pcentropy.intervals import Interval, OpenSet, PointSet, RegionSet
 from pcentropy.symbolic import delta_n
 from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
@@ -537,3 +537,16 @@ class TestLebesgue:
         cov = Cover((OpenSet.of((0.0, 0.4)),))
         with pytest.raises(NotACoverError):
             lebesgue_number(cov, X)
+
+
+@pytest.mark.parametrize("estimator", ["fekete-min", "slope-fit"])
+def test_non_submultiplicative_cover_counts_raise(tent, monkeypatch, estimator):
+    fake = iter([2, 5, 9, 17])
+    monkeypatch.setattr(covers, "minimal_subcover", lambda *a: SubcoverResult(next(fake), (), True))
+    with pytest.raises(SubadditivityError) as info:
+        cover_entropy(tent, natural_cover(tent), 4, estimator=estimator)
+    assert info.value.witness == (1, 1)
+    assert str(info.value) == (
+        "subcover counts are not submultiplicative: c_2=5 > c_1*c_1=4 "
+        "(likely a tolerance undercount upstream)"
+    )

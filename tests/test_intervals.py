@@ -194,13 +194,8 @@ class TestDedupeSorted:
     def test_matches_scalar_reference(self, start, steps):
         xs = start + np.cumsum([0.0] + [g for g, _ in steps])
         rank = np.array([0] + [r for _, r in steps], dtype=np.int64)
-        keep_ref, prov_ref = dedupe_reference(xs, 1.0, rank)
+        keep_ref, _ = dedupe_reference(xs, 1.0, rank)
         assert np.array_equal(dedupe_sorted(xs, 1.0), keep_ref)
-        keep, dst, src = dedupe_sorted(xs, 1.0, rank=rank)
-        assert np.array_equal(keep, keep_ref)
-        prov = np.arange(len(xs))
-        prov[dst] = src
-        assert prov[keep].tolist() == [prov_ref[i] for i in np.flatnonzero(keep_ref)]
 
     def test_chain_keeps_every_point_past_tol_from_the_last_kept(self):
         xs = np.array([0.0, 0.6, 1.2, 1.8, 2.4])
@@ -208,14 +203,11 @@ class TestDedupeSorted:
 
     def test_provenance_smallest_rank_then_first(self):
         xs = np.array([0.0, 0.0, 0.5, 0.5, 5.0])
-        keep, dst, src = dedupe_sorted(xs, 1.0, rank=np.array([3, 2, 1, 1, 0]))
-        assert keep.tolist() == [True, False, False, False, True]
-        assert (dst.tolist(), src.tolist()) == ([0], [2])
+        assert dedupe_sorted(xs, 1.0).tolist() == [True, False, False, False, True]
 
     def test_empty_and_single(self):
         assert dedupe_sorted(np.empty(0), 1e-12).tolist() == []
-        keep, dst, src = dedupe_sorted(np.array([0.3]), 1e-12, rank=np.array([1]))
-        assert keep.tolist() == [True] and not len(dst) and not len(src)
+        assert dedupe_sorted(np.array([0.3]), 1e-12).tolist() == [True]
 
 
 @settings(max_examples=200, deadline=None)

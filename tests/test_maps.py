@@ -47,6 +47,12 @@ class TestParseMap:
         with pytest.raises(MapValidationError, match="gap"):
             parse_map(src)
 
+    def test_piece_no_wider_than_tol(self):
+        # the two cut points would be one point to the merges of Delta^n
+        src = "domain = [0, 1]\npiece (0, 0.5): 2*x inc\npiece (0.5, 0.50000000005): x inc\npiece (0.50000000005, 1): 2 - 2*x dec\n"
+        with pytest.raises(MapValidationError, match=r"piece \(0.5, 0.50000000005\) is no wider than the map tolerance"):
+            parse_map(src)
+
     def test_image_escape(self):
         with pytest.raises(MapValidationError, match="escapes"):
             parse_map("domain = [0, 1]\npiece (0, 1): 2*x inc\n")

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pcentropy import symbolic
-from pcentropy.catalog import get as catalog_get, names as catalog_names
+from pcentropy.catalog import GOLDEN_SPLIT, get as catalog_get, names as catalog_names
 from pcentropy.errors import ResourceCapExceeded, SubadditivityError
+from pcentropy.estimators import submultiplicative_witness
 from pcentropy.expr import parse_expression
 from pcentropy.intervals import PointSet, dedupe_sorted
 from pcentropy.maps import (
@@ -29,10 +31,9 @@ from pcentropy.symbolic import (
     full_branch_check,
     ms_entropy,
     preimage_set,
-    submultiplicative_witness,
 )
 from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
-from reference import branch_inverse, cap_sizes_full_build, count_pieces_scalar
+from reference import branch_inverse, cap_sizes_full_build, count_pieces_scalar, merge_cumulative_reference
 
 PHI = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
 
@@ -390,3 +391,89 @@ def test_array_bisection_matches_branch_inverse(branch, targets):
             assert np.isnan(x), (y, x)
         else:
             assert abs(x - ref) <= 2 * _INVERSE_TOL, (y, x, ref)
+
+
+def _beta_golden():
+    """x -> phi*x mod 1 with phi the golden mean, split where phi*x = 1.  It is
+    Markov, and its piece counts are the Fibonacci numbers c_n = F_(n+2)."""
+    phi = (1 + 5**0.5) / 2
+    return parse_map(
+        f"domain = [0, 1]\npiece (0, {GOLDEN_SPLIT!r}): {phi!r}*x inc\n"
+        f"piece ({GOLDEN_SPLIT!r}, 1): {phi!r}*x - 1 inc\n"
+    )
+
+
+def test_beta_golden_counts_are_fibonacci():
+    table = DeltaTable(_beta_golden())
+    table.ensure(24)
+    fib = [1, 1]
+    while len(fib) < 26:
+        fib.append(fib[-1] + fib[-2])
+    assert [table.count_pieces(n) for n in range(1, 25)] == fib[2:26]
+
+
+MERGE_MAPS = [*catalog_names(), *(f"{name}^2" for name in catalog_names()), "beta-golden"]
+
+
+@pytest.mark.parametrize("label", MERGE_MAPS)
+def test_merge_matches_lexsort_reference(label):
+    """Each Delta^n, with its provenance, is bitwise the merge by a lexsort on
+    (x, hit) and a dedupe that takes each group's first point of smallest hit."""
+    if label == "beta-golden":
+        pcmap = _beta_golden()
+    else:
+        name, _, k = label.partition("^")
+        pcmap = iterate_map(catalog_get(name).map, int(k or 1))
+    table = DeltaTable(pcmap)
+    try:
+        table.ensure(8, cap=100_000)
+    except ResourceCapExceeded:
+        pass
+    ref, moved = table.cumulative[1], 0
+    for n in range(2, len(table.cumulative)):
+        prev, ref = ref, merge_cumulative_reference(ref, table.levels[n - 1], n, pcmap.tol)
+        for got, want in zip(table.cumulative[n], ref, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+        # a kept level point with an earlier hit took a dropped Delta^{n-1} point's provenance
+        moved += int(np.count_nonzero((ref[1] < n - 1) & ~np.isin(ref[0], prev[0])))
+    if label == "beta-golden":
+        assert moved > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    cum_steps=st.lists(
+        st.tuples(st.one_of(st.sampled_from([1.25, 2.0, 3.0]), st.floats(1.0, 4.0)), st.integers(0, 9)),
+        max_size=15,
+    ),
+    level_steps=st.lists(
+        st.tuples(
+            st.integers(0, 14),
+            st.one_of(st.sampled_from([0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 0.75]), st.floats(-2.0, 2.0)),
+            st.integers(0, 9),
+        ),
+        max_size=25,
+    ),
+)
+def test_merge_matches_reference_on_synthetic_levels(n, cum_steps, level_steps):
+    """Delta^{n-1} points lie more than tol apart with hits below n - 1; level
+    points tie exactly with them or sit within tol of them, in chains."""
+    tol = 1.0
+    cx = 0.1 + np.cumsum([0.0] + [g for g, _ in cum_steps])
+    kept = dedupe_sorted(cx, tol)  # gaps of about tol may round to tol or below
+    cx = cx[kept]
+    ch = np.array([0] + [h for _, h in cum_steps], dtype=np.int64)[kept] % (n - 1)
+    cr = np.arange(len(cx), dtype=np.int64)
+    lx = np.array([cx[i % len(cx)] + off for i, off, _ in level_steps])
+    lr = np.array([r for _, _, r in level_steps], dtype=np.int64)
+    order = np.argsort(lx, kind="stable")
+    lx, lr = lx[order], lr[order]
+    table = DeltaTable(catalog_get("tent").map)
+    table.map = SimpleNamespace(tol=tol)
+    table.cumulative = [None] * (n - 1) + [(cx, ch, cr)]
+    table.levels = [None] * (n - 1) + [(lx, lr)]
+    table._merge_cumulative(n)
+    want = merge_cumulative_reference((cx, ch, cr), (lx, lr), n, tol)
+    for got, w in zip(table.cumulative[n], want, strict=True):
+        assert got.tobytes() == w.tobytes()
