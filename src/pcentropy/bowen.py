@@ -21,7 +21,6 @@ Orbit matrices, and the certified cells of each, are cached per sample in
 
 from __future__ import annotations
 
-import bisect
 import math
 import weakref
 from dataclasses import dataclass, replace
@@ -38,6 +37,11 @@ _ORBIT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 @dataclass(frozen=True)
 class SampleSet:
+    """The kept sample points, the orbit depth they avoid the cuts to, and
+    ``density``: the widest gap between neighbours of ``[lo, *kept, hi]`` in
+    any part ``[lo, hi]`` of the region, so a stretch the nudging had to
+    excise, or a part that kept nothing, widens it."""
+
     points: PointSet
     horizon: int
     density: float
@@ -92,18 +96,10 @@ def sample_region(pcmap: PcMap, region: RegionSet, grid: int, horizon: int) -> S
             placed[placed] = _avoid_mask(pcmap, cand[placed], horizon)
             kept.append(cand[placed])
             pending = pending[~placed]
-        excised = list(pending)
         kept_arr = np.sort(np.concatenate(kept))
-        if not len(kept_arr):
-            continue
-        kept_parts.append(kept_arr)
-        gaps = np.diff(kept_arr)
-        for g, a in zip(gaps, kept_arr):
-            # gaps straddling a dropped grid point are excised neighborhoods
-            if not any(a < e < a + g for e in excised):
-                density = max(density, float(g))
-        if len(kept_arr) == 1:
-            density = max(density, h)
+        density = max(density, float(np.diff(np.concatenate(([part.lo], kept_arr, [part.hi]))).max()))
+        if len(kept_arr):
+            kept_parts.append(kept_arr)
     if not kept_parts:
         raise EmptySampleError(
             f"no point of {region!r} avoids the cut set to depth {horizon} at this grid"
@@ -136,29 +132,29 @@ def _prepare(O: np.ndarray, n: int, metric) -> np.ndarray:
 def _greedy_separated_indices(M: np.ndarray, eps: float) -> tuple[list[int], list[int]]:
     """Greedy left-to-right separated set of the sorted rows: ``(admitted, witness)``.
 
-    A row is admitted unless an admitted row lies within eps of it in the max
-    norm; ``witness[i]`` is the first such row, or ``i`` when row ``i`` is
-    admitted.  The admitted rows are thus a maximal separated set, and the
-    witnesses show that their eps-balls cover every row.
+    The rows are scanned in order.  A row no admitted row has claimed is
+    admitted, and it claims every later unclaimed row within eps of it in the
+    max norm, so ``witness[i]`` is the first admitted row within eps of row
+    ``i``, or ``i`` itself when row ``i`` is admitted.  The admitted rows are
+    thus a maximal separated set, and the witnesses show that their eps-balls
+    cover every row.
+
+    Row ``i`` claims from the rows ``i+1 .. stop[i]`` whose first coordinate
+    is at most the double ``fl(x_i + eps)``.  That window is exact: a row past
+    it lies at or above the next double, which exceeds ``x_i + eps`` in exact
+    arithmetic, so its first-coordinate gap rounds to at least eps.
     """
-    xs = M[:, 0].tolist()
+    xs = M[:, 0]
+    stop = np.searchsorted(xs, xs + eps, side="right")
+    witness = np.full(len(M), -1)
     admitted: list[int] = []
-    adm_x: list[float] = []
-    witness = list(range(len(xs)))
-    for i, x in enumerate(xs):
-        lo = bisect.bisect_right(adm_x, x - eps)
-        while lo and x - adm_x[lo - 1] < eps:  # x - eps rounds up past a row the norm puts within eps
-            lo -= 1
-        window = admitted[lo:]
-        if window:
-            near = np.abs(M[window] - M[i]).max(axis=1) < eps
-            k = int(near.argmax())
-            if near[k]:
-                witness[i] = window[k]
-                continue
-        admitted.append(i)
-        adm_x.append(x)
-    return admitted, witness
+    for i in range(len(M)):
+        if witness[i] < 0:
+            admitted.append(i)
+            witness[i] = i
+            claim = witness[i + 1 : stop[i]]  # a view: claims land in witness
+            claim[(claim < 0) & (np.abs(M[i + 1 : stop[i]] - M[i]).max(axis=1) < eps)] = i
+    return admitted, witness.tolist()
 
 
 def _verify_separated(M: np.ndarray, idx: list[int], eps: float) -> tuple[int, int] | None:

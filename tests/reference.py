@@ -197,28 +197,19 @@ def sample_region_scalar(pcmap, region, grid, horizon):
         h = xs[1] - xs[0] if npts > 1 else part.diameter
         ok = _avoid_mask(pcmap, xs, horizon)
         kept = list(xs[ok])
-        excised = []
         for x in xs[~ok]:
-            placed = False
             for off in (h / 2, -h / 2, h / 4, -h / 4, h / 8, -h / 8, h / 16, -h / 16):
                 cand = x + off
                 if part.lo <= cand <= part.hi and _avoid_mask(pcmap, np.asarray([cand]), horizon)[0]:
                     kept.append(cand)
-                    placed = True
                     break
-            if not placed:
-                excised.append(x)
         kept.sort()
-        if not kept:
-            continue
-        kept_arr = np.asarray(kept)
-        kept_parts.append(kept_arr)
-        gaps = np.diff(kept_arr)
-        for g, a in zip(gaps, kept_arr):
-            if not any(a < e < a + g for e in excised):
-                density = max(density, float(g))
-        if len(kept_arr) == 1:
-            density = max(density, h)
+        # the widest gap between neighbours, the part's own ends included
+        ends = [part.lo, *kept, part.hi]
+        for a, b in zip(ends, ends[1:]):
+            density = max(density, float(b - a))
+        if kept:
+            kept_parts.append(np.asarray(kept))
     if not kept_parts:
         raise EmptySampleError("empty sample")
     points = PointSet(tuple(np.concatenate(kept_parts)), tol=0.0)
@@ -240,14 +231,17 @@ def verify_separated_scalar(M, idx, eps):
 def greedy_spanning_reference(M, eps):
     """The leftmost-uncovered ball sweep over rows sorted by first coordinate:
     each row no earlier center covers becomes a center, and its open eps-ball
-    in the max norm covers every row it holds."""
-    covered = np.zeros(len(M), dtype=bool)
+    in the max norm covers every row it holds.  Returns ``(centers, first)``,
+    where ``first[i]`` is the first center whose ball holds row ``i``."""
+    first = [None] * len(M)
     centers = []
     for i in range(len(M)):
-        if not covered[i]:
+        if first[i] is None:
             centers.append(i)
-            covered |= np.abs(M - M[i]).max(axis=1) < eps
-    return centers
+            for j in np.flatnonzero(np.abs(M - M[i]).max(axis=1) < eps):
+                if first[j] is None:
+                    first[j] = i
+    return centers, first
 
 
 def openset_preimage_scalar(pcmap, oset):

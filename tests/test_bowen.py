@@ -272,16 +272,38 @@ def test_greedy_witnesses_match_the_spanning_sweep(data, n, steps):
     M = np.asarray(data.draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=m, max_size=m)))
     M = M[np.argsort(M[:, 0], kind="stable")]
     admitted, witness = bowen._greedy_separated_indices(M, eps)
-    assert greedy_spanning_reference(M, eps) == admitted
+    assert greedy_spanning_reference(M, eps) == (admitted, witness)
     assert set(witness) <= set(admitted)
     assert (np.abs(M - M[witness]).max(axis=1) < eps).all()
     assert _verify_separated(M, admitted, eps) is None
 
 
+@pytest.mark.parametrize("name", ["tent", "lorenz-full"])
+def test_greedy_matches_the_spanning_sweep_on_real_orbits(name):
+    pcmap = catalog_get(name).map
+    O = bowen.orbit_matrix(pcmap, sample_region(pcmap, X, grid=1025, horizon=8))
+    for n in (4, 8):
+        M = bowen._prepare(O, n, None)
+        for eps in (0.05, 0.02):
+            assert bowen._greedy_separated_indices(M, eps) == greedy_spanning_reference(M, eps)
+
+
+def test_greedy_window_ends_at_the_rounded_sum():
+    # 0.7 + 0.1 rounds down to the double 0.7999999999999999: the row there
+    # is within eps and ends row 0's window, and the row at the next double,
+    # 0.8, lies past the window, where 0.8 - 0.7 rounds to at least eps
+    x, eps = 0.7, 0.1
+    top = x + eps
+    assert top < 0.8 and np.nextafter(top, 1.0) == 0.8 and 0.8 - x >= eps
+    M = np.asarray([[x], [top], [0.8]])
+    assert np.searchsorted(M[:, 0], top, side="right") == 2
+    assert bowen._greedy_separated_indices(M, eps) == greedy_spanning_reference(M, eps) == ([0, 2], [0, 0, 2])
+
+
 def test_greedy_window_matches_the_certificate_norm():
-    # 1.0 - 0.1 rounds up to the double 0.9, yet 1.0 - 0.9 < 0.1: a window
-    # bounded by x - eps alone admits both rows, and the pairwise certificate
-    # then rejects them
+    # 1.0 - 0.1 rounds up to the double 0.9, yet 1.0 - 0.9 < 0.1: row 1
+    # lies within eps of row 0 in the norm the certificates use, and row 0's
+    # window, which ends at the double 0.9 + 0.1, holds it
     assert bowen._greedy_separated_indices(np.asarray([[0.9], [1.0]]), 0.1) == ([0], [0, 0])
     identity = catalog_get("identity").map
     s = sample_region(identity, X, grid=11, horizon=1)

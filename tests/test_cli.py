@@ -214,6 +214,18 @@ class TestEntropyCommand:
         lines = out.strip().split("\n")
         assert lines[1:-1] == ["cover,1,,3,", "cover,2,,9,", "cover,3,,27,truncated"]
 
+    def test_gutted_bowen_sample_is_coarse(self, capsys):
+        # at horizon 10 every interior point of the 17-point grid and every
+        # nudge is dyadic and meets 1/2, so only 0 and 1 are kept
+        code, out, _ = run(
+            capsys, "entropy", "--catalog", "tent", "--method", "bowen",
+            "--n-range", "4:10", "--eps", "0.05,0.02", "--grid", "17",
+        )
+        assert code == 0
+        records = [l.split(",") for l in out.strip().split("\n")[1:] if not l.startswith("estimate")]
+        assert len(records) == 2 * 2 * 7
+        assert all(r[3] == "2" and r[4] == "coarse" for r in records)
+
     def test_empty_bowen_n_range(self, capsys):
         code, _, err = run(capsys, "entropy", "--catalog", "tent", "--method", "bowen", "--n-range", "12:4")
         assert code == 1
