@@ -1,31 +1,40 @@
-"""Iterated preimages of the discontinuity set and monotone piece counting.
+"""Monotone piece counts from lap images, and the n-step discontinuity set.
 
-The n-step discontinuity set is computed backwards, one preimage level at a
-time, never by forward composition: inverting a monotone branch is
-well-conditioned, and each point carries its provenance: the first orbit
-step that hits the base set (for a level point, the level's index) and
-which base point.  Delta^n merges Delta^{n-1} and level n - 1 by one stable
-sort and one dedupe.  The points of Delta^{n-1} lie more than ``tol`` apart
-(dedupe output, or the cut points, which ``build_map`` keeps that far apart),
-so a merged group holds at most one of them, and its hit, below n - 1, is
-the group's earliest: the group takes that point's provenance.
+A lap of f^n is a component of the domain minus Delta^n, and f^n maps it
+homeomorphically onto an open interval J.  Cutting J at the cut points more
+than ``tol`` inside it gives the laps of f^(n+1) in that lap, and each of
+them maps by one branch onto the open interval between the one-sided limits
+at its ends (``limit_step`` from the right at its left end, from the left at
+its right end).  So the laps are carried as a multiset of image intervals
+with Python-int multiplicities (Milnor & Thurston, LNM 1342), and each cut
+point r inside an image is a new interior point of Delta^(n+1) whose orbit
+first hits the cut set at r after n steps.
 
-Whether a cut point is a removable junction of the n-th iterate depends
-only on its base point and the m steps left after the hit, so a table
-rem[root, m] grows one column per m from the one-sided limit orbits of the
-base points, and ``count_pieces`` decides every cut point with one lookup.
-Piece counts then follow from component counting plus that merge rule.
+Whether such a point is a removable junction of the m-th iterate depends
+only on r and the m - n steps left after the hit, so a table rem[r, m] grows
+one column per m from the one-sided limit orbits of the cut points, and the
+merged count is the lap count minus new[k][r] * rem[r, m - k] summed over
+the levels k and cut points r.  |Delta^n| is exact as well: its interior
+points, plus each domain end whose one-sided limit orbit meets a cut point
+within n - 1 steps (a monotone branch reaches a domain end only at an end of
+its piece, so no other point of Delta^n lies off the laps' cuts).  The point
+cap is held against that size before any point is built.
 
-Tables are cached per map in ``_TABLES`` and grow in place as deeper levels
-are asked for, up to a point cap.  A level the cap refuses is not kept, and
-mostly not even built: the refusal rests on a lower bound of its size, taken
-one branch at a time, and the message states that bound.  Neither the cache
-nor a ``DeltaTable`` takes a lock: use them from one thread at a time.
+Delta^n as a point set is built only where it is read, backwards, one
+preimage level at a time and never by forward composition, because
+inverting a monotone branch is well-conditioned.  Delta^n merges
+Delta^{n-1} and level n - 1 by one sort and one dedupe.
+
+Tables are cached per map in ``_TABLES`` and grow in place as deeper counts
+are asked for.  Neither the cache nor a ``DeltaTable`` takes a lock: use them
+from one thread at a time.
 """
 
 from __future__ import annotations
 
+import bisect
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,125 +47,97 @@ from .maps import LEFT, RIGHT, PcMap, branch_preimages, limit_step
 DEFAULT_DELTA_CAP = 2_000_000
 
 
+class _BuiltOnRead(Sequence):
+    """Entries ``(points,)`` for k = 0 .. ``length() - 1``, each built by
+    ``build(k)`` on its first read; ``build`` may read the entries below k."""
+
+    def __init__(self, build, length):
+        self._build, self._length, self._items = build, length, []
+
+    def __len__(self) -> int:
+        return self._length()
+
+    def __getitem__(self, k: int) -> tuple[np.ndarray]:
+        k = range(len(self))[k]
+        while len(self._items) <= k:
+            self._items.append((self._build(len(self._items)),))
+        return self._items[k]
+
+
 class DeltaTable:
-    """Levels f^{-(k-1)}(Delta) with provenance, merged cumulatively per n."""
+    """Lap counts of f^1, f^2, ..., and the point sets f^{-k}(Delta) and
+    Delta^n built on first read up to the depth ``ensure`` has reached."""
 
     def __init__(self, pcmap: PcMap):
         self.map = pcmap
-        nd = len(pcmap.delta)
-        base, root = pcmap.delta.points, np.arange(nd)
-        # index k holds f^{-k}(Delta) as (xs, root); every point of it first
-        # hits the base set after k steps, so the hit step is the index itself
-        self.levels = [(base, root)]
-        empty = np.empty(0, np.int64)
-        # index n holds merged Delta^n as (xs, hit, root)
-        self.cumulative = [(np.empty(0), empty, empty), (base, np.zeros(nd, dtype=np.int64), root)]
+        dom = pcmap.domain
+        base = pcmap.delta.points
+        # Delta^1 .. Delta^depth fit under the cap of some ``ensure`` call
+        self.depth = 1
+        # index k holds f^{-k}(Delta), index n holds Delta^n
+        self.levels = _BuiltOnRead(self._level, lambda: self.depth)
+        self.cumulative = _BuiltOnRead(self._cumulative, lambda: self.depth + 1)
+        # laps of f^k as {(lo, hi) of the image: multiplicity}, k = len(self._new)
+        self._laps = {(dom.lo, dom.hi): 1}
+        # _new[k][r]: new interior points of level k whose orbit hits cut r first
+        self._new: list[list[int]] = []
+        self._interior = [0]  # interior points of Delta^k, k = 0 .. len(self._new)
+        # one-sided limit orbit heads of the domain ends, and the step at
+        # which each first meets a cut point (None while it has not)
+        self._ends = [(dom.lo, RIGHT), (dom.hi, LEFT)]
+        self._end_hits: list[int | None] = [None, None]
         # one-sided limit orbit heads (value, side, direction product), left then
-        # right per base point, and the verdict columns they gave (``_removable``)
+        # right per cut point, and the verdict columns they gave (``_removable``)
         self._heads = [(x, side, 1) for x in base.tolist() for side in (LEFT, RIGHT)]
-        self._rem = np.ones((nd, 1), dtype=bool)
-        # (k, lower bound on its size) of the last level the cap refused
-        self._refused = (0, 0)
+        self._rem = np.ones((len(base), 1), dtype=bool)
 
-    # -- construction -------------------------------------------------------
+    # -- lap counting --------------------------------------------------------
 
-    def _next_level(self, budget: int) -> tuple[tuple[np.ndarray, np.ndarray] | None, int]:
-        """f^{-k}(Delta) from level k - 1 as ``((xs, root), size)``, or
-        ``(None, bound)`` once a lower bound on its size passes ``budget``.
+    def _step(self):
+        """Cut the lap images of f^k, k = len(self._new): the cut points
+        inside them are the new points of level k, and the pieces are the lap
+        images of f^(k+1)."""
+        pcmap, tol = self.map, self.map.tol
+        cuts = pcmap.delta.points.tolist()
+        new = [0] * len(cuts)
+        laps: dict[tuple[float, float], int] = {}
+        for (u, v), mult in self._laps.items():
+            first, stop = bisect.bisect_right(cuts, u + tol), bisect.bisect_left(cuts, v - tol)
+            for r in range(first, stop):
+                new[r] += mult
+            ends = [u, *cuts[first:stop], v]
+            for p, q in zip(ends, ends[1:]):
+                a, b = limit_step(pcmap, p, RIGHT)[0], limit_step(pcmap, q, LEFT)[0]
+                image = (a, b) if a <= b else (b, a)
+                laps[image] = laps.get(image, 0) + mult
+        k = len(self._new)
+        for i, (x, side) in enumerate(self._ends):
+            if self._end_hits[i] is None:
+                if pcmap.delta.index_near(x) is not None:
+                    self._end_hits[i] = k
+                else:
+                    self._ends[i] = limit_step(pcmap, x, side)[:2]
+        self._laps = laps
+        self._new.append(new)
+        self._interior.append(self._interior[-1] + sum(new))
 
-        A target has at most one preimage per branch.  When that many points
-        fit the budget, the level is built in one pass.  Otherwise each
-        branch's part is sorted and deduped alone first, and the level is
-        refused as soon as ``_merged_size_bound`` of the parts so far passes
-        the budget; only a level that gets through is merged and counted.
-        """
-        ys, root = self.levels[-1]
-        tol = self.map.tol
-        careful = len(ys) * len(self.map.branches) > budget
-        xs_all, root_all, counts = [], [], []
-        for b in self.map.branches:
-            xs = branch_preimages(b, ys)
-            ok = ~np.isnan(xs)
-            if not ok.any():
-                continue
-            xs, r = xs[ok], root[ok]
-            if careful:
-                # a stable sort of each part keeps the merged order below the
-                # same as from the unsorted parts
-                order = np.argsort(xs, kind="stable")
-                xs, r = xs[order], r[order]
-                counts.append(int(np.count_nonzero(dedupe_sorted(xs, tol))))
-                bound = _merged_size_bound(counts)
-                if bound > budget:
-                    return None, bound
-            xs_all.append(xs)
-            root_all.append(r)
-        if not xs_all:
-            return (np.empty(0), np.empty(0, np.int64)), 0
-        xs = np.concatenate(xs_all)
-        order = np.argsort(xs, kind="stable")
-        xs = xs[order]
-        keep = dedupe_sorted(xs, tol)
-        # gather provenance for the kept points only
-        order = order[keep]
-        xs = xs[keep]
-        return (xs, np.concatenate(root_all)[order]), len(xs)
-
-    def _merge_cumulative(self, n: int):
-        """Delta^n; a dropped Delta^{n-1} point hands its provenance to the
-        kept head of its group (see the module docstring)."""
-        cx, ch, cr = self.cumulative[n - 1]
-        lx, lr = self.levels[n - 1]
-        xs = np.concatenate([cx, lx])
-        order = np.argsort(xs, kind="stable")
-        xs = xs[order]
-        hit = np.concatenate([ch, np.full(len(lx), n - 1, dtype=np.int64)])[order]
-        root = np.concatenate([cr, lr])[order]
-        keep = dedupe_sorted(xs, self.map.tol)
-        dropped = np.flatnonzero(~keep)
-        dropped = dropped[order[dropped] < len(cx)]
-        if len(dropped):
-            kept = np.flatnonzero(keep)
-            head = kept[np.searchsorted(kept, dropped) - 1]
-            hit[head], root[head] = hit[dropped], root[dropped]
-        self.cumulative.append((xs[keep], hit[keep], root[keep]))
+    def delta_size(self, n: int) -> int:
+        """|Delta^n|: its interior points plus the domain ends it holds."""
+        while len(self._new) < n:
+            self._step()
+        return self._interior[n] + sum(h is not None and h < n for h in self._end_hits)
 
     def ensure(self, n: int, cap: int | None = None):
-        """Build Delta^1 .. Delta^n, or raise ``ResourceCapExceeded`` with
-        ``completed = k - 1`` at the first k whose size passes the point cap.
-
-        The size of a new Delta^k is |Delta^{k-1}| plus its new level's point
-        count, before the two are merged; a merged Delta^k counts its own
-        points, so a cached deeper table still respects a smaller cap.  A
-        level is refused on a lower bound of that size, mostly before it is
-        built in full, and the message states the bound.  A refused level is
-        never stored: asking again under the same cap refuses at once, and a
-        larger cap builds it as a fresh table would."""
+        """Count the laps of f^1 .. f^n, or raise ``ResourceCapExceeded`` with
+        ``completed = k - 1`` at the first k whose exact |Delta^k| passes the
+        point cap.  No point is built here; a deeper table still respects a
+        smaller cap, because every k is held against it."""
         cap = DEFAULT_DELTA_CAP if cap is None else cap
         for k in range(1, n + 1):
-            if k < len(self.cumulative):
-                size = len(self.cumulative[k][0])
-            elif self._refused[0] == k and self._refused[1] > cap:
-                size = self._refused[1]
-            else:
-                held = len(self.cumulative[k - 1][0])
-                level, size = self._next_level(cap - held)
-                size += held
-                if size <= cap:
-                    self.levels.append(level)
-                    self._merge_cumulative(k)
-                else:
-                    self._refused = (k, size)
+            size = self.delta_size(k)
             if size > cap:
-                raise ResourceCapExceeded(
-                    f"Delta^{k} holds at least {size} points (cap {cap})",
-                    completed=k - 1,
-                )
-
-    # -- queries -------------------------------------------------------------
-
-    def delta_points(self, n: int) -> np.ndarray:
-        return self.cumulative[n][0]
+                raise ResourceCapExceeded(f"Delta^{k} holds {size} points (cap {cap})", completed=k - 1)
+            self.depth = max(self.depth, k)
 
     def _removable(self, n: int) -> np.ndarray:
         """rem[root, m] for m <= n: the one-sided limits of f^m at base point
@@ -178,28 +159,40 @@ class DeltaTable:
     def count_pieces(self, n: int, merge_removable: bool = True) -> int:
         if n < 1:
             raise ValueError("n must be >= 1")
-        xs, hit, root = self.cumulative[n]
-        dom, tol = self.map.domain, self.map.tol
-        interior = (xs > dom.lo + tol) & (xs < dom.hi - tol)
-        count = int(interior.sum()) + 1
-        if not merge_removable or not interior.any():
-            return count
-        merged = self._removable(n)[root, n - hit] & interior
-        return count - int(np.count_nonzero(merged))
+        if n > self.depth:
+            raise ValueError(f"n = {n} is past the depth {self.depth} that ensure has reached")
+        new = self._new[:n]
+        count = 1 + self._interior[n]
+        if merge_removable:
+            rem = self._removable(n)
+            for k, row in enumerate(new):
+                count -= sum(c for c, merged in zip(row, rem[:, n - k].tolist()) if merged)
+        return count
+
+    # -- point sets ------------------------------------------------------------
+
+    def _level(self, k: int) -> np.ndarray:
+        """f^{-k}(Delta): every branch inverts level k - 1 at once."""
+        if k == 0:
+            return self.map.delta.points
+        ys = self.levels[k - 1][0]
+        xs = np.concatenate([branch_preimages(b, ys) for b in self.map.branches])
+        return _sorted_dedupe(xs[~np.isnan(xs)], self.map.tol)
+
+    def _cumulative(self, n: int) -> np.ndarray:
+        if n == 0:
+            return np.empty(0)
+        if n == 1:
+            return self.levels[0][0]
+        return _sorted_dedupe(np.concatenate([self.cumulative[n - 1][0], self.levels[n - 1][0]]), self.map.tol)
+
+    def delta_points(self, n: int) -> np.ndarray:
+        return self.cumulative[n][0]
 
 
-def _merged_size_bound(counts: list[int]) -> int:
-    """Lower bound on the dedupe count of the union of sorted parts, from
-    the dedupe count of each nonempty part; each part lies in the closure of
-    its own piece, and the pieces do not overlap.
-
-    The greedy count is the fewest ``tol``-wide windows that cover the
-    points, and the union's greedy windows are disjoint.  Each part needs
-    its own count of them, and a window shared by m parts holds m - 1 piece
-    ends, one between each two neighbouring parts, which no other window
-    holds.  So the union needs at least ``sum(counts) - (len(counts) - 1)``.
-    """
-    return sum(counts) - len(counts) + 1
+def _sorted_dedupe(xs: np.ndarray, tol: float) -> np.ndarray:
+    xs = np.sort(xs, kind="stable")
+    return xs[dedupe_sorted(xs, tol)]
 
 
 _TABLES: "weakref.WeakKeyDictionary[PcMap, DeltaTable]" = weakref.WeakKeyDictionary()

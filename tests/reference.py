@@ -6,6 +6,7 @@ the library itself.
 """
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -129,40 +130,32 @@ def merge_cumulative_reference(cum, level, n: int, tol: float):
     return xs[keep], hit[src], root[src]
 
 
-def cap_sizes_full_build(pcmap: PcMap, n: int, limit: int) -> list[tuple[int, int]]:
-    """The sizes a point cap is held against when every level is built in
-    full, as ``[(size, bound)]`` for k = 1 .. n or up to the first size
-    above ``limit``: ``DeltaTable.ensure`` must refuse at the first k whose
-    size passes the cap.
-
-    At k = 1 the size is |Delta^1|; after that it is |Delta^{k-1}| plus the
-    deduped level f^{-(k-1)}(Delta), before the two are merged.  ``bound``
-    is |Delta^{k-1}| plus the level's lower bound from its branch parts, each
-    deduped alone: one point per nonempty part, and one more per point that
-    part keeps beyond its first.
-    """
+def delta_reference(pcmap: PcMap):
+    """Delta^1, Delta^2, ... as ``(xs, hit, root)``, with every level built
+    in full: f^{-j}(Delta) as ``(xs, root)`` from level j - 1 by all branches
+    at once, a stable sort and a dedupe that keeps each group's first point,
+    merged into Delta^(j+1) by ``merge_cumulative_reference``."""
     tol = pcmap.tol
-    level = cum = pcmap.delta.points
-    out = [(len(cum), len(cum))]
-    for _ in range(2, n + 1):
-        if out[-1][0] > limit:
-            break
-        parts = [branch_preimages(b, level) for b in pcmap.branches]
-        parts = [np.sort(p[~np.isnan(p)]) for p in parts]
-        counts = [int(dedupe_sorted(p, tol).sum()) for p in parts if len(p)]
-        xs = np.sort(np.concatenate(parts))
-        level = xs[dedupe_sorted(xs, tol)]
-        bound = 1 + sum(c - 1 for c in counts) if counts else 0
-        out.append((len(cum) + len(level), len(cum) + bound))
-        merged = np.sort(np.concatenate([cum, level]))
-        cum = merged[dedupe_sorted(merged, tol)]
-    return out
+    level = (pcmap.delta.points, np.arange(len(pcmap.delta)))
+    cum = (level[0], np.zeros(len(level[0]), np.int64), level[1])
+    yield cum
+    for n in itertools.count(2):
+        ys, root = level
+        xs = np.concatenate([branch_preimages(b, ys) for b in pcmap.branches])
+        root = np.tile(root, pcmap.n_pieces)
+        ok = ~np.isnan(xs)
+        order = np.argsort(xs[ok], kind="stable")
+        xs, root = xs[ok][order], root[ok][order]
+        keep = dedupe_sorted(xs, tol)
+        level = (xs[keep], root[keep])
+        cum = merge_cumulative_reference(cum, level, n, tol)
+        yield cum
 
 
-def count_pieces_scalar(table, n: int, merge_removable: bool) -> int:
-    """Reference: one scalar limit-orbit test per interior cut point."""
-    pcmap = table.map
-    xs, hit, root = table.cumulative[n]
+def count_pieces_scalar(pcmap: PcMap, cum, n: int, merge_removable: bool) -> int:
+    """Reference: one scalar limit-orbit test per interior point of Delta^n,
+    given as ``(xs, hit, root)``."""
+    xs, hit, root = cum
     dom, tol = pcmap.domain, pcmap.tol
     interior = (xs > dom.lo + tol) & (xs < dom.hi - tol)
     count = int(interior.sum()) + 1

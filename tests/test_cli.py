@@ -338,7 +338,7 @@ class TestVerifyCommand:
         monkeypatch.setenv("PCENTROPY_CAP", "0")
         code, out, err = run(capsys, "verify", "--catalog", "tent", "--n-max", "4")
         assert (code, out) == (1, "")
-        assert "Delta^1 holds at least 1 points (cap 0)" in err
+        assert "Delta^1 holds 1 points (cap 0)" in err
 
     def test_power_k_zero_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "--catalog", "tent", "--n-max", "4", "--power-k", "0")
