@@ -27,7 +27,7 @@ from .errors import PcEntropyError, ResourceCapExceeded
 from .estimators import EntropySeries, submultiplicative_witness
 from .intervals import Interval, OpenSet, RegionSet
 from .maps import PcMap, parse_map
-from .symbolic import count_pieces, delta_n, full_branch_check, ms_entropy
+from .symbolic import count_pieces, delta_n, delta_table, full_branch_check, ms_entropy
 from .transforms import PlHomeo, conjugate_map, iterate_map, restrict_map
 
 _EXIT_OK, _EXIT_FAIL, _EXIT_TRUNCATED = 0, 1, 2
@@ -278,8 +278,8 @@ def cmd_verify(args) -> int:
 
     if conj is not None:
         ok = all(
-            len(delta_n(conj, n, cap)) == len(deltas[n])
-            and count_pieces(conj, n, cap=cap) == counts[n]
+            count_pieces(conj, n, cap=cap) == counts[n]
+            and delta_table(conj).delta_size(n) == delta_table(pcmap).delta_size(n)
             for n in range(1, n_max + 1)
         )
         rows.append(("conjugate has identical #Delta^n and c_n", ok, f"n <= {n_max}{capped}"))

@@ -293,7 +293,7 @@ class PointSet:
             return np.zeros(len(xs), dtype=bool)
         i = np.searchsorted(pts, xs)
         # clipping only repeats the other neighbour at either end
-        near = np.abs(pts[np.clip(i - 1, 0, len(pts) - 1)] - xs) <= self.tol
+        near = np.abs(pts[np.maximum(i - 1, 0)] - xs) <= self.tol
         near |= np.abs(pts[np.minimum(i, len(pts) - 1)] - xs) <= self.tol
         return near
 

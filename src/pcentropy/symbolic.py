@@ -10,20 +10,25 @@ with Python-int multiplicities (Milnor & Thurston, LNM 1342), and each cut
 point r inside an image is a new interior point of Delta^(n+1) whose orbit
 first hits the cut set at r after n steps.
 
-Whether such a point is a removable junction of the m-th iterate depends
-only on r and the m - n steps left after the hit, so a table rem[r, m] grows
-one column per m from the one-sided limit orbits of the cut points, and the
-merged count is the lap count minus new[k][r] * rem[r, m - k] summed over
-the levels k and cut points r.  |Delta^n| is exact as well: its interior
-points, plus each domain end whose one-sided limit orbit meets a cut point
-within n - 1 steps (a monotone branch reaches a domain end only at an end of
-its piece, so no other point of Delta^n lies off the laps' cuts).  The point
-cap is held against that size before any point is built.
+One forward walk of one-sided limit orbits gives the rest.  Its heads start
+at both domain ends and at both sides of each cut point, take one step per
+level, and record the first step at which each meets a cut.  A domain end is
+a point of Delta^n when its head meets a cut within n - 1 steps (a monotone
+branch reaches a domain end only at an end of its piece, so no other point
+of Delta^n lies off the laps' cuts), which makes |Delta^n| exact; the point
+cap is held against it before any point is built.  The first hit of a cut
+head is the first depth d at which f^-d(Delta) meets Delta.  And whether a
+new point is a removable junction of the m-th iterate depends only on r and
+the m - n steps left after the hit, so the cut heads give one column of a
+table rem[r, m] per step, and the merged count is the lap count minus
+new[k][r] * rem[r, m - k] summed over the levels k and cut points r.
 
 Delta^n as a point set is built only where it is read, backwards, one
 preimage level at a time and never by forward composition, because
 inverting a monotone branch is well-conditioned.  Delta^n merges
-Delta^{n-1} and level n - 1 by one sort and one dedupe.
+Delta^{n-1} and level n - 1 by one sort and one dedupe, and is refused like
+an over-cap level if its size is not the exact one: its distinct points came
+closer than ``tol`` and merged.
 
 Tables are cached per map in ``_TABLES`` and grow in place as deeper counts
 are asked for.  Neither the cache nor a ``DeltaTable`` takes a lock: use them
@@ -82,21 +87,28 @@ class DeltaTable:
         # _new[k][r]: new interior points of level k whose orbit hits cut r first
         self._new: list[list[int]] = []
         self._interior = [0]  # interior points of Delta^k, k = 0 .. len(self._new)
-        # one-sided limit orbit heads of the domain ends, and the step at
-        # which each first meets a cut point (None while it has not)
-        self._ends = [(dom.lo, RIGHT), (dom.hi, LEFT)]
-        self._end_hits: list[int | None] = [None, None]
-        # one-sided limit orbit heads (value, side, direction product), left then
-        # right per cut point, and the verdict columns they gave (``_removable``)
-        self._heads = [(x, side, 1) for x in base.tolist() for side in (LEFT, RIGHT)]
-        self._rem = np.ones((len(base), 1), dtype=bool)
+        # one-sided limit orbit heads (value, side, direction product): the two
+        # domain ends, then the left and right side of each cut point
+        self._heads = [(dom.lo, RIGHT, 1), (dom.hi, LEFT, 1)]
+        self._heads += [(x, side, 1) for x in base.tolist() for side in (LEFT, RIGHT)]
+        # the first step j >= 1 at which each head lies within tol of a cut
+        self._hits = [np.inf] * len(self._heads)
+        self._rem = np.ones((len(base), 1), dtype=bool)  # verdict columns rem[root, m]
 
     # -- lap counting --------------------------------------------------------
 
     def _step(self):
         """Cut the lap images of f^k, k = len(self._new): the cut points
         inside them are the new points of level k, and the pieces are the lap
-        images of f^(k+1)."""
+        images of f^(k+1).  Then every head takes its step k + 1, and a head
+        that lies within ``tol`` of a cut for the first time records it.
+
+        The cut heads give verdict column m = k + 1: rem[root, m] holds when
+        the one-sided limits of f^m at base point ``root`` agree in value and
+        in monotone direction, so a cut point whose orbit first hits ``root``
+        after n - m steps is a removable junction of the n-th iterate.  The
+        test is symmetric in the two sides, and column m does not depend on n.
+        """
         pcmap, tol = self.map, self.map.tol
         cuts = pcmap.delta.points.tolist()
         new = [0] * len(cuts)
@@ -110,22 +122,24 @@ class DeltaTable:
                 a, b = limit_step(pcmap, p, RIGHT)[0], limit_step(pcmap, q, LEFT)[0]
                 image = (a, b) if a <= b else (b, a)
                 laps[image] = laps.get(image, 0) + mult
-        k = len(self._new)
-        for i, (x, side) in enumerate(self._ends):
-            if self._end_hits[i] is None:
-                if pcmap.delta.index_near(x) is not None:
-                    self._end_hits[i] = k
-                else:
-                    self._ends[i] = limit_step(pcmap, x, side)[:2]
         self._laps = laps
         self._new.append(new)
         self._interior.append(self._interior[-1] + sum(new))
+        for i, (v, s, d) in enumerate(self._heads):
+            v, s, bi = limit_step(pcmap, v, s)
+            self._heads[i] = (v, s, d * pcmap.branches[bi].direction)
+        h = np.array(self._heads, dtype=float)
+        near = pcmap.delta.contains_many(h[:, 0]).tolist()
+        self._hits = [min(j, len(self._new)) if hit else j for j, hit in zip(self._hits, near)]
+        h = h[2:].reshape(-1, 2, 3)  # [root, side, field]
+        col = (np.abs(h[:, 0, 0] - h[:, 1, 0]) <= tol) & (h[:, 0, 2] == h[:, 1, 2])
+        self._rem = np.column_stack([self._rem, col])
 
     def delta_size(self, n: int) -> int:
         """|Delta^n|: its interior points plus the domain ends it holds."""
         while len(self._new) < n:
             self._step()
-        return self._interior[n] + sum(h is not None and h < n for h in self._end_hits)
+        return self._interior[n] + sum(j < n for j in self._hits[:2])
 
     def ensure(self, n: int, cap: int | None = None):
         """Count the laps of f^1 .. f^n, or raise ``ResourceCapExceeded`` with
@@ -139,34 +153,15 @@ class DeltaTable:
                 raise ResourceCapExceeded(f"Delta^{k} holds {size} points (cap {cap})", completed=k - 1)
             self.depth = max(self.depth, k)
 
-    def _removable(self, n: int) -> np.ndarray:
-        """rem[root, m] for m <= n: the one-sided limits of f^m at base point
-        ``root`` agree in value and in monotone direction, so a cut point whose
-        orbit first hits ``root`` after n - m steps is a removable junction of
-        the n-th iterate.  The test is symmetric in the two sides.  Column m
-        does not depend on n: it is built once, by one more step of each head."""
-        pcmap, tol = self.map, self.map.tol
-        while self._rem.shape[1] <= n:
-            steps = [limit_step(pcmap, v, s) for v, s, _ in self._heads]
-            self._heads = [
-                (v, s, d * pcmap.branches[bi].direction) for (v, s, bi), (_, _, d) in zip(steps, self._heads)
-            ]
-            h = np.array(self._heads, dtype=float).reshape(-1, 2, 3)  # [root, side, field]
-            col = (np.abs(h[:, 0, 0] - h[:, 1, 0]) <= tol) & (h[:, 0, 2] == h[:, 1, 2])
-            self._rem = np.column_stack([self._rem, col])
-        return self._rem
-
     def count_pieces(self, n: int, merge_removable: bool = True) -> int:
         if n < 1:
             raise ValueError("n must be >= 1")
         if n > self.depth:
             raise ValueError(f"n = {n} is past the depth {self.depth} that ensure has reached")
-        new = self._new[:n]
         count = 1 + self._interior[n]
         if merge_removable:
-            rem = self._removable(n)
-            for k, row in enumerate(new):
-                count -= sum(c for c, merged in zip(row, rem[:, n - k].tolist()) if merged)
+            for k, row in enumerate(self._new[:n]):
+                count -= sum(c for c, merged in zip(row, self._rem[:, n - k].tolist()) if merged)
         return count
 
     # -- point sets ------------------------------------------------------------
@@ -180,11 +175,18 @@ class DeltaTable:
         return _sorted_dedupe(xs[~np.isnan(xs)], self.map.tol)
 
     def _cumulative(self, n: int) -> np.ndarray:
+        """Delta^n, refused like an over-cap level when its size is not the
+        exact |Delta^n|."""
         if n == 0:
             return np.empty(0)
-        if n == 1:
-            return self.levels[0][0]
-        return _sorted_dedupe(np.concatenate([self.cumulative[n - 1][0], self.levels[n - 1][0]]), self.map.tol)
+        parts = [self.cumulative[n - 1][0], self.levels[n - 1][0]]
+        xs = parts[1] if n == 1 else _sorted_dedupe(np.concatenate(parts), self.map.tol)
+        exact = self.delta_size(n)
+        if len(xs) != exact:
+            tol = self.map.tol
+            msg = f"Delta^{n} holds {exact} points, but only {len(xs)} of them lie more than tol = {tol:g} apart"
+            raise ResourceCapExceeded(msg, completed=n - 1)
+        return xs
 
     def delta_points(self, n: int) -> np.ndarray:
         return self.cumulative[n][0]
@@ -199,11 +201,11 @@ _TABLES: "weakref.WeakKeyDictionary[PcMap, DeltaTable]" = weakref.WeakKeyDiction
 
 
 def delta_table(pcmap: PcMap) -> DeltaTable:
-    table = _TABLES.get(pcmap)
-    if table is None:
-        table = DeltaTable(pcmap)
-        _TABLES[pcmap] = table
-    return table
+    """The cached table of ``pcmap``.  It holds the map through a weak proxy,
+    so a cached table does not outlive its map."""
+    if pcmap not in _TABLES:
+        _TABLES[pcmap] = DeltaTable(weakref.proxy(pcmap))
+    return _TABLES[pcmap]
 
 
 def preimage_set(pcmap: PcMap, targets: PointSet) -> PointSet:
@@ -233,8 +235,6 @@ def count_pieces(pcmap: PcMap, n: int, merge_removable: bool = True, cap: int | 
     cut points where both one-sided limits of the iterate agree and the
     monotone direction matches (removable junctions).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     table = delta_table(pcmap)
     table.ensure(n, cap)
     return table.count_pieces(n, merge_removable)
@@ -290,26 +290,25 @@ def full_branch_check(pcmap: PcMap, n_max: int, cap: int | None = None) -> FullB
             surjective = False
             messages.append(f"branch on {b.piece!r} has image [{vmin:.17g}, {vmax:.17g}], not the domain")
     table = delta_table(pcmap)
-    truncated_at = None
+    checked_to = n_max
     try:
         table.ensure(n_max, cap)
     except ResourceCapExceeded as exc:
-        truncated_at = exc.completed
+        checked_to = exc.completed
         messages.append(str(exc))
-    checked_to = n_max if truncated_at is None else truncated_at
 
-    no_connection = True
-    for k in range(2, checked_to + 1):
-        if pcmap.delta.contains_many(table.levels[k - 1][0]).any():
-            no_connection = False
-            messages.append(f"f^-{k - 1}(Delta) meets Delta: connection at depth {k - 1}")
-            break
+    # the first step at which a one-sided limit orbit of a cut point meets a
+    # cut, which is the first depth d at which f^-d(Delta) meets Delta
+    depth = min(table._hits[2:], default=checked_to)
+    no_connection = depth >= checked_to
+    if not no_connection:
+        messages.append(f"f^-{depth}(Delta) meets Delta: connection at depth {depth}")
 
     n_branches = pcmap.n_pieces
     rows = []
     counts_ok = True
     for n in range(1, checked_to + 1):
-        d_count = len(table.delta_points(n))
+        d_count = table.delta_size(n)
         expected = n_branches**n - 1
         c_n = table.count_pieces(n, merge_removable=False)
         rows.append((n, d_count, expected, c_n))

@@ -152,6 +152,15 @@ def delta_reference(pcmap: PcMap):
         yield cum
 
 
+def connection_depth_reference(pcmap: PcMap, table, checked_to: int) -> int | None:
+    """The first depth d < ``checked_to`` at which the built level
+    f^-d(Delta) of ``table`` meets Delta, or None."""
+    for k in range(2, checked_to + 1):
+        if pcmap.delta.contains_many(table.levels[k - 1][0]).any():
+            return k - 1
+    return None
+
+
 def count_pieces_scalar(pcmap: PcMap, cum, n: int, merge_removable: bool) -> int:
     """Reference: one scalar limit-orbit test per interior point of Delta^n,
     given as ``(xs, hit, root)``."""

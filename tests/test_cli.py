@@ -399,6 +399,29 @@ class TestVerifyCommand:
         assert code == 0
         assert "conjugate" in out
 
+    def test_conjugate_row_builds_no_conjugate_delta(self, capsys, monkeypatch):
+        # the conjugate row reads |Delta^n| of the conjugate from its lap images
+        real, seen = cli.delta_n, []
+        monkeypatch.setattr(cli, "delta_n", lambda pcmap, n, cap=None: seen.append(pcmap) or real(pcmap, n, cap))
+        code, out, _ = run(
+            capsys, "verify", "--catalog", "tent", "--n-max", "6",
+            "--phi", "[(0,0),(0.35,0.55),(1,1)]",
+        )
+        assert code == 0
+        assert "conjugate has identical #Delta^n and c_n" in out and "FAIL" not in out
+        assert len({id(m) for m in seen}) == 1
+
+    @pytest.mark.parametrize(("name", "depth"), [("asym-tent", 19), ("lorenz-full", 17)])
+    def test_collapsing_delta_stops_like_a_cap(self, capsys, name, depth):
+        # the built Delta^(depth + 1) merges distinct points closer than tol,
+        # so every row stops at depth instead of failing the #Delta^n row
+        code, out, err = run(capsys, "verify", "--catalog", name, "--n-max", "20")
+        assert (code, err) == (2, "")
+        assert "FAIL" not in out
+        rows = out.splitlines()
+        assert rows[0].endswith(f"n <= {depth} (cap)")
+        assert next(r for r in rows if r.startswith("#Delta^n = 2^n - 1")).endswith(f"pass  n <= {depth} (cap)")
+
 
 class TestCatalogCommand:
     def test_list(self, capsys):

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from pcentropy.symbolic import (
     preimage_set,
 )
 from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
-from reference import branch_inverse, count_pieces_scalar, delta_reference
+from reference import branch_inverse, connection_depth_reference, count_pieces_scalar, delta_reference
 
 PHI = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
 
@@ -367,16 +369,67 @@ def test_exact_size_equals_the_built_size(label):
     except ResourceCapExceeded:
         pass
     for k in range(table.depth + 1):
-        exact, built = table.delta_size(k), len(table.cumulative[k][0])
         if label == "lorenz-full^2" and k >= 9:
             # the built Delta^18 of lorenz-full merges distinct points closer
-            # than tol, a known defect; the lap images still count 2^18 - 1
-            assert (exact, built) == (2**18 - 1, 261_874), k
+            # than tol, so the table refuses it like an over-cap level; the
+            # lap images still count 2^18 - 1
+            with pytest.raises(ResourceCapExceeded) as info:
+                table.cumulative[k]
+            assert info.value.completed == 8, k
+            assert str(info.value) == (
+                "Delta^9 holds 262143 points, but only 261874 of them lie more than tol = 1e-10 apart"
+            )
+            assert table.delta_size(k) == 2**18 - 1, k
         else:
-            assert exact == built, k
+            assert table.delta_size(k) == len(table.cumulative[k][0]), k
     if label in ("anzie", "pw-contraction", "near-cut"):
         # a domain end is a point of Delta^k from some k on
         assert any(table.delta_size(k) > table.count_pieces(k, False) - 1 for k in range(1, table.depth + 1))
+
+
+@pytest.mark.parametrize("label", VERDICT_MAPS)
+def test_first_connection_matches_the_built_levels(label):
+    """The first depth at which a cut point's one-sided limit orbit meets a
+    cut is the first built level f^-d(Delta) that meets Delta, up to the
+    deepest Delta^n the table builds exactly."""
+    pcmap = _verdict_map(label)
+    table = delta_table(pcmap)
+    try:
+        table.ensure(12, cap=400_000)
+    except ResourceCapExceeded:
+        pass
+    exact_to = table.depth
+    try:
+        table.cumulative[exact_to]
+    except ResourceCapExceeded as exc:
+        exact_to = exc.completed
+    report = full_branch_check(pcmap, exact_to, cap=400_000)
+    want = connection_depth_reference(pcmap, table, exact_to)
+    assert report.no_connection == (want is None)
+    if want is not None:
+        assert report.messages[-1] == f"f^-{want}(Delta) meets Delta: connection at depth {want}"
+
+
+def test_full_branch_check_inverts_no_branch(monkeypatch):
+    """#Delta^n and the connection depth come from the forward walk, so a
+    fresh table builds no preimage level.  Equal maps share a cached table,
+    so the cache starts empty."""
+    monkeypatch.setattr(symbolic, "_TABLES", weakref.WeakKeyDictionary())
+    calls = []
+    monkeypatch.setattr(symbolic, "branch_preimages", lambda b, ys: calls.append(b) or branch_preimages(b, ys))
+    report = full_branch_check(parse_map(catalog_get("tent").source), 12)
+    assert report.passed and report.rows[-1][1] == 2**12 - 1
+    assert not calls
+
+
+def test_cached_table_does_not_outlive_its_map(monkeypatch):
+    monkeypatch.setattr(symbolic, "_TABLES", weakref.WeakKeyDictionary())
+    m = parse_map(catalog_get("tent").source)
+    delta_n(m, 10)
+    assert len(symbolic._TABLES) == 1
+    del m
+    gc.collect()
+    assert len(symbolic._TABLES) == 0
 
 
 @pytest.mark.parametrize("name", ["lorenz-full", "asym-tent"])
