@@ -8,12 +8,16 @@ for the spanning count.  Every pair of sample points whose base-coordinate
 distance already reaches epsilon is separated outright, so all pair checks
 are confined to a sliding window in the first orbit coordinate.
 
-One kernel, ``_cell``, builds every (n, eps) cell: one greedy pass, checked
+One kernel, ``_cell``, builds every (n, eps) cell, and each cell is checked
 by two certificates that raise before its count is reported
 (``NotSeparatedError`` for two points closer than eps, ``NotACoverError`` for
 a sample point outside every ball).  ``max_separated``, ``min_spanning``,
 ``bowen_entropy`` and the CLI all read their counts from it, so every
-reported cell has passed both certificates.
+reported cell has passed both certificates.  The Bowen distance only grows
+with n, so one greedy sweep builds the cells of every n a caller asks for at
+once (``bowen_entropy`` asks for its whole n-range), and memoizes them: each
+row admitted at any of those n takes one vectorized claim step, and each n
+keeps its claimed rows as the bits of one Python int.
 
 Orbit matrices, and the certified cells of each, are cached per sample in
 ``_ORBIT_CACHE``.  The cache takes no lock: use it from one thread at a time.
@@ -129,32 +133,68 @@ def _prepare(O: np.ndarray, n: int, metric) -> np.ndarray:
     return M[order]
 
 
-def _greedy_separated_indices(M: np.ndarray, eps: float) -> tuple[list[int], list[int]]:
-    """Greedy left-to-right separated set of the sorted rows: ``(admitted, witness)``.
+def _greedy_separated_indices(M: np.ndarray, eps: float, ns) -> dict[int, tuple[list[int], list[int]]]:
+    """Greedy left-to-right separated sets of the sorted rows of ``M[:, :n]``
+    for every n of the increasing ``ns``, in one pass: ``{n: (admitted, witness)}``.
 
-    The rows are scanned in order.  A row no admitted row has claimed is
-    admitted, and it claims every later unclaimed row within eps of it in the
-    max norm, so ``witness[i]`` is the first admitted row within eps of row
-    ``i``, or ``i`` itself when row ``i`` is admitted.  The admitted rows are
-    thus a maximal separated set, and the witnesses show that their eps-balls
-    cover every row.
+    At each depth n the rows are scanned in order.  A row no admitted row has
+    claimed is admitted, and it claims every later unclaimed row within eps
+    of it in the max norm over the first n coordinates, so ``witness[i]`` is
+    the first admitted row within eps of row ``i``, or ``i`` itself when row
+    ``i`` is admitted.  The admitted rows are thus a maximal separated set,
+    and the witnesses show that their eps-balls cover every row.
+
+    The depths share one scan, because the Bowen distance only grows with n.
+    A row admitted at any depth takes one vectorized step over its window:
+    ``lead[j]``, the first coordinate in which window row ``j`` is not within
+    eps of row ``i``, counts the leading coordinates in which it is, so row
+    ``j`` is within eps at depth n exactly when ``lead[j] >= n``.  Each depth
+    keeps its claimed rows as the bits of one Python int, bit 0 for the
+    current row, so the newly claimed bits name the rows whose witness is
+    ``i``, and the scan jumps to the next row that some depth has not
+    claimed.
 
     Row ``i`` claims from the rows ``i+1 .. stop[i]`` whose first coordinate
     is at most the double ``fl(x_i + eps)``.  That window is exact: a row past
     it lies at or above the next double, which exceeds ``x_i + eps`` in exact
     arithmetic, so its first-coordinate gap rounds to at least eps.
     """
+    ns = list(ns)
+    depths = np.asarray(ns)[:, None]
+    # a last column of NaN, within eps of nothing, ends every row's lead
+    M = np.concatenate((M[:, : ns[-1]], np.full((len(M), 1), np.nan)), axis=1)
     xs = M[:, 0]
-    stop = np.searchsorted(xs, xs + eps, side="right")
-    witness = np.full(len(M), -1)
-    admitted: list[int] = []
-    for i in range(len(M)):
-        if witness[i] < 0:
-            admitted.append(i)
-            witness[i] = i
-            claim = witness[i + 1 : stop[i]]  # a view: claims land in witness
-            claim[(claim < 0) & (np.abs(M[i + 1 : stop[i]] - M[i]).max(axis=1) < eps)] = i
-    return admitted, witness.tolist()
+    stop = np.searchsorted(xs, xs + eps, side="right").tolist()
+    claimed = [0] * len(ns)  # bit b: row i + b is claimed at that depth, once shifted by step
+    admitted: list[list[int]] = [[] for _ in ns]
+    witness = [[-1] * len(M) for _ in ns]
+    i = step = 0
+    while i < len(M):
+        lead = (np.abs(M[i + 1 : stop[i]] - M[i]) < eps).argmin(axis=1)
+        near = np.packbits(lead >= depths, axis=1, bitorder="little").tobytes()
+        size = len(near) // len(ns)  # bytes per depth of the packed window
+        every = -1
+        for t in range(len(ns)):
+            c = claimed[t] >> step
+            if not c & 1:
+                new = (int.from_bytes(near[t * size : (t + 1) * size], "little") << 1 | 1) & ~c
+                c |= new
+                admitted[t].append(i)
+                witness[t][i] = i
+                if new > 1:
+                    # character j is row i + j, and a closing "0" ends the last
+                    # run; each run of newly claimed rows takes witness i in one slice
+                    bits, wit = bin(new)[:1:-1] + "0", witness[t]
+                    a = bits.find("1", 1)
+                    while a >= 0:
+                        b = bits.find("0", a)
+                        wit[i + a : i + b] = [i] * (b - a)
+                        a = bits.find("1", b)
+            claimed[t] = c
+            every &= c
+        step = ((every + 1) & ~every).bit_length() - 1  # the first row some depth left unclaimed
+        i += step
+    return {n: (admitted[t], witness[t]) for t, n in enumerate(ns)}
 
 
 def _verify_separated(M: np.ndarray, idx: list[int], eps: float) -> tuple[int, int] | None:
@@ -181,10 +221,10 @@ def _verify_separated(M: np.ndarray, idx: list[int], eps: float) -> tuple[int, i
     return None
 
 
-def _cell(pcmap: PcMap, sample: SampleSet, n: int, eps: float, metric=None) -> int:
-    """The certified (n, eps) cell of the sample: the size ``s`` of the greedy
-    separated set, which is also the size of a cover of the sample by open
-    eps-balls.
+def _cell(pcmap: PcMap, sample: SampleSet, ns: list[int], eps: float, metric=None) -> list[int]:
+    """The certified (n, eps) cells of the sample for each n of the increasing
+    ``ns``: the size ``s`` of the greedy separated set, which is also the size
+    of a cover of the sample by open eps-balls.
 
     A maximal separated set spans (Bowen 1971), so one set gives both counts.
     Two certificates check it before ``s`` is reported: a pairwise check that
@@ -192,49 +232,53 @@ def _cell(pcmap: PcMap, sample: SampleSet, n: int, eps: float, metric=None) -> i
     orbit matrix, and a check that each row lies within eps of an admitted
     witness, which raises ``NotACoverError`` with the first row that does not.
     Cells are memoized in the sample's ``_ORBIT_CACHE`` entry under
-    ``(n, eps, metric)``.
+    ``(n, eps, metric)``.  The cells of ``ns`` not memoized yet are built by
+    one greedy sweep over just those depths, and each is certified, in
+    increasing n, then memoized, so a series over an n-range sweeps once per
+    eps and a single cell sweeps one depth.
     """
-    if not 1 <= n <= sample.horizon:
+    if not all(1 <= n <= sample.horizon for n in ns):
         raise ValueError("n must satisfy 1 <= n <= sample.horizon")
     if not eps > 0:
         raise ValueError("eps must be positive")
     O = orbit_matrix(pcmap, sample)
     cells = _ORBIT_CACHE[sample][2]
-    key = (n, eps, metric)
-    if key not in cells:
-        M = _prepare(O, n, metric)
-        sep, witness = _greedy_separated_indices(M, eps)
-        pair = _verify_separated(M, sep, eps)
-        if pair is not None:
-            raise NotSeparatedError(
-                f"separated-set certificate failed at n={n}, eps={eps:g}: "
-                f"orbit rows {pair[0]} and {pair[1]} are closer than eps",
-                witness=pair,
-            )
-        is_center = np.zeros(len(M), dtype=bool)
-        is_center[sep] = True
-        covered = is_center[witness] & (np.abs(M - M[witness]).max(axis=1) < eps)
-        if not covered.all():
-            miss = int(np.flatnonzero(~covered)[0])
-            raise NotACoverError(
-                f"spanning certificate failed at n={n}, eps={eps:g}: orbit row {miss} lies in no ball",
-                witness=miss,
-            )
-        cells[key] = len(sep)
-    return cells[key]
+    todo = [n for n in ns if (n, eps, metric) not in cells]
+    if todo:
+        M = _prepare(O, todo[-1], metric)
+        for n, (sep, witness) in _greedy_separated_indices(M, eps, todo).items():
+            Mn = M[:, :n]
+            pair = _verify_separated(Mn, sep, eps)
+            if pair is not None:
+                raise NotSeparatedError(
+                    f"separated-set certificate failed at n={n}, eps={eps:g}: "
+                    f"orbit rows {pair[0]} and {pair[1]} are closer than eps",
+                    witness=pair,
+                )
+            is_center = np.zeros(len(Mn), dtype=bool)
+            is_center[sep] = True
+            covered = is_center[witness] & (np.abs(Mn - Mn[witness]).max(axis=1) < eps)
+            if not covered.all():
+                miss = int(np.flatnonzero(~covered)[0])
+                raise NotACoverError(
+                    f"spanning certificate failed at n={n}, eps={eps:g}: orbit row {miss} lies in no ball",
+                    witness=miss,
+                )
+            cells[(n, eps, metric)] = len(sep)
+    return [cells[(n, eps, metric)] for n in ns]
 
 
 def max_separated(pcmap: PcMap, sample: SampleSet, n: int, eps: float, metric=None) -> int:
     """Size of the certified greedy separated set: a lower bound for the true
     maximum over the sampled set."""
-    return _cell(pcmap, sample, n, eps, metric)
+    return _cell(pcmap, sample, [n], eps, metric)[0]
 
 
 def min_spanning(pcmap: PcMap, sample: SampleSet, n: int, eps: float, metric=None) -> int:
     """Size of a certified ball cover of the sample, the greedy separated set's
     own: an upper bound for the true minimum over the sampled set, equal to
     ``max_separated`` on the sample."""
-    return _cell(pcmap, sample, n, eps, metric)
+    return _cell(pcmap, sample, [n], eps, metric)[0]
 
 
 SATURATION_FRACTION = 0.2
@@ -289,8 +333,7 @@ def bowen_entropy(
     for eps in eps_schedule:
         base_flag = "coarse" if sample.density > eps / 4 else None
         pairs, all_pairs = [], []
-        for n in n_range:
-            s = _cell(pcmap, sample, n, eps, metric)
+        for n, s in zip(n_range, _cell(pcmap, sample, n_range, eps, metric)):
             flags = [base_flag] if base_flag else []
             if s > sat:
                 flags.append("saturated")

@@ -53,19 +53,22 @@ DEFAULT_DELTA_CAP = 2_000_000
 
 
 class _BuiltOnRead(Sequence):
-    """Entries ``(points,)`` for k = 0 .. ``length() - 1``, each built by
-    ``build(k)`` on its first read; ``build`` may read the entries below k."""
+    """Entries ``(points,)`` for k = 0 .. ``table.depth + extra - 1``, each
+    built by the table's method ``build(k)`` on its first read; ``build`` may
+    read the entries below k.  The method is held weakly, so the table is in
+    no reference cycle and is freed, with every array it built, as soon as
+    its map dies, without waiting for the cyclic collector."""
 
-    def __init__(self, build, length):
-        self._build, self._length, self._items = build, length, []
+    def __init__(self, build, extra: int):
+        self._build, self._extra, self._items = weakref.WeakMethod(build), extra, []
 
     def __len__(self) -> int:
-        return self._length()
+        return self._build().__self__.depth + self._extra
 
     def __getitem__(self, k: int) -> tuple[np.ndarray]:
         k = range(len(self))[k]
         while len(self._items) <= k:
-            self._items.append((self._build(len(self._items)),))
+            self._items.append((self._build()(len(self._items)),))
         return self._items[k]
 
 
@@ -80,8 +83,8 @@ class DeltaTable:
         # Delta^1 .. Delta^depth fit under the cap of some ``ensure`` call
         self.depth = 1
         # index k holds f^{-k}(Delta), index n holds Delta^n
-        self.levels = _BuiltOnRead(self._level, lambda: self.depth)
-        self.cumulative = _BuiltOnRead(self._cumulative, lambda: self.depth + 1)
+        self.levels = _BuiltOnRead(self._level, 0)
+        self.cumulative = _BuiltOnRead(self._cumulative, 1)
         # laps of f^k as {(lo, hi) of the image: multiplicity}, k = len(self._new)
         self._laps = {(dom.lo, dom.hi): 1}
         # _new[k][r]: new interior points of level k whose orbit hits cut r first

@@ -258,8 +258,10 @@ def test_vectorized_separated_certificate_matches_scalar(data, n, quarter_steps)
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), n=st.integers(1, 4), steps=st.sampled_from([None, 4, 10]))
-def test_greedy_witnesses_match_the_spanning_sweep(data, n, steps):
+@given(data=st.data(), h=st.integers(1, 5), steps=st.sampled_from([None, 4, 10]))
+def test_greedy_witnesses_match_the_spanning_sweep(data, h, steps):
+    """One sweep over the depths n0 .. h gives, at each depth n, the per-depth
+    sweep of the first n columns."""
     m = data.draw(st.integers(1, 40))
     if steps:
         # gaps of exactly eps on quarter steps; on tenths, gaps that round
@@ -269,23 +271,27 @@ def test_greedy_witnesses_match_the_spanning_sweep(data, n, steps):
     else:
         value = st.floats(0.0, 1.0)
         eps = data.draw(st.floats(0.01, 0.5))
-    M = np.asarray(data.draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=m, max_size=m)))
+    M = np.asarray(data.draw(st.lists(st.lists(value, min_size=h, max_size=h), min_size=m, max_size=m)))
     M = M[np.argsort(M[:, 0], kind="stable")]
-    admitted, witness = bowen._greedy_separated_indices(M, eps)
-    assert greedy_spanning_reference(M, eps) == (admitted, witness)
-    assert set(witness) <= set(admitted)
-    assert (np.abs(M - M[witness]).max(axis=1) < eps).all()
-    assert _verify_separated(M, admitted, eps) is None
+    n0 = data.draw(st.integers(1, h))
+    swept = bowen._greedy_separated_indices(M, eps, range(n0, h + 1))
+    assert list(swept) == list(range(n0, h + 1))
+    for n, (admitted, witness) in swept.items():
+        Mn = M[:, :n]
+        assert greedy_spanning_reference(Mn, eps) == (admitted, witness)
+        assert set(witness) <= set(admitted)
+        assert (np.abs(Mn - Mn[witness]).max(axis=1) < eps).all()
+        assert _verify_separated(Mn, admitted, eps) is None
 
 
 @pytest.mark.parametrize("name", ["tent", "lorenz-full"])
 def test_greedy_matches_the_spanning_sweep_on_real_orbits(name):
     pcmap = catalog_get(name).map
     O = bowen.orbit_matrix(pcmap, sample_region(pcmap, X, grid=1025, horizon=8))
-    for n in (4, 8):
-        M = bowen._prepare(O, n, None)
-        for eps in (0.05, 0.02):
-            assert bowen._greedy_separated_indices(M, eps) == greedy_spanning_reference(M, eps)
+    for eps in (0.05, 0.02):
+        swept = bowen._greedy_separated_indices(bowen._prepare(O, 8, None), eps, range(4, 9))
+        for n in (4, 8):
+            assert swept[n] == greedy_spanning_reference(bowen._prepare(O, n, None), eps)
 
 
 def test_greedy_window_ends_at_the_rounded_sum():
@@ -297,14 +303,14 @@ def test_greedy_window_ends_at_the_rounded_sum():
     assert top < 0.8 and np.nextafter(top, 1.0) == 0.8 and 0.8 - x >= eps
     M = np.asarray([[x], [top], [0.8]])
     assert np.searchsorted(M[:, 0], top, side="right") == 2
-    assert bowen._greedy_separated_indices(M, eps) == greedy_spanning_reference(M, eps) == ([0, 2], [0, 0, 2])
+    assert bowen._greedy_separated_indices(M, eps, [1])[1] == greedy_spanning_reference(M, eps) == ([0, 2], [0, 0, 2])
 
 
 def test_greedy_window_matches_the_certificate_norm():
     # 1.0 - 0.1 rounds up to the double 0.9, yet 1.0 - 0.9 < 0.1: row 1
     # lies within eps of row 0 in the norm the certificates use, and row 0's
     # window, which ends at the double 0.9 + 0.1, holds it
-    assert bowen._greedy_separated_indices(np.asarray([[0.9], [1.0]]), 0.1) == ([0], [0, 0])
+    assert bowen._greedy_separated_indices(np.asarray([[0.9], [1.0]]), 0.1, [1])[1] == ([0], [0, 0])
     identity = catalog_get("identity").map
     s = sample_region(identity, X, grid=11, horizon=1)
     # seven of the ten grid gaps round below 0.1
@@ -331,9 +337,9 @@ def _run_cell(entry, tent):
 def test_separated_certificate_raises(entry, tent, monkeypatch, fresh_cells):
     real = bowen._greedy_separated_indices
 
-    def with_near_duplicate(M, eps):
-        idx, witness = real(M, eps)
-        return sorted(idx + [idx[0] + 1]), witness  # the grid neighbour of the first point
+    def with_near_duplicate(M, eps, ns):
+        # the grid neighbour of the first point joins every depth's set
+        return {n: (sorted(idx + [idx[0] + 1]), witness) for n, (idx, witness) in real(M, eps, ns).items()}
 
     monkeypatch.setattr(bowen, "_greedy_separated_indices", with_near_duplicate)
     with pytest.raises(NotSeparatedError) as info:
@@ -345,11 +351,10 @@ def test_separated_certificate_raises(entry, tent, monkeypatch, fresh_cells):
 def test_spanning_certificate_raises(entry, tent, monkeypatch, fresh_cells):
     real = bowen._greedy_separated_indices
 
-    def without_first_center(M, eps):
+    def without_first_center(M, eps, ns):
         # the first row is always admitted and is its own witness, so it is
         # left in no ball of the remaining rows
-        admitted, witness = real(M, eps)
-        return admitted[1:], witness
+        return {n: (admitted[1:], witness) for n, (admitted, witness) in real(M, eps, ns).items()}
 
     monkeypatch.setattr(bowen, "_greedy_separated_indices", without_first_center)
     with pytest.raises(NotACoverError) as info:
@@ -358,22 +363,35 @@ def test_spanning_certificate_raises(entry, tent, monkeypatch, fresh_cells):
 
 
 def test_cells_are_memoized_per_sample(tent, monkeypatch, fresh_cells):
-    calls = []
+    sweeps = []
     real = bowen._greedy_separated_indices
-    monkeypatch.setattr(bowen, "_greedy_separated_indices", lambda M, eps: calls.append(eps) or real(M, eps))
+    monkeypatch.setattr(
+        bowen, "_greedy_separated_indices", lambda M, eps, ns: sweeps.append((eps, list(ns))) or real(M, eps, ns)
+    )
     sample = sample_region(tent, X, grid=513, horizon=4)
     assert max_separated(tent, sample, 3, 0.05) == min_spanning(tent, sample, 3, 0.05)
-    assert calls == [0.05]
+    # a single cell sweeps its own depth only
+    assert sweeps == [(0.05, [3])]
     max_separated(tent, sample, 3, 0.1)
     max_separated(tent, sample, 2, 0.05)
-    assert calls == [0.05, 0.1, 0.05]
+    assert sweeps == [(0.05, [3]), (0.1, [3]), (0.05, [2])]
     phi = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
     assert max_separated(tent, sample, 3, 0.05, metric=phi) != max_separated(tent, sample, 3, 0.05)
-    assert len(calls) == 4
+    assert len(sweeps) == 4
     # another map on the same sample replaces the orbits and their cells
     max_separated(WALKER_MAPS["anzie"], sample, 3, 0.05)
     max_separated(tent, sample, 3, 0.05)
-    assert len(calls) == 6
+    assert len(sweeps) == 6
+    # a series over an n-range sweeps once per eps
+    sweeps.clear()
+    bowen_entropy(tent, X, [2, 3, 4], [0.1, 0.05], grid=257)
+    assert sweeps == [(0.1, [2, 3, 4]), (0.05, [2, 3, 4])]
+    # a sweep takes only the depths asked for and not memoized yet: (3, 0.05)
+    # is, since the anzie orbits were replaced
+    sweeps.clear()
+    assert bowen._cell(tent, sample, [2, 3, 4], 0.05) == [max_separated(tent, sample, n, 0.05) for n in (2, 3, 4)]
+    assert bowen._cell(tent, sample, [1, 4], 0.2) == [max_separated(tent, sample, n, 0.2) for n in (1, 4)]
+    assert sweeps == [(0.05, [2, 4]), (0.2, [1, 4])]
 
 
 def test_no_assert_statements_in_package():

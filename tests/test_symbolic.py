@@ -432,6 +432,20 @@ def test_cached_table_does_not_outlive_its_map(monkeypatch):
     assert len(symbolic._TABLES) == 0
 
 
+def test_table_dies_with_its_map_without_the_collector(monkeypatch):
+    monkeypatch.setattr(symbolic, "_TABLES", weakref.WeakKeyDictionary())
+    m = parse_map(catalog_get("tent").source)
+    delta_n(m, 12)
+    table = weakref.ref(symbolic._TABLES[m])
+    assert len(table().levels) == 12 and len(table().cumulative[12][0]) == 2**12 - 1
+    gc.disable()
+    try:
+        del m
+        assert table() is None  # no reference cycle holds the table or its arrays
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("name", ["lorenz-full", "asym-tent"])
 def test_deep_counts_are_exact(name):
     """Two full branches give 2^n laps at any depth, where the built Delta^n
