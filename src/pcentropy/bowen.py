@@ -17,7 +17,10 @@ reported cell has passed both certificates.  The Bowen distance only grows
 with n, so one greedy sweep builds the cells of every n a caller asks for at
 once (``bowen_entropy`` asks for its whole n-range), and memoizes them: each
 row admitted at any of those n takes one vectorized claim step, and each n
-keeps its claimed rows as the bits of one Python int.
+keeps its claimed rows as the bits of one Python int.  The separated-set
+certificate of a sweep is one pass too: it prunes the close pairs of the
+union of the sweep's sets column by column, recomputing every distance from
+the orbits, and reads each depth's pairs after that depth's last column.
 
 Orbit matrices, and the certified cells of each, are cached per sample in
 ``_ORBIT_CACHE``.  The cache takes no lock: use it from one thread at a time.
@@ -197,28 +200,44 @@ def _greedy_separated_indices(M: np.ndarray, eps: float, ns) -> dict[int, tuple[
     return {n: (admitted[t], witness[t]) for t, n in enumerate(ns)}
 
 
-def _verify_separated(M: np.ndarray, idx: list[int], eps: float) -> tuple[int, int] | None:
-    """A pair of ``idx`` entries closer than eps in the max norm, or None.
+def _close_pairs(M: np.ndarray, sets: dict[int, list[int]], eps: float) -> dict[int, tuple[int, int] | None]:
+    """For each depth n of ``sets``, a pair of ``sets[n]`` closer than eps in
+    the max norm over the first n columns of ``M``, or None: one pass serves
+    every depth.
 
-    Sorted by first coordinate, the pairs whose gap there is below eps are
-    those at offsets k = 1, 2, ... up to the first offset where no gap is.
-    Each offset takes one vectorized step per orbit coordinate, so the work
-    space stays linear in the size of the set.
+    Sorted by first coordinate, the union of the sets has its pairs with a
+    gap below eps there at offsets k = 1, 2, ... up to the first offset where
+    no gap is.  Each offset's pairs are pruned column by column, dropping those
+    eps apart in the current one, and after column n the survivors with both
+    rows in ``sets[n]`` are the close pairs at depth n.  The distances come
+    from ``M`` alone, and no list of pairs is kept: past one flag per row of
+    ``M`` and depth, the work space stays linear in the union.
     """
-    order = np.asarray(idx, dtype=np.intp)[np.argsort(M[idx, 0], kind="stable")]
-    cols = [M[order, j] for j in range(M.shape[1])]
+    ns = sorted(sets)
+    member = np.zeros((len(ns), len(M)), dtype=bool)
+    for t, n in enumerate(ns):
+        member[t, sets[n]] = True
+    order = np.flatnonzero(member.any(axis=0))  # the union
+    order = order[np.argsort(M[order, 0], kind="stable")]
+    member = member[:, order]  # member[t, p]: row order[p] is in sets[ns[t]]
+    cols = [M[order, j] for j in range(ns[-1])]
+    depth_after = {n - 1: t for t, n in enumerate(ns)}  # the last column depth ns[t] reads
+    found: dict[int, tuple[int, int] | None] = dict.fromkeys(ns)
     for k in range(1, len(order)):
         near = np.flatnonzero(cols[0][k:] - cols[0][:-k] < eps)
         if not len(near):
             break
-        # the first coordinates of these pairs are within eps; check the rest
-        gap = np.zeros(len(near))
-        for col in cols[1:]:
-            np.maximum(gap, np.abs(col[near + k] - col[near]), out=gap)
-        bad = near[gap < eps]
-        if len(bad):
-            return int(order[bad[0]]), int(order[bad[0] + k])
-    return None
+        for j in range(ns[-1]):
+            if j:
+                near = near[np.abs(cols[j][near + k] - cols[j][near]) < eps]
+                if not len(near):
+                    break
+            t = depth_after.get(j)
+            if t is not None and found[ns[t]] is None:
+                bad = near[member[t, near] & member[t, near + k]]
+                if len(bad):
+                    found[ns[t]] = int(order[bad[0]]), int(order[bad[0] + k])
+    return found
 
 
 def _cell(pcmap: PcMap, sample: SampleSet, ns: list[int], eps: float, metric=None) -> list[int]:
@@ -233,9 +252,12 @@ def _cell(pcmap: PcMap, sample: SampleSet, ns: list[int], eps: float, metric=Non
     witness, which raises ``NotACoverError`` with the first row that does not.
     Cells are memoized in the sample's ``_ORBIT_CACHE`` entry under
     ``(n, eps, metric)``.  The cells of ``ns`` not memoized yet are built by
-    one greedy sweep over just those depths, and each is certified, in
-    increasing n, then memoized, so a series over an n-range sweeps once per
-    eps and a single cell sweeps one depth.
+    one greedy sweep over just those depths, and one ``_close_pairs`` pass
+    checks the separated sets of every depth of the sweep.  Each cell is then
+    certified, in increasing n, and memoized, so a failure at some depth
+    raises after the shallower cells are memoized.  A series over an n-range
+    sweeps and checks pairs once per eps, and a single cell is the one-depth
+    case.
     """
     if not all(1 <= n <= sample.horizon for n in ns):
         raise ValueError("n must satisfy 1 <= n <= sample.horizon")
@@ -246,9 +268,11 @@ def _cell(pcmap: PcMap, sample: SampleSet, ns: list[int], eps: float, metric=Non
     todo = [n for n in ns if (n, eps, metric) not in cells]
     if todo:
         M = _prepare(O, todo[-1], metric)
-        for n, (sep, witness) in _greedy_separated_indices(M, eps, todo).items():
+        swept = _greedy_separated_indices(M, eps, todo)
+        close = _close_pairs(M, {n: sep for n, (sep, _) in swept.items()}, eps)
+        for n, (sep, witness) in swept.items():
             Mn = M[:, :n]
-            pair = _verify_separated(Mn, sep, eps)
+            pair = close[n]
             if pair is not None:
                 raise NotSeparatedError(
                     f"separated-set certificate failed at n={n}, eps={eps:g}: "
@@ -287,6 +311,8 @@ SATURATION_FRACTION = 0.2
 def _lsq_slope(pairs: list[tuple[int, float]]) -> float:
     ns = np.asarray([n for n, _ in pairs], dtype=float)
     ys = np.asarray([v for _, v in pairs], dtype=float)
+    if (ys == ys[0]).all():
+        return 0.0  # polyfit leaves round-off on a constant series
     return float(np.polyfit(ns, ys, 1)[0])
 
 

@@ -295,7 +295,7 @@ def cmd_verify(args) -> int:
             r1 = min_spanning(pcmap, sample, n, eps)
             s1 = max_separated(pcmap, sample, n, eps)
             r2 = min_spanning(pcmap, sample, n, eps / 2)
-            if not r1 <= s1 <= r2:
+            if sandwich_ok and not r1 <= s1 <= r2:
                 sandwich_ok = False
                 witness = f"(n={n}, eps={eps}): r={r1}, s={s1}, r(eps/2)={r2}"
     rows.append(("separated/spanning sandwich", sandwich_ok, witness or "small-sample check"))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pcentropy import bowen
 from pcentropy.bowen import (
     _avoid_mask,
-    _verify_separated,
+    _close_pairs,
     bowen_entropy,
     max_separated,
     min_spanning,
@@ -163,6 +163,14 @@ class TestBowenEntropy:
         assert sep.estimate <= 0.1
         assert span.estimate <= 0.1
 
+    def test_constant_series_has_slope_zero(self, identity):
+        # the identity's counts do not grow with n, and polyfit alone would
+        # leave a round-off slope of about 4e-16 on them
+        sep, span = bowen_entropy(identity, X, [2, 3], [0.1], grid=257)
+        assert len({r.value for r in sep.records}) == 1
+        assert sep.estimate == span.estimate == 0.0
+        assert bowen._lsq_slope([(2, 2.5), (3, 2.5), (5, 2.5)]) == 0.0
+
     def test_records_carry_eps(self, identity):
         sep, _ = bowen_entropy(identity, X, [2, 4, 6, 8], [0.1, 0.05], grid=257)
         assert {r.aux for r in sep.records} == {0.1, 0.05}
@@ -235,9 +243,8 @@ def test_batched_nudging_on_a_split_region():
     assert sample_region(tent, region, 1025, 8) == sample_region_scalar(tent, region, 1025, 8)
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), n=st.integers(1, 4), quarter_steps=st.booleans())
-def test_vectorized_separated_certificate_matches_scalar(data, n, quarter_steps):
+def _certificate_rows(data, h, quarter_steps):
+    """A random matrix of h columns sorted by first coordinate, and its eps."""
     m = data.draw(st.integers(1, 40))
     if quarter_steps:
         # multiples of 1/4 make gaps of exactly eps and tied coordinates common
@@ -246,15 +253,40 @@ def test_vectorized_separated_certificate_matches_scalar(data, n, quarter_steps)
     else:
         value = st.floats(0.0, 1.0)
         eps = data.draw(st.floats(0.01, 0.5))
-    M = np.asarray(data.draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=m, max_size=m)))
-    M = M[np.argsort(M[:, 0], kind="stable")]
-    idx = sorted(data.draw(st.sets(st.integers(0, m - 1))))
-    pair = _verify_separated(M, idx, eps)
+    M = np.asarray(data.draw(st.lists(st.lists(value, min_size=h, max_size=h), min_size=m, max_size=m)))
+    return M[np.argsort(M[:, 0], kind="stable")], eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), quarter_steps=st.booleans())
+def test_vectorized_separated_certificate_matches_scalar(data, n, quarter_steps):
+    # the one-depth case of the sweep certificate
+    M, eps = _certificate_rows(data, n, quarter_steps)
+    idx = sorted(data.draw(st.sets(st.integers(0, len(M) - 1))))
+    pair = _close_pairs(M, {n: idx}, eps)[n]
     assert (pair is None) == verify_separated_scalar(M, idx, eps)
     if pair is not None:
         a, b = pair
         assert a != b and a in idx and b in idx
         assert np.abs(M[a] - M[b]).max() < eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), h=st.integers(1, 6), quarter_steps=st.booleans())
+def test_sweep_certificate_matches_scalar_at_every_depth(data, h, quarter_steps):
+    """One pass over the union of a sweep's sets certifies each depth n as the
+    scalar check of its own set on the first n columns does."""
+    M, eps = _certificate_rows(data, h, quarter_steps)
+    ns = sorted(data.draw(st.sets(st.integers(1, h), min_size=1)))
+    sets = {n: sorted(data.draw(st.sets(st.integers(0, len(M) - 1)))) for n in ns}
+    found = _close_pairs(M, sets, eps)
+    assert list(found) == ns
+    for n, pair in found.items():
+        assert (pair is None) == verify_separated_scalar(M[:, :n], sets[n], eps)
+        if pair is not None:
+            a, b = pair
+            assert a != b and a in sets[n] and b in sets[n]
+            assert np.abs(M[a, :n] - M[b, :n]).max() < eps
 
 
 @settings(max_examples=300, deadline=None)
@@ -281,7 +313,7 @@ def test_greedy_witnesses_match_the_spanning_sweep(data, h, steps):
         assert greedy_spanning_reference(Mn, eps) == (admitted, witness)
         assert set(witness) <= set(admitted)
         assert (np.abs(Mn - Mn[witness]).max(axis=1) < eps).all()
-        assert _verify_separated(Mn, admitted, eps) is None
+    assert set(_close_pairs(M, {n: admitted for n, (admitted, _) in swept.items()}, eps).values()) == {None}
 
 
 @pytest.mark.parametrize("name", ["tent", "lorenz-full"])
@@ -345,6 +377,30 @@ def test_separated_certificate_raises(entry, tent, monkeypatch, fresh_cells):
     with pytest.raises(NotSeparatedError) as info:
         _run_cell(entry, tent)
     assert len(info.value.witness) == 2
+
+
+def test_separated_certificate_raises_at_the_first_failing_depth(tent, monkeypatch, fresh_cells):
+    real = bowen._greedy_separated_indices
+    corrupted = {}
+
+    def with_inner_near_duplicate(M, eps, ns):
+        # only depth 3 of the range 2..4 takes the grid neighbour of its first point
+        swept = real(M, eps, ns)
+        idx, witness = swept[3]
+        swept[3] = corrupted[eps] = (sorted(idx + [idx[0] + 1]), witness)
+        return swept
+
+    monkeypatch.setattr(bowen, "_greedy_separated_indices", with_inner_near_duplicate)
+    with pytest.raises(NotSeparatedError, match=r"at n=3, eps=0\.1:") as info:
+        bowen_entropy(tent, X, [2, 3, 4], [0.1, 0.05], grid=513)
+    a, b = info.value.witness
+    assert a in corrupted[0.1][0] and b in corrupted[0.1][0]
+    # the shallower depth was certified and memoized first, the failing one and
+    # the deeper one were not
+    ((pcmap, O, cells),) = bowen._ORBIT_CACHE.values()
+    assert list(cells) == [(2, 0.1, None)]
+    M3 = bowen._prepare(O, 3, None)
+    assert np.abs(M3[a] - M3[b]).max() < 0.1
 
 
 @pytest.mark.parametrize("entry", ["bowen_entropy", "max_separated", "min_spanning"])

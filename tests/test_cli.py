@@ -368,6 +368,14 @@ class TestVerifyCommand:
         row = next(line for line in out.splitlines() if line.startswith("c_n submultiplicative"))
         assert row.endswith("FAIL  witness (1, 1)")
 
+    def test_sandwich_row_reports_the_first_failure(self, capsys, monkeypatch):
+        # every cell breaks r <= s, so the first one, (n=2, eps=0.1), is the witness
+        monkeypatch.setattr(cli, "min_spanning", lambda pcmap, sample, n, eps, metric=None: 10**6)
+        code, out, _ = run(capsys, "verify", "--catalog", "tent", "--n-max", "4")
+        assert code == 1
+        row = next(line for line in out.splitlines() if line.startswith("separated/spanning sandwich"))
+        assert "FAIL  (n=2, eps=0.1): r=1000000," in row
+
     def test_boundary_row_ignores_domain_endpoints(self, capsys):
         # Delta^n of anzie holds the endpoint 1.0, which no refined cover boundary has
         code, out, _ = run(capsys, "verify", "--catalog", "anzie")
