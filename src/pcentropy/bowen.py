@@ -16,11 +16,14 @@ a sample point outside every ball).  ``max_separated``, ``min_spanning``,
 reported cell has passed both certificates.  The Bowen distance only grows
 with n, so one greedy sweep builds the cells of every n a caller asks for at
 once (``bowen_entropy`` asks for its whole n-range), and memoizes them: each
-row admitted at any of those n takes one vectorized claim step, and each n
-keeps its claimed rows as the bits of one Python int.  The separated-set
-certificate of a sweep is one pass too: it prunes the close pairs of the
-union of the sweep's sets column by column, recomputing every distance from
-the orbits, and reads each depth's pairs after that depth's last column.
+row admitted at any of those n takes one vectorized claim step.  The claims
+of every n live in one Python int, the claim word, with one slot of bits per
+sample row and one bit per n, so a step is a few bigint operations; the
+steps' claims are decoded into each n's admitted rows and witnesses after the
+scan, a bounded number of bytes at a time.  The separated-set certificate
+of a sweep is one pass too: it prunes the close pairs of the union of the
+sweep's sets column by column, recomputing every distance from the orbits,
+and reads each depth's pairs after that depth's last column.
 
 Orbit matrices, and the certified cells of each, are cached per sample in
 ``_ORBIT_CACHE``.  The cache takes no lock: use it from one thread at a time.
@@ -136,9 +139,13 @@ def _prepare(O: np.ndarray, n: int, metric) -> np.ndarray:
     return M[order]
 
 
-def _greedy_separated_indices(M: np.ndarray, eps: float, ns) -> dict[int, tuple[list[int], list[int]]]:
+_DECODE_BYTES = 1 << 14  # claim-word bytes the greedy holds before it decodes them
+
+
+def _greedy_separated_indices(M: np.ndarray, eps: float, ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Greedy left-to-right separated sets of the sorted rows of ``M[:, :n]``
-    for every n of the increasing ``ns``, in one pass: ``{n: (admitted, witness)}``.
+    for every n of the increasing ``ns``, in one pass: ``{n: (admitted, witness)}``,
+    two intp arrays.
 
     At each depth n the rows are scanned in order.  A row no admitted row has
     claimed is admitted, and it claims every later unclaimed row within eps
@@ -151,11 +158,16 @@ def _greedy_separated_indices(M: np.ndarray, eps: float, ns) -> dict[int, tuple[
     A row admitted at any depth takes one vectorized step over its window:
     ``lead[j]``, the first coordinate in which window row ``j`` is not within
     eps of row ``i``, counts the leading coordinates in which it is, so row
-    ``j`` is within eps at depth n exactly when ``lead[j] >= n``.  Each depth
-    keeps its claimed rows as the bits of one Python int, bit 0 for the
-    current row, so the newly claimed bits name the rows whose witness is
-    ``i``, and the scan jumps to the next row that some depth has not
-    claimed.
+    ``j`` is within eps at depth n exactly when ``lead[j] >= n``.  The claims
+    of every depth live in one Python int, the claim word: slot ``k`` of it,
+    ``s = ceil(len(ns) / 8)`` bytes wide, holds one bit per depth for row
+    ``i + k``.  ``table[lead]`` packs each window row's depths into its slot,
+    so a step is a few bigint operations with no loop over depths: the depths
+    ``a`` that admit row ``i`` keep the window's unclaimed bits, and the scan
+    jumps to the first slot that some depth has not claimed.  Each step's
+    claims, row ``i``'s own slot ``a`` included, are decoded into the witness
+    arrays after the scan, a bounded number of bytes at a time, so the work
+    space stays linear.
 
     Row ``i`` claims from the rows ``i+1 .. stop[i]`` whose first coordinate
     is at most the double ``fl(x_i + eps)``.  That window is exact: a row past
@@ -163,44 +175,65 @@ def _greedy_separated_indices(M: np.ndarray, eps: float, ns) -> dict[int, tuple[
     arithmetic, so its first-coordinate gap rounds to at least eps.
     """
     ns = list(ns)
-    depths = np.asarray(ns)[:, None]
+    s = (len(ns) + 7) // 8
+    bits = 8 * s
+    every = (1 << len(ns)) - 1
+    # table[L]: the depths n <= L, bit t for ns[t], as one slot of s bytes
+    table = np.packbits(np.asarray(ns)[None, :] <= np.arange(ns[-1] + 1)[:, None], axis=1, bitorder="little")
     # a last column of NaN, within eps of nothing, ends every row's lead
     M = np.concatenate((M[:, : ns[-1]], np.full((len(M), 1), np.nan)), axis=1)
     xs = M[:, 0]
-    stop = np.searchsorted(xs, xs + eps, side="right").tolist()
-    claimed = [0] * len(ns)  # bit b: row i + b is claimed at that depth, once shifted by step
-    admitted: list[list[int]] = [[] for _ in ns]
-    witness = [[-1] * len(M) for _ in ns]
-    i = step = 0
+    stop = np.searchsorted(xs, xs + eps, side="right")
+    width = int((stop - np.arange(len(M))).max(initial=1))  # the widest window, row i included
+    stop = stop.tolist()
+    gap = np.empty((width, M.shape[1]))
+    near = np.empty((width, M.shape[1]), dtype=bool)
+    ones = int.from_bytes(bytes([1]).ljust(s, b"\0") * (width + 1), "little")  # 1 in every slot
+    full = every * ones
+    witness = np.full((len(ns), len(M)), -1, dtype=np.intp)
+    chunk = max(1, _DECODE_BYTES // (width * s))  # steps per decode, each at most width * s bytes
+    steps: list[tuple[int, int]] = []
+    claimed = 0  # slot k: the depths at which row i + k is claimed
+    i = 0
     while i < len(M):
-        lead = (np.abs(M[i + 1 : stop[i]] - M[i]) < eps).argmin(axis=1)
-        near = np.packbits(lead >= depths, axis=1, bitorder="little").tobytes()
-        size = len(near) // len(ns)  # bytes per depth of the packed window
-        every = -1
-        for t in range(len(ns)):
-            c = claimed[t] >> step
-            if not c & 1:
-                new = (int.from_bytes(near[t * size : (t + 1) * size], "little") << 1 | 1) & ~c
-                c |= new
-                admitted[t].append(i)
-                witness[t][i] = i
-                if new > 1:
-                    # character j is row i + j, and a closing "0" ends the last
-                    # run; each run of newly claimed rows takes witness i in one slice
-                    bits, wit = bin(new)[:1:-1] + "0", witness[t]
-                    a = bits.find("1", 1)
-                    while a >= 0:
-                        b = bits.find("0", a)
-                        wit[i + a : i + b] = [i] * (b - a)
-                        a = bits.find("1", b)
-            claimed[t] = c
-            every &= c
-        step = ((every + 1) & ~every).bit_length() - 1  # the first row some depth left unclaimed
+        k = stop[i] - i - 1
+        np.subtract(M[i + 1 : stop[i]], M[i], out=gap[:k])
+        np.abs(gap[:k], out=gap[:k])
+        lead = np.less(gap[:k], eps, out=near[:k]).argmin(axis=1)
+        a = every & ~claimed  # the depths that admit row i
+        new = (int.from_bytes(table.take(lead, axis=0).tobytes(), "little") << bits) & (a * ones) & ~claimed
+        claimed |= new
+        steps.append((i, new | a))
+        if len(steps) == chunk:
+            _decode_claims(steps, s, witness)
+            steps = []
+        free = (claimed | every) ^ full
+        step = ((free & -free).bit_length() - 1) // bits  # the first row some depth left unclaimed
+        claimed >>= bits * step
         i += step
-    return {n: (admitted[t], witness[t]) for t, n in enumerate(ns)}
+    _decode_claims(steps, s, witness)
+    rows = np.arange(len(M))
+    return {n: (np.flatnonzero(witness[t] == rows), witness[t]) for t, n in enumerate(ns)}
 
 
-def _close_pairs(M: np.ndarray, sets: dict[int, list[int]], eps: float) -> dict[int, tuple[int, int] | None]:
+def _decode_claims(steps: list[tuple[int, int]], s: int, witness: np.ndarray) -> None:
+    """Write the claims of the greedy steps ``(i, word)`` into ``witness``:
+    bit t of slot k of ``word`` sets ``witness[t, i + k] = i``."""
+    if not steps:
+        return
+    blobs = [word.to_bytes((word.bit_length() + 7) // 8, "little") for _, word in steps]
+    sizes = np.asarray([len(b) for b in blobs])
+    starts = np.cumsum(sizes) - sizes  # every word holds row i's own slot, so no blob is empty
+    buf = np.frombuffer(b"".join(blobs), dtype=np.uint8)
+    pos = np.flatnonzero(buf)
+    owner = np.searchsorted(starts, pos, side="right") - 1  # the step of each nonzero byte
+    local = pos - starts[owner]
+    byte, bit = np.nonzero(np.unpackbits(buf[pos][:, None], axis=1, bitorder="little"))
+    i = np.fromiter((i for i, _ in steps), dtype=np.intp, count=len(steps))[owner[byte]]
+    witness[8 * (local[byte] % s) + bit, i + local[byte] // s] = i
+
+
+def _close_pairs(M: np.ndarray, sets: dict[int, np.ndarray], eps: float) -> dict[int, tuple[int, int] | None]:
     """For each depth n of ``sets``, a pair of ``sets[n]`` closer than eps in
     the max norm over the first n columns of ``M``, or None: one pass serves
     every depth.
@@ -209,9 +242,12 @@ def _close_pairs(M: np.ndarray, sets: dict[int, list[int]], eps: float) -> dict[
     gap below eps there at offsets k = 1, 2, ... up to the first offset where
     no gap is.  Each offset's pairs are pruned column by column, dropping those
     eps apart in the current one, and after column n the survivors with both
-    rows in ``sets[n]`` are the close pairs at depth n.  The distances come
-    from ``M`` alone, and no list of pairs is kept: past one flag per row of
-    ``M`` and depth, the work space stays linear in the union.
+    rows in ``sets[n]`` are the close pairs at depth n.  The first two columns
+    prune a mask over the whole offset by contiguous slices, since on a slowly
+    expanding map at a wide eps most pairs pass them; only the survivors of
+    column 1 are gathered.  The distances come from ``M`` alone, and no list of
+    pairs is kept: past one flag per row of ``M`` and depth, the work space
+    stays linear in the union.
     """
     ns = sorted(sets)
     member = np.zeros((len(ns), len(M)), dtype=bool)
@@ -224,14 +260,24 @@ def _close_pairs(M: np.ndarray, sets: dict[int, list[int]], eps: float) -> dict[
     depth_after = {n - 1: t for t, n in enumerate(ns)}  # the last column depth ns[t] reads
     found: dict[int, tuple[int, int] | None] = dict.fromkeys(ns)
     for k in range(1, len(order)):
-        near = np.flatnonzero(cols[0][k:] - cols[0][:-k] < eps)
-        if not len(near):
+        close = cols[0][k:] - cols[0][:-k] < eps
+        if not close.any():
             break
         for j in range(ns[-1]):
-            if j:
+            # columns 0 and 1 prune a mask by contiguous slices, and later
+            # columns gather the survivors; column 0 yields survivors only
+            # when it is the last column of depth 1
+            if j >= 2:
                 near = near[np.abs(cols[j][near + k] - cols[j][near]) < eps]
-                if not len(near):
-                    break
+            elif j == 1:
+                close &= np.abs(cols[1][k:] - cols[1][:-k]) < eps
+                near = np.flatnonzero(close)
+            elif 0 in depth_after:
+                near = np.flatnonzero(close)
+            else:
+                continue
+            if not len(near):
+                break
             t = depth_after.get(j)
             if t is not None and found[ns[t]] is None:
                 bad = near[member[t, near] & member[t, near + k]]
@@ -351,6 +397,8 @@ def bowen_entropy(
         raise ValueError("n_range needs at least two values to fit a slope")
     if sorted(n_range) != list(n_range) or len(set(n_range)) != len(n_range):
         raise ValueError("n_range must be increasing")
+    if n_range[0] < 1:
+        raise ValueError(f"n_range must start at n >= 1, got n = {n_range[0]}")
     sample = sample_region(pcmap, region, grid, horizon=max(n_range))
     m = len(sample.points)
     sat = max(8, int(SATURATION_FRACTION * m))

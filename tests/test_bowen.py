@@ -289,11 +289,21 @@ def test_sweep_certificate_matches_scalar_at_every_depth(data, h, quarter_steps)
             assert np.abs(M[a, :n] - M[b, :n]).max() < eps
 
 
+def _matches_reference(swept_n, reference):
+    """The greedy's ``(admitted, witness)`` intp arrays hold the reference's lists."""
+    admitted, witness = swept_n
+    assert admitted.dtype == witness.dtype == np.intp
+    return (admitted.tolist(), witness.tolist()) == reference
+
+
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), h=st.integers(1, 5), steps=st.sampled_from([None, 4, 10]))
-def test_greedy_witnesses_match_the_spanning_sweep(data, h, steps):
+@given(data=st.data(), h=st.integers(1, 5), steps=st.sampled_from([None, 4, 10]), long_range=st.booleans())
+def test_greedy_witnesses_match_the_spanning_sweep(data, h, steps, long_range):
     """One sweep over the depths n0 .. h gives, at each depth n, the per-depth
-    sweep of the first n columns."""
+    sweep of the first n columns.  A long range sweeps 9 to 20 depths, so each
+    claim slot is 2 or 3 bytes wide."""
+    if long_range:
+        h = data.draw(st.integers(9, 20))
     m = data.draw(st.integers(1, 40))
     if steps:
         # gaps of exactly eps on quarter steps; on tenths, gaps that round
@@ -305,12 +315,12 @@ def test_greedy_witnesses_match_the_spanning_sweep(data, h, steps):
         eps = data.draw(st.floats(0.01, 0.5))
     M = np.asarray(data.draw(st.lists(st.lists(value, min_size=h, max_size=h), min_size=m, max_size=m)))
     M = M[np.argsort(M[:, 0], kind="stable")]
-    n0 = data.draw(st.integers(1, h))
+    n0 = data.draw(st.integers(1, h - 8 if long_range else h))
     swept = bowen._greedy_separated_indices(M, eps, range(n0, h + 1))
     assert list(swept) == list(range(n0, h + 1))
     for n, (admitted, witness) in swept.items():
         Mn = M[:, :n]
-        assert greedy_spanning_reference(Mn, eps) == (admitted, witness)
+        assert _matches_reference((admitted, witness), greedy_spanning_reference(Mn, eps))
         assert set(witness) <= set(admitted)
         assert (np.abs(Mn - Mn[witness]).max(axis=1) < eps).all()
     assert set(_close_pairs(M, {n: admitted for n, (admitted, _) in swept.items()}, eps).values()) == {None}
@@ -323,7 +333,24 @@ def test_greedy_matches_the_spanning_sweep_on_real_orbits(name):
     for eps in (0.05, 0.02):
         swept = bowen._greedy_separated_indices(bowen._prepare(O, 8, None), eps, range(4, 9))
         for n in (4, 8):
-            assert swept[n] == greedy_spanning_reference(bowen._prepare(O, n, None), eps)
+            assert _matches_reference(swept[n], greedy_spanning_reference(bowen._prepare(O, n, None), eps))
+
+
+@pytest.mark.parametrize("budget", [1, 1000])
+def test_greedy_decode_chunks_give_the_same_sets(monkeypatch, budget):
+    # 20 depths make 3-byte claim slots, and a window here is 27 rows, so a
+    # budget of 1 byte decodes every step on its own and 1000 bytes flush a
+    # chunk every 12 steps
+    pcmap = catalog_get("lorenz-full").map
+    M = bowen._prepare(bowen.orbit_matrix(pcmap, sample_region(pcmap, X, grid=513, horizon=20)), 20, None)
+    whole = bowen._greedy_separated_indices(M, 0.05, range(1, 21))
+    monkeypatch.setattr(bowen, "_DECODE_BYTES", budget)
+    chunked = bowen._greedy_separated_indices(M, 0.05, range(1, 21))
+    assert list(chunked) == list(whole)
+    for n, (admitted, witness) in chunked.items():
+        assert np.array_equal(admitted, whole[n][0]) and np.array_equal(witness, whole[n][1])
+    for n in (1, 9, 20):
+        assert _matches_reference(chunked[n], greedy_spanning_reference(M[:, :n], 0.05))
 
 
 def test_greedy_window_ends_at_the_rounded_sum():
@@ -335,14 +362,15 @@ def test_greedy_window_ends_at_the_rounded_sum():
     assert top < 0.8 and np.nextafter(top, 1.0) == 0.8 and 0.8 - x >= eps
     M = np.asarray([[x], [top], [0.8]])
     assert np.searchsorted(M[:, 0], top, side="right") == 2
-    assert bowen._greedy_separated_indices(M, eps, [1])[1] == greedy_spanning_reference(M, eps) == ([0, 2], [0, 0, 2])
+    assert greedy_spanning_reference(M, eps) == ([0, 2], [0, 0, 2])
+    assert _matches_reference(bowen._greedy_separated_indices(M, eps, [1])[1], ([0, 2], [0, 0, 2]))
 
 
 def test_greedy_window_matches_the_certificate_norm():
     # 1.0 - 0.1 rounds up to the double 0.9, yet 1.0 - 0.9 < 0.1: row 1
     # lies within eps of row 0 in the norm the certificates use, and row 0's
     # window, which ends at the double 0.9 + 0.1, holds it
-    assert bowen._greedy_separated_indices(np.asarray([[0.9], [1.0]]), 0.1, [1])[1] == ([0], [0, 0])
+    assert _matches_reference(bowen._greedy_separated_indices(np.asarray([[0.9], [1.0]]), 0.1, [1])[1], ([0], [0, 0]))
     identity = catalog_get("identity").map
     s = sample_region(identity, X, grid=11, horizon=1)
     # seven of the ten grid gaps round below 0.1
@@ -371,7 +399,7 @@ def test_separated_certificate_raises(entry, tent, monkeypatch, fresh_cells):
 
     def with_near_duplicate(M, eps, ns):
         # the grid neighbour of the first point joins every depth's set
-        return {n: (sorted(idx + [idx[0] + 1]), witness) for n, (idx, witness) in real(M, eps, ns).items()}
+        return {n: (np.sort(np.append(idx, idx[0] + 1)), witness) for n, (idx, witness) in real(M, eps, ns).items()}
 
     monkeypatch.setattr(bowen, "_greedy_separated_indices", with_near_duplicate)
     with pytest.raises(NotSeparatedError) as info:
@@ -387,7 +415,7 @@ def test_separated_certificate_raises_at_the_first_failing_depth(tent, monkeypat
         # only depth 3 of the range 2..4 takes the grid neighbour of its first point
         swept = real(M, eps, ns)
         idx, witness = swept[3]
-        swept[3] = corrupted[eps] = (sorted(idx + [idx[0] + 1]), witness)
+        swept[3] = corrupted[eps] = (np.sort(np.append(idx, idx[0] + 1)), witness)
         return swept
 
     monkeypatch.setattr(bowen, "_greedy_separated_indices", with_inner_near_duplicate)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pcentropy import cli
+from pcentropy import bowen, cli
 from pcentropy.cli import main
 from pcentropy.maps import evaluate, parse_map
 
@@ -238,6 +238,16 @@ class TestEntropyCommand:
         )
         assert code == 1 and out == ""
         assert err == "error: n_range needs at least two values to fit a slope\n"
+
+    def test_bowen_n_range_below_one_rejected(self, capsys, monkeypatch):
+        # refused before the region is sampled, naming the option's own field
+        monkeypatch.setattr(bowen, "sample_region", None)
+        code, out, err = run(
+            capsys, "entropy", "--catalog", "tent", "--method", "bowen",
+            "--n-range", "0:3", "--eps", "0.05,0.02", "--grid", "257",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: n_range must start at n >= 1, got n = 0\n"
 
     @pytest.mark.parametrize("args", [
         ["--map", "{path}"],
