@@ -460,29 +460,20 @@ def cover_entropy(
 ) -> EntropySeries:
     """Minimal-subcover growth of the n-step refinements over the region minus
     the n-step discontinuity set; ``cap`` bounds that set's size as in
-    ``ms_entropy``, and hitting it truncates the series."""
+    ``ms_entropy``, and hitting it, or the part cap of the refinement, ends
+    the series there, as ``count_series`` says."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     if region is None:
         region = RegionSet.of((pcmap.domain.lo, pcmap.domain.hi))
-    records = []
-    truncated = False
     cover = domainify_cover(cover, pcmap.domain)
-    steps = refinement_steps(pcmap, cover, n_max)
-    n = 0
-    while n < n_max:
-        n += 1
-        try:
-            refined = next(steps)
-            exclude = delta_n(pcmap, n, cap)
-        except ResourceCapExceeded:
-            truncated = True
-            break
-        res = minimal_subcover(refined, region, exclude)
-        records.append(SeriesRecord(n, res.count, flag=None if res.exact else "inexact"))
-    if not records:
-        raise ResourceCapExceeded("no refinement fits under the cap", completed=0)
-    return count_series("cover", records, estimator, truncated)
+
+    def records():
+        for n, refined in enumerate(refinement_steps(pcmap, cover, n_max), start=1):
+            res = minimal_subcover(refined, region, delta_n(pcmap, n, cap))
+            yield SeriesRecord(n, res.count, flag=None if res.exact else "inexact")
+
+    return count_series("cover", records(), estimator)
 
 
 def boundary_of_refined_natural_cover(pcmap: PcMap, n: int) -> PointSet:

@@ -1,14 +1,17 @@
 """Limit extrapolation for subadditive growth sequences, the submultiplicativity
-certificate that every count series passes first, and the series record type."""
+certificate that every count series passes first, and the series record type.
+``count_series`` is also the one rule that ends a count series at a resource
+cap: both count routes hand it their records as an iterable."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import SubadditivityError
+from .errors import ResourceCapExceeded, SubadditivityError
 
 
 @dataclass(frozen=True)
@@ -96,22 +99,27 @@ def submultiplicative_witness(counts: dict[int, int]) -> tuple[int, int] | None:
 _COUNTED = {"misiurewicz-szlenk": "piece", "cover": "subcover"}  # per count route
 
 
-def count_series(
-    method: str, records: list[SeriesRecord], estimator: str, truncated: bool
-) -> EntropySeries:
-    """The entropy series of a list of positive counts, estimated from their logs.
+def count_series(method: str, records: Iterable[SeriesRecord], estimator: str) -> EntropySeries:
+    """The entropy series of positive counts, estimated from their logs.
 
-    The counts are certified submultiplicative first: a violation raises
+    A ``ResourceCapExceeded`` raised while ``records`` makes its next record
+    ends the series there: the last record made is flagged ``truncated``, and
+    an uncomputable ``estimator`` degrades to the best available one instead
+    of failing.  If no record was made, the refusal itself is re-raised.  The
+    counts are certified submultiplicative first: a violation raises
     ``SubadditivityError`` with its witness pair instead of an estimate.
-    With ``truncated`` (a resource cap cut the series) the last record is
-    flagged ``truncated`` and an uncomputable ``estimator`` degrades to the
-    best available one instead of failing.
     """
-    if truncated:
-        last = records[-1]
-        flag = "+".join(filter(None, (last.flag, "truncated")))
-        records = [*records[:-1], SeriesRecord(last.n, last.value, last.aux, flag)]
-    counts = {r.n: int(r.value) for r in records}
+    made: list[SeriesRecord] = []
+    truncated = False
+    try:
+        for record in records:
+            made.append(record)
+    except ResourceCapExceeded:
+        if not made:
+            raise
+        truncated = True
+        made[-1] = replace(made[-1], flag="+".join(filter(None, (made[-1].flag, "truncated"))))
+    counts = {r.n: int(r.value) for r in made}
     bad = submultiplicative_witness(counts)
     if bad is not None:
         n, m = bad
@@ -120,7 +128,7 @@ def count_series(
             f"> c_{n}*c_{m}={counts[n] * counts[m]} (likely a tolerance undercount upstream)",
             witness=bad,
         )
-    values = [(r.n, math.log(r.value)) for r in records]
+    values = [(r.n, math.log(r.value)) for r in made]
     table: dict[str, float] = {"last-ratio": last_ratio(values)}
     try:
         table["fekete-min"] = fekete_estimate(values)
@@ -136,4 +144,4 @@ def count_series(
             raise ValueError(f"estimator {estimator!r} not computable for this series "
                              f"(available: {sorted(table)})")
         chosen = "fekete-min" if "fekete-min" in table else "last-ratio"
-    return EntropySeries(method, tuple(records), table[chosen], chosen, table, truncated)
+    return EntropySeries(method, tuple(made), table[chosen], chosen, table, truncated)

@@ -252,8 +252,10 @@ class PointSet:
 
     @staticmethod
     def of(values, tol: float = DEFAULT_POINT_TOL) -> "PointSet":
-        xs = np.sort(np.asarray(values, dtype=float))
-        return PointSet(xs[dedupe_sorted(xs, tol)], tol)
+        # stable, so -0.0 and 0.0 keep their input order; rebinding ``values``
+        # frees a temporary input array before the dedupe
+        values = np.sort(np.asarray(values, dtype=float), kind="stable")
+        return PointSet(values[dedupe_sorted(values, tol)], tol)
 
     @staticmethod
     def empty(tol: float = DEFAULT_POINT_TOL) -> "PointSet":

@@ -86,16 +86,13 @@ def _check_in_domain(pcmap: PcMap, x: float) -> float:
     return x
 
 
+LEFT, RIGHT = 0, 1
+
+
 def evaluate(pcmap: PcMap, x: float) -> float:
-    """Map value at x; at a discontinuity this is the configured one-sided limit."""
-    x = _check_in_domain(pcmap, x)
-    j = pcmap.delta.index_near(x)
-    if j is not None:
-        b = pcmap.branches[j if pcmap.at_delta == "left" else j + 1]
-        v = float(b.fn(float(pcmap.delta.points[j])))
-    else:
-        v = float(pcmap.branches[pcmap.piece_index(x)].fn(x))
-    return _check_in_domain(pcmap, v)
+    """Map value at x; at a discontinuity this is the configured one-sided
+    limit, and within ``tol`` of a cut or a domain end x snaps to it."""
+    return limit_step(pcmap, x, LEFT if pcmap.at_delta == "left" else RIGHT)[0]
 
 
 def evaluate_many(pcmap: PcMap, xs: np.ndarray) -> np.ndarray:
@@ -123,9 +120,6 @@ def evaluate_orbit(pcmap: PcMap, x: float, n: int) -> list[float]:
     for _ in range(n - 1):
         out.append(evaluate(pcmap, out[-1]))
     return out
-
-
-LEFT, RIGHT = 0, 1
 
 
 def limit_step(pcmap: PcMap, v: float, side: int) -> tuple[float, int, int]:

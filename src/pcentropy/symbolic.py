@@ -25,10 +25,11 @@ new[k][r] * rem[r, m - k] summed over the levels k and cut points r.
 
 Delta^n as a point set is built only where it is read, backwards, one
 preimage level at a time and never by forward composition, because
-inverting a monotone branch is well-conditioned.  Delta^n merges
-Delta^{n-1} and level n - 1 by one sort and one dedupe, and is refused like
-an over-cap level if its size is not the exact one: its distinct points came
-closer than ``tol`` and merged.
+inverting a monotone branch is well-conditioned: level k is
+``preimage_set`` of level k - 1.  Delta^n merges Delta^{n-1} and level
+n - 1 through ``PointSet.of``, and is refused like an over-cap level if its
+size is not the exact one: its distinct points came closer than ``tol`` and
+merged.  ``estimators.count_series`` ends an MS series at a refused level.
 
 Tables are cached per map in ``_TABLES`` and grow in place as deeper counts
 are asked for.  Neither the cache nor a ``DeltaTable`` takes a lock: use them
@@ -46,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapExceeded
 from .estimators import EntropySeries, SeriesRecord, count_series
-from .intervals import PointSet, dedupe_sorted
+from .intervals import PointSet
 from .maps import LEFT, RIGHT, PcMap, branch_preimages, limit_step
 
 DEFAULT_DELTA_CAP = 2_000_000
@@ -170,34 +171,26 @@ class DeltaTable:
     # -- point sets ------------------------------------------------------------
 
     def _level(self, k: int) -> np.ndarray:
-        """f^{-k}(Delta): every branch inverts level k - 1 at once."""
+        """f^{-k}(Delta): the preimage set of level k - 1."""
         if k == 0:
             return self.map.delta.points
-        ys = self.levels[k - 1][0]
-        xs = np.concatenate([branch_preimages(b, ys) for b in self.map.branches])
-        return _sorted_dedupe(xs[~np.isnan(xs)], self.map.tol)
+        return preimage_set(self.map, PointSet(self.levels[k - 1][0], self.map.tol)).points
 
     def _cumulative(self, n: int) -> np.ndarray:
         """Delta^n, refused like an over-cap level when its size is not the
         exact |Delta^n|."""
         if n == 0:
             return np.empty(0)
-        parts = [self.cumulative[n - 1][0], self.levels[n - 1][0]]
-        xs = parts[1] if n == 1 else _sorted_dedupe(np.concatenate(parts), self.map.tol)
+        tol = self.map.tol
+        xs = PointSet.of(np.concatenate([self.cumulative[n - 1][0], self.levels[n - 1][0]]), tol).points
         exact = self.delta_size(n)
         if len(xs) != exact:
-            tol = self.map.tol
             msg = f"Delta^{n} holds {exact} points, but only {len(xs)} of them lie more than tol = {tol:g} apart"
             raise ResourceCapExceeded(msg, completed=n - 1)
         return xs
 
     def delta_points(self, n: int) -> np.ndarray:
         return self.cumulative[n][0]
-
-
-def _sorted_dedupe(xs: np.ndarray, tol: float) -> np.ndarray:
-    xs = np.sort(xs, kind="stable")
-    return xs[dedupe_sorted(xs, tol)]
 
 
 _TABLES: "weakref.WeakKeyDictionary[PcMap, DeltaTable]" = weakref.WeakKeyDictionary()
@@ -213,12 +206,12 @@ def delta_table(pcmap: PcMap) -> DeltaTable:
 
 def preimage_set(pcmap: PcMap, targets: PointSet) -> PointSet:
     """All x whose branch-closure limit maps onto a target; merged by tolerance."""
-    dom = pcmap.domain
-    for t in targets:
-        if t < dom.lo - pcmap.tol or t > dom.hi + pcmap.tol:
-            raise DomainError(f"target {t!r} outside domain {dom!r}")
-    xs = np.concatenate([branch_preimages(b, targets.points) for b in pcmap.branches])
-    return PointSet.of(xs[~np.isnan(xs)], tol=pcmap.tol)
+    ys, dom, tol = targets.points, pcmap.domain, pcmap.tol
+    outside = ys[(ys < dom.lo - tol) | (ys > dom.hi + tol)].tolist()
+    if outside:
+        raise DomainError(f"target {outside[0]!r} outside domain {dom!r}")
+    xs = np.concatenate([branch_preimages(b, ys) for b in pcmap.branches])
+    return PointSet.of(xs[~np.isnan(xs)], tol)
 
 
 def delta_n(pcmap: PcMap, n: int, cap: int | None = None) -> PointSet:
@@ -249,22 +242,18 @@ def ms_entropy(
     estimator: str = "slope-fit",
     cap: int | None = None,
 ) -> EntropySeries:
-    """Piece-count growth series and its entropy estimate."""
+    """Piece-count growth series and its entropy estimate; a level past the
+    point ``cap`` ends the series there, as ``count_series`` says."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     table = delta_table(pcmap)
-    records = []
-    truncated = False
-    for n in range(1, n_max + 1):
-        try:
+
+    def records():
+        for n in range(1, n_max + 1):
             table.ensure(n, cap)
-        except ResourceCapExceeded:
-            truncated = True
-            break
-        records.append(SeriesRecord(n, table.count_pieces(n)))
-    if not records:
-        raise ResourceCapExceeded("no level fits under the resource cap", completed=0)
-    return count_series("misiurewicz-szlenk", records, estimator, truncated)
+            yield SeriesRecord(n, table.count_pieces(n))
+
+    return count_series("misiurewicz-szlenk", records(), estimator)
 
 
 @dataclass(frozen=True)
@@ -273,12 +262,8 @@ class FullBranchReport:
     no_connection: bool
     checked_to: int
     rows: tuple[tuple[int, int, int, int], ...]  # (n, #Delta^n, expected, c_n)
-    counts_ok: bool
+    passed: bool  # surjective, no connection and every row as expected
     messages: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.surjective and self.no_connection and self.counts_ok
 
 
 def full_branch_check(pcmap: PcMap, n_max: int, cap: int | None = None) -> FullBranchReport:
@@ -309,23 +294,20 @@ def full_branch_check(pcmap: PcMap, n_max: int, cap: int | None = None) -> FullB
 
     n_branches = pcmap.n_pieces
     rows = []
-    counts_ok = True
+    regime = passed = surjective and no_connection
     for n in range(1, checked_to + 1):
         d_count = table.delta_size(n)
         expected = n_branches**n - 1
         c_n = table.count_pieces(n, merge_removable=False)
         rows.append((n, d_count, expected, c_n))
-        if surjective and no_connection:
-            if d_count != expected or abs(c_n - n_branches**n) > 1:
-                counts_ok = False
-                messages.append(
-                    f"n={n}: #Delta^n={d_count} (expected {expected}), c_n={c_n}"
-                )
+        if regime and (d_count != expected or abs(c_n - n_branches**n) > 1):
+            passed = False
+            messages.append(f"n={n}: #Delta^n={d_count} (expected {expected}), c_n={c_n}")
     return FullBranchReport(
         surjective=surjective,
         no_connection=no_connection,
         checked_to=checked_to,
         rows=tuple(rows),
-        counts_ok=counts_ok and surjective and no_connection,
+        passed=passed,
         messages=tuple(messages),
     )

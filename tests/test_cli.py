@@ -95,6 +95,11 @@ class TestEntropyCommand:
         est = float(out.strip().split("\n")[-1].split(",")[3])
         assert est == pytest.approx(2 * math.log(2), abs=1e-9)
 
+    def test_zero_cap_names_the_refused_level(self, capsys, monkeypatch):
+        monkeypatch.setenv("PCENTROPY_CAP", "0")
+        code, out, err = run(capsys, "entropy", "--catalog", "tent", "--method", "ms")
+        assert (code, out, err) == (1, "", "error: Delta^1 holds 1 points (cap 0)\n")
+
     @pytest.mark.parametrize("raw", ["abc", "1e6", "-5"])
     def test_bad_cap_rejected(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("PCENTROPY_CAP", raw)

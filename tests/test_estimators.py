@@ -2,8 +2,11 @@ import math
 
 import pytest
 
-from pcentropy.errors import SubadditivityError
-from pcentropy.estimators import fekete_estimate, last_ratio, slope_fit
+from pcentropy.catalog import get as catalog_get
+from pcentropy.covers import cover_entropy, natural_cover
+from pcentropy.errors import ResourceCapExceeded, SubadditivityError
+from pcentropy.estimators import SeriesRecord, count_series, fekete_estimate, last_ratio, slope_fit
+from pcentropy.symbolic import ms_entropy
 
 
 def log_series(fn, n_max):
@@ -70,3 +73,34 @@ class TestSlopeFit:
 class TestLastRatio:
     def test_value(self):
         assert last_ratio([(1, 1.0), (10, 5.0)]) == pytest.approx(0.5)
+
+
+class TestCountSeries:
+    @staticmethod
+    def capped_after(records, completed):
+        yield from records
+        raise ResourceCapExceeded("over the cap", completed=completed)
+
+    def test_cap_ends_the_series_at_the_last_record(self):
+        made = [SeriesRecord(1, 2), SeriesRecord(2, 4), SeriesRecord(3, 8, flag="inexact")]
+        series = count_series("cover", self.capped_after(made, 3), "slope-fit")
+        assert series.truncated
+        assert [r.value for r in series.records] == [2, 4, 8]
+        assert [r.flag for r in series.records] == [None, None, "inexact+truncated"]
+        # three records cannot support a slope fit, so the estimate falls back
+        assert series.estimate_method == "fekete-min"
+        assert series.estimate == pytest.approx(math.log(2), abs=1e-12)
+
+    def test_uncut_series_is_not_truncated(self):
+        series = count_series("cover", (SeriesRecord(n, 2**n) for n in range(1, 5)), "slope-fit")
+        assert not series.truncated and all(r.flag is None for r in series.records)
+        with pytest.raises(ValueError, match="not computable"):
+            count_series("cover", [SeriesRecord(1, 2), SeriesRecord(2, 4)], "slope-fit")
+
+    def test_refusal_before_any_record_names_its_level(self):
+        tent = catalog_get("tent").map
+        for route in (lambda: ms_entropy(tent, 4, cap=0), lambda: cover_entropy(tent, natural_cover(tent), 4, cap=0)):
+            with pytest.raises(ResourceCapExceeded) as info:
+                route()
+            assert str(info.value) == "Delta^1 holds 1 points (cap 0)"
+            assert info.value.completed == 0

@@ -127,6 +127,22 @@ class TestEvaluate:
         assert evaluate(left, 0.5) == 1.0
         assert evaluate(right, 0.5) == 0.0
 
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_evaluate_is_the_convention_side_limit(self, name):
+        """``evaluate`` agrees with ``limit_step`` from the convention side at
+        every cut, just inside both domain ends and at random interior points."""
+        pcmap = catalog_get(name).map
+        side = LEFT if pcmap.at_delta == "left" else RIGHT
+        lo, hi = pcmap.domain.lo, pcmap.domain.hi
+        rng = np.random.default_rng(0)
+        xs = [*pcmap.delta, lo + 1e-11, hi - 1e-11, *rng.uniform(lo, hi, 200).tolist()]
+        for x in xs:
+            assert evaluate(pcmap, x) == limit_step(pcmap, x, side)[0], x
+
+    def test_evaluate_snaps_to_a_domain_end(self, tent):
+        assert evaluate(tent, 1e-11) == 0.0
+        assert evaluate(tent, 1 - 1e-11) == 0.0
+
     def test_evaluate_many_matches_scalar(self, tent):
         xs = np.linspace(0.01, 0.99, 97)
         np.testing.assert_allclose(evaluate_many(tent, xs), [evaluate(tent, float(x)) for x in xs])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pcentropy import symbolic
 from pcentropy.catalog import GOLDEN_SPLIT, get as catalog_get, names as catalog_names
-from pcentropy.errors import ResourceCapExceeded, SubadditivityError
+from pcentropy.errors import DomainError, ResourceCapExceeded, SubadditivityError
 from pcentropy.estimators import submultiplicative_witness
 from pcentropy.expr import parse_expression
 from pcentropy.intervals import PointSet
@@ -50,6 +50,10 @@ class TestPreimageSet:
     def test_doubling(self):
         m2 = catalog_get("mod2").map
         assert list(preimage_set(m2, PointSet.of([0.5]))) == pytest.approx([0.25, 0.75])
+
+    def test_target_outside_the_domain(self, tent):
+        with pytest.raises(DomainError, match=r"^target 1\.5 outside domain"):
+            preimage_set(tent, PointSet.of([0.5, 1.5, 2.0]))
 
     def test_boundary_limit_counts(self):
         # 0 maps to 0.5 under the left branch of this contraction, so it is a
