@@ -73,9 +73,6 @@ class PcMap:
     def delta(self) -> PointSet:
         return PointSet([b.piece.hi for b in self.branches[:-1]], self.tol)
 
-    def piece_index(self, x: float) -> int:
-        return int(bisect.bisect_right(self.delta.points, x))
-
 
 def _check_in_domain(pcmap: PcMap, x: float) -> float:
     d = pcmap.domain
@@ -140,7 +137,7 @@ def limit_step(pcmap: PcMap, v: float, side: int) -> tuple[float, int, int]:
     elif pcmap.domain.hi - v <= pcmap.tol:
         bi, v = pcmap.n_pieces - 1, pcmap.domain.hi
     else:
-        bi = pcmap.piece_index(v)
+        bi = bisect.bisect_right(pcmap.delta.points, v)
     b = pcmap.branches[bi]
     value = _check_in_domain(pcmap, float(b.fn(v)))
     new_side = side if b.increasing else 1 - side
@@ -217,8 +214,8 @@ def branch_preimages(branch: Branch, ys: np.ndarray) -> np.ndarray:
 # construction and validation
 
 
-def _validate_branch(domain: Interval, branch: Branch, grid: int):
-    xs = np.linspace(branch.piece.lo, branch.piece.hi, max(grid, 8))
+def _validate_branch(domain: Interval, branch: Branch):
+    xs = np.linspace(branch.piece.lo, branch.piece.hi, VALIDATION_GRID)
     with np.errstate(all="ignore"):
         try:
             vals = branch.fn(xs)
@@ -249,9 +246,13 @@ def build_map(
     domain: tuple[float, float],
     pieces: list[tuple[float, float, Expr, bool | None]],
     at_delta: str = "left",
-    validation_grid: int = VALIDATION_GRID,
 ) -> PcMap:
-    """Assemble and validate a map from (lo, hi, expr, increasing?) rows."""
+    """Assemble and validate a map from (lo, hi, expr, increasing?) rows.
+
+    Every branch is checked on ``VALIDATION_GRID`` evenly spaced points of
+    its piece: finite, strictly monotone as declared, and inside the domain
+    up to ``IMAGE_TOL``.
+    """
     if at_delta not in ("left", "right"):
         raise MapValidationError(f"at_delta must be 'left' or 'right', got {at_delta!r}")
     dlo, dhi = domain
@@ -281,7 +282,7 @@ def build_map(
         piece = Interval(a, b, lo_open=(i > 0), hi_open=(i < n - 1))
         try:
             branch = Branch(piece, expr, inc)
-            _validate_branch(dom, branch, validation_grid)
+            _validate_branch(dom, branch)
         except (RecursionError, SyntaxError):
             # compile_expr's source nests as deep as the tree
             raise MapValidationError(f"branch on {piece!r} nests too deeply to evaluate") from None

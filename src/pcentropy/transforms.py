@@ -1,8 +1,16 @@
 """Constructions the entropy identities quantify over: iterates, piecewise
-affine conjugations, and restriction to invariant regions."""
+affine conjugations, and restriction to invariant regions.
+
+Iterates and restrictions build their pieces by one rule: a piece is a lap
+(a component of the domain minus the cut set), and its branch composes the
+lap's branch word, the k branches all its points follow (Milnor & Thurston).
+The word is read from the lap's image carried forward, as ``DeltaTable``
+carries lap images: its midpoint is half an image width from every cut, while
+a lap end of Delta^k walked forward alone can round past a cut."""
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,16 +18,7 @@ import numpy as np
 from .errors import InvarianceError, MapValidationError
 from .expr import Compose, PiecewiseAffine, Var
 from .intervals import Interval, PointSet, RegionSet, components_of_complement
-from .maps import (
-    LEFT,
-    RIGHT,
-    PcMap,
-    build_map,
-    evaluate,
-    evaluate_many,
-    identity_map,
-    limit_step,
-)
+from .maps import LEFT, RIGHT, PcMap, build_map, evaluate_many, identity_map, limit_step
 from .symbolic import delta_n
 
 
@@ -73,38 +72,36 @@ class PlHomeo:
         return PiecewiseAffine(arg if arg is not None else Var(), self.xs, self.ys)
 
 
+def _lap_rows(pcmap: PcMap, laps: list[Interval], k: int) -> list[tuple]:
+    """``build_map`` rows for laps of f^k: each step takes the branch at the
+    midpoint of the lap's current image and maps the image's ends, clipped
+    onto that branch's piece, through it."""
+    cuts = pcmap.delta.points.tolist()
+    rows = []
+    for lap in laps:
+        a, b, expr, inc = lap.lo, lap.hi, None, True
+        for _ in range(k):
+            br = pcmap.branches[bisect.bisect_right(cuts, 0.5 * (a + b))]
+            ya, yb = float(br.fn(max(a, br.piece.lo))), float(br.fn(min(b, br.piece.hi)))
+            a, b = min(ya, yb), max(ya, yb)
+            expr = br.expr if expr is None else Compose(br.expr, expr)
+            inc = inc == br.increasing
+        rows.append((lap.lo, lap.hi, expr, inc))
+    return rows
+
+
 def iterate_map(pcmap: PcMap, k: int, cap: int | None = None) -> PcMap:
-    """The k-th iterate as a map in its own right: pieces are the components of
-    the domain minus the k-step cut set, branches the k-fold compositions."""
+    """The k-th iterate as a map in its own right: pieces are the laps of f^k
+    (the components of the domain minus Delta^k), branches the compositions
+    along each lap's branch word, read from the lap's image."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return identity_map((pcmap.domain.lo, pcmap.domain.hi))
     if k == 1:
         return pcmap
-    comps = components_of_complement(pcmap.domain, delta_n(pcmap, k, cap))
-    rows = []
-    for comp in comps:
-        # the branch sequence of the first probe whose k-step orbit misses the cut set
-        for frac in (0.5, 0.381966, 0.618034, 0.271828, 0.707107):
-            v = comp.lo + frac * comp.diameter
-            seq = []
-            for _ in range(k):
-                if pcmap.delta.index_near(v) is not None:
-                    break
-                seq.append(pcmap.piece_index(v))
-                v = evaluate(pcmap, v)
-            else:
-                break
-        else:
-            raise MapValidationError(f"cannot probe component {comp!r} away from the cut set")
-        expr = pcmap.branches[seq[0]].expr
-        inc = pcmap.branches[seq[0]].increasing
-        for bi in seq[1:]:
-            expr = Compose(pcmap.branches[bi].expr, expr)
-            inc = inc == pcmap.branches[bi].increasing
-        rows.append((comp.lo, comp.hi, expr, inc))
-    return build_map((pcmap.domain.lo, pcmap.domain.hi), rows, at_delta=pcmap.at_delta, validation_grid=65)
+    laps = components_of_complement(pcmap.domain, delta_n(pcmap, k, cap))
+    return build_map((pcmap.domain.lo, pcmap.domain.hi), _lap_rows(pcmap, laps, k), at_delta=pcmap.at_delta)
 
 
 def conjugate_map(pcmap: PcMap, phi: PlHomeo) -> PcMap:
@@ -118,27 +115,11 @@ def conjugate_map(pcmap: PcMap, phi: PlHomeo) -> PcMap:
     phi_e, inv_e = phi.as_expr(), inv.as_expr()
     rows = []
     for b in pcmap.branches:
-        ya = float(phi(b.piece.lo))
-        yb = float(phi(b.piece.hi))
+        ya, yb = float(phi(b.piece.lo)), float(phi(b.piece.hi))
         lo, hi = (ya, yb) if ya < yb else (yb, ya)
-        expr = Compose(phi_e, Compose(b.expr, inv_e))
-        rows.append((lo, hi, expr, b.increasing))
-    at_delta = pcmap.at_delta
-    if not phi.increasing:
-        at_delta = "right" if at_delta == "left" else "left"
-    return build_map(phi.codomain, rows, at_delta=at_delta, validation_grid=129)
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    region: RegionSet
-    checked_points: int
-
-    def __str__(self):
-        return (
-            f"invariance verified on {self.checked_points} grid points of {self.region!r}; "
-            "one-sided limits at interior cut points stay inside"
-        )
+        rows.append((lo, hi, Compose(phi_e, Compose(b.expr, inv_e)), b.increasing))
+    at_delta = pcmap.at_delta if phi.increasing else ("right" if pcmap.at_delta == "left" else "left")
+    return build_map(phi.codomain, rows, at_delta=at_delta)
 
 
 @dataclass(frozen=True)
@@ -147,7 +128,14 @@ class RestrictedMap:
 
     pcmap: PcMap
     region: RegionSet
-    report: InvarianceReport
+    checked_points: int
+
+    @property
+    def report(self) -> str:
+        return (
+            f"invariance verified on {self.checked_points} grid points of {self.region!r}; "
+            "one-sided limits at interior cut points stay inside"
+        )
 
     def as_pcmap(self) -> PcMap:
         """The restriction as a map on its own interval (single-part regions)."""
@@ -156,13 +144,8 @@ class RestrictedMap:
         part = self.region.parts[0]
         cuts, tol = self.pcmap.delta.points, self.pcmap.tol
         inner = PointSet.of(cuts[(cuts > part.lo + tol) & (cuts < part.hi - tol)], tol)
-        comps = components_of_complement(Interval.closed(part.lo, part.hi), inner)
-        rows = []
-        for comp in comps:
-            mid = 0.5 * (comp.lo + comp.hi)
-            b = self.pcmap.branches[self.pcmap.piece_index(mid)]
-            rows.append((comp.lo, comp.hi, b.expr, b.increasing))
-        return build_map((part.lo, part.hi), rows, at_delta=self.pcmap.at_delta, validation_grid=257)
+        laps = components_of_complement(Interval.closed(part.lo, part.hi), inner)
+        return build_map((part.lo, part.hi), _lap_rows(self.pcmap, laps, 1), at_delta=self.pcmap.at_delta)
 
 
 def restrict_map(pcmap: PcMap, region: RegionSet) -> RestrictedMap:
@@ -195,11 +178,10 @@ def restrict_map(pcmap: PcMap, region: RegionSet) -> RestrictedMap:
     for d in pcmap.delta:
         if not region.contains(d, tol=tol):
             continue
-        vl, _, _ = limit_step(pcmap, d, LEFT)
-        vr, _, _ = limit_step(pcmap, d, RIGHT)
+        vl, vr = limit_step(pcmap, d, LEFT)[0], limit_step(pcmap, d, RIGHT)[0]
         if not (region.contains(vl, tol=tol) or region.contains(vr, tol=tol)):
             raise InvarianceError(
                 f"both one-sided limits at {d:.17g} ({vl:.17g}, {vr:.17g}) leave the region",
                 witness=float(d),
             )
-    return RestrictedMap(pcmap, region, InvarianceReport(region, checked))
+    return RestrictedMap(pcmap, region, checked)

@@ -328,6 +328,21 @@ class TestVerifyCommand:
         assert code == 0
         assert "c_n(f^3)" in out
 
+    def test_power_rule_on_a_lap_narrower_than_twice_tol(self, capsys, tmp_path):
+        # every point of the middle piece lies within tol = 1e-10 of a cut
+        f = tmp_path / "narrow.pcm"
+        f.write_text(
+            "domain = [0, 1]\n"
+            "piece (0, 0.5): x inc\n"
+            "piece (0.5, 0.50000000015): x inc\n"
+            "piece (0.50000000015, 1): 1.5 - x dec\n"
+        )
+        code, out, err = run(capsys, "verify", "--map", str(f), "--n-max", "6", "--power-k", "2")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert any(r.startswith("c_n(f^2) = c_(n*2)(f)") for r in rows)
+        assert len(rows) == 6 and all(" pass  " in r for r in rows)
+
     def test_power_bound_covers_k_above_n_max(self, capsys):
         # c_1(f^3) is compared with c_3(f), so the checked bound is 3, not n_max
         code, out, _ = run(capsys, "verify", "--catalog", "tent", "--n-max", "2", "--power-k", "3")

@@ -4,13 +4,22 @@ import numpy as np
 import pytest
 
 from pcentropy.catalog import get as catalog_get
+from pcentropy.catalog import names as catalog_names
 from pcentropy.errors import InvarianceError, MapValidationError
 from pcentropy.intervals import RegionSet
-from pcentropy.maps import evaluate, evaluate_orbit
+from pcentropy.maps import RIGHT, evaluate, evaluate_orbit, parse_map
 from pcentropy.symbolic import count_pieces, delta_n, ms_entropy
 from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map, restrict_map
+from reference import limit_orbit
 
 PHI3 = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
+NARROW_LAP_SRC = (
+    "domain = [0, 1]\n"
+    "piece (0, 0.5): x inc\n"
+    "piece (0.5, 0.50000000015): x inc\n"
+    "piece (0.50000000015, 1): 1.5 - x dec\n"
+)
+STEEP_SRC = "domain = [0, 1]\npiece (0, 0.9): x / 0.9 inc\npiece (0.9, 1): (1 - x) / (1 - 0.9) dec\n"
 
 
 class TestPlHomeo:
@@ -44,19 +53,43 @@ class TestIterateMap:
         assert f2.n_pieces == 4
         assert list(f2.delta) == pytest.approx([0.25, 0.5, 0.75])
 
-    def test_branches_agree_with_orbit(self, tent):
-        f3 = iterate_map(tent, 3)
-        xs = np.linspace(0.001, 0.999, 1000)
-        for x in xs:
-            direct = evaluate_orbit(tent, float(x), 4)[-1]
-            assert evaluate(f3, float(x)) == pytest.approx(direct, abs=1e-9)
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_branches_agree_with_orbit(self, name, k):
+        f = catalog_get(name).map
+        fk = iterate_map(f, k)
+        cuts = delta_n(f, k).points
+        lo, hi = f.domain.lo, f.domain.hi
+        for x in np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 1000):
+            if len(cuts) and np.abs(cuts - x).min() <= 1e-9:
+                continue
+            direct = evaluate_orbit(f, float(x), k + 1)[-1]
+            assert evaluate(fk, float(x)) == pytest.approx(direct, abs=1e-9)
+        # each piece's branch is the k-step limit orbit of its left end from the right
+        for b in fk.branches:
+            value, _, direction = limit_orbit(f, b.piece.lo, RIGHT, k)
+            assert float(b.fn(b.piece.lo)) == pytest.approx(value, abs=1e-9)
+            assert b.direction == direction
 
-    def test_branches_agree_nonlinear(self):
-        lz = catalog_get("lorenz-full").map
-        f2 = iterate_map(lz, 2)
-        for x in np.linspace(0.001, 0.999, 500):
-            direct = evaluate_orbit(lz, float(x), 3)[-1]
-            assert evaluate(f2, float(x)) == pytest.approx(direct, abs=1e-9)
+    def test_lap_narrower_than_twice_tol(self):
+        # the middle piece is 1.5e-10 wide, so every point of it lies within
+        # tol = 1e-10 of a cut; its branch comes from its image's midpoint
+        f = parse_map(NARROW_LAP_SRC)
+        f2 = iterate_map(f, 2)
+        assert f2.n_pieces == 4
+        for n in (1, 2, 3):
+            assert count_pieces(f2, n) == count_pieces(f, 2 * n)
+
+    def test_steep_branch_words(self):
+        # laps of f^8 near 1 are about 1e-9 wide, and the rounding of their
+        # ends, multiplied along the slope-10 branch, carries a lap end walked
+        # forward past the cut 0.9; the image midpoints keep every word right
+        f = parse_map(STEEP_SRC)
+        f8 = iterate_map(f, 8)
+        assert f8.n_pieces == count_pieces(f, 8, merge_removable=False)
+        for b in f8.branches:
+            x = 0.5 * (b.piece.lo + b.piece.hi)
+            assert evaluate(f8, x) == pytest.approx(evaluate_orbit(f, x, 9)[-1], abs=1e-9)
 
     def test_power_identity_piece_counts(self, tent):
         for k in (2, 3):
@@ -112,7 +145,8 @@ class TestConjugateMap:
 class TestRestrictMap:
     def test_full_domain_passes(self, tent):
         handle = restrict_map(tent, RegionSet.of((0.0, 1.0)))
-        assert handle.report.checked_points > 0
+        assert handle.checked_points > 0
+        assert handle.report.startswith(f"invariance verified on {handle.checked_points} grid points")
 
     def test_anzie_right_block(self):
         an = catalog_get("anzie").map
@@ -121,6 +155,12 @@ class TestRestrictMap:
         assert sub.n_pieces == 2
         assert list(sub.delta) == pytest.approx([0.85])
         assert ms_entropy(sub, 8).estimate == pytest.approx(math.log(2), abs=1e-9)
+        # a left end within tol of the cut 0.7 takes the branch of (0.7, 0.85)
+        sub = restrict_map(an, RegionSet.of((0.7 + 5e-11, 1.0))).as_pcmap()
+        assert sub.n_pieces == 2
+        right_of_cut = an.branches[an.delta.index_near(0.7) + 1]
+        assert sub.branches[0].expr == right_of_cut.expr
+        assert sub.branches[0].increasing == right_of_cut.increasing
 
     def test_tent_left_half_fails_with_witness(self, tent):
         with pytest.raises(InvarianceError) as exc:
