@@ -7,13 +7,14 @@ and then by ``lo``, each element in ``OpenSet``'s canonical form; the
 ``OpenSet`` elements are built only when ``Cover.elements`` is read.
 Refinement intersects the cover with preimages of itself step by step: each
 step pulls the whole cover back through ``maps.branch_preimages``, the branch
-inverse of the MS levels, and joins it with the product so far by a sorted
-overlap join of the part arrays.  Every element of the n-step refinement
-automatically avoids the n-step discontinuity set.  Minimal subcover
-cardinalities are exact: a greedy sweep (optimal) when every element is a
-single interval, otherwise a branch and bound whose first dive is a greedy
-cover.  The part and node caps are the constants ``DEFAULT_PART_CAP`` and
-``DEFAULT_NODE_CAP``.
+inverse of the MS levels (a closed form on affine branches, safeguarded
+secant rounds from a per-branch bracket table on smooth ones), and joins it
+with the product so far by a sorted overlap join of the part arrays.  Every
+element of the n-step refinement automatically avoids the n-step
+discontinuity set.  Minimal subcover cardinalities are exact: a greedy sweep
+(optimal) when every element is a single interval, otherwise a branch and
+bound whose first dive is a greedy cover.  The part and node caps are the
+constants ``DEFAULT_PART_CAP`` and ``DEFAULT_NODE_CAP``.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from .intervals import Interval, PointSet
 DEFAULT_MAP_TOL = 1e-10
 IMAGE_TOL = 1e-9
 VALIDATION_GRID = 257
+BRACKET_GRID = 1025
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,28 @@ class Branch:
         lo_val, hi_val = float(self.fn(self.piece.lo)), float(self.fn(self.piece.hi))
         return (min(lo_val, hi_val), max(lo_val, hi_val))
 
+    @cached_property
+    def brackets(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(xs, vs)``: ``BRACKET_GRID`` evenly spaced points of the piece and
+        sgn·f there, the ends set to the end values ``flo`` and ``fhi``.
+
+        Raises ``MonotonicityError`` if ``flo > fhi`` or if ``vs`` decreases
+        anywhere (pinned ends make a non-decreasing table lie in [flo, fhi]).
+        """
+        lo, hi = self.piece.lo, self.piece.hi
+        sgn = 1.0 if self.increasing else -1.0
+        flo, fhi = sgn * float(self.fn(lo)), sgn * float(self.fn(hi))
+        if not flo <= fhi:
+            raise MonotonicityError(f"branch values at piece ends contradict declared direction on {self.piece!r}")
+        xs = np.linspace(lo, hi, BRACKET_GRID)
+        with np.errstate(all="ignore"):
+            vs = sgn * np.asarray(self.fn(xs), dtype=float)
+        vs[0], vs[-1] = flo, fhi
+        bad = np.flatnonzero(~(vs[1:] >= vs[:-1]))  # NaN counts as bad
+        if len(bad):
+            raise MonotonicityError(f"bracket table decreases at {float(xs[bad[0] + 1])!r} on {self.piece!r}")
+        return xs, vs
+
     @property
     def direction(self) -> int:
         return 1 if self.increasing else -1
@@ -72,6 +95,15 @@ class PcMap:
     @cached_property
     def delta(self) -> PointSet:
         return PointSet([b.piece.hi for b in self.branches[:-1]], self.tol)
+
+    def __hash__(self) -> int:
+        # the dataclass hash walks every expression tree; a map is looked up
+        # by hash on every DeltaTable read, so it is taken once per instance
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.domain, self.branches, self.at_delta))
 
 
 def _check_in_domain(pcmap: PcMap, x: float) -> float:
@@ -145,6 +177,7 @@ def limit_step(pcmap: PcMap, v: float, side: int) -> tuple[float, int, int]:
 
 
 _INVERSE_TOL = 1e-15
+_SECANT_ROUNDS = 8  # then bisection, which halves the bracket every round
 
 
 def branch_preimages(branch: Branch, ys: np.ndarray) -> np.ndarray:
@@ -152,11 +185,20 @@ def branch_preimages(branch: Branch, ys: np.ndarray) -> np.ndarray:
 
     Affine branches use the closed form and clip onto the piece what lands
     within a relative ``1e-12`` of it.  Other branches clip onto the image
-    what lies within ``_INVERSE_TOL`` of it, send a target at or past an end
-    value to that piece end (the left one on a tie), and bisect the rest until
-    the bracket is ``_INVERSE_TOL`` wide or its midpoint stops splitting it.
-    End or midpoint values out of order raise ``MonotonicityError``.  The
-    scalar reference is ``tests/reference.py::branch_inverse``.
+    what lies within ``_INVERSE_TOL`` of it and send a target at or past an
+    end value to that piece end (the left one on a tie).  Every other target
+    takes its bracket f(a) < y <= f(b) from ``Branch.brackets`` with one
+    ``searchsorted`` and narrows it by the Illinois variant of regula falsi
+    (Dowell & Jarratt, BIT 11, 1971): the secant point, held ``_INVERSE_TOL``/2
+    inside the bracket, replaces the end on its side, and an end kept twice
+    in a row has its value halved.  After ``_SECANT_ROUNDS`` rounds the step
+    is the midpoint.  A target is done, at the midpoint, once its bracket is
+    ``_INVERSE_TOL`` wide or its midpoint stops splitting it; smooth branches
+    take about five rounds.  End or table values out of order, and an
+    evaluated value outside the image by more than ``_INVERSE_TOL``, raise
+    ``MonotonicityError``.  The scalar mirror is
+    ``tests/reference.py::branch_preimage_scalar``; ``branch_inverse`` there
+    is an independent bisection.
     """
     lo, hi = branch.piece.lo, branch.piece.hi
     aff = branch.affine
@@ -171,41 +213,40 @@ def branch_preimages(branch: Branch, ys: np.ndarray) -> np.ndarray:
     inside = np.flatnonzero((ys >= vmin - tol) & (ys <= vmax + tol))
     if not len(inside):
         return out
-    f = branch.fn
+    grid, table = branch.brackets
+    flo, fhi = table[0], table[-1]
     sgn = 1.0 if branch.increasing else -1.0
-    flo, fhi = sgn * float(f(lo)), sgn * float(f(hi))
-    if not flo <= fhi:
-        raise MonotonicityError(
-            f"branch values at piece ends contradict declared direction on {branch.piece!r}"
-        )
     ty = sgn * np.clip(ys[inside], vmin, vmax)
     out[inside[ty >= fhi]] = hi
     out[inside[ty <= flo]] = lo  # after hi: lo wins when flo == fhi
     mid_range = (ty > flo) & (ty < fhi)
     idx, ty = inside[mid_range], ty[mid_range]
-    a = np.full(len(idx), lo)
-    b = np.full(len(idx), hi)
-    for _ in range(200):
+    j = np.searchsorted(table, ty)  # table[j - 1] < ty <= table[j]
+    a, b, ga, gb = grid[j - 1], grid[j], table[j - 1] - ty, table[j] - ty
+    below = np.zeros(len(idx), dtype=bool)  # per target: a moved last round, else b did
+    for rnd in range(200):
+        mid = 0.5 * (a + b)
+        done = (b - a <= tol) | (mid <= a) | (mid >= b)
+        if done.any():
+            out[idx[done]] = mid[done]
+            go = ~done
+            idx, ty, a, b, ga, gb, below, mid = (v[go] for v in (idx, ty, a, b, ga, gb, below, mid))
         if not len(idx):
             break
-        mid = 0.5 * (a + b)
-        stuck = (mid <= a) | (mid >= b)
-        if stuck.any():
-            out[idx[stuck]] = mid[stuck]
-            go = ~stuck
-            idx, ty, a, b, mid = idx[go], ty[go], a[go], b[go], mid[go]
-        fm = sgn * f(mid)
-        bad = (fm < flo - tol) | (fm > fhi + tol)
+        x = mid
+        if rnd < _SECANT_ROUNDS:
+            x = np.clip(a + ga / (ga - gb) * (b - a), a + 0.5 * tol, b - 0.5 * tol)
+            x = np.where((x > a) & (x < b), x, mid)  # the hold collapsed in rounding, or NaN
+        fx = sgn * branch.fn(x)
+        bad = (fx < flo - tol) | (fx > fhi + tol)
         if bad.any():
-            raise MonotonicityError(f"bracket violation at {mid[bad][0]!r} on {branch.piece!r}")
-        below = fm < ty
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-        done = b - a <= tol
-        if done.any():
-            out[idx[done]] = 0.5 * (a[done] + b[done])
-            go = ~done
-            idx, ty, a, b = idx[go], ty[go], a[go], b[go]
+            raise MonotonicityError(f"bracket violation at {float(x[bad][0])!r} on {branch.piece!r}")
+        moved_a, below, gx = below, fx < ty, fx - ty
+        if rnd:  # an end kept twice in a row has its value halved
+            gb = np.where(below & moved_a, 0.5 * gb, gb)
+            ga = np.where(below | moved_a, ga, 0.5 * ga)
+        a, ga = np.where(below, x, a), np.where(below, gx, ga)
+        b, gb = np.where(below, b, x), np.where(below, gb, gx)
     out[idx] = 0.5 * (a + b)
     return out
 

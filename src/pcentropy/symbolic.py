@@ -26,10 +26,12 @@ new[k][r] * rem[r, m - k] summed over the levels k and cut points r.
 Delta^n as a point set is built only where it is read, backwards, one
 preimage level at a time and never by forward composition, because
 inverting a monotone branch is well-conditioned: level k is
-``preimage_set`` of level k - 1.  Delta^n merges Delta^{n-1} and level
-n - 1 through ``PointSet.of``, and is refused like an over-cap level if its
-size is not the exact one: its distinct points came closer than ``tol`` and
-merged.  ``estimators.count_series`` ends an MS series at a refused level.
+``preimage_set`` of level k - 1.  ``maps.branch_preimages`` inverts an
+affine branch in closed form and a smooth one from its bracket table by a
+few safeguarded secant rounds, to within ``maps._INVERSE_TOL``.  Delta^n
+merges Delta^{n-1} and level n - 1 through ``PointSet.of``, and is refused
+like an over-cap level if its size is not the exact one: its distinct
+points came closer than ``tol`` and merged.  ``estimators.count_series`` ends an MS series at a refused level.
 
 Tables are cached per map in ``_TABLES`` and grow in place as deeper counts
 are asked for.  Neither the cache nor a ``DeltaTable`` takes a lock: use them

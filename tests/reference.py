@@ -7,6 +7,7 @@ the library itself.
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -15,6 +16,8 @@ from pcentropy.covers import Cover, SubcoverResult, _uncovered
 from pcentropy.errors import EmptySampleError, MonotonicityError
 from pcentropy.intervals import Interval, OpenSet, PointSet, dedupe_sorted
 from pcentropy.maps import (
+    _INVERSE_TOL,
+    _SECANT_ROUNDS,
     LEFT,
     RIGHT,
     Branch,
@@ -51,9 +54,9 @@ def branch_inverse(branch: Branch, y: float, tol: float = 1e-12) -> float | None
     """Solve branch(x) = y on the piece closure; None when y is out of range.
 
     Affine branches are solved in closed form; anything else falls back to
-    bisection with bracket width at most ``tol``.  This is the scalar
-    reference for ``branch_preimages``, which both preimage routes use; no
-    runtime code calls it.
+    bisection of the whole piece with bracket width at most ``tol``.  It is
+    the independent oracle for ``branch_preimages``, which both preimage
+    routes use: it shares no step with the kernel's secant rounds.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -95,6 +98,59 @@ def branch_inverse(branch: Branch, y: float, tol: float = 1e-12) -> float | None
             b = mid
         if b - a <= tol:
             break
+    return 0.5 * (a + b)
+
+
+def branch_preimage_scalar(branch: Branch, y: float) -> float:
+    """Scalar mirror of ``branch_preimages`` for one target, NaN where absent:
+    the same closed form, bracket table and Illinois rounds, one float at a
+    time, so the kernel must equal it bit for bit."""
+    lo, hi = branch.piece.lo, branch.piece.hi
+    aff = branch.affine
+    if aff is not None:
+        a, b = aff
+        x = (y - b) / a
+        pad = 1e-12 * max(1.0, abs(hi - lo))
+        return min(max(x, lo), hi) if lo - pad <= x <= hi + pad else math.nan
+    tol = _INVERSE_TOL
+    vmin, vmax = branch.image
+    if not vmin - tol <= y <= vmax + tol:
+        return math.nan
+    grid, table = branch.brackets
+    flo, fhi = float(table[0]), float(table[-1])
+    sgn = 1.0 if branch.increasing else -1.0
+    ty = sgn * min(max(y, vmin), vmax)
+    if ty <= flo:
+        return lo
+    if ty >= fhi:
+        return hi
+    j = int(np.searchsorted(table, ty))
+    a, b = float(grid[j - 1]), float(grid[j])
+    ga, gb = float(table[j - 1]) - ty, float(table[j]) - ty
+    moved_a = False
+    for rnd in range(200):
+        mid = 0.5 * (a + b)
+        if b - a <= tol or mid <= a or mid >= b:
+            return mid
+        x = mid
+        if rnd < _SECANT_ROUNDS:
+            x = min(max(a + ga / (ga - gb) * (b - a), a + 0.5 * tol), b - 0.5 * tol)
+            if not a < x < b:
+                x = mid
+        fx = sgn * float(branch.fn(x))
+        if fx < flo - tol or fx > fhi + tol:
+            raise MonotonicityError(f"bracket violation at {x!r} on {branch.piece!r}")
+        below = fx < ty
+        if rnd and below == moved_a:
+            if below:
+                gb *= 0.5
+            else:
+                ga *= 0.5
+        if below:
+            a, ga = x, fx - ty
+        else:
+            b, gb = x, fx - ty
+        moved_a = below
     return 0.5 * (a + b)
 
 
@@ -248,7 +304,7 @@ def greedy_spanning_reference(M, eps):
 
 def openset_preimage_scalar(pcmap, oset):
     """Scalar reference for ``covers._pullback``: one element, and one
-    ``branch_inverse`` call per part end."""
+    ``branch_preimage_scalar`` call per part end."""
     dom = pcmap.domain
     parts = []
     for b in pcmap.branches:
@@ -262,14 +318,14 @@ def openset_preimage_scalar(pcmap, oset):
             if w is None:
                 continue
             if b.increasing:
-                xlo = b.piece.lo if w.lo == img.lo else branch_inverse(b, w.lo, 1e-15)
-                xhi = b.piece.hi if w.hi == img.hi else branch_inverse(b, w.hi, 1e-15)
+                xlo = b.piece.lo if w.lo == img.lo else branch_preimage_scalar(b, w.lo)
+                xhi = b.piece.hi if w.hi == img.hi else branch_preimage_scalar(b, w.hi)
                 lo_open, hi_open = w.lo_open, w.hi_open
             else:
-                xlo = b.piece.lo if w.hi == img.hi else branch_inverse(b, w.hi, 1e-15)
-                xhi = b.piece.hi if w.lo == img.lo else branch_inverse(b, w.lo, 1e-15)
+                xlo = b.piece.lo if w.hi == img.hi else branch_preimage_scalar(b, w.hi)
+                xhi = b.piece.hi if w.lo == img.lo else branch_preimage_scalar(b, w.lo)
                 lo_open, hi_open = w.hi_open, w.lo_open
-            if xlo is None or xhi is None or xlo > xhi:
+            if not xlo <= xhi:  # also when an end has no preimage (NaN)
                 continue
             if xlo == xhi and (lo_open or hi_open):
                 continue

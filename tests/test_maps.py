@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcentropy.catalog import get as catalog_get, names as catalog_names
-from pcentropy.errors import DomainError, ExprParseError, MapValidationError
+from pcentropy.errors import DomainError, ExprParseError, MapValidationError, MonotonicityError
 from pcentropy import maps
 from pcentropy.expr import compile_expr, parse_expression
+from pcentropy.intervals import Interval
 from pcentropy.maps import (
+    _INVERSE_TOL,
     LEFT,
     RIGHT,
+    Branch,
+    branch_preimages,
     build_map,
     evaluate,
     evaluate_many,
@@ -15,7 +21,8 @@ from pcentropy.maps import (
     limit_step,
     parse_map,
 )
-from reference import branch_inverse, limit_orbit, orbit_avoids_delta
+from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
+from reference import branch_inverse, branch_preimage_scalar, limit_orbit, orbit_avoids_delta
 
 TENT_SRC = "domain = [0, 1]\npiece (0, 0.5): 2*x inc\npiece (0.5, 1): 2 - 2*x dec\n"
 
@@ -36,6 +43,13 @@ class TestParseMap:
         m = parse_map("domain = [0, 1]\npiece (0, 1): x\n")
         assert m.n_pieces == 1 and len(m.delta) == 0
         assert m.branches[0].increasing  # direction inferred from endpoint values
+
+    def test_equal_maps_hash_equal(self):
+        a, b = parse_map(TENT_SRC), parse_map(TENT_SRC)
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash((a.domain, a.branches, a.at_delta))
+        assert {a: "table"}[b] == "table"
+        assert a != parse_map(TENT_SRC.replace("at_delta", "").replace("domain = [0, 1]", "domain = [0, 1]\nat_delta = right"))
 
     def test_overlapping_pieces(self):
         src = "domain = [0, 1]\npiece (0, 0.6): x inc\npiece (0.5, 1): x inc\n"
@@ -197,6 +211,103 @@ class TestBranchInverse:
                 y = float(b.fn(float(x)))
                 back = branch_inverse(b, y, tol)
                 assert back is not None and abs(back - x) <= 10 * tol + 1e-9 * abs(x)
+
+
+PHI = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
+SMOOTH_BRANCHES = [
+    b
+    for m in (
+        catalog_get("lorenz-full").map,
+        conjugate_map(catalog_get("tent").map, PHI),
+        conjugate_map(catalog_get("anzie").map, PHI),
+        iterate_map(catalog_get("lorenz-full").map, 2),
+    )
+    for b in m.branches
+    if b.affine is None
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    branch=st.sampled_from(SMOOTH_BRANCHES),
+    targets=st.lists(
+        st.one_of(
+            st.floats(-0.05, 1.05),
+            st.sampled_from([0.0, 1.0, -1e-15, 1 + 1e-15, -2e-15, 1 + 2e-15, 0.55, 0.5, 1e-20, 1 - 1e-16]),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_branch_preimages_matches_mirror_and_bisection(branch, targets):
+    """The kernel equals its scalar mirror bit for bit, and lies within
+    2 * _INVERSE_TOL of the bisection oracle, which shares none of its steps."""
+    xs = branch_preimages(branch, np.asarray(targets))
+    for y, x in zip(targets, xs.tolist()):
+        mirror = branch_preimage_scalar(branch, y)
+        assert x == mirror or (np.isnan(x) and np.isnan(mirror)), (y, x, mirror)
+        ref = branch_inverse(branch, y, _INVERSE_TOL)
+        if ref is None:
+            assert np.isnan(x), (y, x)
+        else:
+            assert abs(x - ref) <= 2 * _INVERSE_TOL, (y, x, ref)
+
+
+def _direct_branch(text: str, increasing: bool = True) -> Branch:
+    """A branch on [0, 1] that skips build_map's validation grid."""
+    return Branch(Interval.closed(0.0, 1.0), parse_expression(text), increasing)
+
+
+class TestBranchPreimages:
+    def test_all_catalog_branches_match_mirror(self):
+        for name in catalog_names():
+            for b in catalog_get(name).map.branches:
+                lo, hi = b.image
+                ys = np.concatenate([np.linspace(lo - 0.01, hi + 0.01, 101), [lo, hi, 0.5]])
+                xs = branch_preimages(b, ys)
+                mirror = np.array([branch_preimage_scalar(b, y) for y in ys.tolist()])
+                assert np.array_equal(xs, mirror, equal_nan=True), name
+
+    @pytest.mark.parametrize("power", [9, 25])
+    def test_flat_branch_converges(self, power):
+        # near the critical point of x^p the secant rounds creep a tol/2 at a
+        # time; the bisection rounds after them still end inside 2 * tol
+        b = _direct_branch(f"x^{power}")
+        ys = np.array([1e-100, 1e-80, 1e-50, 1e-20, 0.5])
+        xs = branch_preimages(b, ys)
+        for y, x in zip(ys.tolist(), xs.tolist()):
+            assert x == branch_preimage_scalar(b, y)
+            assert abs(x - branch_inverse(b, y, _INVERSE_TOL)) <= 2 * _INVERSE_TOL, (y, x)
+
+    def test_end_values_contradict_direction(self):
+        b = _direct_branch("1 - x^2", increasing=True)
+        with pytest.raises(MonotonicityError, match="contradict declared direction"):
+            branch_preimages(b, np.array([0.5]))
+        with pytest.raises(MonotonicityError, match="contradict declared direction"):
+            branch_preimage_scalar(b, 0.5)
+
+    def test_out_of_range_value_is_a_bracket_violation(self):
+        # a bump between the last two table points lifts f above f(1) = 1;
+        # the table sees f(x) = x, so the secant point for the target c is c
+        c = 1 - 0.5 / (maps.BRACKET_GRID - 1)
+        b = _direct_branch(f"x + max(0, 0.001 - 2.5*abs(x - {c!r}))")
+        assert np.array_equal(b.brackets[1], b.brackets[0])
+        with pytest.raises(MonotonicityError, match="bracket violation at 0.99951"):
+            branch_preimages(b, np.array([0.25, c]))
+        with pytest.raises(MonotonicityError, match="bracket violation at 0.99951"):
+            branch_preimage_scalar(b, c)
+
+    def test_table_dip_between_validation_points(self):
+        # the dip is narrower than the table spacing and sits on a table point
+        # that is not one of the VALIDATION_GRID points
+        c = 0.5 + 1 / (maps.BRACKET_GRID - 1)
+        b = _direct_branch(f"x^3 - max(0, 0.01 - 100*abs(x - {c!r}))")
+        grid = np.linspace(0.0, 1.0, maps.VALIDATION_GRID)
+        assert (np.diff(b.fn(grid)) > 0).all()
+        with pytest.raises(MonotonicityError, match=f"bracket table decreases at {c!r}"):
+            branch_preimages(b, np.array([0.2]))
+        # a target outside the image reads no table
+        assert np.isnan(branch_preimages(b, np.array([2.0]))).all()
 
 
 class TestLimits:

@@ -6,8 +6,6 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pcentropy import symbolic
 from pcentropy.catalog import GOLDEN_SPLIT, get as catalog_get, names as catalog_names
@@ -16,7 +14,6 @@ from pcentropy.estimators import submultiplicative_witness
 from pcentropy.expr import parse_expression
 from pcentropy.intervals import PointSet
 from pcentropy.maps import (
-    _INVERSE_TOL,
     LEFT,
     RIGHT,
     branch_preimages,
@@ -34,7 +31,7 @@ from pcentropy.symbolic import (
     preimage_set,
 )
 from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
-from reference import branch_inverse, connection_depth_reference, count_pieces_scalar, delta_reference
+from reference import connection_depth_reference, count_pieces_scalar, delta_reference
 
 PHI = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
 
@@ -481,37 +478,6 @@ def test_cap_refusal_builds_nothing():
         tracemalloc.stop()
     assert series.truncated and len(series.records) == 9
     assert peak < 1_000_000, peak
-
-
-SMOOTH_BRANCHES = [
-    b
-    for m in (catalog_get("lorenz-full").map, conjugate_map(catalog_get("tent").map, PHI))
-    for b in m.branches
-    if b.affine is None
-]
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    branch=st.sampled_from(SMOOTH_BRANCHES),
-    targets=st.lists(
-        st.one_of(
-            st.floats(-0.05, 1.05),
-            st.sampled_from([0.0, 1.0, -1e-15, 1 + 1e-15, -2e-15, 1 + 2e-15, 0.55, 0.5]),
-        ),
-        min_size=1,
-        max_size=40,
-    ),
-)
-def test_array_bisection_matches_branch_inverse(branch, targets):
-    ys = np.asarray(targets)
-    xs = branch_preimages(branch, ys)
-    for y, x in zip(targets, xs):
-        ref = branch_inverse(branch, y, _INVERSE_TOL)
-        if ref is None:
-            assert np.isnan(x), (y, x)
-        else:
-            assert abs(x - ref) <= 2 * _INVERSE_TOL, (y, x, ref)
 
 
 def _beta_golden():
