@@ -11,10 +11,13 @@ inverse of the MS levels (a closed form on affine branches, safeguarded
 secant rounds from a per-branch bracket table on smooth ones), and joins it
 with the product so far by a sorted overlap join of the part arrays.  Every
 element of the n-step refinement automatically avoids the n-step
-discontinuity set.  Minimal subcover cardinalities are exact: a greedy sweep
-(optimal) when every element is a single interval, otherwise a branch and
-bound whose first dive is a greedy cover.  The part and node caps are the
-constants ``DEFAULT_PART_CAP`` and ``DEFAULT_NODE_CAP``.
+discontinuity set.  Minimal subcover cardinalities are exact.  The target
+splits into atoms by one stable sort of every coordinate, and each part
+covers a block of atoms.  When every element is a single interval, a greedy
+sweep (optimal) takes the picks, read by pointer doubling; otherwise a branch
+and bound whose first dive is a greedy cover reads each atom's candidates
+from the (element, atom) pairs grouped by atom.  The part and node caps are
+the constants ``DEFAULT_PART_CAP`` and ``DEFAULT_NODE_CAP``.
 """
 
 from __future__ import annotations
@@ -327,81 +330,129 @@ def _uncovered(reps: np.ndarray, code: int) -> NotACoverError:
 
 def _sweep(first, last, owner, reps, atoms) -> SubcoverResult:
     """Greedy sweep over single-interval parts that cover the atoms first..last;
-    the scalar reference is ``tests/reference.py::subcover_sweep_reference``."""
+    the scalar reference is ``tests/reference.py::subcover_sweep_reference``.
+
+    From frontier atom f the greedy picks the part of furthest reach among
+    those starting at or before f, and moves on to the atom after that reach:
+    one step ``nxt[f]`` per atom, with an atom that no part reaches (a stuck
+    atom) and the sink ``len(atoms)`` as fixed points.  The picks are the
+    orbit of atom 0, read by pointer doubling: ``path`` holds the first 2^k
+    frontiers and ``jump`` is the 2^k-th power of ``nxt``.
+    """
     ok = first <= last
     order = np.lexsort((owner[ok], last[ok], first[ok]))
     first, last, owner = (col[ok][order] for col in (first, last, owner))
     # the pick among parts 0..p is the first of them to reach their furthest atom
     reach = np.maximum.accumulate(last)
     rose = np.diff(reach, prepend=-1) > 0
-    best, reach = owner[rose][np.cumsum(rose) - 1].tolist(), reach.tolist()
-    # upto[a]: the last part starting at or before atom a, -1 if none
-    upto = (np.searchsorted(first, np.arange(len(atoms)), side="right") - 1).tolist()
-    picks, frontier = [], 0
-    while frontier < len(atoms):
-        p = upto[frontier]
-        if p < 0 or reach[p] < frontier:
-            raise _uncovered(reps, atoms[frontier])
-        picks.append(best[p])
-        frontier = reach[p] + 1
+    best = owner[rose][np.cumsum(rose) - 1]
+    n = len(atoms)
+    # upto[f]: the last part starting at or before atom f, -1 if none, where
+    # the appended reach -1 leaves f stuck
+    upto = np.cumsum(np.bincount(first, minlength=n)) - 1
+    nxt = np.append(np.maximum(np.append(reach, -1)[upto] + 1, np.arange(n)), n)
+    path, jump = np.zeros(1, dtype=np.intp), nxt
+    while nxt[path[-1]] != path[-1]:
+        path = np.concatenate([path, jump[path]])
+        jump = jump[jump]
+    # path rises to its fixed point and stays there
+    end = int(path[-1])
+    if end < n:
+        raise _uncovered(reps, atoms[end])
+    picks = best[upto[path[: np.searchsorted(path, end)]]].tolist()
     return SubcoverResult(len(picks), tuple(picks), True)
+
+
+def _atomize(cover: Cover, target: RegionSet, exclude: PointSet):
+    """The atoms of ``target`` minus ``exclude`` and the block of them that
+    each part of ``cover`` covers; the mirror is
+    ``tests/reference.py::subcover_atoms_reference``.
+
+    Returns ``(reps, atoms, first, last)``: ``reps`` are the coordinates
+    (target ends, part ends, excluded points) merged within ``tol`` by
+    ``dedupe_sorted``; atom code 2i is the point reps[i] and 2i+1 the open
+    gap (reps[i], reps[i+1]); ``atoms`` are the codes of the atoms in the
+    target and not excluded; part i covers atoms[first[i]..last[i]], none if
+    first[i] > last[i].  One stable argsort orders every coordinate, and each
+    one's representative is the group of its exact value.
+    """
+    tol = max(exclude.tol, 1e-12)
+    _, lo, hi, lo_open, hi_open = cover.parts
+    ends = [x for p in target.parts for x in (p.lo, p.hi)]
+    xs = np.concatenate([ends, lo, hi, exclude.points])
+    order = np.argsort(xs, kind="stable")
+    xs = xs[order]
+    # exact repeats (adjacent elements share ends) go first: dedupe_sorted walks them one by one
+    new = np.empty(len(xs), dtype=bool)
+    new[0] = True
+    np.not_equal(xs[1:], xs[:-1], out=new[1:])
+    xs = xs[new]
+    keep = dedupe_sorted(xs, tol)
+    reps = xs[keep]
+    # code[k]: twice the representative index of the k-th coordinate
+    code = np.empty(len(order), dtype=np.intp)
+    group = 2 * np.cumsum(keep) - 2
+    code[order] = group[np.cumsum(new) - 1]
+    del order, new, group
+    inside = np.empty(2 * len(reps) - 1, dtype=bool)
+    inside[0::2] = target.contains_many(reps, tol)
+    inside[1::2] = target.contains_many(0.5 * (reps[:-1] + reps[1:]))
+    n_ends, n_parts = len(ends), len(lo)
+    inside[code[n_ends + 2 * n_parts :]] = False
+    atoms = np.flatnonzero(inside)
+    # prefix[c]: the number of atoms with codes below c
+    prefix = np.zeros(len(inside) + 1, dtype=np.intp)
+    np.cumsum(inside, out=prefix[1:])
+    first = prefix[code[n_ends : n_ends + n_parts] + lo_open]
+    last = prefix[code[n_ends + n_parts : n_ends + 2 * n_parts] - hi_open + 1]
+    last -= 1
+    return reps, atoms, first, last
 
 
 def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointSet.empty()) -> SubcoverResult:
     """Exact minimal subcover of ``target`` minus ``exclude`` points.
 
     The target decomposes into atoms (the endpoint coordinates and the open
-    gaps between consecutive ones); an element covers a contiguous block of
-    atoms, which makes the greedy sweep optimal for single-interval elements.
-    Union elements go to a branch and bound that stops after
+    gaps between consecutive ones, from one sort in ``_atomize``); an element
+    covers a contiguous block of atoms, which makes the greedy sweep optimal
+    for single-interval elements, and ``_sweep`` runs it by pointer doubling.
+    Union elements go to a branch and bound whose candidates at each atom are
+    a slice of the (element, atom) pairs grouped by atom; it stops after
     ``DEFAULT_NODE_CAP`` nodes once it holds a cover, and then reports that
     cover with ``exact`` false.
     """
     if target.is_empty():
         return SubcoverResult(0, (), True)
-    tol = max(exclude.tol, 1e-12)
-    owner, lo, hi, lo_open, hi_open = cover.parts
-    target_ends = [x for p in target.parts for x in (p.lo, p.hi)]
-    # exact repeats (adjacent elements share ends) go first: dedupe_sorted walks them one by one
-    coords = np.sort(np.concatenate([target_ends, lo, hi, exclude.points]))
-    coords = coords[np.r_[True, coords[1:] != coords[:-1]]]
-    reps = coords[dedupe_sorted(coords, tol)]
-
-    def snap(xs: np.ndarray) -> np.ndarray:
-        # reps are more than tol apart and every coordinate lies within tol
-        # above its representative
-        return np.searchsorted(reps, xs, side="right") - 1
-
-    # atom codes: 2i = the point reps[i], 2i+1 = the open gap (reps[i], reps[i+1])
-    inside = np.empty(2 * len(reps) - 1, dtype=bool)
-    inside[0::2] = target.contains_many(reps, tol)
-    inside[1::2] = target.contains_many(0.5 * (reps[:-1] + reps[1:]))
-    inside[2 * snap(exclude.points)] = False
-    atoms = np.flatnonzero(inside)
+    reps, atoms, first, last = _atomize(cover, target, exclude)
     if not len(atoms):
         return SubcoverResult(0, (), True)
-    # each part covers the atoms first..last, none if first > last
-    first = np.searchsorted(atoms, 2 * snap(lo) + lo_open, side="left")
-    last = np.searchsorted(atoms, 2 * snap(hi) - hi_open, side="right") - 1
+    owner = cover.parts.owner
     if len(owner) == len(cover):  # every element is a single interval
         return _sweep(first, last, owner, reps, atoms)
 
-    # general case: bitmask set cover over atoms; parts come in element order,
-    # so each by_atom list holds its elements in index order
+    # general case: bitmask set cover over atoms
+    ok = first <= last
+    first, last, owner = first[ok], last[ok], owner[ok]
     full = (1 << len(atoms)) - 1
     masks = [0] * len(cover)
-    by_atom: list[list[int]] = [[] for _ in atoms]
     for a, b, idx in zip(first.tolist(), last.tolist(), owner.tolist()):
-        if a <= b:
-            masks[idx] |= ((1 << (b - a + 1)) - 1) << a
-            for atom in range(a, b + 1):
-                by_atom[atom].append(idx)
+        masks[idx] |= ((1 << (b - a + 1)) - 1) << a
     union = 0
     for m in masks:
         union |= m
     if union != full:
         raise _uncovered(reps, atoms[(full & ~union).bit_length() - 1])
     max_gain = max(m.bit_count() for m in masks)
+    # the elements covering each atom, in CSR form: the (part, atom) pairs
+    # grouped stably by atom, and parts come in element order, so each atom's
+    # candidates are in index order
+    row, atom = _ranges(first, last + 1)
+    by_atom = np.argsort(atom, kind="stable")
+    cands_of = owner[row[by_atom]].tolist()
+    start = np.zeros(len(atoms) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(atom, minlength=len(atoms)), out=start[1:])
+    start = start.tolist()
+    del row, atom, by_atom
 
     # Depth-first branch and bound with an explicit stack: each frame is a
     # node's uncovered mask and the iterator over its candidates, and
@@ -426,7 +477,8 @@ def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointS
                 best_count, best_picks = depth, tuple(picks)
         elif depth + math.ceil(uncovered.bit_count() / max_gain) < best_count:
             pivot = (uncovered & -uncovered).bit_length() - 1
-            cands = sorted(by_atom[pivot], key=lambda i: -(masks[i] & uncovered).bit_count())
+            cands = cands_of[start[pivot] : start[pivot + 1]]
+            cands.sort(key=lambda i: -(masks[i] & uncovered).bit_count())
             stack.append((uncovered, iter(cands)))
         # next node: the next candidate of the deepest frame that has one
         while stack:
@@ -495,8 +547,9 @@ def lebesgue_number(cover: Cover, region: RegionSet) -> float:
     one-sided slack of an element containing the point (domain-clipped sides
     count as unbounded)."""
     delta = math.inf
+    total = max(region.total_length(), 1e-300)
     for part in region.parts:
-        xs = np.linspace(part.lo, part.hi, max(2, int(1000 * part.diameter / region.total_length())))
+        xs = np.linspace(part.lo, part.hi, max(2, int(1000 * part.diameter / total)))
         for x in xs:
             best = 0.0
             for el in cover.elements:

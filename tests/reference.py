@@ -368,9 +368,9 @@ def refinement_reference(pcmap, cover, n_max):
 
 
 def subcover_sweep_reference(first, last, owner, reps, atoms) -> SubcoverResult:
-    """Tuple sweep reference for ``covers._sweep``: the parts sorted as
-    ``(first, last, owner)`` tuples, and the best reach kept while the
-    frontier advances."""
+    """Tuple sweep reference for ``covers._sweep``, which reads the same picks
+    by pointer doubling: the parts sorted as ``(first, last, owner)`` tuples,
+    and the best reach kept while the frontier advances one pick at a time."""
     ranges = sorted((a, b, idx) for a, b, idx in zip(first, last, owner) if a <= b)
     picks = []
     frontier = 0
@@ -386,3 +386,29 @@ def subcover_sweep_reference(first, last, owner, reps, atoms) -> SubcoverResult:
         picks.append(best_idx)
         frontier = best_hi + 1
     return SubcoverResult(len(picks), tuple(picks), True)
+
+
+def subcover_atoms_reference(cover, target, exclude):
+    """Reference for ``covers._atomize``: the coordinates sorted once, repeats
+    dropped, ``dedupe_sorted`` representatives, and every part end snapped to
+    its representative and then to its atom block by ``searchsorted``."""
+    tol = max(exclude.tol, 1e-12)
+    _, lo, hi, lo_open, hi_open = cover.parts
+    target_ends = [x for p in target.parts for x in (p.lo, p.hi)]
+    coords = np.sort(np.concatenate([target_ends, lo, hi, exclude.points]))
+    coords = coords[np.r_[True, coords[1:] != coords[:-1]]]
+    reps = coords[dedupe_sorted(coords, tol)]
+
+    def snap(xs):
+        # reps are more than tol apart and every coordinate lies within tol
+        # above its representative
+        return np.searchsorted(reps, xs, side="right") - 1
+
+    inside = np.empty(2 * len(reps) - 1, dtype=bool)
+    inside[0::2] = target.contains_many(reps, tol)
+    inside[1::2] = target.contains_many(0.5 * (reps[:-1] + reps[1:]))
+    inside[2 * snap(exclude.points)] = False
+    atoms = np.flatnonzero(inside)
+    first = np.searchsorted(atoms, 2 * snap(lo) + lo_open, side="left")
+    last = np.searchsorted(atoms, 2 * snap(hi) - hi_open, side="right") - 1
+    return reps, atoms, first, last

@@ -28,7 +28,13 @@ from pcentropy.errors import NotACoverError, SubadditivityError
 from pcentropy.intervals import Interval, OpenSet, PointSet, RegionSet
 from pcentropy.symbolic import delta_n
 from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
-from reference import openset_preimage_scalar, refinement_reference, subcover_sweep_reference, vee_reference
+from reference import (
+    openset_preimage_scalar,
+    refinement_reference,
+    subcover_atoms_reference,
+    subcover_sweep_reference,
+    vee_reference,
+)
 
 X = RegionSet.of((0.0, 1.0))
 
@@ -285,6 +291,18 @@ class TestMinimalSubcover:
         with mock.patch.object(covers, "DEFAULT_NODE_CAP", 1):
             assert minimal_subcover(cov, X) == SubcoverResult(3, (1, 3, 0), False)
 
+    def test_equal_gains_keep_index_order(self):
+        # elements 0 and 1 cover atom 0 with the same gain, so the search
+        # tries element 0 first and keeps the first cover of two it finds
+        cov = Cover(
+            (
+                OpenSet((Interval(0.0, 0.6, False, True), Interval.point(0.8))),
+                OpenSet((Interval(0.0, 0.6, False, True), Interval.point(0.9))),
+                OpenSet((Interval(0.4, 1.0, True, False),)),
+            ),
+        )
+        assert minimal_subcover(cov, X) == SubcoverResult(2, (0, 2), True)
+
     def test_multi_part_region(self):
         region = RegionSet.of((0.0, 0.2), (0.8, 1.0))
         cov = Cover((OpenSet.of((-0.1, 0.25)), OpenSet.of((0.75, 1.1))))
@@ -385,6 +403,83 @@ def _sweep_outcome(sweep, case):
 @settings(max_examples=400, deadline=None)
 def test_sweep_matches_tuple_reference(case):
     assert _sweep_outcome(covers._sweep, case) == _sweep_outcome(subcover_sweep_reference, case)
+
+
+@st.composite
+def long_sweep_cases(draw):
+    # a chain of up to 300 ranges, each reaching at least to the start of the
+    # next, so the greedy takes many picks and the doubling many rounds; a
+    # few more ranges make ties, and half of the chains get a hole cut deep
+    # into them, an atom that no range covers
+    size = draw(st.integers(1, 300))
+    gaps = np.array(draw(st.lists(st.integers(1, 3), min_size=size, max_size=size)), dtype=np.intp)
+    extra = np.array(draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)), dtype=np.intp)
+    first = np.cumsum(gaps) - gaps
+    last = first + gaps + extra - 1
+    n_atoms = int(last.max()) + 1 + draw(st.sampled_from([0, 0, 1]))
+    ties = draw(st.lists(st.tuples(st.integers(0, n_atoms), st.integers(-1, n_atoms - 1)), max_size=20))
+    first = np.append(first, [a for a, _ in ties]).astype(np.intp)
+    last = np.append(last, [b for _, b in ties]).astype(np.intp)
+    if draw(st.booleans()):
+        hole = draw(st.integers(n_atoms // 2, n_atoms - 1))
+        last[(first <= hole) & (hole <= last)] = hole - 1
+    owner = np.array(draw(st.permutations(range(len(first)))), dtype=np.intp)
+    return first, last, owner, np.arange(n_atoms // 2 + 1, dtype=float), np.arange(n_atoms)
+
+
+@given(long_sweep_cases())
+@settings(max_examples=200, deadline=None)
+def test_long_sweep_matches_tuple_reference(case):
+    assert _sweep_outcome(covers._sweep, case) == _sweep_outcome(subcover_sweep_reference, case)
+
+
+def test_sweep_of_one_part_per_atom():
+    # 3000 picks, so the doubling runs ceil(log2(3001)) = 12 rounds
+    n = 3000
+    atoms = np.arange(n)
+    owner = atoms[::-1].copy()
+    case = (atoms, atoms, owner, np.arange(n // 2 + 1, dtype=float), atoms)
+    res = covers._sweep(*case)
+    assert res == subcover_sweep_reference(*case)
+    assert res.indices == tuple(range(n - 1, -1, -1))
+    # the same chain without the part of atom 2500, the point reps[1250]
+    kept = atoms != 2500
+    case = (atoms[kept], atoms[kept], owner[kept], *case[3:])
+    assert _sweep_outcome(covers._sweep, case) == _sweep_outcome(subcover_sweep_reference, case) == 1250.0
+
+
+# signed zeros, and runs of four coordinates 0.6 * tol apart, which
+# dedupe_sorted merges one by one in its loop
+ATOM_COORDS = [-0.0, 0.0, *(g + k * 6e-13 for g in (0.25, 0.5, 0.75) for k in range(4)), 1.0]
+
+
+@st.composite
+def atomize_cases(draw):
+    coord = st.sampled_from(ATOM_COORDS)
+
+    def part():
+        a, b = sorted((draw(coord), draw(coord)))
+        if a == b:
+            return Interval.point(a)
+        return Interval(a, b, draw(st.booleans()), draw(st.booleans()))
+
+    elements = [
+        OpenSet(tuple(part() for _ in range(draw(st.integers(1, 3)))))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    ends = sorted(draw(coord) for _ in range(draw(st.sampled_from([2, 4]))))
+    target = RegionSet.of(*zip(ends[0::2], ends[1::2]))
+    # excluded points come from the same coordinates, so many lie on part ends
+    return Cover(elements), target, PointSet.of(draw(st.lists(coord, max_size=4)))
+
+
+@given(atomize_cases())
+@settings(max_examples=400, deadline=None)
+def test_atomize_matches_sort_and_snap_reference(case):
+    # array_equal counts -0.0 and 0.0 as equal, as the representatives'
+    # order of repeats may differ between the two sorts
+    for got, expected in zip(covers._atomize(*case), subcover_atoms_reference(*case)):
+        assert np.array_equal(got, expected)
 
 
 @given(st.lists(
@@ -532,6 +627,15 @@ class TestLebesgue:
                 any(p.lo <= ball_lo and ball_hi <= p.hi for p in el.parts)
                 for el in cov.elements
             )
+
+    def test_one_point_region(self, tent):
+        # both sides of the only grid point are domain-clipped
+        assert lebesgue_number(natural_cover(tent), RegionSet.of((0.2, 0.2))) == math.inf
+
+    def test_region_with_a_point_part(self, tent):
+        # the grid on [0, 0.4] ends 0.1 below the cut at 0.5; the point 0.7 lies 0.2 above it
+        region = RegionSet.of((0.0, 0.4), (0.7, 0.7))
+        assert lebesgue_number(natural_cover(tent), region) == pytest.approx(0.1)
 
     def test_uncovered_point_raises(self):
         cov = Cover((OpenSet.of((0.0, 0.4)),))
