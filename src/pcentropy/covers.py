@@ -13,11 +13,14 @@ with the product so far by a sorted overlap join of the part arrays.  Every
 element of the n-step refinement automatically avoids the n-step
 discontinuity set.  Minimal subcover cardinalities are exact.  The target
 splits into atoms by one stable sort of every coordinate, and each part
-covers a block of atoms.  When every element is a single interval, a greedy
-sweep (optimal) takes the picks, read by pointer doubling; otherwise a branch
-and bound whose first dive is a greedy cover reads each atom's candidates
-from the (element, atom) pairs grouped by atom.  The part and node caps are
-the constants ``DEFAULT_PART_CAP`` and ``DEFAULT_NODE_CAP``.
+covers a block of atoms.  A data reduction comes first: difference arrays
+count the parts over each atom, an element owning the only part over some
+atom is forced into every subcover, and only the atoms that the forced
+elements leave go to a search.  When every element is a single interval, a
+greedy sweep (optimal) takes the picks, read by pointer doubling; otherwise a
+branch and bound whose first dive is a greedy cover reads each atom's
+candidates from the (element, atom) pairs grouped by atom.  The part and node
+caps are the constants ``DEFAULT_PART_CAP`` and ``DEFAULT_NODE_CAP``.
 """
 
 from __future__ import annotations
@@ -409,57 +412,64 @@ def _atomize(cover: Cover, target: RegionSet, exclude: PointSet):
     return reps, atoms, first, last
 
 
-def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointSet.empty()) -> SubcoverResult:
-    """Exact minimal subcover of ``target`` minus ``exclude`` points.
+def _reduce(first, last, owner, n_atoms):
+    """The data reduction ahead of the subcover search: part i covers atoms
+    first[i]..last[i] of ``n_atoms`` (none if first[i] > last[i]) for element
+    owner[i]; the scalar reference is
+    ``tests/reference.py::subcover_reduction_reference``.
 
-    The target decomposes into atoms (the endpoint coordinates and the open
-    gaps between consecutive ones, from one sort in ``_atomize``); an element
-    covers a contiguous block of atoms, which makes the greedy sweep optimal
-    for single-interval elements, and ``_sweep`` runs it by pointer doubling.
-    Union elements go to a branch and bound whose candidates at each atom are
-    a slice of the (element, atom) pairs grouped by atom; it stops after
-    ``DEFAULT_NODE_CAP`` nodes once it holds a cover, and then reports that
-    cover with ``exact`` false.
+    Returns ``(cands, forced, leftover)``: the number of parts over each atom,
+    the elements in index order that own the only part over some atom, and
+    the atoms that no part of a forced element covers.  Both counts are
+    difference arrays over the ranges, so no (part, atom) pair is built.  An
+    atom under two parts of one element (ends merged within ``tol``) forces
+    nothing; it stays for the search unless a forced element covers it.
     """
-    if target.is_empty():
-        return SubcoverResult(0, (), True)
-    reps, atoms, first, last = _atomize(cover, target, exclude)
-    if not len(atoms):
-        return SubcoverResult(0, (), True)
-    owner = cover.parts.owner
-    if len(owner) == len(cover):  # every element is a single interval
-        return _sweep(first, last, owner, reps, atoms)
-
-    # general case: bitmask set cover over atoms
     ok = first <= last
     first, last, owner = first[ok], last[ok], owner[ok]
-    full = (1 << len(atoms)) - 1
-    masks = [0] * len(cover)
+
+    def depth(a, b):
+        ends = np.bincount(a, minlength=n_atoms + 1) - np.bincount(b + 1, minlength=n_atoms + 1)
+        return np.cumsum(ends[:-1])
+
+    cands = depth(first, last)
+    # once[k]: the number of atoms below k that lie under exactly one part
+    once = np.zeros(n_atoms + 1, dtype=np.intp)
+    np.cumsum(cands == 1, out=once[1:])
+    is_forced = np.zeros(int(owner.max(initial=-1)) + 1, dtype=bool)
+    is_forced[owner[once[last + 1] > once[first]]] = True
+    taken = is_forced[owner]
+    leftover = np.flatnonzero(depth(first[taken], last[taken]) == 0)
+    return cands, np.flatnonzero(is_forced), leftover
+
+
+def _branch_and_bound(first, last, owner, n_elements, n_atoms) -> SubcoverResult:
+    """Exact set cover of atoms 0..n_atoms-1, each under at least one part,
+    by depth-first branch and bound over elements as bitmasks of atoms.
+
+    Each atom's candidate elements are a slice of the (part, atom) pairs
+    grouped stably by atom; parts come in element order, so each slice is in
+    index order.  The search stops after ``DEFAULT_NODE_CAP`` nodes once it
+    holds a cover, and then reports that cover with ``exact`` false.
+    """
+    full = (1 << n_atoms) - 1
+    masks = [0] * n_elements
     for a, b, idx in zip(first.tolist(), last.tolist(), owner.tolist()):
         masks[idx] |= ((1 << (b - a + 1)) - 1) << a
-    union = 0
-    for m in masks:
-        union |= m
-    if union != full:
-        raise _uncovered(reps, atoms[(full & ~union).bit_length() - 1])
     max_gain = max(m.bit_count() for m in masks)
-    # the elements covering each atom, in CSR form: the (part, atom) pairs
-    # grouped stably by atom, and parts come in element order, so each atom's
-    # candidates are in index order
     row, atom = _ranges(first, last + 1)
     by_atom = np.argsort(atom, kind="stable")
     cands_of = owner[row[by_atom]].tolist()
-    start = np.zeros(len(atoms) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(atom, minlength=len(atoms)), out=start[1:])
+    start = np.zeros(n_atoms + 1, dtype=np.intp)
+    np.cumsum(np.bincount(atom, minlength=n_atoms), out=start[1:])
     start = start.tolist()
     del row, atom, by_atom
 
-    # Depth-first branch and bound with an explicit stack: each frame is a
-    # node's uncovered mask and the iterator over its candidates, and
-    # picks[d] is the candidate taken at depth d.  Candidates cover the
-    # lowest uncovered atom, largest gain first, so the first dive is a
-    # greedy cover of at most len(atoms) picks; the node cap applies only
-    # once a cover is held.
+    # An explicit stack: each frame is a node's uncovered mask and the
+    # iterator over its candidates, and picks[d] is the candidate taken at
+    # depth d.  Candidates cover the lowest uncovered atom, largest gain
+    # first, so the first dive is a greedy cover of at most n_atoms picks;
+    # the node cap applies only once a cover is held.
     best_count, best_picks = math.inf, ()
     exact = True
     nodes = 0
@@ -493,6 +503,49 @@ def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointS
         else:
             break
     return SubcoverResult(best_count, best_picks, exact)
+
+
+def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointSet.empty()) -> SubcoverResult:
+    """Exact minimal subcover of ``target`` minus ``exclude`` points.
+
+    The target decomposes into atoms (the endpoint coordinates and the open
+    gaps between consecutive ones, from one sort in ``_atomize``), and each
+    part covers a contiguous block of them.  ``_reduce`` counts the parts
+    over each atom: an atom under none is uncovered, and the lowest such one
+    is the error's witness; an element owning the only part over some atom is
+    forced, since every subcover holds it.  The forced elements are taken
+    first, and only the atoms they leave, renumbered 0..m-1 (a block stays a
+    block), go to a search over the other elements: the greedy sweep, optimal
+    when every element is a single interval and run by pointer doubling in
+    ``_sweep``, or else ``_branch_and_bound`` on m-bit masks.  ``indices``
+    are the forced elements in index order, then the search's picks.  The
+    reduction counts no node against ``DEFAULT_NODE_CAP``; a search stopped
+    at the cap reports its best cover with ``exact`` false.
+    """
+    if target.is_empty():
+        return SubcoverResult(0, (), True)
+    reps, atoms, first, last = _atomize(cover, target, exclude)
+    if not len(atoms):
+        return SubcoverResult(0, (), True)
+    owner = cover.parts.owner
+    cands, forced, leftover = _reduce(first, last, owner, len(atoms))
+    if not cands.all():
+        raise _uncovered(reps, atoms[np.argmin(cands)])
+    picks = tuple(forced.tolist())
+    if not len(leftover):
+        return SubcoverResult(len(picks), picks, True)
+    # below[k]: the number of leftover atoms below atom k
+    below = np.zeros(len(atoms) + 1, dtype=np.intp)
+    below[leftover + 1] = 1
+    np.cumsum(below, out=below)
+    first, last = below[first], below[last + 1] - 1
+    keep = (first <= last) & ~np.isin(owner, forced)
+    first, last, owner = first[keep], last[keep], owner[keep]
+    if len(cover.parts.owner) == len(cover):  # every element is a single interval
+        found = _sweep(first, last, owner, reps, atoms[leftover])
+    else:
+        found = _branch_and_bound(first, last, owner, len(cover), len(leftover))
+    return SubcoverResult(len(picks) + found.count, picks + found.indices, found.exact)
 
 
 def minimal_subcover_cardinality(cover: Cover, target: RegionSet, exclude: PointSet = PointSet.empty()) -> int:

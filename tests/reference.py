@@ -412,3 +412,21 @@ def subcover_atoms_reference(cover, target, exclude):
     first = np.searchsorted(atoms, 2 * snap(lo) + lo_open, side="left")
     last = np.searchsorted(atoms, 2 * snap(hi) - hi_open, side="right") - 1
     return reps, atoms, first, last
+
+
+def subcover_reduction_reference(first, last, owner, n_atoms):
+    """Loop reference for ``covers._reduce``: the parts over each atom counted
+    one range at a time, the elements that own the only part over some atom
+    (in index order), and the atoms under no part of those elements."""
+    ranges = [(a, b, idx) for a, b, idx in zip(first.tolist(), last.tolist(), owner.tolist())]
+    cands = [0] * n_atoms
+    for a, b, _ in ranges:
+        for atom in range(a, b + 1):
+            cands[atom] += 1
+    forced = sorted({idx for a, b, idx in ranges if any(cands[atom] == 1 for atom in range(a, b + 1))})
+    covered = [False] * n_atoms
+    for a, b, idx in ranges:
+        if idx in forced:
+            for atom in range(a, b + 1):
+                covered[atom] = True
+    return cands, forced, [atom for atom in range(n_atoms) if not covered[atom]]

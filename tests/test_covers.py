@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcentropy import covers
@@ -32,6 +32,7 @@ from reference import (
     openset_preimage_scalar,
     refinement_reference,
     subcover_atoms_reference,
+    subcover_reduction_reference,
     subcover_sweep_reference,
     vee_reference,
 )
@@ -216,6 +217,23 @@ class TestRefine:
             assert all(not el.contains(c) for c in cuts)
 
 
+# a union cover with a forced element and atoms left for the search
+FORCED_UNION_CASE = (
+    Cover(
+        (
+            OpenSet((Interval(0.125, 0.5, False, True), Interval.closed(0.625, 1.0))),
+            OpenSet((Interval(0.0, 0.5, False, True), Interval.closed(0.875, 1.0))),
+            OpenSet((Interval.closed(0.875, 1.125),)),
+            OpenSet((Interval(0.375, 0.625, False, True), Interval.closed(0.75, 1.0))),
+            OpenSet((Interval(0.0, 0.125, False, True), Interval(0.5, 0.75, False, True))),
+        ),
+    ),
+    RegionSet.of((0.0, 1.125)),
+    PointSet.empty(),
+    set(),
+)
+
+
 class TestMinimalSubcover:
     def test_two_overlapping(self):
         cov = Cover((OpenSet.of((-0.1, 0.6)), OpenSet.of((0.4, 1.1))))
@@ -277,28 +295,49 @@ class TestMinimalSubcover:
         assert minimal_subcover_cardinality(cov, X) == 1
 
     def test_node_cap_keeps_the_first_cover(self):
-        # the first dive takes the element with the largest gain and needs
-        # three; elements 0 and 3 suffice
+        # every atom lies under two elements, so nothing is forced and the
+        # search sees the whole target; its first dive takes element 1, the
+        # largest gain at 0, and needs three, where elements 3 and 0 suffice
         cov = Cover(
             (
-                OpenSet((Interval(-0.125, 0.75, True, False), Interval.point(1.0))),
-                OpenSet((Interval.closed(-0.125, 0.875),)),
-                OpenSet((Interval.closed(0.25, 0.75),)),
-                OpenSet((Interval.open(0.375, 1.0),)),
+                OpenSet((Interval(0.125, 0.5, False, True), Interval.closed(0.625, 1.0))),
+                OpenSet((Interval(0.0, 0.5, False, True), Interval.closed(0.875, 1.0))),
+                OpenSet((Interval(0.375, 0.625, False, True), Interval.closed(0.75, 1.0))),
+                OpenSet((Interval(0.0, 0.125, False, True), Interval(0.5, 0.75, False, True))),
             ),
         )
-        assert minimal_subcover(cov, X) == SubcoverResult(2, (0, 3), True)
+        assert minimal_subcover(cov, X) == SubcoverResult(2, (3, 0), True)
         with mock.patch.object(covers, "DEFAULT_NODE_CAP", 1):
-            assert minimal_subcover(cov, X) == SubcoverResult(3, (1, 3, 0), False)
+            assert minimal_subcover(cov, X) == SubcoverResult(3, (1, 2, 0), False)
+
+    def test_forced_elements_come_first(self):
+        # element 2 alone reaches past 1, so it is taken before the search,
+        # which covers the atoms left below 0.875 with elements 4 and 0
+        cover, target, exclude, removed = FORCED_UNION_CASE
+        assert minimal_subcover(cover, target, exclude) == SubcoverResult(3, (2, 4, 0), True)
+        assert _brute_minimum(cover, _needed_points(target, removed)) == 3
+
+    def test_lowest_uncovered_point_is_the_witness(self):
+        # both covers miss 0.2 and everything up to 0.3, and 0.6 to 0.7
+        half_open = Interval(0.0, 0.2, False, True)
+        union = Cover((OpenSet((half_open, Interval(0.7, 1.0, True, False))), OpenSet.of((0.3, 0.6))))
+        single = Cover((OpenSet((half_open,)), OpenSet.of((0.3, 0.6)), OpenSet((Interval(0.7, 1.0, True, False),))))
+        for cov in (union, single):
+            with pytest.raises(NotACoverError, match="target point 0.2000") as exc:
+                minimal_subcover(cov, X)
+            assert exc.value.witness == 0.2
 
     def test_equal_gains_keep_index_order(self):
         # elements 0 and 1 cover atom 0 with the same gain, so the search
-        # tries element 0 first and keeps the first cover of two it finds
+        # tries element 0 first and keeps the first cover of two it finds;
+        # element 3 shares every atom above 0.6 with element 2, so nothing
+        # is forced and both ties reach the search
         cov = Cover(
             (
                 OpenSet((Interval(0.0, 0.6, False, True), Interval.point(0.8))),
                 OpenSet((Interval(0.0, 0.6, False, True), Interval.point(0.9))),
                 OpenSet((Interval(0.4, 1.0, True, False),)),
+                OpenSet((Interval(0.5, 1.0, True, False),)),
             ),
         )
         assert minimal_subcover(cov, X) == SubcoverResult(2, (0, 2), True)
@@ -360,6 +399,7 @@ def _brute_minimum(cover, needed):
 
 
 @given(subcover_cases())
+@example(FORCED_UNION_CASE)
 @settings(max_examples=400, deadline=None)
 def test_minimal_subcover_matches_brute_force(case):
     cover, target, exclude, removed = case
@@ -372,11 +412,44 @@ def test_minimal_subcover_matches_brute_force(case):
     res = minimal_subcover(cover, target, exclude)
     assert (res.count, res.exact) == (expected, True)
     assert len(res.indices) == res.count and _covers(cover, res.indices, needed)
+    # the forced elements come first, in index order, then the search's picks
+    _, atoms, first, last = covers._atomize(cover, target, exclude)
+    forced = tuple(subcover_reduction_reference(first, last, cover.parts.owner, len(atoms))[1])
+    assert res.indices[: len(forced)] == forced
+    assert not set(res.indices[len(forced) :]) & set(forced)
     # a search cut by the node cap still reports a real cover
     with mock.patch.object(covers, "DEFAULT_NODE_CAP", 1):
         capped = minimal_subcover(cover, target, exclude)
     assert len(capped.indices) == capped.count >= expected
     assert _covers(cover, capped.indices, needed)
+
+
+@st.composite
+def reduction_cases(draw):
+    # elements of up to three ranges over a few atoms; some ranges are empty
+    # (first > last), some atoms lie under no range, and some elements are
+    # repeated under a new index, so nothing among them is forced
+    n_atoms = draw(st.integers(1, 10))
+    block = st.tuples(st.integers(0, n_atoms), st.integers(-1, n_atoms - 1))
+    elements = draw(st.lists(st.lists(block, min_size=1, max_size=3), min_size=1, max_size=6))
+    repeats = draw(st.lists(st.sampled_from(range(len(elements))), max_size=3))
+    elements += [elements[i] for i in repeats]
+    rows = [(a, b, idx) for idx, el in enumerate(elements) for a, b in el]
+    first, last, owner = (np.array(col, dtype=np.intp) for col in zip(*rows))
+    return first, last, owner, n_atoms, repeats, len(elements) - len(repeats)
+
+
+@given(reduction_cases())
+@settings(max_examples=400, deadline=None)
+def test_reduce_matches_loop_reference(case):
+    first, last, owner, n_atoms, repeats, n_distinct = case
+    cands, forced, leftover = covers._reduce(first, last, owner, n_atoms)
+    expected = subcover_reduction_reference(first, last, owner, n_atoms)
+    assert cands.tolist() == expected[0]
+    assert forced.tolist() == expected[1]
+    assert leftover.tolist() == expected[2]
+    repeated = set(repeats) | set(range(n_distinct, n_distinct + len(repeats)))
+    assert not repeated & set(forced.tolist())
 
 
 @st.composite
@@ -520,21 +593,28 @@ class TestCoverEntropy:
         assert series.estimate >= 0.5
 
     def test_tent_overlapping_halves_deep_search(self, tent):
-        # the branch and bound goes 1421 picks deep at n = 11, past Python's
-        # default recursion limit
-        series = cover_entropy(tent, Cover((OpenSet.of((0.0, 0.55)), OpenSet.of((0.45, 1.0)))), 11)
-        assert [r.value for r in series.records] == [2, 4, 8, 16, 31, 59, 112, 212, 400, 754, 1421]
+        # every refined element is forced, so 17,884 elements are taken at
+        # n = 15 without a search; a recursive search at n = 11 would go
+        # 1421 picks deep, past Python's default recursion limit
+        series = cover_entropy(tent, Cover((OpenSet.of((0.0, 0.55)), OpenSet.of((0.45, 1.0)))), 15)
+        assert [r.value for r in series.records] == [
+            2, 4, 8, 16, 31, 59, 112, 212, 400, 754, 1421, 2677, 5042, 9496, 17884,
+        ]
         assert all(r.flag is None for r in series.records)
 
     def test_cap_flags_the_last_record(self, tent):
-        cover = Cover((OpenSet.of((0.0, 0.3), (0.5, 0.8)), OpenSet.of((0.2, 0.6), (0.7, 1.0))))
+        # at n = 4 and 5 every atom of the refined cover lies under two
+        # elements, so nothing is forced, and the first dive of the search
+        # takes one pick more than the optimum
+        cover = Cover((OpenSet.of((0.0, 0.3), (0.6, 1.0)), OpenSet.of((0.0, 0.9))))
         # Delta^6 of tent has 63 points, past the cap
         series = cover_entropy(tent, cover, 8, cap=50)
         assert series.truncated
-        assert [r.value for r in series.records] == [2, 4, 8, 15, 27]
+        assert [r.value for r in series.records] == [2, 3, 3, 4, 6]
         assert [r.flag for r in series.records] == [None, None, None, None, "truncated"]
         with mock.patch.object(covers, "DEFAULT_NODE_CAP", 1):
             series = cover_entropy(tent, cover, 8, cap=50)
+        assert [r.value for r in series.records] == [2, 3, 4, 5, 7]
         assert [r.flag for r in series.records[-2:]] == ["inexact", "inexact+truncated"]
 
     def test_cover_not_covering_raises(self, tent):
