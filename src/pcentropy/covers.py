@@ -9,7 +9,11 @@ Refinement intersects the cover with preimages of itself step by step: each
 step pulls the whole cover back through ``maps.branch_preimages``, the branch
 inverse of the MS levels (a closed form on affine branches, safeguarded
 secant rounds from a per-branch bracket table on smooth ones), and joins it
-with the product so far by a sorted overlap join of the part arrays.  Every
+with the product so far.  The rows stay in order throughout: intersections
+of canonical elements in (a, b, p, q) order (element of each cover, then part
+of each) are canonical already and need no merge, and a pullback keeps each
+element's parts in order by reversing a decreasing branch's rows, so
+``_canonical`` only merges neighbours where rounding closed a gap.  Every
 element of the n-step refinement automatically avoids the n-step
 discontinuity set.  Minimal subcover cardinalities are exact.  The target
 splits into atoms by one stable sort of every coordinate, and each part
@@ -106,38 +110,46 @@ def _ranges(start: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """The pairs (i, j) with start[i] <= j < stop[i], grouped by i."""
     counts = stop - start
     row = np.repeat(np.arange(len(start)), counts)
-    return row, start[row] + np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return row, np.repeat(start - np.cumsum(counts) + counts, counts) + np.arange(len(row))
 
 
 def _canonical(key: np.ndarray, lo, hi, lo_open, hi_open) -> Cover:
     """The cover whose i-th element is the union of the parts with the i-th
     smallest key, in ``OpenSet``'s canonical form; empty intervals are dropped.
 
-    Parts are sorted by key, ``lo`` and closed before open, and merged by
-    ``_merge_sorted_parts``'s rules: a part joins its group when it starts
-    below the furthest end so far, or at that end with the junction point in
-    either part.  The furthest end, the closed one at equal ends, is a
-    running maximum of end ranks, offset per key so that it restarts.
+    Parts are merged by ``_merge_sorted_parts``'s rules: a part joins its
+    group when it starts below the furthest end so far, or at that end with
+    the junction point in either part.  Rows already in (key, ``lo``) order,
+    each starting at or after its predecessor's end within a key, merge with
+    their neighbours only, at a junction with a closed side.  Other rows are
+    sorted by key, ``lo`` and closed before open first, and the furthest end,
+    the closed one at equal ends, is a running maximum of end ranks, offset
+    per key so that it restarts.
     """
     keep = (lo < hi) | ((lo == hi) & ~(lo_open | hi_open))
-    key, lo, hi, lo_open, hi_open = (col[keep] for col in (key, lo, hi, lo_open, hi_open))
+    if not keep.all():
+        key, lo, hi, lo_open, hi_open = (col[keep] for col in (key, lo, hi, lo_open, hi_open))
     n = len(lo)
     if not n:
         return Cover()
-    order = np.lexsort((lo_open, lo, key))
-    key, lo, hi, lo_open, hi_open = (col[order] for col in (key, lo, hi, lo_open, hi_open))
     start = np.ones(n, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=start[1:])
-    owner = np.cumsum(start) - 1
-    by_end = np.lexsort((~hi_open, hi))
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_end] = np.arange(n)
-    offset = owner.astype(np.int64) * n
-    furthest = by_end[np.maximum.accumulate(offset + rank) - offset]
-    reach, reach_open = hi[furthest[:-1]], hi_open[furthest[:-1]]
-    start[1:] |= (lo[1:] > reach) | ((lo[1:] == reach) & lo_open[1:] & reach_open)
+    if not np.all(np.where(start[1:], key[1:] > key[:-1], lo[1:] >= hi[:-1])):
+        order = np.lexsort((lo_open, lo, key))
+        key, lo, hi, lo_open, hi_open = (col[order] for col in (key, lo, hi, lo_open, hi_open))
+        np.not_equal(key[1:], key[:-1], out=start[1:])
+        by_end = np.lexsort((~hi_open, hi))
+        rank = np.empty(n, dtype=np.int64)
+        rank[by_end] = np.arange(n)
+        offset = (np.cumsum(start) - 1).astype(np.int64) * n
+        furthest = by_end[np.maximum.accumulate(offset + rank) - offset]
+        hi, hi_open = hi[furthest], hi_open[furthest]  # the furthest end so far
+    owner = np.cumsum(start, dtype=np.intp) - 1
+    start[1:] |= (lo[1:] > hi[:-1]) | ((lo[1:] == hi[:-1]) & lo_open[1:] & hi_open[:-1])
+    if start.all():
+        return Cover._of(int(owner[-1]) + 1, Parts(owner, lo, hi, lo_open, hi_open))
     first = np.flatnonzero(start)
-    last = furthest[np.append(first[1:], n) - 1]
+    last = np.append(first[1:], n) - 1
     parts = Parts(owner[first], lo[first], hi[last], lo_open[first], hi_open[last])
     return Cover._of(int(owner[-1]) + 1, parts)
 
@@ -164,15 +176,18 @@ def _dedupe(cover: Cover) -> Cover:
         return cover
     owner = cover.parts.owner
     order, first = _sorted_rows(cover.parts[1:])
-    row_id = np.empty(len(owner), dtype=np.intp)
-    row_id[order] = np.cumsum(first)
-    counts = np.bincount(owner, minlength=len(cover))
-    starts = np.cumsum(counts) - counts
     kept = np.zeros(len(cover), dtype=bool)
-    for k in set(counts.tolist()):
-        els = np.flatnonzero(counts == k)
-        order, first = _sorted_rows(tuple(row_id[starts[els, None] + np.arange(k)].T))
-        kept[els[order[first]]] = True
+    if len(owner) == len(cover):  # one part per element: part rows are elements
+        kept[order[first]] = True
+    else:
+        row_id = np.empty(len(owner), dtype=np.intp)
+        row_id[order] = np.cumsum(first)
+        counts = np.bincount(owner, minlength=len(cover))
+        starts = np.cumsum(counts) - counts
+        for k in set(counts.tolist()):
+            els = np.flatnonzero(counts == k)
+            order, first = _sorted_rows(tuple(row_id[starts[els, None] + np.arange(k)].T))
+            kept[els[order[first]]] = True
     if kept.all():
         return cover
     parts = cover.parts.take(kept[owner])
@@ -219,19 +234,42 @@ def _join(a: Cover, b: Cover) -> Cover:
     """The non-empty intersections of an element of ``a`` with one of ``b``,
     in (a, b) order, without repeats.
 
-    Parts p of a and q of b overlap when q.lo lies in [p.lo, p.hi] or p.lo in
-    (q.lo, q.hi]: one range expansion each over the other cover's parts
-    sorted by ``lo``.  Each pair's ends follow ``Interval.intersect``.
+    Parts p of a and q of b meet when q.lo lies in [p.lo, p.hi] or p.lo in
+    (q.lo, q.hi], the upper end counting only when closed: one range
+    expansion each over the other cover's parts sorted by ``lo``.  Each
+    pair's ends follow ``Interval.intersect``, and the pairs left empty (a
+    closed end on an open one, a point on an open end) are dropped.
+
+    The pairs are ordered by (a-element, b-element, p, q) and need no merge:
+    the parts of each element are sorted and disjoint, so the intersections
+    of one (a, b) in (p, q) order are too.  Two of them touch at an included
+    point only if two parts of a's element or of b's element do, which
+    ``OpenSet``'s canonical form rules out; so each element is already in
+    that form.
     """
     pa, pb = a.parts, b.parts
     sa, sb = np.argsort(pa.lo, kind="stable"), np.argsort(pb.lo, kind="stable")
-    ia, jb = _ranges(np.searchsorted(pb.lo[sb], pa.lo, "left"), np.searchsorted(pb.lo[sb], pa.hi, "right"))
-    ib, ja = _ranges(np.searchsorted(pa.lo[sa], pb.lo, "right"), np.searchsorted(pa.lo[sa], pb.hi, "right"))
-    p, q = pa.take(np.concatenate([ia, sa[ja]])), pb.take(np.concatenate([sb[jb], ib]))
+    # x < hi is x <= the float below hi
+    a_hi, b_hi = (np.where(p.hi_open, np.nextafter(p.hi, -np.inf), p.hi) for p in (pa, pb))
+    ia, jb = _ranges(np.searchsorted(pb.lo[sb], pa.lo, "left"), np.searchsorted(pb.lo[sb], a_hi, "right"))
+    ib, ja = _ranges(np.searchsorted(pa.lo[sa], pb.lo, "right"), np.searchsorted(pa.lo[sa], b_hi, "right"))
+    i, j = np.concatenate([ia, sa[ja]]), np.concatenate([sb[jb], ib])
+    p, q = pa.take(i), pb.take(j)
+    lo, hi = np.maximum(p.lo, q.lo), np.minimum(p.hi, q.hi)
     lo_open = np.where(p.lo == q.lo, p.lo_open | q.lo_open, np.where(p.lo > q.lo, p.lo_open, q.lo_open))
     hi_open = np.where(p.hi == q.hi, p.hi_open | q.hi_open, np.where(p.hi < q.hi, p.hi_open, q.hi_open))
     key = p.owner * len(b) + q.owner
-    return _dedupe(_canonical(key, np.maximum(p.lo, q.lo), np.minimum(p.hi, q.hi), lo_open, hi_open))
+    keep = (lo < hi) | ((lo == hi) & ~(lo_open | hi_open))
+    key, i, j = key[keep], i[keep], j[keep]
+    if not len(key):
+        return Cover()
+    by_pair = np.lexsort((j, i, key))
+    order, key = np.flatnonzero(keep)[by_pair], key[by_pair]
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    owner = np.cumsum(new) - 1
+    parts = Parts(owner, lo[order], hi[order], lo_open[order], hi_open[order])
+    return _dedupe(Cover._of(int(owner[-1]) + 1, parts))
 
 
 def vee(covers: list[Cover]) -> Cover:
@@ -270,15 +308,23 @@ def _pullback(pcmap: PcMap, cover: Cover) -> Cover:
             continue
         ends = ends[:, keep]
         xs = branch_preimages(b, ends.ravel()).reshape(ends.shape)
-        # image ends go to piece ends exactly; a decreasing branch swaps the rows
-        piece_ends = np.array([[b.piece.lo], [b.piece.hi]])[:: b.direction]
-        xs = np.where(ends == [[vmin], [vmax]], piece_ends, xs)[:: b.direction]
-        opens = opens[:, keep][:: b.direction]
+        # image ends go to piece ends exactly; a decreasing branch swaps the
+        # rows, and reversing its columns puts each element's parts back in
+        # lo order (the owners then descend)
+        d = b.direction
+        piece_ends = np.array([[b.piece.lo], [b.piece.hi]])[::d]
+        xs = np.where(ends == [[vmin], [vmax]], piece_ends, xs)[::d, ::d]
+        opens = opens[:, keep][::d, ::d]
         # NaN ends fail both of _canonical's emptiness comparisons
-        pieces.append((owner[keep], xs[0], xs[1], opens[0], opens[1]))
+        pieces.append((owner[keep][::d], xs[0], xs[1], opens[0], opens[1]))
     if not pieces:
         return Cover()
-    return _canonical(*(np.concatenate(col) for col in zip(*pieces)))
+    # branches come in piece order, so one stable sort by owner leaves each
+    # element's parts in lo order; _canonical sorts only where a rounded
+    # inverse crossed two parts
+    cols = [np.concatenate(col) for col in zip(*pieces)]
+    order = np.argsort(cols[0], kind="stable")
+    return _canonical(*(col[order] for col in cols))
 
 
 def pullback_cover(pcmap: PcMap, cover: Cover, j: int) -> Cover:

@@ -100,7 +100,8 @@ _COUNTED = {"misiurewicz-szlenk": "piece", "cover": "subcover"}  # per count rou
 
 
 def count_series(method: str, records: Iterable[SeriesRecord], estimator: str) -> EntropySeries:
-    """The entropy series of positive counts, estimated from their logs.
+    """The entropy series of positive counts, estimated from their logs; a
+    count of 0 (an empty target) raises ``ValueError``.
 
     A ``ResourceCapExceeded`` raised while ``records`` makes its next record
     ends the series there: the last record made is flagged ``truncated``, and
@@ -119,6 +120,12 @@ def count_series(method: str, records: Iterable[SeriesRecord], estimator: str) -
             raise
         truncated = True
         made[-1] = replace(made[-1], flag="+".join(filter(None, (made[-1].flag, "truncated"))))
+    empty = next((r for r in made if r.value <= 0), None)
+    if empty is not None:
+        raise ValueError(
+            f"{method} route: {_COUNTED[method]} count c_{empty.n}={empty.value:g} is not positive, "
+            f"so its target at n={empty.n} is empty and the counts have no logarithm"
+        )
     counts = {r.n: int(r.value) for r in made}
     bad = submultiplicative_witness(counts)
     if bad is not None:

@@ -26,6 +26,7 @@ from pcentropy.covers import (
 )
 from pcentropy.errors import NotACoverError, SubadditivityError
 from pcentropy.intervals import Interval, OpenSet, PointSet, RegionSet
+from pcentropy.maps import parse_map
 from pcentropy.symbolic import delta_n
 from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
 from reference import (
@@ -152,6 +153,23 @@ def test_pullback_matches_scalar_reference(case):
     pulled = covers._pullback(pcmap, Cover(elements))
     assert list(pulled.elements) == [el for el in expected if not el.is_empty()]
     assert part_rows(pulled) == part_rows(Cover(pulled.elements))
+
+
+def test_pullback_merges_parts_whose_gap_collapses():
+    # (0.2, y] u [y', 0.97) with y' the float after y: where y/3 == y'/3 the
+    # increasing branch's preimages touch at an included point and must merge
+    pcmap = parse_map("domain = [0, 1]\npiece (0, 1/3): 3*x inc\npiece (1/3, 1): 1.5 - 1.5*x dec\n")
+    ys = np.linspace(0.5, 0.95, 2000)
+    ys = ys[ys / 3 == np.nextafter(ys, np.inf) / 3]
+    assert len(ys) == 299
+    elements = [
+        OpenSet((Interval(0.2, y, True, False), Interval(math.nextafter(y, math.inf), 0.97, False, True)))
+        for y in ys.tolist()
+    ]
+    pulled = covers._pullback(pcmap, Cover(elements))
+    assert list(pulled.elements) == [openset_preimage_scalar(pcmap, el) for el in elements]
+    assert part_rows(pulled) == part_rows(Cover(pulled.elements))
+    assert pulled.total_parts() == 3 * len(ys)
 
 
 @st.composite
@@ -566,9 +584,13 @@ def test_canonical_merges_like_openset(rows):
     for key, lo, hi, lo_open, hi_open in rows:
         if lo < hi or (lo == hi and not (lo_open or hi_open)):
             parts.setdefault(key, []).append(Interval(lo, hi, lo_open, hi_open))
+    expected = part_rows(Cover(OpenSet(tuple(parts[key])) for key in sorted(parts)))
     dtypes = (np.intp, float, float, bool, bool)
-    cover = covers._canonical(*(np.array([r[i] for r in rows], dtype=t) for i, t in enumerate(dtypes)))
-    assert part_rows(cover) == part_rows(Cover(OpenSet(tuple(parts[key])) for key in sorted(parts)))
+    # as drawn, and sorted by (key, lo, closed first): sorted rows whose parts
+    # do not overlap take the in-order path, touching and point parts included
+    for rows in (rows, sorted(rows, key=lambda r: r[:2] + (r[3],))):
+        cover = covers._canonical(*(np.array([r[i] for r in rows], dtype=t) for i, t in enumerate(dtypes)))
+        assert part_rows(cover) == expected
 
 
 class TestCoverEntropy:

@@ -6,6 +6,7 @@ from pcentropy.catalog import get as catalog_get
 from pcentropy.covers import cover_entropy, natural_cover
 from pcentropy.errors import ResourceCapExceeded, SubadditivityError
 from pcentropy.estimators import SeriesRecord, count_series, fekete_estimate, last_ratio, slope_fit
+from pcentropy.intervals import RegionSet
 from pcentropy.symbolic import ms_entropy
 
 
@@ -96,6 +97,12 @@ class TestCountSeries:
         assert not series.truncated and all(r.flag is None for r in series.records)
         with pytest.raises(ValueError, match="not computable"):
             count_series("cover", [SeriesRecord(1, 2), SeriesRecord(2, 4)], "slope-fit")
+
+    def test_zero_count_names_the_route_and_level(self):
+        # the region is one cut point, so the region minus Delta^1 is empty
+        tent = catalog_get("tent").map
+        with pytest.raises(ValueError, match=r"^cover route: subcover count c_1=0 is not positive.* at n=1 is empty"):
+            cover_entropy(tent, natural_cover(tent), 4, region=RegionSet.of((0.5, 0.5)))
 
     def test_refusal_before_any_record_names_its_level(self):
         tent = catalog_get("tent").map
