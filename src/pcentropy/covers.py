@@ -5,13 +5,16 @@ domain.  A ``Cover`` holds the parts of all its elements as flat arrays
 (owner element, ``lo``, ``hi``, ``lo_open``, ``hi_open``), sorted by element
 and then by ``lo``, each element in ``OpenSet``'s canonical form; the
 ``OpenSet`` elements are built only when ``Cover.elements`` is read.
-Refinement intersects the cover with preimages of itself step by step: each
-step pulls the whole cover back through ``maps.branch_preimages``, the branch
+Refinement intersects the cover with preimages of itself step by step, every
+two parts by one row rule, ``_meet`` (``Interval.intersect`` on arrays).  The
+first step joins the cover with the one element made of every continuity
+piece, the domain minus the cut set; each later step clips the parts to each
+branch's image, pulls them back through ``maps.branch_preimages``, the branch
 inverse of the MS levels (a closed form on affine branches, safeguarded
-secant rounds from a per-branch bracket table on smooth ones), and joins it
-with the product so far.  The rows stay in order throughout: intersections
-of canonical elements in (a, b, p, q) order (element of each cover, then part
-of each) are canonical already and need no merge, and a pullback keeps each
+secant rounds from a per-branch bracket table on smooth ones), and joins them
+with the product so far.  The rows stay in order throughout: intersections of
+canonical elements in (a, b, p, q) order (element of each cover, then part of
+each) are canonical already and need no merge, and a pullback keeps each
 element's parts in order by reversing a decreasing branch's rows, so
 ``_canonical`` only merges neighbours where rounding closed a gap.  Every
 element of the n-step refinement automatically avoids the n-step
@@ -210,24 +213,14 @@ def domainify_cover(cover: Cover, domain: Interval) -> Cover:
     return _dedupe(_canonical(owner, lo, hi, lo_open & (lo != domain.lo), hi_open & (hi != domain.hi)))
 
 
-def _subtract_points(cover: Cover, xs: np.ndarray) -> Cover:
-    """Every element minus the sorted points ``xs``, as ``OpenSet.subtract_points``
-    does it: a part splits at the points inside it and opens at a point on an
-    end; emptied elements are dropped."""
-    owner, lo, hi, lo_open, hi_open = cover.parts
-    first = np.searchsorted(xs, lo, "right")
-    stop = np.maximum(np.searchsorted(xs, hi, "left"), first)  # xs[first:stop] lie inside (lo, hi)
-    # piece c of a part runs from xs[c] to xs[c + 1], with the part's own ends at either side
-    row, c = _ranges(first - 1, stop)
-    head, tail = c < first[row], c + 1 == stop[row]
-    pad = np.append(xs, np.nan)
-    return _canonical(
-        owner[row],
-        np.where(head, lo[row], pad[c]),
-        np.where(tail, hi[row], pad[c + 1]),
-        ~head | (lo_open | (pad[np.searchsorted(xs, lo)] == lo))[row],
-        ~tail | (hi_open | (pad[np.searchsorted(xs, hi)] == hi))[row],
-    )
+def _meet(p, q):
+    """``Interval.intersect`` on rows: parts ``p`` meet parts ``q`` (or one
+    interval broadcast over ``p``), at an equal end open if either side is;
+    returns the meets, with ``p``'s owners, and the mask of non-empty ones."""
+    lo, hi = np.maximum(p.lo, q.lo), np.minimum(p.hi, q.hi)
+    lo_open = np.where(p.lo == q.lo, p.lo_open | q.lo_open, np.where(p.lo > q.lo, p.lo_open, q.lo_open))
+    hi_open = np.where(p.hi == q.hi, p.hi_open | q.hi_open, np.where(p.hi < q.hi, p.hi_open, q.hi_open))
+    return Parts(p.owner, lo, hi, lo_open, hi_open), (lo < hi) | ((lo == hi) & ~(lo_open | hi_open))
 
 
 def _join(a: Cover, b: Cover) -> Cover:
@@ -236,9 +229,10 @@ def _join(a: Cover, b: Cover) -> Cover:
 
     Parts p of a and q of b meet when q.lo lies in [p.lo, p.hi] or p.lo in
     (q.lo, q.hi], the upper end counting only when closed: one range
-    expansion each over the other cover's parts sorted by ``lo``.  Each
-    pair's ends follow ``Interval.intersect``, and the pairs left empty (a
-    closed end on an open one, a point on an open end) are dropped.
+    expansion each over the other cover's parts sorted by ``lo``.  ``_meet``
+    intersects each pair, and the pairs left empty (a closed end on an open
+    one, a point on an open end) are dropped; so a join with the element of
+    every continuity piece removes the cut set.
 
     The pairs are ordered by (a-element, b-element, p, q) and need no merge:
     the parts of each element are sorted and disjoint, so the intersections
@@ -254,22 +248,16 @@ def _join(a: Cover, b: Cover) -> Cover:
     ia, jb = _ranges(np.searchsorted(pb.lo[sb], pa.lo, "left"), np.searchsorted(pb.lo[sb], a_hi, "right"))
     ib, ja = _ranges(np.searchsorted(pa.lo[sa], pb.lo, "right"), np.searchsorted(pa.lo[sa], b_hi, "right"))
     i, j = np.concatenate([ia, sa[ja]]), np.concatenate([sb[jb], ib])
-    p, q = pa.take(i), pb.take(j)
-    lo, hi = np.maximum(p.lo, q.lo), np.minimum(p.hi, q.hi)
-    lo_open = np.where(p.lo == q.lo, p.lo_open | q.lo_open, np.where(p.lo > q.lo, p.lo_open, q.lo_open))
-    hi_open = np.where(p.hi == q.hi, p.hi_open | q.hi_open, np.where(p.hi < q.hi, p.hi_open, q.hi_open))
-    key = p.owner * len(b) + q.owner
-    keep = (lo < hi) | ((lo == hi) & ~(lo_open | hi_open))
+    q = pb.take(j)
+    meet, keep = _meet(pa.take(i), q)
+    key = meet.owner * len(b) + q.owner
     key, i, j = key[keep], i[keep], j[keep]
-    if not len(key):
-        return Cover()
     by_pair = np.lexsort((j, i, key))
     order, key = np.flatnonzero(keep)[by_pair], key[by_pair]
     new = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=new[1:])
     owner = np.cumsum(new) - 1
-    parts = Parts(owner, lo[order], hi[order], lo_open[order], hi_open[order])
-    return _dedupe(Cover._of(int(owner[-1]) + 1, parts))
+    return _dedupe(Cover._of(np.count_nonzero(new), Parts(owner, *(col[order] for col in meet[1:]))))
 
 
 def vee(covers: list[Cover]) -> Cover:
@@ -286,39 +274,30 @@ def _pullback(pcmap: PcMap, cover: Cover) -> Cover:
     """One-step preimages of the elements, relatively open in the domain;
     empty preimages are dropped.
 
-    Each branch intersects every part with its image and inverts all the
-    part ends with one ``branch_preimages`` call.  An end on an image end
-    maps to the piece end exactly, so points of the discontinuity set are
-    never included, matching the convention-independent refinement semantics.
+    Each branch clips every part to its domain-clipped image by ``_meet``,
+    the join's rule, and inverts all the part ends with one
+    ``branch_preimages`` call.  An end on an image end maps to the piece end
+    exactly, so points of the discontinuity set are never included, matching
+    the convention-independent refinement semantics.
     """
-    owner, lo, hi, lo_open, hi_open = cover.parts
     pieces = []
     for b in pcmap.branches:
+        d = b.direction
         vmin, vmax = (min(max(v, pcmap.domain.lo), pcmap.domain.hi) for v in b.image)
-        img_lo_open, img_hi_open = (b.piece.lo_open, b.piece.hi_open)[:: b.direction]
-        # Interval.intersect with the image: at an equal end, open if either side is;
+        # the image's flags are the piece's, swapped by a decreasing branch
+        meet, keep = _meet(cover.parts, Parts(None, vmin, vmax, *(b.piece.lo_open, b.piece.hi_open)[::d]))
+        meet = meet.take(keep)
         # row 0 holds the lower ends, row 1 the upper ones
-        ends = np.stack([np.maximum(lo, vmin), np.minimum(hi, vmax)])
-        opens = np.stack([
-            np.where(lo > vmin, lo_open, img_lo_open) | ((lo == vmin) & lo_open),
-            np.where(hi < vmax, hi_open, img_hi_open) | ((hi == vmax) & hi_open),
-        ])
-        keep = np.flatnonzero((ends[0] < ends[1]) | ((ends[0] == ends[1]) & ~opens.any(axis=0)))
-        if not len(keep):
-            continue
-        ends = ends[:, keep]
+        ends = np.stack([meet.lo, meet.hi])
         xs = branch_preimages(b, ends.ravel()).reshape(ends.shape)
         # image ends go to piece ends exactly; a decreasing branch swaps the
         # rows, and reversing its columns puts each element's parts back in
         # lo order (the owners then descend)
-        d = b.direction
         piece_ends = np.array([[b.piece.lo], [b.piece.hi]])[::d]
         xs = np.where(ends == [[vmin], [vmax]], piece_ends, xs)[::d, ::d]
-        opens = opens[:, keep][::d, ::d]
+        opens = np.stack([meet.lo_open, meet.hi_open])[::d, ::d]
         # NaN ends fail both of _canonical's emptiness comparisons
-        pieces.append((owner[keep][::d], xs[0], xs[1], opens[0], opens[1]))
-    if not pieces:
-        return Cover()
+        pieces.append((meet.owner[::d], xs[0], xs[1], opens[0], opens[1]))
     # branches come in piece order, so one stable sort by owner leaves each
     # element's parts in lo order; _canonical sorts only where a rounded
     # inverse crossed two parts
@@ -340,7 +319,8 @@ def pullback_cover(pcmap: PcMap, cover: Cover, j: int) -> Cover:
 
 def refinement_steps(pcmap: PcMap, cover: Cover, n_max: int):
     """Yield the n-step refinements for n = 1..n_max, reusing previous factors."""
-    acc = cur = _dedupe(_subtract_points(cover, pcmap.delta.points))
+    # the one element holding every continuity piece is the domain minus the cut set
+    acc = cur = _join(cover, Cover((OpenSet(tuple(b.piece for b in pcmap.branches)),)))
     yield acc
     for n in range(2, n_max + 1):
         cur = _pullback(pcmap, cur)

@@ -267,7 +267,13 @@ def _validate_branch(domain: Interval, branch: Branch):
         vals = np.full_like(xs, float(vals))
     if not np.isfinite(vals).all():
         raise MapValidationError(f"branch on {branch.piece!r} is not evaluable everywhere")
-    diffs = np.diff(vals)
+    if vals.min() < domain.lo - IMAGE_TOL or vals.max() > domain.hi + IMAGE_TOL:
+        raise MapValidationError(
+            f"branch image on {branch.piece!r} escapes the domain "
+            f"([{vals.min():.17g}, {vals.max():.17g}] vs {domain!r})"
+        )
+    # monotone as evaluated: evaluate snaps values within IMAGE_TOL to the domain's ends
+    diffs = np.diff(np.clip(vals, domain.lo, domain.hi))
     if branch.increasing and not (diffs > 0).all():
         raise MapValidationError(
             f"branch on {branch.piece!r} is not strictly increasing on the validation grid"
@@ -275,11 +281,6 @@ def _validate_branch(domain: Interval, branch: Branch):
     if not branch.increasing and not (diffs < 0).all():
         raise MapValidationError(
             f"branch on {branch.piece!r} is not strictly decreasing on the validation grid"
-        )
-    if vals.min() < domain.lo - IMAGE_TOL or vals.max() > domain.hi + IMAGE_TOL:
-        raise MapValidationError(
-            f"branch image on {branch.piece!r} escapes the domain "
-            f"([{vals.min():.17g}, {vals.max():.17g}] vs {domain!r})"
         )
 
 
@@ -291,8 +292,8 @@ def build_map(
     """Assemble and validate a map from (lo, hi, expr, increasing?) rows.
 
     Every branch is checked on ``VALIDATION_GRID`` evenly spaced points of
-    its piece: finite, strictly monotone as declared, and inside the domain
-    up to ``IMAGE_TOL``.
+    its piece: finite, inside the domain up to ``IMAGE_TOL``, and strictly
+    monotone as declared once clipped to the domain.
     """
     if at_delta not in ("left", "right"):
         raise MapValidationError(f"at_delta must be 'left' or 'right', got {at_delta!r}")

@@ -211,10 +211,24 @@ class TestRefine:
 
     def test_depth_one_is_cover_minus_cuts(self, tent):
         closed = Cover((OpenSet((Interval.closed(0.0, 0.5),)), OpenSet((Interval.closed(0.5, 1.0),))))
-        for cover in (natural_cover(tent), closed):
-            refined = refine_n(tent, cover, 1)
-            expected = [el.subtract_points(tent.delta) for el in cover.elements]
-            assert set(refined.elements) == set(expected)
+        # anzie cuts at 0.3, 0.7 and 0.85: the point on a cut goes, a closed
+        # end on a cut opens, a part over three cuts splits in four, and the
+        # two elements equal once cut keep the first
+        anzie = catalog_get("anzie").map
+        on_cuts = Cover((
+            OpenSet((Interval.point(0.3),)),
+            OpenSet((Interval(0.2, 0.3, True, False),)),
+            OpenSet.of((0.25, 0.9)),
+            OpenSet.of((0.3, 0.5)),
+            OpenSet((Interval(0.3, 0.5, False, True),)),
+            OpenSet.of((0.0, 1.0)),
+        ))
+        for pcmap, cover in ((tent, natural_cover(tent)), (tent, closed), (anzie, on_cuts)):
+            cover = domainify_cover(cover, pcmap.domain)
+            cut = [el.subtract_points(pcmap.delta) for el in cover.elements]
+            expected = list(dict.fromkeys(el for el in cut if not el.is_empty()))
+            assert list(refine_n(pcmap, cover, 1).elements) == expected
+        assert len(expected) == 4
 
     def test_identity_fixed(self):
         ident = catalog_get("identity").map
@@ -374,16 +388,19 @@ GRID = [k / 8 for k in range(-1, 10)]
 
 
 @st.composite
-def subcover_cases(draw):
-    def interval():
-        a, b = sorted(draw(st.sampled_from(GRID)) for _ in range(2))
-        if a == b:
-            return Interval.point(a)
-        return Interval(a, b, draw(st.booleans()), draw(st.booleans()))
+def grid_intervals(draw):
+    """An interval with ends on GRID and any flags, or a closed point."""
+    a, b = sorted(draw(st.sampled_from(GRID)) for _ in range(2))
+    if a == b:
+        return Interval.point(a)
+    return Interval(a, b, draw(st.booleans()), draw(st.booleans()))
 
+
+@st.composite
+def subcover_cases(draw):
     max_parts = draw(st.sampled_from([1, 3, 3]))
     elements = tuple(
-        OpenSet(tuple(interval() for _ in range(draw(st.integers(1, max_parts)))))
+        OpenSet(tuple(draw(grid_intervals()) for _ in range(draw(st.integers(1, max_parts)))))
         for _ in range(draw(st.integers(1, 6)))
     )
     ends = sorted(draw(st.sampled_from(GRID[1:-1])) for _ in range(draw(st.sampled_from([2, 4]))))
@@ -591,6 +608,26 @@ def test_canonical_merges_like_openset(rows):
     for rows in (rows, sorted(rows, key=lambda r: r[:2] + (r[3],))):
         cover = covers._canonical(*(np.array([r[i] for r in rows], dtype=t) for i, t in enumerate(dtypes)))
         assert part_rows(cover) == expected
+
+
+def _parts_of(intervals):
+    cols = zip(*((p.lo, p.hi, p.lo_open, p.hi_open) for p in intervals))
+    return covers.Parts(np.arange(len(intervals)), *(np.array(c, dtype=t) for c, t in zip(cols, (float, float, bool, bool))))
+
+
+@given(st.lists(st.tuples(grid_intervals(), grid_intervals()), min_size=1, max_size=20), grid_intervals())
+@settings(max_examples=300, deadline=None)
+def test_meet_is_interval_intersect(pairs, single):
+    ps, qs = zip(*pairs)
+    one = covers.Parts(None, single.lo, single.hi, single.lo_open, single.hi_open)
+    # as row pairs, and against one interval broadcast over the rows
+    for q_rows, qs in ((_parts_of(qs), qs), (one, [single] * len(ps))):
+        meet, keep = covers._meet(_parts_of(ps), q_rows)
+        expected = [p.intersect(q) for p, q in zip(ps, qs)]
+        assert keep.tolist() == [w is not None for w in expected]
+        assert meet.owner.tolist() == list(range(len(ps)))
+        got = list(zip(*(col[keep].tolist() for col in meet[1:])))
+        assert got == [(w.lo, w.hi, w.lo_open, w.hi_open) for w in expected if w is not None]
 
 
 class TestCoverEntropy:

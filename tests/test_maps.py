@@ -76,6 +76,13 @@ class TestParseMap:
         with pytest.raises(MapValidationError):
             parse_map(src)
 
+    def test_flat_once_clipped_to_the_domain(self):
+        # the second branch climbs only 5e-11 above 1, within the image
+        # tolerance, so evaluation snaps it to 1 and it is flat there
+        src = "domain = [0, 1]\npiece (0, 0.5): 2*x inc\npiece (0.5, 1): 1 + 1e-10*(x - 0.5) inc\n"
+        with pytest.raises(MapValidationError, match=r"\(0.5, 1\] is not strictly increasing"):
+            parse_map(src)
+
     def test_wrong_declared_direction(self):
         with pytest.raises(MapValidationError):
             parse_map("domain = [0, 1]\npiece (0, 1): x dec\n")
