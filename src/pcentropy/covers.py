@@ -20,14 +20,16 @@ element's parts in order by reversing a decreasing branch's rows, so
 element of the n-step refinement automatically avoids the n-step
 discontinuity set.  Minimal subcover cardinalities are exact.  The target
 splits into atoms by one stable sort of every coordinate, and each part
-covers a block of atoms.  A data reduction comes first: difference arrays
-count the parts over each atom, an element owning the only part over some
-atom is forced into every subcover, and only the atoms that the forced
-elements leave go to a search.  When every element is a single interval, a
-greedy sweep (optimal) takes the picks, read by pointer doubling; otherwise a
-branch and bound whose first dive is a greedy cover reads each atom's
-candidates from the (element, atom) pairs grouped by atom.  The part and node
-caps are the constants ``DEFAULT_PART_CAP`` and ``DEFAULT_NODE_CAP``.
+covers a block of atoms.  A data reduction comes first and is the one
+coverage check: difference arrays count the parts over each atom, an atom
+under none is uncovered, an element owning the only part over some atom is
+forced into every subcover, and only the atoms that the forced elements
+leave, each under some other part, go to a search.  When every element is a
+single interval, a greedy sweep (optimal) takes the picks, read by pointer
+doubling; otherwise a branch and bound whose first dive is a greedy cover
+reads each atom's candidates from the (element, atom) pairs grouped by atom.
+The part and node caps are the constants ``DEFAULT_PART_CAP`` and
+``DEFAULT_NODE_CAP``.
 """
 
 from __future__ import annotations
@@ -357,38 +359,32 @@ def _uncovered(reps: np.ndarray, code: int) -> NotACoverError:
     return NotACoverError(f"target point {x:.17g} is uncovered", witness=x)
 
 
-def _sweep(first, last, owner, reps, atoms) -> SubcoverResult:
-    """Greedy sweep over single-interval parts that cover the atoms first..last;
-    the scalar reference is ``tests/reference.py::subcover_sweep_reference``.
+def _sweep(first, last, owner, n) -> SubcoverResult:
+    """Greedy sweep over single-interval parts covering atoms first..last of
+    atoms 0..n-1, each atom under at least one part, as ``_reduce`` leaves
+    them; the scalar reference is ``tests/reference.py::subcover_sweep_reference``.
 
     From frontier atom f the greedy picks the part of furthest reach among
     those starting at or before f, and moves on to the atom after that reach:
-    one step ``nxt[f]`` per atom, with an atom that no part reaches (a stuck
-    atom) and the sink ``len(atoms)`` as fixed points.  The picks are the
+    one step ``nxt[f] > f`` per atom, and the sink n.  The picks are the
     orbit of atom 0, read by pointer doubling: ``path`` holds the first 2^k
     frontiers and ``jump`` is the 2^k-th power of ``nxt``.
     """
-    ok = first <= last
-    order = np.lexsort((owner[ok], last[ok], first[ok]))
-    first, last, owner = (col[ok][order] for col in (first, last, owner))
+    order = np.lexsort((owner, last, first))
+    first, last, owner = first[order], last[order], owner[order]
     # the pick among parts 0..p is the first of them to reach their furthest atom
     reach = np.maximum.accumulate(last)
     rose = np.diff(reach, prepend=-1) > 0
     best = owner[rose][np.cumsum(rose) - 1]
-    n = len(atoms)
-    # upto[f]: the last part starting at or before atom f, -1 if none, where
-    # the appended reach -1 leaves f stuck
+    # upto[f]: the last part starting at or before atom f
     upto = np.cumsum(np.bincount(first, minlength=n)) - 1
-    nxt = np.append(np.maximum(np.append(reach, -1)[upto] + 1, np.arange(n)), n)
+    nxt = np.append(reach[upto] + 1, n)
     path, jump = np.zeros(1, dtype=np.intp), nxt
-    while nxt[path[-1]] != path[-1]:
+    while path[-1] != n:
         path = np.concatenate([path, jump[path]])
         jump = jump[jump]
-    # path rises to its fixed point and stays there
-    end = int(path[-1])
-    if end < n:
-        raise _uncovered(reps, atoms[end])
-    picks = best[upto[path[: np.searchsorted(path, end)]]].tolist()
+    # path rises to the sink and stays there
+    picks = best[upto[path[: np.searchsorted(path, n)]]].tolist()
     return SubcoverResult(len(picks), tuple(picks), True)
 
 
@@ -537,11 +533,12 @@ def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointS
     The target decomposes into atoms (the endpoint coordinates and the open
     gaps between consecutive ones, from one sort in ``_atomize``), and each
     part covers a contiguous block of them.  ``_reduce`` counts the parts
-    over each atom: an atom under none is uncovered, and the lowest such one
-    is the error's witness; an element owning the only part over some atom is
-    forced, since every subcover holds it.  The forced elements are taken
-    first, and only the atoms they leave, renumbered 0..m-1 (a block stays a
-    block), go to a search over the other elements: the greedy sweep, optimal
+    over each atom, the one coverage check: an atom under none is uncovered,
+    and the lowest such one is the error's witness; an element owning the
+    only part over some atom is forced, since every subcover holds it.  The
+    forced elements are taken first, and only the atoms they leave,
+    renumbered 0..m-1 (a block stays a block), each under a part of another
+    element, go to a search over the other elements: the greedy sweep, optimal
     when every element is a single interval and run by pointer doubling in
     ``_sweep``, or else ``_branch_and_bound`` on m-bit masks.  ``indices``
     are the forced elements in index order, then the search's picks.  The
@@ -551,8 +548,6 @@ def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointS
     if target.is_empty():
         return SubcoverResult(0, (), True)
     reps, atoms, first, last = _atomize(cover, target, exclude)
-    if not len(atoms):
-        return SubcoverResult(0, (), True)
     owner = cover.parts.owner
     cands, forced, leftover = _reduce(first, last, owner, len(atoms))
     if not cands.all():
@@ -568,7 +563,7 @@ def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointS
     keep = (first <= last) & ~np.isin(owner, forced)
     first, last, owner = first[keep], last[keep], owner[keep]
     if len(cover.parts.owner) == len(cover):  # every element is a single interval
-        found = _sweep(first, last, owner, reps, atoms[leftover])
+        found = _sweep(first, last, owner, len(leftover))
     else:
         found = _branch_and_bound(first, last, owner, len(cover), len(leftover))
     return SubcoverResult(len(picks) + found.count, picks + found.indices, found.exact)

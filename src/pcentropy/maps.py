@@ -1,10 +1,10 @@
 """Piecewise continuous interval maps with user-declared monotone branches.
 
 A map is a compact interval tiled by the closures of finitely many pieces,
-one continuous strictly monotone branch per piece.  The boundaries between
-pieces form the discontinuity set; values there follow a one-sided-limit
-convention that, by construction, never influences piece counting or cover
-refinement.
+one continuous strictly monotone branch per piece, checked on the table of
+values that its inverse brackets from.  The boundaries between pieces form
+the discontinuity set; values there follow a one-sided-limit convention
+that, by construction, never influences piece counting or cover refinement.
 """
 
 from __future__ import annotations
@@ -23,22 +23,24 @@ from .intervals import Interval, PointSet
 
 DEFAULT_MAP_TOL = 1e-10
 IMAGE_TOL = 1e-9
-VALIDATION_GRID = 257
 BRACKET_GRID = 1025
 
 
 @dataclass(frozen=True)
 class Branch:
+    """A continuous strictly monotone branch, evaluated once: its direction, ``image``,
+    ``build_map``'s validation and the inverse's ``brackets`` all read ``values``."""
+
     piece: Interval  # open at interior boundaries, closed at domain endpoints
     expr: Expr
     increasing: bool | None = None  # None: read from the values at the piece ends
 
     def __post_init__(self):
         if self.increasing is None:
-            lo_val, hi_val = float(self.fn(self.piece.lo)), float(self.fn(self.piece.hi))
+            lo_val, hi_val = self.values[0], self.values[-1]
             if lo_val == hi_val:
                 raise MapValidationError(f"branch on {self.piece!r} is not strictly monotone")
-            object.__setattr__(self, "increasing", hi_val > lo_val)
+            object.__setattr__(self, "increasing", bool(hi_val > lo_val))
 
     @cached_property
     def fn(self):
@@ -49,29 +51,44 @@ class Branch:
         return as_affine(self.expr)
 
     @cached_property
+    def values(self) -> np.ndarray:
+        """The branch on ``BRACKET_GRID`` evenly spaced points of the piece, ends included,
+        read-only; ``MapValidationError`` if it divides by zero or is not finite there."""
+        xs = np.linspace(self.piece.lo, self.piece.hi, BRACKET_GRID)
+        with np.errstate(all="ignore"):
+            try:
+                vals = np.broadcast_to(np.asarray(self.fn(xs), dtype=float), xs.shape)  # a constant broadcasts
+            except ZeroDivisionError:
+                raise MapValidationError(f"branch on {self.piece!r} divides by zero") from None
+        if not np.isfinite(vals).all():
+            raise MapValidationError(f"branch on {self.piece!r} is not evaluable everywhere")
+        vals.flags.writeable = False
+        return vals
+
+    def at(self, x: float) -> float:
+        """The branch at one point; where a Python float raises on a division
+        by zero, a numpy float gives inf as ``values`` does."""
+        try:
+            return float(self.fn(x))
+        except ZeroDivisionError:
+            with np.errstate(all="ignore"):
+                return float(self.fn(np.float64(x)))
+
+    @cached_property
     def image(self) -> tuple[float, float]:
-        """One-sided limit values at the piece ends, sorted (closure of image)."""
-        lo_val, hi_val = float(self.fn(self.piece.lo)), float(self.fn(self.piece.hi))
+        """The values at the piece ends, sorted (closure of image)."""
+        lo_val, hi_val = float(self.values[0]), float(self.values[-1])
         return (min(lo_val, hi_val), max(lo_val, hi_val))
 
     @cached_property
     def brackets(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(xs, vs)``: ``BRACKET_GRID`` evenly spaced points of the piece and
-        sgn·f there, the ends set to the end values ``flo`` and ``fhi``.
-
-        Raises ``MonotonicityError`` if ``flo > fhi`` or if ``vs`` decreases
-        anywhere (pinned ends make a non-decreasing table lie in [flo, fhi]).
-        """
-        lo, hi = self.piece.lo, self.piece.hi
-        sgn = 1.0 if self.increasing else -1.0
-        flo, fhi = sgn * float(self.fn(lo)), sgn * float(self.fn(hi))
-        if not flo <= fhi:
+        """``(xs, vs)``: the points of ``values`` and sgn·f there; ``MonotonicityError`` if
+        ``vs`` decreases, which ``build_map`` refuses but a ``Branch`` built directly skips."""
+        vs = (1.0 if self.increasing else -1.0) * self.values
+        if not vs[0] <= vs[-1]:
             raise MonotonicityError(f"branch values at piece ends contradict declared direction on {self.piece!r}")
-        xs = np.linspace(lo, hi, BRACKET_GRID)
-        with np.errstate(all="ignore"):
-            vs = sgn * np.asarray(self.fn(xs), dtype=float)
-        vs[0], vs[-1] = flo, fhi
-        bad = np.flatnonzero(~(vs[1:] >= vs[:-1]))  # NaN counts as bad
+        xs = np.linspace(self.piece.lo, self.piece.hi, BRACKET_GRID)
+        bad = np.flatnonzero(vs[1:] < vs[:-1])
         if len(bad):
             raise MonotonicityError(f"bracket table decreases at {float(xs[bad[0] + 1])!r} on {self.piece!r}")
         return xs, vs
@@ -134,10 +151,11 @@ def evaluate_many(pcmap: PcMap, xs: np.ndarray) -> np.ndarray:
     """
     idx = np.searchsorted(pcmap.delta.points, xs, side="right")
     out = np.empty_like(xs, dtype=float)
-    for i, b in enumerate(pcmap.branches):
-        m = idx == i
-        if m.any():
-            out[m] = b.fn(xs[m])
+    with np.errstate(all="ignore"):
+        for i, b in enumerate(pcmap.branches):
+            m = idx == i
+            if m.any():
+                out[m] = b.fn(xs[m])
     return np.clip(out, pcmap.domain.lo, pcmap.domain.hi)
 
 
@@ -171,7 +189,7 @@ def limit_step(pcmap: PcMap, v: float, side: int) -> tuple[float, int, int]:
     else:
         bi = bisect.bisect_right(pcmap.delta.points, v)
     b = pcmap.branches[bi]
-    value = _check_in_domain(pcmap, float(b.fn(v)))
+    value = _check_in_domain(pcmap, b.at(v))
     new_side = side if b.increasing else 1 - side
     return value, new_side, bi
 
@@ -256,32 +274,18 @@ def branch_preimages(branch: Branch, ys: np.ndarray) -> np.ndarray:
 
 
 def _validate_branch(domain: Interval, branch: Branch):
-    xs = np.linspace(branch.piece.lo, branch.piece.hi, VALIDATION_GRID)
-    with np.errstate(all="ignore"):
-        try:
-            vals = branch.fn(xs)
-        except ZeroDivisionError:
-            raise MapValidationError(f"branch on {branch.piece!r} divides by zero") from None
-    vals = np.asarray(vals, dtype=float)
-    if vals.shape != xs.shape:
-        vals = np.full_like(xs, float(vals))
-    if not np.isfinite(vals).all():
-        raise MapValidationError(f"branch on {branch.piece!r} is not evaluable everywhere")
+    """Refuse a branch whose ``values`` leave the domain by more than
+    ``IMAGE_TOL`` or, once clipped to it, are not strictly monotone as declared."""
+    vals = branch.values
     if vals.min() < domain.lo - IMAGE_TOL or vals.max() > domain.hi + IMAGE_TOL:
         raise MapValidationError(
             f"branch image on {branch.piece!r} escapes the domain "
             f"([{vals.min():.17g}, {vals.max():.17g}] vs {domain!r})"
         )
     # monotone as evaluated: evaluate snaps values within IMAGE_TOL to the domain's ends
-    diffs = np.diff(np.clip(vals, domain.lo, domain.hi))
-    if branch.increasing and not (diffs > 0).all():
-        raise MapValidationError(
-            f"branch on {branch.piece!r} is not strictly increasing on the validation grid"
-        )
-    if not branch.increasing and not (diffs < 0).all():
-        raise MapValidationError(
-            f"branch on {branch.piece!r} is not strictly decreasing on the validation grid"
-        )
+    if not (np.diff(np.clip(vals, domain.lo, domain.hi)) * branch.direction > 0).all():
+        word = "increasing" if branch.increasing else "decreasing"
+        raise MapValidationError(f"branch on {branch.piece!r} is not strictly {word} on the validation grid")
 
 
 def build_map(
@@ -291,9 +295,9 @@ def build_map(
 ) -> PcMap:
     """Assemble and validate a map from (lo, hi, expr, increasing?) rows.
 
-    Every branch is checked on ``VALIDATION_GRID`` evenly spaced points of
-    its piece: finite, inside the domain up to ``IMAGE_TOL``, and strictly
-    monotone as declared once clipped to the domain.
+    Every branch is checked on its ``values``, the table its inverse brackets
+    from: finite, inside the domain up to ``IMAGE_TOL``, and strictly monotone
+    as declared once clipped to it, so no route meets a branch it refuses.
     """
     if at_delta not in ("left", "right"):
         raise MapValidationError(f"at_delta must be 'left' or 'right', got {at_delta!r}")

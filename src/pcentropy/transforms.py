@@ -82,7 +82,7 @@ def _lap_rows(pcmap: PcMap, laps: list[Interval], k: int) -> list[tuple]:
         a, b, expr, inc = lap.lo, lap.hi, None, True
         for _ in range(k):
             br = pcmap.branches[bisect.bisect_right(cuts, 0.5 * (a + b))]
-            ya, yb = float(br.fn(max(a, br.piece.lo))), float(br.fn(min(b, br.piece.hi)))
+            ya, yb = br.at(max(a, br.piece.lo)), br.at(min(b, br.piece.hi))
             a, b = min(ya, yb), max(ya, yb)
             expr = br.expr if expr is None else Compose(br.expr, expr)
             inc = inc == br.increasing

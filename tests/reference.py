@@ -367,22 +367,22 @@ def refinement_reference(pcmap, cover, n_max):
         yield acc
 
 
-def subcover_sweep_reference(first, last, owner, reps, atoms) -> SubcoverResult:
+def subcover_sweep_reference(first, last, owner, n) -> SubcoverResult:
     """Tuple sweep reference for ``covers._sweep``, which reads the same picks
     by pointer doubling: the parts sorted as ``(first, last, owner)`` tuples,
-    and the best reach kept while the frontier advances one pick at a time."""
-    ranges = sorted((a, b, idx) for a, b, idx in zip(first, last, owner) if a <= b)
+    and the best reach kept while the frontier advances one pick at a time.
+    Like ``_sweep``, it takes what ``covers._reduce`` leaves: every part has
+    first <= last, and each of the atoms 0..n-1 lies under some part."""
+    ranges = sorted(zip(first, last, owner))
     picks = []
     frontier = 0
     i = 0
     best_hi, best_idx = -1, -1
-    while frontier < len(atoms):
+    while frontier < n:
         while i < len(ranges) and ranges[i][0] <= frontier:
             if ranges[i][1] > best_hi:
                 best_hi, best_idx = ranges[i][1], ranges[i][2]
             i += 1
-        if best_hi < frontier:
-            raise _uncovered(reps, atoms[frontier])
         picks.append(best_idx)
         frontier = best_hi + 1
     return SubcoverResult(len(picks), tuple(picks), True)

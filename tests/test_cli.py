@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,22 @@ class TestEntropyCommand:
         assert code == 0
         methods = {l.split(",")[0] for l in out.strip().split("\n")[1:]}
         assert {"bowen-separated", "bowen-spanning", "estimate"} <= methods
+
+    @pytest.mark.parametrize("tail", [" inc", ""])
+    def test_division_by_zero_at_a_piece_end(self, capsys, tmp_path, tail):
+        # 1/x^-1 is finite on arrays but raises on the Python float 0.0; no
+        # route may raise or warn on it
+        f = tmp_path / "recip.pcm"
+        f.write_text(f"domain = [0, 1]\npiece (0, 1): 1 / x^-1{tail}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "entropy", "--map", str(f), "--method", "all",
+                "--n-max", "4", "--n-range", "2:4", "--eps", "0.1", "--grid", "129",
+            )
+        assert (code, err) == (0, "")
+        estimates = [float(l.split(",")[3]) for l in out.strip().split("\n") if l.startswith("estimate")]
+        assert len(estimates) == 4 and all(abs(e) <= 0.05 for e in estimates)
 
     def test_csv_byte_stable(self, capsys, tmp_path):
         argv = ["entropy", "--catalog", "mod3", "--method", "ms", "--n-max", "8"]
@@ -490,6 +507,19 @@ class TestValidateCommand:
         code, _, err = run(capsys, "validate", str(f))
         assert code == 1
         assert "escapes" in err
+
+    def test_table_dip_rejected(self, capsys, tmp_path):
+        # the dip sits on one point of the table the inverse brackets from,
+        # between the points of a coarser grid
+        f = tmp_path / "dip.pcm"
+        f.write_text(
+            "domain = [0, 1]\npiece (0, 1/2): 8*x^3 - max(0, 0.01 - 100*abs(x - 0.2509765625)) inc\n"
+            "piece (1/2, 1): 2 - 2*x dec\n"
+        )
+        code, out, err = run(capsys, "validate", str(f))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert "not strictly increasing on the validation grid" in err
 
     def test_sliver_piece_rejected(self, capsys, tmp_path):
         f = tmp_path / "sliver.pcm"

@@ -487,30 +487,31 @@ def test_reduce_matches_loop_reference(case):
     assert not repeated & set(forced.tolist())
 
 
+def _with_every_atom_covered(first, last, n_atoms):
+    """What ``_reduce`` leaves for the sweep: the parts with first <= last,
+    and a one-atom part for each atom that none of them covers."""
+    keep = first <= last
+    first, last = first[keep], last[keep]
+    depth = np.cumsum(np.bincount(first, minlength=n_atoms + 1) - np.bincount(last + 1, minlength=n_atoms + 1))
+    holes = np.flatnonzero(depth[:-1] == 0)
+    return np.append(first, holes).astype(np.intp), np.append(last, holes).astype(np.intp)
+
+
 @st.composite
 def sweep_cases(draw):
-    # few distinct (first, last) values, so ties and uncovered atoms are common
-    n_reps = draw(st.integers(1, 6))
-    codes = draw(st.lists(st.integers(0, 2 * n_reps - 2), min_size=1, unique=True))
-    n_atoms = len(codes)
+    # few distinct (first, last) values, so ties and one-atom parts are common
+    n_atoms = draw(st.integers(1, 11))
     ranges = draw(st.lists(st.tuples(st.integers(0, n_atoms), st.integers(-1, n_atoms - 1)), max_size=10))
-    owner = draw(st.permutations(range(len(ranges))))
-    first, last = [a for a, _ in ranges], [b for _, b in ranges]
-    cols = [np.array(c, dtype=np.intp) for c in (first, last, owner)]
-    return (*cols, np.arange(n_reps, dtype=float), np.array(sorted(codes)))
-
-
-def _sweep_outcome(sweep, case):
-    try:
-        return sweep(*case)
-    except NotACoverError as exc:
-        return exc.witness
+    first, last = (np.array([r[k] for r in ranges], dtype=np.intp) for k in (0, 1))
+    first, last = _with_every_atom_covered(first, last, n_atoms)
+    owner = np.array(draw(st.permutations(range(len(first)))), dtype=np.intp)
+    return first, last, owner, n_atoms
 
 
 @given(sweep_cases())
 @settings(max_examples=400, deadline=None)
 def test_sweep_matches_tuple_reference(case):
-    assert _sweep_outcome(covers._sweep, case) == _sweep_outcome(subcover_sweep_reference, case)
+    assert covers._sweep(*case) == subcover_sweep_reference(*case)
 
 
 @st.composite
@@ -518,7 +519,7 @@ def long_sweep_cases(draw):
     # a chain of up to 300 ranges, each reaching at least to the start of the
     # next, so the greedy takes many picks and the doubling many rounds; a
     # few more ranges make ties, and half of the chains get a hole cut deep
-    # into them, an atom that no range covers
+    # into them, an atom that only a one-atom part then covers
     size = draw(st.integers(1, 300))
     gaps = np.array(draw(st.lists(st.integers(1, 3), min_size=size, max_size=size)), dtype=np.intp)
     extra = np.array(draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)), dtype=np.intp)
@@ -531,14 +532,15 @@ def long_sweep_cases(draw):
     if draw(st.booleans()):
         hole = draw(st.integers(n_atoms // 2, n_atoms - 1))
         last[(first <= hole) & (hole <= last)] = hole - 1
+    first, last = _with_every_atom_covered(first, last, n_atoms)
     owner = np.array(draw(st.permutations(range(len(first)))), dtype=np.intp)
-    return first, last, owner, np.arange(n_atoms // 2 + 1, dtype=float), np.arange(n_atoms)
+    return first, last, owner, n_atoms
 
 
 @given(long_sweep_cases())
 @settings(max_examples=200, deadline=None)
 def test_long_sweep_matches_tuple_reference(case):
-    assert _sweep_outcome(covers._sweep, case) == _sweep_outcome(subcover_sweep_reference, case)
+    assert covers._sweep(*case) == subcover_sweep_reference(*case)
 
 
 def test_sweep_of_one_part_per_atom():
@@ -546,14 +548,9 @@ def test_sweep_of_one_part_per_atom():
     n = 3000
     atoms = np.arange(n)
     owner = atoms[::-1].copy()
-    case = (atoms, atoms, owner, np.arange(n // 2 + 1, dtype=float), atoms)
-    res = covers._sweep(*case)
-    assert res == subcover_sweep_reference(*case)
+    res = covers._sweep(atoms, atoms, owner, n)
+    assert res == subcover_sweep_reference(atoms, atoms, owner, n)
     assert res.indices == tuple(range(n - 1, -1, -1))
-    # the same chain without the part of atom 2500, the point reps[1250]
-    kept = atoms != 2500
-    case = (atoms[kept], atoms[kept], owner[kept], *case[3:])
-    assert _sweep_outcome(covers._sweep, case) == _sweep_outcome(subcover_sweep_reference, case) == 1250.0
 
 
 # signed zeros, and runs of four coordinates 0.6 * tol apart, which

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcentropy.catalog import get as catalog_get, names as catalog_names
+from pcentropy.covers import cover_entropy, natural_cover
 from pcentropy.errors import DomainError, ExprParseError, MapValidationError, MonotonicityError
 from pcentropy import maps
 from pcentropy.expr import compile_expr, parse_expression
@@ -21,6 +22,7 @@ from pcentropy.maps import (
     limit_step,
     parse_map,
 )
+from pcentropy.symbolic import ms_entropy
 from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
 from reference import branch_inverse, branch_preimage_scalar, limit_orbit, orbit_avoids_delta
 
@@ -82,6 +84,29 @@ class TestParseMap:
         src = "domain = [0, 1]\npiece (0, 0.5): 2*x inc\npiece (0.5, 1): 1 + 1e-10*(x - 0.5) inc\n"
         with pytest.raises(MapValidationError, match=r"\(0.5, 1\] is not strictly increasing"):
             parse_map(src)
+
+    @pytest.mark.parametrize("body", ["x + 1/0", "x/0", "1/(x-x)"])
+    def test_division_by_zero_without_direction(self, body):
+        # the direction is read from the table, which refuses the branch
+        with pytest.raises(MapValidationError, match="divides by zero|not evaluable everywhere"):
+            parse_map(f"domain = [0, 1]\npiece (0, 1): {body}\n")
+
+    @pytest.mark.parametrize("tail", [" inc", ""])
+    def test_division_by_zero_at_a_piece_end_runs_every_route(self, tail):
+        # 1/x^-1 is x on arrays, but a Python float raises at x = 0
+        pcmap = parse_map(f"domain = [0, 1]\npiece (0, 1): 1 / x^-1{tail}\n")
+        assert pcmap.branches[0].increasing and pcmap.branches[0].image == (0.0, 1.0)
+        assert limit_step(pcmap, 0.0, LEFT) == (0.0, LEFT, 0)
+        assert [r.value for r in ms_entropy(pcmap, 4).records] == [1, 1, 1, 1]
+        assert [r.value for r in cover_entropy(pcmap, natural_cover(pcmap), 3).records] == [1, 1, 1]
+
+    def test_image_is_the_scalar_value_at_the_piece_ends(self):
+        for name in catalog_names():
+            m = catalog_get(name).map
+            for pcmap in (m, iterate_map(m, 2), iterate_map(m, 3)):
+                for b in pcmap.branches:
+                    lo_val, hi_val = float(b.fn(b.piece.lo)), float(b.fn(b.piece.hi))
+                    assert b.image == (min(lo_val, hi_val), max(lo_val, hi_val)), name
 
     def test_wrong_declared_direction(self):
         with pytest.raises(MapValidationError):
@@ -261,7 +286,7 @@ def test_branch_preimages_matches_mirror_and_bisection(branch, targets):
 
 
 def _direct_branch(text: str, increasing: bool = True) -> Branch:
-    """A branch on [0, 1] that skips build_map's validation grid."""
+    """A branch on [0, 1] that skips build_map's validation."""
     return Branch(Interval.closed(0.0, 1.0), parse_expression(text), increasing)
 
 
@@ -305,12 +330,14 @@ class TestBranchPreimages:
             branch_preimage_scalar(b, c)
 
     def test_table_dip_between_validation_points(self):
-        # the dip is narrower than the table spacing and sits on a table point
-        # that is not one of the VALIDATION_GRID points
+        # the dip is narrower than the table spacing and sits on one table
+        # point: parse_map refuses it on that table, and a branch built
+        # directly, which skips build_map, refuses it when inverted
         c = 0.5 + 1 / (maps.BRACKET_GRID - 1)
-        b = _direct_branch(f"x^3 - max(0, 0.01 - 100*abs(x - {c!r}))")
-        grid = np.linspace(0.0, 1.0, maps.VALIDATION_GRID)
-        assert (np.diff(b.fn(grid)) > 0).all()
+        body = f"x^3 - max(0, 0.01 - 100*abs(x - {c!r}))"
+        with pytest.raises(MapValidationError, match="not strictly increasing on the validation grid"):
+            parse_map(f"domain = [0, 1]\npiece (0, 1): {body} inc\n")
+        b = _direct_branch(body)
         with pytest.raises(MonotonicityError, match=f"bracket table decreases at {c!r}"):
             branch_preimages(b, np.array([0.2]))
         # a target outside the image reads no table
