@@ -22,11 +22,12 @@ sample row and one bit per n, so a step is a few bigint operations; the
 steps' claims are decoded into each n's admitted rows and witnesses after the
 scan, a bounded number of bytes at a time.  The separated-set certificate
 of a sweep is one pass too: it prunes the close pairs of the union of the
-sweep's sets column by column, recomputing every distance from the orbits,
-and reads each depth's pairs after that depth's last column.
+sweep's sets column by column in the greedy's row order, recomputing each
+distance from the orbits, and reads a depth's pairs after its last column.
 
-Orbit matrices, and the certified cells of each, are cached per sample in
-``_ORBIT_CACHE``.  The cache takes no lock: use it from one thread at a time.
+One recurrence, ``_orbits``, makes every orbit table, the sampling's and the
+orbit matrix's; ``_ORBIT_CACHE`` holds each sample's matrix and certified
+cells.  The cache takes no lock: use it from one thread at a time.
 """
 
 from __future__ import annotations
@@ -69,16 +70,20 @@ def rho_n(pcmap: PcMap, x: float, y: float, n: int, metric=None) -> float:
     return max(abs(a - b) for a, b in zip(ox, oy))
 
 
+def _orbits(pcmap: PcMap, xs: np.ndarray, horizon: int) -> np.ndarray:
+    """Rows are the entries of ``xs``, columns their first ``horizon`` orbit
+    points; each column is one contiguous ``evaluate_many`` step."""
+    out = np.empty((horizon, len(xs)))
+    out[0] = xs
+    for j in range(1, horizon):
+        out[j] = evaluate_many(pcmap, out[j - 1])
+    return out.T
+
+
 def _avoid_mask(pcmap: PcMap, xs: np.ndarray, horizon: int) -> np.ndarray:
-    """True where the first ``horizon`` orbit points of an entry of ``xs`` miss
+    """True where no column of the ``_orbits`` row of an entry of ``xs`` lies in
     the cut set; the scalar reference is ``tests/reference.py::orbit_avoids_delta``."""
-    ok = np.ones(len(xs), dtype=bool)
-    v = xs.astype(float)
-    for j in range(horizon):
-        ok &= ~pcmap.delta.contains_many(v)
-        if j < horizon - 1:
-            v = evaluate_many(pcmap, v)
-    return ok
+    return ~np.logical_or.reduce([pcmap.delta.contains_many(col) for col in _orbits(pcmap, xs, horizon).T])
 
 
 def sample_region(pcmap: PcMap, region: RegionSet, grid: int, horizon: int) -> SampleSet:
@@ -118,15 +123,12 @@ def sample_region(pcmap: PcMap, region: RegionSet, grid: int, horizon: int) -> S
 
 
 def orbit_matrix(pcmap: PcMap, sample: SampleSet) -> np.ndarray:
-    """Rows are sample points, columns the first ``horizon`` orbit coordinates."""
+    """The ``_orbits`` table of the sample, cached: rows are sample points,
+    columns the first ``horizon`` orbit coordinates."""
     cached = _ORBIT_CACHE.get(sample)
     if cached is not None and cached[0] == pcmap:
         return cached[1]
-    xs = sample.points.points
-    out = np.empty((len(xs), sample.horizon))
-    out[:, 0] = xs
-    for j in range(1, sample.horizon):
-        out[:, j] = evaluate_many(pcmap, out[:, j - 1])
+    out = _orbits(pcmap, sample.points.points, sample.horizon)
     _ORBIT_CACHE[sample] = (pcmap, out, {})  # the dict holds _cell's results
     return out
 
@@ -238,23 +240,22 @@ def _close_pairs(M: np.ndarray, sets: dict[int, np.ndarray], eps: float) -> dict
     the max norm over the first n columns of ``M``, or None: one pass serves
     every depth.
 
-    Sorted by first coordinate, the union of the sets has its pairs with a
-    gap below eps there at offsets k = 1, 2, ... up to the first offset where
-    no gap is.  Each offset's pairs are pruned column by column, dropping those
-    eps apart in the current one, and after column n the survivors with both
-    rows in ``sets[n]`` are the close pairs at depth n.  The first two columns
-    prune a mask over the whole offset by contiguous slices, since on a slowly
-    expanding map at a wide eps most pairs pass them; only the survivors of
-    column 1 are gathered.  The distances come from ``M`` alone, and no list of
-    pairs is kept: past one flag per row of ``M`` and depth, the work space
-    stays linear in the union.
+    ``M`` comes sorted by first coordinate from ``_prepare``, so the union of
+    the sets in row order has its pairs with a gap below eps there at offsets
+    k = 1, 2, ... up to the first offset where no gap is.  Each offset's pairs
+    are pruned column by column, dropping those eps apart in the current one,
+    and after column n the survivors with both rows in ``sets[n]`` are the
+    close pairs at depth n.  The first two columns prune a mask over the whole
+    offset by contiguous slices, since on a slowly expanding map at a wide eps
+    most pairs pass them; only the survivors of column 1 are gathered.  The
+    distances come from ``M`` alone, and no list of pairs is kept: past one
+    flag per row of ``M`` and depth, the work space stays linear in the union.
     """
     ns = sorted(sets)
     member = np.zeros((len(ns), len(M)), dtype=bool)
     for t, n in enumerate(ns):
         member[t, sets[n]] = True
-    order = np.flatnonzero(member.any(axis=0))  # the union
-    order = order[np.argsort(M[order, 0], kind="stable")]
+    order = np.flatnonzero(member.any(axis=0))  # the union, in row order
     member = member[:, order]  # member[t, p]: row order[p] is in sets[ns[t]]
     cols = [M[order, j] for j in range(ns[-1])]
     depth_after = {n - 1: t for t, n in enumerate(ns)}  # the last column depth ns[t] reads

@@ -1,10 +1,10 @@
 """Open covers, their products and pullbacks, and exact minimal subcovers.
 
 Cover elements are finite interval unions, relatively open in the map's
-domain.  A ``Cover`` holds the parts of all its elements as flat arrays
+domain.  A ``Cover`` holds only the parts of all its elements, as flat arrays
 (owner element, ``lo``, ``hi``, ``lo_open``, ``hi_open``), sorted by element
-and then by ``lo``, each element in ``OpenSet``'s canonical form; the
-``OpenSet`` elements are built only when ``Cover.elements`` is read.
+and then by ``lo``, each element in ``OpenSet``'s canonical form; every
+routine here reads those, and ``Cover.elements`` builds ``OpenSet``s for callers.
 Refinement intersects the cover with preimages of itself step by step, every
 two parts by one row rule, ``_meet`` (``Interval.intersect`` on arrays).  The
 first step joins the cover with the one element made of every continuity
@@ -69,9 +69,9 @@ class Cover:
     """A finite sequence of non-empty open sets, held as flat part arrays.
 
     ``parts`` lists the parts of every element, sorted by element and then by
-    ``lo``; each element's parts are in ``OpenSet``'s canonical form.
-    ``Cover(elements)`` takes ``OpenSet``s; the routes below build covers
-    from part arrays, and ``elements`` makes the ``OpenSet``s on first read.
+    ``lo``; each element's parts, at least one, are in ``OpenSet``'s canonical
+    form, so the owners run 0..n-1.  ``Cover(elements)`` takes ``OpenSet``s,
+    and ``elements`` makes them from the part arrays on first read.
     """
 
     def __init__(self, elements=()):
@@ -81,31 +81,30 @@ class Cover:
         rows = [(i, p.lo, p.hi, p.lo_open, p.hi_open) for i, el in enumerate(elements) for p in el.parts]
         cols = zip(*rows) if rows else ((),) * 5
         dtypes = (np.intp, float, float, bool, bool)
-        self._init(len(elements), Parts(*(np.array(c, dtype=t) for c, t in zip(cols, dtypes))))
+        self._init(Parts(*(np.array(c, dtype=t) for c, t in zip(cols, dtypes))))
         self.__dict__["elements"] = elements
 
     @classmethod
-    def _of(cls, n: int, parts: Parts) -> "Cover":
-        """A cover of ``n`` elements from canonical part rows sorted by owner."""
+    def _of(cls, parts: Parts) -> "Cover":
+        """The cover of canonical part rows whose owners run 0..n-1 in order."""
         cover = cls.__new__(cls)
-        cover._init(n, parts)
+        cover._init(parts)
         return cover
 
-    def _init(self, n: int, parts: Parts):
+    def _init(self, parts: Parts):
         for col in parts:
             col.flags.writeable = False  # covers share part arrays
-        self._n = n
         self.parts = parts
 
     @cached_property
     def elements(self) -> tuple[OpenSet, ...]:
         owner, lo, hi, lo_open, hi_open = self.parts
-        bounds = np.searchsorted(owner, np.arange(self._n + 1)).tolist()
+        bounds = np.searchsorted(owner, np.arange(len(self) + 1)).tolist()
         rows = [Interval(*r) for r in zip(lo.tolist(), hi.tolist(), lo_open.tolist(), hi_open.tolist())]
         return tuple(OpenSet(tuple(rows[a:b])) for a, b in zip(bounds[:-1], bounds[1:]))
 
     def __len__(self):
-        return self._n
+        return int(self.parts.owner[-1]) + 1 if self.total_parts() else 0
 
     def total_parts(self) -> int:
         return len(self.parts.lo)
@@ -152,11 +151,11 @@ def _canonical(key: np.ndarray, lo, hi, lo_open, hi_open) -> Cover:
     owner = np.cumsum(start, dtype=np.intp) - 1
     start[1:] |= (lo[1:] > hi[:-1]) | ((lo[1:] == hi[:-1]) & lo_open[1:] & hi_open[:-1])
     if start.all():
-        return Cover._of(int(owner[-1]) + 1, Parts(owner, lo, hi, lo_open, hi_open))
+        return Cover._of(Parts(owner, lo, hi, lo_open, hi_open))
     first = np.flatnonzero(start)
     last = np.append(first[1:], n) - 1
     parts = Parts(owner[first], lo[first], hi[last], lo_open[first], hi_open[last])
-    return Cover._of(int(owner[-1]) + 1, parts)
+    return Cover._of(parts)
 
 
 def _sorted_rows(cols) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +195,7 @@ def _dedupe(cover: Cover) -> Cover:
     if kept.all():
         return cover
     parts = cover.parts.take(kept[owner])
-    return Cover._of(int(kept.sum()), parts._replace(owner=(np.cumsum(kept) - 1)[parts.owner]))
+    return Cover._of(parts._replace(owner=(np.cumsum(kept) - 1)[parts.owner]))
 
 
 def natural_cover(pcmap: PcMap) -> Cover:
@@ -259,7 +258,7 @@ def _join(a: Cover, b: Cover) -> Cover:
     new = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=new[1:])
     owner = np.cumsum(new) - 1
-    return _dedupe(Cover._of(np.count_nonzero(new), Parts(owner, *(col[order] for col in meet[1:]))))
+    return _dedupe(Cover._of(Parts(owner, *(col[order] for col in meet[1:]))))
 
 
 def vee(covers: list[Cover]) -> Cover:
@@ -618,21 +617,22 @@ def boundary_of_refined_natural_cover(pcmap: PcMap, n: int) -> PointSet:
 
 def lebesgue_number(cover: Cover, region: RegionSet) -> float:
     """Conservative Lebesgue number: min over a 1000-point grid of the best
-    one-sided slack of an element containing the point (domain-clipped sides
-    count as unbounded)."""
-    delta = math.inf
+    one-sided slack of a part containing the point (a side at the region's
+    outer end counts as unbounded); see ``tests/reference.py::lebesgue_number_reference``."""
+    if region.is_empty():
+        return math.inf
     total = max(region.total_length(), 1e-300)
-    for part in region.parts:
-        xs = np.linspace(part.lo, part.hi, max(2, int(1000 * part.diameter / total)))
-        for x in xs:
-            best = 0.0
-            for el in cover.elements:
-                for p in el.parts:
-                    if p.contains(x):
-                        left = math.inf if p.lo <= region.parts[0].lo else x - p.lo
-                        right = math.inf if p.hi >= region.parts[-1].hi else p.hi - x
-                        best = max(best, min(left, right))
-            if best <= 0.0:
-                raise NotACoverError(f"grid point {x:.17g} is uncovered", witness=float(x))
-            delta = min(delta, best)
-    return delta
+    xs = np.concatenate([np.linspace(p.lo, p.hi, max(2, int(1000 * p.diameter / total))) for p in region.parts])
+    _, lo, hi, lo_open, hi_open = cover.parts
+    # a part's grid points are one run; an open end moves one float inward
+    start = np.searchsorted(xs, np.where(lo_open, np.nextafter(lo, np.inf), lo), "left")
+    stop = np.searchsorted(xs, np.where(hi_open, np.nextafter(hi, -np.inf), hi), "right")
+    part, at = _ranges(start, stop)
+    left = np.where(lo[part] <= region.parts[0].lo, np.inf, xs[at] - lo[part])
+    right = np.where(hi[part] >= region.parts[-1].hi, np.inf, hi[part] - xs[at])
+    best = np.zeros(len(xs))
+    np.maximum.at(best, at, np.minimum(left, right))
+    bad = np.flatnonzero(best <= 0.0)
+    if len(bad):
+        raise NotACoverError(f"grid point {xs[bad[0]]:.17g} is uncovered", witness=float(xs[bad[0]]))
+    return float(best.min())

@@ -163,12 +163,13 @@ def _to_py(e: Expr, var_src: str, env: dict) -> str:
 
 
 def compile_expr(e: Expr):
-    """Compile the tree into a callable accepting a float or an ndarray."""
+    """Compile the tree into a callable accepting a float or an ndarray; on
+    Python floats the helpers return Python floats, so a division by zero raises."""
     env = {
-        "_abs": np.abs,
-        "_min": np.minimum,
-        "_max": np.maximum,
-        "_interp": np.interp,
+        "_abs": lambda v: float(np.abs(v)) if type(v) is float else np.abs(v),
+        "_min": lambda a, b: float(np.minimum(a, b)) if type(a) is type(b) is float else np.minimum(a, b),
+        "_max": lambda a, b: float(np.maximum(a, b)) if type(a) is type(b) is float else np.maximum(a, b),
+        "_interp": lambda v, xp, fp: float(np.interp(v, xp, fp)) if type(v) is float else np.interp(v, xp, fp),
     }
     return eval(f"lambda x: {_to_py(e, 'x', env)}", env)  # source generated from our own AST
 

@@ -191,9 +191,6 @@ class DeltaTable:
             raise ResourceCapExceeded(msg, completed=n - 1)
         return xs
 
-    def delta_points(self, n: int) -> np.ndarray:
-        return self.cumulative[n][0]
-
 
 _TABLES: "weakref.WeakKeyDictionary[PcMap, DeltaTable]" = weakref.WeakKeyDictionary()
 
@@ -222,7 +219,7 @@ def delta_n(pcmap: PcMap, n: int, cap: int | None = None) -> PointSet:
         raise ValueError("n must be >= 0")
     table = delta_table(pcmap)
     table.ensure(n, cap)
-    return PointSet(table.delta_points(n), pcmap.tol)
+    return PointSet(table.cumulative[n][0], pcmap.tol)
 
 
 def count_pieces(pcmap: PcMap, n: int, merge_removable: bool = True, cap: int | None = None) -> int:

@@ -143,7 +143,7 @@ class RestrictedMap:
             raise MapValidationError("only single-interval regions restrict to a pc-map")
         part = self.region.parts[0]
         cuts, tol = self.pcmap.delta.points, self.pcmap.tol
-        inner = PointSet.of(cuts[(cuts > part.lo + tol) & (cuts < part.hi - tol)], tol)
+        inner = PointSet(cuts[(cuts > part.lo + tol) & (cuts < part.hi - tol)], tol)
         laps = components_of_complement(Interval.closed(part.lo, part.hi), inner)
         return build_map((part.lo, part.hi), _lap_rows(self.pcmap, laps, 1), at_delta=self.pcmap.at_delta)
 

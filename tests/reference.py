@@ -13,7 +13,7 @@ import numpy as np
 
 from pcentropy.bowen import SampleSet, _avoid_mask
 from pcentropy.covers import Cover, SubcoverResult, _uncovered
-from pcentropy.errors import EmptySampleError, MonotonicityError
+from pcentropy.errors import EmptySampleError, MonotonicityError, NotACoverError
 from pcentropy.intervals import Interval, OpenSet, PointSet, dedupe_sorted
 from pcentropy.maps import (
     _INVERSE_TOL,
@@ -430,3 +430,24 @@ def subcover_reduction_reference(first, last, owner, n_atoms):
             for atom in range(a, b + 1):
                 covered[atom] = True
     return cands, forced, [atom for atom in range(n_atoms) if not covered[atom]]
+
+
+def lebesgue_number_reference(cover, region) -> float:
+    """Loop reference for ``covers.lebesgue_number``: every grid point checked
+    against every part of every element, one ``Interval.contains`` at a time."""
+    delta = math.inf
+    total = max(region.total_length(), 1e-300)
+    for part in region.parts:
+        xs = np.linspace(part.lo, part.hi, max(2, int(1000 * part.diameter / total)))
+        for x in xs:
+            best = 0.0
+            for el in cover.elements:
+                for p in el.parts:
+                    if p.contains(x):
+                        left = math.inf if p.lo <= region.parts[0].lo else x - p.lo
+                        right = math.inf if p.hi >= region.parts[-1].hi else p.hi - x
+                        best = max(best, min(left, right))
+            if best <= 0.0:
+                raise NotACoverError(f"grid point {x:.17g} is uncovered", witness=float(x))
+            delta = min(delta, best)
+    return delta

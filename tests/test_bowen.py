@@ -19,10 +19,12 @@ from pcentropy.bowen import (
     sample_region,
 )
 from pcentropy.catalog import get as catalog_get
+from pcentropy.catalog import names as catalog_names
 from pcentropy.errors import EmptySampleError, NotACoverError, NotSeparatedError
 from pcentropy.intervals import RegionSet
+from pcentropy.maps import evaluate_orbit
 from pcentropy.symbolic import delta_n
-from pcentropy.transforms import PlHomeo
+from pcentropy.transforms import PlHomeo, conjugate_map
 from reference import (
     greedy_spanning_reference,
     orbit_avoids_delta,
@@ -216,6 +218,21 @@ def test_avoid_mask_matches_scalar_walker(name, horizon, data):
     xs = np.asarray(data.draw(st.lists(point, min_size=1, max_size=30)), dtype=float)
     mask = _avoid_mask(pcmap, xs, horizon)
     assert mask.tolist() == [orbit_avoids_delta(pcmap, float(x), horizon) for x in xs]
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "tent-conjugate"])
+def test_orbit_matrix_rows_are_the_scalar_orbits(name):
+    # the sample's orbit table against the scalar walk; lorenz-full differs
+    # in round-off only, where the walk snaps a point within tol of 0
+    if name == "tent-conjugate":
+        pcmap = conjugate_map(catalog_get("tent").map, PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0))))
+    else:
+        pcmap = catalog_get(name).map
+    sample = sample_region(pcmap, RegionSet.of((pcmap.domain.lo, pcmap.domain.hi)), grid=1025, horizon=10)
+    O = bowen.orbit_matrix(pcmap, sample)
+    assert O.shape == (len(sample.points), 10)
+    for x, row in zip(sample.points, O):
+        assert np.abs(row - evaluate_orbit(pcmap, x, 10)).max() <= pcmap.tol, (name, x)
 
 
 NUDGE_CASES = [

@@ -53,12 +53,17 @@ class TestEntropyCommand:
         methods = {l.split(",")[0] for l in out.strip().split("\n")[1:]}
         assert {"bowen-separated", "bowen-spanning", "estimate"} <= methods
 
-    @pytest.mark.parametrize("tail", [" inc", ""])
-    def test_division_by_zero_at_a_piece_end(self, capsys, tmp_path, tail):
-        # 1/x^-1 is finite on arrays but raises on the Python float 0.0; no
-        # route may raise or warn on it
+    @pytest.mark.parametrize(
+        "body",
+        ["1 / x^-1 inc", "1 / x^-1", "min(x, (max(x, 1) / ((x-x) * 11/16))) inc"],
+        ids=[" inc", "", "after-max"],
+    )
+    def test_division_by_zero_at_a_piece_end(self, capsys, tmp_path, body):
+        # both bodies are x on arrays; on Python floats 1/x^-1 divides by
+        # zero at 0.0 and the other everywhere, after a call to max.  No
+        # route may raise or warn on either
         f = tmp_path / "recip.pcm"
-        f.write_text(f"domain = [0, 1]\npiece (0, 1): 1 / x^-1{tail}\n")
+        f.write_text(f"domain = [0, 1]\npiece (0, 1): {body}\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(

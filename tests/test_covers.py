@@ -30,6 +30,7 @@ from pcentropy.maps import parse_map
 from pcentropy.symbolic import delta_n
 from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
 from reference import (
+    lebesgue_number_reference,
     openset_preimage_scalar,
     refinement_reference,
     subcover_atoms_reference,
@@ -388,9 +389,9 @@ GRID = [k / 8 for k in range(-1, 10)]
 
 
 @st.composite
-def grid_intervals(draw):
-    """An interval with ends on GRID and any flags, or a closed point."""
-    a, b = sorted(draw(st.sampled_from(GRID)) for _ in range(2))
+def grid_intervals(draw, grid=GRID):
+    """An interval with ends on ``grid`` and any flags, or a closed point."""
+    a, b = sorted(draw(st.sampled_from(grid)) for _ in range(2))
     if a == b:
         return Interval.point(a)
     return Interval(a, b, draw(st.booleans()), draw(st.booleans()))
@@ -750,7 +751,37 @@ class TestAlephProperties:
                 assert math.log(counts[n + k]) <= math.log(counts[n]) + math.log(counts[k]) + 1e-9
 
 
+SIXTEENTHS = [k / 16 for k in range(17)]
+
+
+@st.composite
+def lebesgue_cases(draw):
+    """1-4 elements of 1-3 parts on the 1/16 grid, and a region of one part
+    or two, the second a point when three ends are drawn."""
+    cover = Cover(tuple(
+        OpenSet(tuple(draw(grid_intervals(SIXTEENTHS)) for _ in range(draw(st.integers(1, 3)))))
+        for _ in range(draw(st.integers(1, 4)))
+    ))
+    ends = sorted(draw(st.sampled_from(SIXTEENTHS)) for _ in range(draw(st.integers(2, 4))))
+    bounds = [(ends[0], ends[1])]
+    if len(ends) > 2:
+        bounds.append((ends[2], ends[-1]))
+    return cover, RegionSet.of(*bounds)
+
+
+def _lebesgue_outcome(fn, cover, region):
+    try:
+        return fn(cover, region)
+    except NotACoverError as exc:
+        return str(exc), exc.witness
+
+
 class TestLebesgue:
+    @given(lebesgue_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_loop_reference(self, case):
+        assert _lebesgue_outcome(lebesgue_number, *case) == _lebesgue_outcome(lebesgue_number_reference, *case)
+
     def test_every_ball_fits(self, tent):
         cov = domainify_cover(
             Cover((OpenSet.of((0.0, 0.55)), OpenSet.of((0.45, 1.0)))), tent.domain

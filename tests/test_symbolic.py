@@ -82,7 +82,7 @@ class TestDeltaN:
         m3 = catalog_get("mod3").map
         pts = delta_n(m3, 4).points
         assert pts.dtype == np.float64
-        assert np.shares_memory(pts, delta_table(m3).delta_points(4))
+        assert np.shares_memory(pts, delta_table(m3).cumulative[4][0])
         with pytest.raises(ValueError):
             pts[0] = 0.5
         assert not hasattr(PointSet, "array")
