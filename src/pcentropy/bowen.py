@@ -15,7 +15,8 @@ a sample point outside every ball).  ``max_separated``, ``min_spanning``,
 ``bowen_entropy`` and the CLI all read their counts from it, so every
 reported cell has passed both certificates.  The Bowen distance only grows
 with n, so one greedy sweep builds the cells of every n a caller asks for at
-once (``bowen_entropy`` asks for its whole n-range), and memoizes them: each
+once (``bowen_entropy`` asks for its whole n-range, ``verify`` passes a list
+of depths to ``max_separated`` and ``min_spanning``), and memoizes them: each
 row admitted at any of those n takes one vectorized claim step.  The claims
 of every n live in one Python int, the claim word, with one slot of bits per
 sample row and one bit per n, so a step is a few bigint operations; the
@@ -287,10 +288,11 @@ def _close_pairs(M: np.ndarray, sets: dict[int, np.ndarray], eps: float) -> dict
     return found
 
 
-def _cell(pcmap: PcMap, sample: SampleSet, ns: list[int], eps: float, metric=None) -> list[int]:
-    """The certified (n, eps) cells of the sample for each n of the increasing
-    ``ns``: the size ``s`` of the greedy separated set, which is also the size
-    of a cover of the sample by open eps-balls.
+def _cell(pcmap: PcMap, sample: SampleSet, ns: int | list[int], eps: float, metric=None) -> int | list[int]:
+    """The certified (n, eps) cell of the sample for one depth ``ns``, or the
+    list of cells for each n of the increasing list ``ns``: the size ``s`` of
+    the greedy separated set, which is also the size of a cover of the sample
+    by open eps-balls.
 
     A maximal separated set spans (Bowen 1971), so one set gives both counts.
     Two certificates check it before ``s`` is reported: a pairwise check that
@@ -302,10 +304,17 @@ def _cell(pcmap: PcMap, sample: SampleSet, ns: list[int], eps: float, metric=Non
     one greedy sweep over just those depths, and one ``_close_pairs`` pass
     checks the separated sets of every depth of the sweep.  Each cell is then
     certified, in increasing n, and memoized, so a failure at some depth
-    raises after the shallower cells are memoized.  A series over an n-range
-    sweeps and checks pairs once per eps, and a single cell is the one-depth
-    case.
+    raises after the shallower cells are memoized.  A call over a list of
+    depths sweeps and checks pairs once, and no call builds, certifies or
+    memoizes a depth it did not ask for.  A list of depths must be non-empty
+    and strictly increasing; anything else raises ``ValueError``.
     """
+    one = np.ndim(ns) == 0
+    ns = [ns] if one else list(ns)
+    if not ns:
+        raise ValueError("depths must not be empty")
+    if any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError("depths must be increasing")
     if not all(1 <= n <= sample.horizon for n in ns):
         raise ValueError("n must satisfy 1 <= n <= sample.horizon")
     if not eps > 0:
@@ -336,20 +345,23 @@ def _cell(pcmap: PcMap, sample: SampleSet, ns: list[int], eps: float, metric=Non
                     witness=miss,
                 )
             cells[(n, eps, metric)] = len(sep)
-    return [cells[(n, eps, metric)] for n in ns]
+    counts = [cells[(n, eps, metric)] for n in ns]
+    return counts[0] if one else counts
 
 
-def max_separated(pcmap: PcMap, sample: SampleSet, n: int, eps: float, metric=None) -> int:
+def max_separated(pcmap: PcMap, sample: SampleSet, n: int | list[int], eps: float, metric=None) -> int | list[int]:
     """Size of the certified greedy separated set: a lower bound for the true
-    maximum over the sampled set."""
-    return _cell(pcmap, sample, [n], eps, metric)[0]
+    maximum over the sampled set.  ``n`` is one depth, or an increasing list
+    of depths that share one sweep and get one count each."""
+    return _cell(pcmap, sample, n, eps, metric)
 
 
-def min_spanning(pcmap: PcMap, sample: SampleSet, n: int, eps: float, metric=None) -> int:
+def min_spanning(pcmap: PcMap, sample: SampleSet, n: int | list[int], eps: float, metric=None) -> int | list[int]:
     """Size of a certified ball cover of the sample, the greedy separated set's
     own: an upper bound for the true minimum over the sampled set, equal to
-    ``max_separated`` on the sample."""
-    return _cell(pcmap, sample, [n], eps, metric)[0]
+    ``max_separated`` on the sample.  ``n`` is one depth, or an increasing
+    list of depths that share one sweep and get one count each."""
+    return _cell(pcmap, sample, n, eps, metric)
 
 
 SATURATION_FRACTION = 0.2

@@ -291,10 +291,11 @@ def cmd_verify(args) -> int:
     sandwich_ok = True
     witness = ""
     for eps in eps_list:
-        for n in ns:
-            r1 = min_spanning(pcmap, sample, n, eps)
-            s1 = max_separated(pcmap, sample, n, eps)
-            r2 = min_spanning(pcmap, sample, n, eps / 2)
+        # a list of depths shares one sweep per eps and returns a count per n
+        r1s = min_spanning(pcmap, sample, ns, eps)
+        s1s = max_separated(pcmap, sample, ns, eps)
+        r2s = min_spanning(pcmap, sample, ns, eps / 2)
+        for n, r1, s1, r2 in zip(ns, r1s, s1s, r2s):
             if sandwich_ok and not r1 <= s1 <= r2:
                 sandwich_ok = False
                 witness = f"(n={n}, eps={eps}): r={r1}, s={s1}, r(eps/2)={r2}"

@@ -133,11 +133,12 @@ def test_criterion_8_bowen_corroboration(tent_bowen_runs):
     for series in (sep, span):
         assert abs(series.estimate - LOG2) <= 0.15 * LOG2, series.estimates
     sample = sample_region(tent, X, 8193, horizon=12)
+    ns = list(range(4, 13))
     for eps in (0.05, 0.02, 0.01):
-        for n in range(4, 13):
-            r = min_spanning(tent, sample, n, eps)
-            s = max_separated(tent, sample, n, eps)
-            r_half = min_spanning(tent, sample, n, eps / 2)
+        rs = min_spanning(tent, sample, ns, eps)
+        ss = max_separated(tent, sample, ns, eps)
+        r_halves = min_spanning(tent, sample, ns, eps / 2)
+        for n, r, s, r_half in zip(ns, rs, ss, r_halves):
             assert r <= s <= r_half, (n, eps, r, s, r_half)
     assert tent_bowen_runs["plain_elapsed"] <= 60.0
     report(

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import math
 import weakref
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcentropy import bowen
+from pcentropy import bowen, cli
 from pcentropy.bowen import (
     _avoid_mask,
     _close_pairs,
@@ -493,6 +495,41 @@ def test_cells_are_memoized_per_sample(tent, monkeypatch, fresh_cells):
     assert bowen._cell(tent, sample, [2, 3, 4], 0.05) == [max_separated(tent, sample, n, 0.05) for n in (2, 3, 4)]
     assert bowen._cell(tent, sample, [1, 4], 0.2) == [max_separated(tent, sample, n, 0.2) for n in (1, 4)]
     assert sweeps == [(0.05, [2, 4]), (0.2, [1, 4])]
+    # verify asks each eps once for all its depths; its sample equals the one
+    # bowen_entropy built above, so that sample's cells are dropped first
+    bowen._ORBIT_CACHE.clear()
+    sweeps.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--catalog", "tent", "--n-max", "4"]) == 0
+    assert sweeps == [(0.1, [2, 3, 4]), (0.05, [2, 3, 4]), (0.025, [2, 3, 4])]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_depth_list_matches_single_depths(name, monkeypatch):
+    # on verify's sample, a list call returns the single-depth counts, each
+    # taken on an empty cache so that no memoized cell is shared
+    f = catalog_get(name).map
+    sample = sample_region(f, RegionSet.of((f.domain.lo, f.domain.hi)), grid=257, horizon=4)
+    phi = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
+    for metric in (None, phi):
+        for eps in (0.1, 0.05, 0.025):
+            monkeypatch.setattr(bowen, "_ORBIT_CACHE", weakref.WeakKeyDictionary())
+            single = [max_separated(f, sample, n, eps, metric) for n in (2, 3, 4)]
+            assert all(type(c) is int for c in single)
+            monkeypatch.setattr(bowen, "_ORBIT_CACHE", weakref.WeakKeyDictionary())
+            assert max_separated(f, sample, [2, 3, 4], eps, metric) == single
+            monkeypatch.setattr(bowen, "_ORBIT_CACHE", weakref.WeakKeyDictionary())
+            assert min_spanning(f, sample, [2, 3, 4], eps, metric) == single
+
+
+@pytest.mark.parametrize("ns", [[], [4, 2], [2, 2], [2, 4, 3]])
+def test_depth_list_must_increase(ns, tent, fresh_cells):
+    sample = sample_region(tent, X, grid=257, horizon=4)
+    for call in (bowen._cell, max_separated, min_spanning):
+        with pytest.raises(ValueError, match="depths must"):
+            call(tent, sample, ns, 0.05)
+    # nothing was swept or memoized
+    assert not any(cells for _, _, cells in bowen._ORBIT_CACHE.values())
 
 
 def test_no_assert_statements_in_package():

@@ -422,7 +422,7 @@ class TestVerifyCommand:
 
     def test_sandwich_row_reports_the_first_failure(self, capsys, monkeypatch):
         # every cell breaks r <= s, so the first one, (n=2, eps=0.1), is the witness
-        monkeypatch.setattr(cli, "min_spanning", lambda pcmap, sample, n, eps, metric=None: 10**6)
+        monkeypatch.setattr(cli, "min_spanning", lambda pcmap, sample, n, eps, metric=None: [10**6] * len(n))
         code, out, _ = run(capsys, "verify", "--catalog", "tent", "--n-max", "4")
         assert code == 1
         row = next(line for line in out.splitlines() if line.startswith("separated/spanning sandwich"))
