@@ -5,22 +5,23 @@ domain.  A ``Cover`` holds only the parts of all its elements, as flat arrays
 (owner element, ``lo``, ``hi``, ``lo_open``, ``hi_open``), sorted by element
 and then by ``lo``, each element in ``OpenSet``'s canonical form; every
 routine here reads those, and ``Cover.elements`` builds ``OpenSet``s for callers.
-Refinement intersects the cover with preimages of itself step by step, every
-two parts by one row rule, ``_meet`` (``Interval.intersect`` on arrays).  The
-first step joins the cover with the one element made of every continuity
-piece, the domain minus the cut set; each later step clips the parts to each
-branch's image, pulls them back through ``maps.branch_preimages``, the branch
-inverse of the MS levels (a closed form on affine branches, safeguarded
-secant rounds from a per-branch bracket table on smooth ones), and joins them
-with the product so far.  The rows stay in order throughout: intersections of
-canonical elements in (a, b, p, q) order (element of each cover, then part of
-each) are canonical already and need no merge, and a pullback keeps each
-element's parts in order by reversing a decreasing branch's rows, so
-``_canonical`` only merges neighbours where rounding closed a gap.  Every
-element of the n-step refinement automatically avoids the n-step
-discontinuity set.  Minimal subcover cardinalities are exact.  The target
-splits into atoms by one stable sort of every coordinate, and each part
-covers a block of atoms.  A data reduction comes first and is the one
+Refinement takes one step rule for every n, Cⁿ = C ∨ f⁻¹(Cⁿ⁻¹) from the
+one-element cover C⁰ = {X} of the whole domain.  The pullback clips the parts
+of Cⁿ⁻¹ to each branch's image and inverts them through
+``maps.branch_preimages``, the branch inverse of the MS levels (a closed form
+on affine branches, safeguarded secant rounds from a per-branch bracket table
+on smooth ones); the join intersects C with the result, every two parts by one
+row rule, ``_meet`` (``Interval.intersect`` on arrays).  A branch's preimages
+lie in its piece, which is open at the cuts, so f⁻¹{X} is the element of
+every continuity piece and no step reads the cut set.  The rows stay in
+order throughout: intersections of canonical elements in (a, b, p, q) order
+(element of each cover, then part of each) are canonical already and need no
+merge, and a pullback keeps each element's parts in order by reversing a
+decreasing branch's rows, so ``_canonical`` only merges neighbours where
+rounding closed a gap.  Every element of the n-step refinement avoids the
+n-step discontinuity set.  Minimal subcover cardinalities are exact.  The
+target splits into atoms by one stable sort of every coordinate, and each
+part covers a block of atoms.  A data reduction comes first and is the one
 coverage check: difference arrays count the parts over each atom, an atom
 under none is uncovered, an element owning the only part over some atom is
 forced into every subcover, and only the atoms that the forced elements
@@ -232,8 +233,7 @@ def _join(a: Cover, b: Cover) -> Cover:
     (q.lo, q.hi], the upper end counting only when closed: one range
     expansion each over the other cover's parts sorted by ``lo``.  ``_meet``
     intersects each pair, and the pairs left empty (a closed end on an open
-    one, a point on an open end) are dropped; so a join with the element of
-    every continuity piece removes the cut set.
+    one, a point on an open end) are dropped.
 
     The pairs are ordered by (a-element, b-element, p, q) and need no merge:
     the parts of each element are sorted and disjoint, so the intersections
@@ -319,20 +319,18 @@ def pullback_cover(pcmap: PcMap, cover: Cover, j: int) -> Cover:
 
 
 def refinement_steps(pcmap: PcMap, cover: Cover, n_max: int):
-    """Yield the n-step refinements for n = 1..n_max, reusing previous factors."""
-    # the one element holding every continuity piece is the domain minus the cut set
-    acc = cur = _join(cover, Cover((OpenSet(tuple(b.piece for b in pcmap.branches)),)))
-    yield acc
-    for n in range(2, n_max + 1):
-        cur = _pullback(pcmap, cur)
-        acc = _join(acc, cur)
+    """Yield the n-step refinements Cⁿ = C ∨ f⁻¹(Cⁿ⁻¹) for n = 1..n_max from
+    C⁰ = {X}; f⁻¹{X} is the element of every piece, so C¹ is C minus the cuts."""
+    acc = Cover((OpenSet((pcmap.domain,)),))
+    for n in range(1, n_max + 1):
+        acc = _join(cover, _pullback(pcmap, acc))
         if acc.total_parts() > DEFAULT_PART_CAP:
             raise ResourceCapExceeded(f"refinement exceeded {DEFAULT_PART_CAP} interval parts", completed=n - 1)
         yield acc
 
 
 def refine_n(pcmap: PcMap, cover: Cover, n: int) -> Cover:
-    """The n-step refinement: product of preimages of the cover minus the cut set."""
+    """The n-step refinement Cⁿ = C ∨ f⁻¹(Cⁿ⁻¹) of ``refinement_steps``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     out = None

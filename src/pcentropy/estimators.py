@@ -105,11 +105,15 @@ def count_series(method: str, records: Iterable[SeriesRecord], estimator: str) -
 
     A ``ResourceCapExceeded`` raised while ``records`` makes its next record
     ends the series there: the last record made is flagged ``truncated``, and
-    an uncomputable ``estimator`` degrades to the best available one instead
-    of failing.  If no record was made, the refusal itself is re-raised.  The
-    counts are certified submultiplicative first: a violation raises
-    ``SubadditivityError`` with its witness pair instead of an estimate.
+    a known ``estimator`` that this shorter series cannot compute degrades to
+    the best available one instead of failing; an unknown name is refused
+    before any record is made.  If no record was made, the refusal itself is
+    re-raised.  The counts are certified submultiplicative first: a violation
+    raises ``SubadditivityError`` with its witness pair instead of an estimate.
     """
+    fits = {"last-ratio": last_ratio, "fekete-min": fekete_estimate, "slope-fit": lambda v: slope_fit(v).slope}
+    if estimator not in fits:
+        raise ValueError(f"unknown estimator {estimator!r} (choose from {sorted(fits)})")
     made: list[SeriesRecord] = []
     truncated = False
     try:
@@ -136,15 +140,12 @@ def count_series(method: str, records: Iterable[SeriesRecord], estimator: str) -
             witness=bad,
         )
     values = [(r.n, math.log(r.value)) for r in made]
-    table: dict[str, float] = {"last-ratio": last_ratio(values)}
-    try:
-        table["fekete-min"] = fekete_estimate(values)
-    except ValueError:
-        pass
-    try:
-        table["slope-fit"] = slope_fit(values).slope
-    except ValueError:
-        pass
+    table: dict[str, float] = {}
+    for name, fit in fits.items():
+        try:
+            table[name] = fit(values)
+        except ValueError:
+            pass
     chosen = estimator
     if chosen not in table:
         if not truncated:

@@ -354,16 +354,30 @@ def vee_reference(covers: list[Cover]) -> Cover:
     return Cover(elems)
 
 
+def _preimages(pcmap, elements) -> Cover:
+    return Cover(tuple(pre for pre in (openset_preimage_scalar(pcmap, el) for el in elements) if not pre.is_empty()))
+
+
 def refinement_reference(pcmap, cover, n_max):
-    """Reference for ``refinement_steps`` built from ``vee_reference`` and
+    """Reference for ``refinement_steps``: the same recurrence
+    Cⁿ = C ∨ f⁻¹(Cⁿ⁻¹) from C⁰ = {X}, built from ``vee_reference`` and
     ``openset_preimage_scalar``."""
+    acc = Cover((OpenSet((pcmap.domain,)),))
+    for _ in range(n_max):
+        acc = vee_reference([cover, _preimages(pcmap, acc.elements)])
+        yield acc
+
+
+def refinement_product_reference(pcmap, cover, n_max):
+    """The product form (C minus the cut set) ∨ f⁻¹(…) ∨ … ∨ f⁻⁽ⁿ⁻¹⁾(…),
+    an independent oracle for the counts of ``refinement_steps``: it rounds
+    near-coincident part ends differently, so its element lists may differ."""
     base = [cut for cut in (el.subtract_points(pcmap.delta) for el in cover.elements) if not cut.is_empty()]
-    acc = Cover(_dedupe(base))
+    acc, cur = Cover(_dedupe(base)), Cover(tuple(base))
     yield acc
-    cur = base
     for _ in range(2, n_max + 1):
-        cur = [pre for pre in (openset_preimage_scalar(pcmap, el) for el in cur) if not pre.is_empty()]
-        acc = vee_reference([acc, Cover(tuple(cur))])
+        cur = _preimages(pcmap, cur.elements)
+        acc = vee_reference([acc, cur])
         yield acc
 
 

@@ -24,7 +24,7 @@ from pcentropy.covers import (
     refinement_steps,
     vee,
 )
-from pcentropy.errors import NotACoverError, SubadditivityError
+from pcentropy.errors import NotACoverError, ResourceCapExceeded, SubadditivityError
 from pcentropy.intervals import Interval, OpenSet, PointSet, RegionSet
 from pcentropy.maps import parse_map
 from pcentropy.symbolic import delta_n
@@ -32,6 +32,7 @@ from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
 from reference import (
     lebesgue_number_reference,
     openset_preimage_scalar,
+    refinement_product_reference,
     refinement_reference,
     subcover_atoms_reference,
     subcover_reduction_reference,
@@ -203,6 +204,40 @@ def test_refinement_matches_pairwise_reference(case):
             assert _subcover_outcome(flat, target, exclude) == _subcover_outcome(expected, target, exclude)
             assert flat.elements == expected.elements
             assert part_rows(flat) == part_rows(expected)
+
+
+def _subcover_count(cover, target, exclude):
+    """The count of an exact search, None for a capped one, or the error's
+    type when the cover does not cover."""
+    try:
+        res = minimal_subcover(cover, target, exclude)
+    except NotACoverError:
+        return NotACoverError
+    return res.count if res.exact else None
+
+
+@given(refinement_cases())
+@settings(max_examples=100, deadline=None)
+def test_refinement_counts_match_product_form(case):
+    # C ∨ f⁻¹(Cⁿ⁻¹) and the product of preimages of C minus the cut set are
+    # one cover in exact arithmetic, so their subcover outcomes agree, counts
+    # where both searches are exact.  Their element lists may differ, and so
+    # may counts once two distinct part ends lie within tol, where the two
+    # forms round differently (C = {{a} ∪ (b, 1], {0}} with a, b below 1e-120
+    # gives tent's n = 3 count 3 against 2); the rounding carries to later n
+    pcmap, cover, _, n_max = case
+    target = RegionSet.of((pcmap.domain.lo, pcmap.domain.hi))
+    steps = zip(refinement_steps(pcmap, cover, n_max), refinement_product_reference(pcmap, cover, n_max))
+    with mock.patch.object(covers, "DEFAULT_NODE_CAP", 2000):
+        for n, (flat, product) in enumerate(steps, start=1):
+            exclude = delta_n(pcmap, n)
+            ends = np.unique(np.concatenate([col for c in (flat, product) for col in (c.parts.lo, c.parts.hi)]))
+            if np.any(np.diff(ends) < exclude.tol):
+                break
+            got, expected = _subcover_count(flat, target, exclude), _subcover_count(product, target, exclude)
+            assert (got is NotACoverError) == (expected is NotACoverError)
+            if None not in (got, expected):
+                assert got == expected
 
 
 class TestRefine:
@@ -673,6 +708,17 @@ class TestCoverEntropy:
             series = cover_entropy(tent, cover, 8, cap=50)
         assert [r.value for r in series.records] == [2, 3, 4, 5, 7]
         assert [r.flag for r in series.records[-2:]] == ["inexact", "inexact+truncated"]
+
+    def test_part_cap_holds_at_every_n(self):
+        mod3 = catalog_get("mod3").map
+        with mock.patch.object(covers, "DEFAULT_PART_CAP", 30):
+            series = cover_entropy(mod3, natural_cover(mod3), 6)
+        assert [r.n for r in series.records] == [1, 2, 3]
+        assert [r.flag for r in series.records] == [None, None, "truncated"]
+        # C¹ already has 3 parts: the first step is refused like any other
+        with mock.patch.object(covers, "DEFAULT_PART_CAP", 2), pytest.raises(ResourceCapExceeded) as err:
+            cover_entropy(mod3, natural_cover(mod3), 6)
+        assert err.value.completed == 0
 
     def test_cover_not_covering_raises(self, tent):
         bad = Cover((OpenSet.of((0.0, 0.4)),))

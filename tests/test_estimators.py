@@ -111,3 +111,14 @@ class TestCountSeries:
                 route()
             assert str(info.value) == "Delta^1 holds 1 points (cap 0)"
             assert info.value.completed == 0
+
+    def test_unknown_estimator_is_refused_before_any_record(self):
+        def records():
+            raise AssertionError("no record may be made")
+            yield
+
+        with pytest.raises(ValueError, match="unknown estimator 'slope-fti'"):
+            count_series("cover", records(), "slope-fti")
+        # a series that a cap truncates degrades a known estimator only
+        with pytest.raises(ValueError, match="unknown estimator 'slope-fti'"):
+            ms_entropy(catalog_get("mod5").map, 12, estimator="slope-fti")
