@@ -13,18 +13,21 @@ by two certificates that raise before its count is reported
 (``NotSeparatedError`` for two points closer than eps, ``NotACoverError`` for
 a sample point outside every ball).  ``max_separated``, ``min_spanning``,
 ``bowen_entropy`` and the CLI all read their counts from it, so every
-reported cell has passed both certificates.  The Bowen distance only grows
-with n, so one greedy sweep builds the cells of every n a caller asks for at
-once (``bowen_entropy`` asks for its whole n-range, ``verify`` passes a list
-of depths to ``max_separated`` and ``min_spanning``), and memoizes them: each
-row admitted at any of those n takes one vectorized claim step.  The claims
-of every n live in one Python int, the claim word, with one slot of bits per
-sample row and one bit per n, so a step is a few bigint operations; the
-steps' claims are decoded into each n's admitted rows and witnesses after the
-scan, a bounded number of bytes at a time.  The separated-set certificate
-of a sweep is one pass too: it prunes the close pairs of the union of the
-sweep's sets column by column in the greedy's row order, recomputing each
-distance from the orbits, and reads a depth's pairs after its last column.
+reported cell has passed both certificates.  One scan per sample builds the
+cells of every eps and n a caller asks for at once (``bowen_entropy`` asks
+for its whole schedule and n-range, ``verify`` passes its three eps and its
+depths to ``max_separated`` and ``min_spanning``), and memoizes them.  The
+Bowen distance only grows with n, so each eps sweeps all its depths at once:
+each row admitted at any of them takes one vectorized claim step.  The
+claims of every n live in one Python int per eps, the claim word, with one
+slot of bits per sample row and one bit per n, so a step is a few bigint
+operations; the steps' claims are decoded into each n's admitted rows and
+witnesses after the scan, a bounded number of bytes at a time.  The eps that
+step at the same row share that row's table of coordinate gaps.  The
+separated-set certificate of an eps is one pass too: it prunes the close
+pairs of the union of its sets column by column in the greedy's row order,
+recomputing each distance from the orbits, and reads a depth's pairs after
+its last column.
 
 One recurrence, ``_orbits``, makes every orbit table, the sampling's and the
 orbit matrix's; ``_ORBIT_CACHE`` holds each sample's matrix and certified
@@ -142,13 +145,16 @@ def _prepare(O: np.ndarray, n: int, metric) -> np.ndarray:
     return M[order]
 
 
-_DECODE_BYTES = 1 << 14  # claim-word bytes the greedy holds before it decodes them
+_DECODE_BYTES = 1 << 14  # claim-word bytes each eps holds before the greedy decodes them
 
 
-def _greedy_separated_indices(M: np.ndarray, eps: float, ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def _greedy_separated_indices(
+    M: np.ndarray, wanted: dict[float, list[int]]
+) -> dict[float, dict[int, tuple[np.ndarray, np.ndarray]]]:
     """Greedy left-to-right separated sets of the sorted rows of ``M[:, :n]``
-    for every n of the increasing ``ns``, in one pass: ``{n: (admitted, witness)}``,
-    two intp arrays.
+    for every eps of ``wanted`` and every n of its increasing list of depths
+    ``wanted[eps]``, in one scan: ``{eps: {n: (admitted, witness)}}``, two
+    intp arrays per cell, in the order of ``wanted``.
 
     At each depth n the rows are scanned in order.  A row no admitted row has
     claimed is admitted, and it claims every later unclaimed row within eps
@@ -157,66 +163,91 @@ def _greedy_separated_indices(M: np.ndarray, eps: float, ns) -> dict[int, tuple[
     ``i`` is admitted.  The admitted rows are thus a maximal separated set,
     and the witnesses show that their eps-balls cover every row.
 
-    The depths share one scan, because the Bowen distance only grows with n.
-    A row admitted at any depth takes one vectorized step over its window:
-    ``lead[j]``, the first coordinate in which window row ``j`` is not within
-    eps of row ``i``, counts the leading coordinates in which it is, so row
-    ``j`` is within eps at depth n exactly when ``lead[j] >= n``.  The claims
-    of every depth live in one Python int, the claim word: slot ``k`` of it,
-    ``s = ceil(len(ns) / 8)`` bytes wide, holds one bit per depth for row
-    ``i + k``.  ``table[lead]`` packs each window row's depths into its slot,
-    so a step is a few bigint operations with no loop over depths: the depths
-    ``a`` that admit row ``i`` keep the window's unclaimed bits, and the scan
-    jumps to the first slot that some depth has not claimed.  Each step's
-    claims, row ``i``'s own slot ``a`` included, are decoded into the witness
-    arrays after the scan, a bounded number of bytes at a time, so the work
-    space stays linear.
+    The depths of one eps share its sweep, because the Bowen distance only
+    grows with n.  A row admitted at any depth takes one vectorized step over
+    its window: ``lead[j]``, the first coordinate in which window row ``j`` is
+    not within eps of row ``i``, counts the leading coordinates in which it
+    is, so row ``j`` is within eps at depth n exactly when ``lead[j] >= n``.
+    The claims of every depth live in one Python int, the claim word: slot
+    ``k`` of it, ``s = ceil(len(ns) / 8)`` bytes wide, holds one bit per depth
+    for row ``i + k``.  ``table[lead]`` packs each window row's depths into
+    its slot, so a step is a few bigint operations with no loop over depths:
+    the depths ``a`` that admit row ``i`` keep the window's unclaimed bits,
+    and the sweep jumps to the first slot that some depth has not claimed.
+    Each step's claims, row ``i``'s own slot ``a`` included, are decoded into
+    the witness arrays after the scan, a bounded number of bytes at a time, so
+    the work space stays linear.
+
+    The sweeps of all eps share one scan.  Each eps keeps its own claim word,
+    slot width, next row and witnesses, and the scan steps to the smallest
+    next row over all eps.  The eps whose next row that is take their steps
+    there from one table of gaps ``|M[j] - M[i]|``, computed over the widest
+    of their windows; each reads the prefix its own window covers.
 
     Row ``i`` claims from the rows ``i+1 .. stop[i]`` whose first coordinate
     is at most the double ``fl(x_i + eps)``.  That window is exact: a row past
     it lies at or above the next double, which exceeds ``x_i + eps`` in exact
     arithmetic, so its first-coordinate gap rounds to at least eps.
     """
-    ns = list(ns)
-    s = (len(ns) + 7) // 8
-    bits = 8 * s
-    every = (1 << len(ns)) - 1
-    # table[L]: the depths n <= L, bit t for ns[t], as one slot of s bytes
-    table = np.packbits(np.asarray(ns)[None, :] <= np.arange(ns[-1] + 1)[:, None], axis=1, bitorder="little")
+    m = len(M)
+    depth = max(ns[-1] for ns in wanted.values())
     # a last column of NaN, within eps of nothing, ends every row's lead
-    M = np.concatenate((M[:, : ns[-1]], np.full((len(M), 1), np.nan)), axis=1)
+    M = np.concatenate((M[:, :depth], np.full((m, 1), np.nan)), axis=1)
     xs = M[:, 0]
-    stop = np.searchsorted(xs, xs + eps, side="right")
-    width = int((stop - np.arange(len(M))).max(initial=1))  # the widest window, row i included
-    stop = stop.tolist()
-    gap = np.empty((width, M.shape[1]))
-    near = np.empty((width, M.shape[1]), dtype=bool)
-    ones = int.from_bytes(bytes([1]).ljust(s, b"\0") * (width + 1), "little")  # 1 in every slot
-    full = every * ones
-    witness = np.full((len(ns), len(M)), -1, dtype=np.intp)
-    chunk = max(1, _DECODE_BYTES // (width * s))  # steps per decode, each at most width * s bytes
-    steps: list[tuple[int, int]] = []
-    claimed = 0  # slot k: the depths at which row i + k is claimed
+    rows = np.arange(m)
+    lanes = []  # one lane per eps, the widest windows first
+    widest = 1
+    for eps in sorted(wanted, reverse=True):
+        ns = wanted[eps]
+        s = (len(ns) + 7) // 8
+        every = (1 << len(ns)) - 1
+        # table[L]: the depths n <= L, bit t for ns[t], as one slot of s bytes
+        table = np.packbits(np.asarray(ns)[None, :] <= np.arange(depth + 1)[:, None], axis=1, bitorder="little")
+        stop = np.searchsorted(xs, xs + eps, side="right")
+        width = int((stop - rows).max(initial=1))  # the widest window, row i included
+        ones = int.from_bytes(bytes([1]).ljust(s, b"\0") * (width + 1), "little")  # 1 in every slot
+        witness = np.full((len(ns), m), -1, dtype=np.intp)
+        chunk = max(1, _DECODE_BYTES // (width * s))  # steps per decode, each at most width * s bytes
+        # a lane starts with its next row and its claim word, whose slot k holds
+        # the depths at which row next + k is claimed, and ends with its steps
+        # not decoded yet
+        lanes.append([0, 0, eps, s, witness, stop.tolist(), table, 8 * s, every, ones, every * ones, chunk, []])
+        widest = max(widest, width)
+    gap = np.empty((widest, depth + 1))
+    near = np.empty((widest, depth + 1), dtype=bool)
     i = 0
-    while i < len(M):
-        k = stop[i] - i - 1
-        np.subtract(M[i + 1 : stop[i]], M[i], out=gap[:k])
-        np.abs(gap[:k], out=gap[:k])
-        lead = np.less(gap[:k], eps, out=near[:k]).argmin(axis=1)
-        a = every & ~claimed  # the depths that admit row i
-        new = (int.from_bytes(table.take(lead, axis=0).tobytes(), "little") << bits) & (a * ones) & ~claimed
-        claimed |= new
-        steps.append((i, new | a))
-        if len(steps) == chunk:
-            _decode_claims(steps, s, witness)
-            steps = []
-        free = (claimed | every) ^ full
-        step = ((free & -free).bit_length() - 1) // bits  # the first row some depth left unclaimed
-        claimed >>= bits * step
-        i += step
-    _decode_claims(steps, s, witness)
-    rows = np.arange(len(M))
-    return {n: (np.flatnonzero(witness[t] == rows), witness[t]) for t, n in enumerate(ns)}
+    while i < m:
+        fresh = False  # whether gap holds row i's table yet
+        low = m  # the smallest next row of all lanes
+        for lane in lanes:
+            if lane[0] == i:
+                _, word, eps, s, witness, stop, table, bits, every, ones, full, chunk, done = lane
+                k = stop[i] - i - 1
+                if not fresh:
+                    # the first eps to step at row i has the widest window of them
+                    np.subtract(M[i + 1 : i + 1 + k], M[i], out=gap[:k])
+                    np.abs(gap[:k], out=gap[:k])
+                    fresh = True
+                lead = np.less(gap[:k], eps, out=near[:k]).argmin(axis=1)
+                a = every & ~word  # the depths that admit row i
+                new = (int.from_bytes(table.take(lead, axis=0).tobytes(), "little") << bits) & (a * ones) & ~word
+                word |= new
+                done.append((i, new | a))
+                if len(done) == chunk:
+                    _decode_claims(done, s, witness)
+                    done.clear()
+                free = (word | every) ^ full
+                step = ((free & -free).bit_length() - 1) // bits  # the first row some depth left unclaimed
+                lane[0] = i + step
+                lane[1] = word >> (bits * step)
+            if lane[0] < low:
+                low = lane[0]
+        i = low
+    out = {}
+    for _, _, eps, s, witness, *_, done in lanes:
+        _decode_claims(done, s, witness)
+        out[eps] = {n: (np.flatnonzero(witness[t] == rows), witness[t]) for t, n in enumerate(wanted[eps])}
+    return {eps: out[eps] for eps in wanted}
 
 
 def _decode_claims(steps: list[tuple[int, int]], s: int, witness: np.ndarray) -> None:
@@ -288,11 +319,29 @@ def _close_pairs(M: np.ndarray, sets: dict[int, np.ndarray], eps: float) -> dict
     return found
 
 
-def _cell(pcmap: PcMap, sample: SampleSet, ns: int | list[int], eps: float, metric=None) -> int | list[int]:
-    """The certified (n, eps) cell of the sample for one depth ``ns``, or the
-    list of cells for each n of the increasing list ``ns``: the size ``s`` of
-    the greedy separated set, which is also the size of a cover of the sample
-    by open eps-balls.
+def _check_eps(eps_list: list[float]) -> None:
+    """Refuse an empty, repeated, non-positive or NaN eps, before any work."""
+    if not eps_list:
+        raise ValueError("eps must not be empty")
+    if not all(eps > 0 for eps in eps_list):
+        raise ValueError("eps must be positive")
+    if len(set(eps_list)) != len(eps_list):
+        raise ValueError("eps must not repeat")
+
+
+def _cell(
+    pcmap: PcMap, sample: SampleSet, ns: int | list[int], eps: float | list[float], metric=None
+) -> int | list[int] | list[list[int]]:
+    """The certified (n, eps) cells of the sample: the size ``s`` of the
+    greedy separated set, which is also the size of a cover of the sample by
+    open eps-balls.
+
+    ``ns`` is one depth or a non-empty, strictly increasing list of depths,
+    and ``eps`` one positive eps or a non-empty list of distinct positive eps;
+    anything else raises ``ValueError`` before any work.  One depth and one
+    eps give an int, a list on one axis gives one count per entry of that
+    list, and lists on both give ``counts[e][t]``, the cell of ``eps[e]`` and
+    ``ns[t]``.
 
     A maximal separated set spans (Bowen 1971), so one set gives both counts.
     Two certificates check it before ``s`` is reported: a pairwise check that
@@ -300,67 +349,93 @@ def _cell(pcmap: PcMap, sample: SampleSet, ns: int | list[int], eps: float, metr
     orbit matrix, and a check that each row lies within eps of an admitted
     witness, which raises ``NotACoverError`` with the first row that does not.
     Cells are memoized in the sample's ``_ORBIT_CACHE`` entry under
-    ``(n, eps, metric)``.  The cells of ``ns`` not memoized yet are built by
-    one greedy sweep over just those depths, and one ``_close_pairs`` pass
-    checks the separated sets of every depth of the sweep.  Each cell is then
-    certified, in increasing n, and memoized, so a failure at some depth
-    raises after the shallower cells are memoized.  A call over a list of
-    depths sweeps and checks pairs once, and no call builds, certifies or
-    memoizes a depth it did not ask for.  A list of depths must be non-empty
-    and strictly increasing; anything else raises ``ValueError``.
+    ``(n, eps, metric)``.  The cells not memoized yet are built by one greedy
+    scan, in which each eps sweeps just its own missing depths, and one
+    ``_close_pairs`` pass per eps checks the separated sets of all its depths.
+    The cells are then certified in the caller's eps order and increasing n,
+    and memoized, so a failure raises after the earlier cells are memoized.
+    No call builds, certifies or memoizes a cell it did not ask for.
     """
-    one = np.ndim(ns) == 0
-    ns = [ns] if one else list(ns)
+    one_n, one_eps = np.ndim(ns) == 0, np.ndim(eps) == 0
+    ns = [ns] if one_n else list(ns)
+    eps_list = [eps] if one_eps else list(eps)
     if not ns:
         raise ValueError("depths must not be empty")
     if any(a >= b for a, b in zip(ns, ns[1:])):
         raise ValueError("depths must be increasing")
     if not all(1 <= n <= sample.horizon for n in ns):
         raise ValueError("n must satisfy 1 <= n <= sample.horizon")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps_list)
     O = orbit_matrix(pcmap, sample)
     cells = _ORBIT_CACHE[sample][2]
-    todo = [n for n in ns if (n, eps, metric) not in cells]
+    todo = {e: [n for n in ns if (n, e, metric) not in cells] for e in eps_list}
+    todo = {e: missing for e, missing in todo.items() if missing}
     if todo:
-        M = _prepare(O, todo[-1], metric)
-        swept = _greedy_separated_indices(M, eps, todo)
-        close = _close_pairs(M, {n: sep for n, (sep, _) in swept.items()}, eps)
-        for n, (sep, witness) in swept.items():
-            Mn = M[:, :n]
-            pair = close[n]
-            if pair is not None:
-                raise NotSeparatedError(
-                    f"separated-set certificate failed at n={n}, eps={eps:g}: "
-                    f"orbit rows {pair[0]} and {pair[1]} are closer than eps",
-                    witness=pair,
-                )
-            is_center = np.zeros(len(Mn), dtype=bool)
-            is_center[sep] = True
-            covered = is_center[witness] & (np.abs(Mn - Mn[witness]).max(axis=1) < eps)
-            if not covered.all():
-                miss = int(np.flatnonzero(~covered)[0])
-                raise NotACoverError(
-                    f"spanning certificate failed at n={n}, eps={eps:g}: orbit row {miss} lies in no ball",
-                    witness=miss,
-                )
-            cells[(n, eps, metric)] = len(sep)
-    counts = [cells[(n, eps, metric)] for n in ns]
-    return counts[0] if one else counts
+        M = _prepare(O, max(missing[-1] for missing in todo.values()), metric)
+        for e, swept in _greedy_separated_indices(M, todo).items():
+            close = _close_pairs(M, {n: sep for n, (sep, _) in swept.items()}, e)
+            for n, (sep, witness) in swept.items():
+                Mn = M[:, :n]
+                pair = close[n]
+                if pair is not None:
+                    raise NotSeparatedError(
+                        f"separated-set certificate failed at n={n}, eps={e:g}: "
+                        f"orbit rows {pair[0]} and {pair[1]} are closer than eps",
+                        witness=pair,
+                    )
+                is_center = np.zeros(len(Mn), dtype=bool)
+                is_center[sep] = True
+                covered = is_center[witness] & (np.abs(Mn - Mn[witness]).max(axis=1) < e)
+                if not covered.all():
+                    miss = int(np.flatnonzero(~covered)[0])
+                    raise NotACoverError(
+                        f"spanning certificate failed at n={n}, eps={e:g}: orbit row {miss} lies in no ball",
+                        witness=miss,
+                    )
+                cells[(n, e, metric)] = len(sep)
+    counts = [[cells[(n, e, metric)] for n in ns] for e in eps_list]
+    if one_n:
+        counts = [row[0] for row in counts]
+    return counts[0] if one_eps else counts
 
 
-def max_separated(pcmap: PcMap, sample: SampleSet, n: int | list[int], eps: float, metric=None) -> int | list[int]:
+def max_separated(
+    pcmap: PcMap, sample: SampleSet, n: int | list[int], eps: float | list[float], metric=None
+) -> int | list[int] | list[list[int]]:
     """Size of the certified greedy separated set: a lower bound for the true
-    maximum over the sampled set.  ``n`` is one depth, or an increasing list
-    of depths that share one sweep and get one count each."""
+    maximum over the sampled set.  ``n`` is one depth or an increasing list
+    of depths, and ``eps`` one eps or a list of distinct eps; every cell of a
+    call comes from one scan, and the counts take ``_cell``'s shape: an int,
+    one count per entry of the one list, or ``counts[e][t]`` for ``eps[e]``
+    and ``n[t]``.
+
+    On the sample the count stays under a bound from the laps of the
+    iterates (Misiurewicz & Szlenk 1980).  Let ``c_k`` be the number of laps
+    of f^k before removable junctions merge, ``c_0 = 1``, and let J be a lap
+    of f^(n-1): every f^k with k < n is continuous and monotone on J.  Two
+    neighbours ``x < y`` of an (n, eps)-separated set in J are at least eps
+    apart at some k < n, where ``|f^k(y) - f^k(x)|`` is the length of
+    ``f^k([x, y])``; these images of the gaps do not overlap, so J holds at
+    most ``1 + sum_k |f^k(J)| / eps`` of the points.  The laps of f^(n-1)
+    refine those of f^k, and f^k maps the laps of f^(n-1) inside one lap of
+    f^k to disjoint intervals of the domain I, so ``sum_J |f^k(J)| <= c_k |I|``.
+    The points on no lap lie in Delta^(n-1), hence
+
+        s(n, eps) <= c_(n-1) + |Delta^(n-1)| + (|I| / eps) * sum_(k<n) c_k.
+
+    Under a ``metric`` phi the distances are read in phi(I), so ``|I|``
+    becomes ``|phi(I)|``.
+    """
     return _cell(pcmap, sample, n, eps, metric)
 
 
-def min_spanning(pcmap: PcMap, sample: SampleSet, n: int | list[int], eps: float, metric=None) -> int | list[int]:
+def min_spanning(
+    pcmap: PcMap, sample: SampleSet, n: int | list[int], eps: float | list[float], metric=None
+) -> int | list[int] | list[list[int]]:
     """Size of a certified ball cover of the sample, the greedy separated set's
     own: an upper bound for the true minimum over the sampled set, equal to
-    ``max_separated`` on the sample.  ``n`` is one depth, or an increasing
-    list of depths that share one sweep and get one count each."""
+    ``max_separated`` on the sample.  ``n`` and ``eps`` take the forms of
+    ``max_separated``, and the counts its shapes."""
     return _cell(pcmap, sample, n, eps, metric)
 
 
@@ -392,8 +467,10 @@ def bowen_entropy(
     ``saturated`` when the count exceeds a fixed fraction of the sample, past
     which grid quantization caps the packing and the growth stalls.
 
-    Every reported cell comes from ``_cell`` and has passed both certificates;
-    a failed one raises instead of being reported.  The spanning series holds
+    Every reported cell comes from one ``_cell`` call over the whole schedule,
+    so one scan builds them all, and each has passed both certificates; a
+    failed one raises instead of being reported.  The schedule and the
+    n-range are checked before the region is sampled.  The spanning series holds
     the same counts as the separated one, since each cell's separated set is
     its certified cover.  The cells are memoized in ``_ORBIT_CACHE`` under
     the same single-thread contract as the orbits.  The slopes use a plain
@@ -402,7 +479,8 @@ def bowen_entropy(
     """
     if not eps_schedule:
         raise ValueError("eps_schedule must not be empty")
-    if sorted(eps_schedule, reverse=True) != list(eps_schedule) or len(set(eps_schedule)) != len(eps_schedule):
+    _check_eps(list(eps_schedule))
+    if sorted(eps_schedule, reverse=True) != list(eps_schedule):
         raise ValueError("eps_schedule must be strictly decreasing")
     if not n_range:
         raise ValueError("n_range must not be empty")
@@ -417,10 +495,10 @@ def bowen_entropy(
     sat = max(8, int(SATURATION_FRACTION * m))
     records: list[SeriesRecord] = []
     slopes: dict[str, float] = {}
-    for eps in eps_schedule:
+    for eps, counts in zip(eps_schedule, _cell(pcmap, sample, n_range, eps_schedule, metric)):
         base_flag = "coarse" if sample.density > eps / 4 else None
         pairs, all_pairs = [], []
-        for n, s in zip(n_range, _cell(pcmap, sample, n_range, eps, metric)):
+        for n, s in zip(n_range, counts):
             flags = [base_flag] if base_flag else []
             if s > sat:
                 flags.append("saturated")

@@ -290,12 +290,13 @@ def cmd_verify(args) -> int:
     sample = sample_region(pcmap, reg, grid=257, horizon=max(ns))
     sandwich_ok = True
     witness = ""
+    # every eps and its half in one list call: one scan builds all the cells,
+    # and the second call reads them memoized
+    eps_all = sorted({e for eps in eps_list for e in (eps, eps / 2)}, reverse=True)
+    spanning = dict(zip(eps_all, min_spanning(pcmap, sample, ns, eps_all)))
+    separated = dict(zip(eps_all, max_separated(pcmap, sample, ns, eps_all)))
     for eps in eps_list:
-        # a list of depths shares one sweep per eps and returns a count per n
-        r1s = min_spanning(pcmap, sample, ns, eps)
-        s1s = max_separated(pcmap, sample, ns, eps)
-        r2s = min_spanning(pcmap, sample, ns, eps / 2)
-        for n, r1, s1, r2 in zip(ns, r1s, s1s, r2s):
+        for n, r1, s1, r2 in zip(ns, spanning[eps], separated[eps], spanning[eps / 2]):
             if sandwich_ok and not r1 <= s1 <= r2:
                 sandwich_ok = False
                 witness = f"(n={n}, eps={eps}): r={r1}, s={s1}, r(eps/2)={r2}"

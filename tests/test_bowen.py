@@ -3,6 +3,7 @@ import contextlib
 import io
 import math
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from pcentropy.catalog import names as catalog_names
 from pcentropy.errors import EmptySampleError, NotACoverError, NotSeparatedError
 from pcentropy.intervals import RegionSet
 from pcentropy.maps import evaluate_orbit
-from pcentropy.symbolic import delta_n
+from pcentropy.symbolic import count_pieces, delta_n, delta_table
 from pcentropy.transforms import PlHomeo, conjugate_map
 from reference import (
     greedy_spanning_reference,
@@ -318,58 +319,73 @@ def _matches_reference(swept_n, reference):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), h=st.integers(1, 5), steps=st.sampled_from([None, 4, 10]), long_range=st.booleans())
 def test_greedy_witnesses_match_the_spanning_sweep(data, h, steps, long_range):
-    """One sweep over the depths n0 .. h gives, at each depth n, the per-depth
-    sweep of the first n columns.  A long range sweeps 9 to 20 depths, so each
-    claim slot is 2 or 3 bytes wide."""
+    """One scan over 1 to 4 eps, each with its own depths, gives at each eps
+    and depth n the per-depth sweep of the first n columns.  The first eps
+    sweeps the depths n0 .. h, and a long range sweeps 9 to 20 depths, so its
+    claim slots are 2 or 3 bytes wide."""
     if long_range:
         h = data.draw(st.integers(9, 20))
     m = data.draw(st.integers(1, 40))
     if steps:
         # gaps of exactly eps on quarter steps; on tenths, gaps that round
-        # to either side of eps
+        # to either side of eps.  1 and 1.5 steps have equal windows, and
+        # 0.3 steps a window 10x narrower than 3 or 4 steps
         value = st.integers(0, 12).map(lambda k: k / steps)
-        eps = data.draw(st.sampled_from([1 / steps, 2 / steps, 3 / steps, 4 / steps]))
+        eps_pool = [q / steps for q in (1, 1.5, 2, 3, 4, 0.3)]
     else:
+        # a base eps, one that almost always has the same windows, and eps
+        # 10x and 20x smaller
         value = st.floats(0.0, 1.0)
-        eps = data.draw(st.floats(0.01, 0.5))
+        base = data.draw(st.floats(0.01, 0.5))
+        eps_pool = [base, base * 1.0001, base / 10, base / 20]
+    eps_list = data.draw(st.lists(st.sampled_from(eps_pool), min_size=1, max_size=4, unique=True))
     M = np.asarray(data.draw(st.lists(st.lists(value, min_size=h, max_size=h), min_size=m, max_size=m)))
     M = M[np.argsort(M[:, 0], kind="stable")]
     n0 = data.draw(st.integers(1, h - 8 if long_range else h))
-    swept = bowen._greedy_separated_indices(M, eps, range(n0, h + 1))
-    assert list(swept) == list(range(n0, h + 1))
-    for n, (admitted, witness) in swept.items():
-        Mn = M[:, :n]
-        assert _matches_reference((admitted, witness), greedy_spanning_reference(Mn, eps))
-        assert set(witness) <= set(admitted)
-        assert (np.abs(Mn - Mn[witness]).max(axis=1) < eps).all()
-    assert set(_close_pairs(M, {n: admitted for n, (admitted, _) in swept.items()}, eps).values()) == {None}
+    wanted = {eps_list[0]: list(range(n0, h + 1))}
+    for eps in eps_list[1:]:
+        wanted[eps] = sorted(data.draw(st.sets(st.integers(1, h), min_size=1)))
+    swept = bowen._greedy_separated_indices(M, wanted)
+    assert list(swept) == eps_list
+    for eps, by_n in swept.items():
+        assert list(by_n) == wanted[eps]
+        for n, (admitted, witness) in by_n.items():
+            Mn = M[:, :n]
+            assert _matches_reference((admitted, witness), greedy_spanning_reference(Mn, eps))
+            assert set(witness) <= set(admitted)
+            assert (np.abs(Mn - Mn[witness]).max(axis=1) < eps).all()
+        assert set(_close_pairs(M, {n: admitted for n, (admitted, _) in by_n.items()}, eps).values()) == {None}
 
 
 @pytest.mark.parametrize("name", ["tent", "lorenz-full"])
 def test_greedy_matches_the_spanning_sweep_on_real_orbits(name):
     pcmap = catalog_get(name).map
     O = bowen.orbit_matrix(pcmap, sample_region(pcmap, X, grid=1025, horizon=8))
+    swept = bowen._greedy_separated_indices(bowen._prepare(O, 8, None), {0.05: list(range(4, 9)), 0.02: [4, 8]})
     for eps in (0.05, 0.02):
-        swept = bowen._greedy_separated_indices(bowen._prepare(O, 8, None), eps, range(4, 9))
         for n in (4, 8):
-            assert _matches_reference(swept[n], greedy_spanning_reference(bowen._prepare(O, n, None), eps))
+            assert _matches_reference(swept[eps][n], greedy_spanning_reference(bowen._prepare(O, n, None), eps))
 
 
 @pytest.mark.parametrize("budget", [1, 1000])
 def test_greedy_decode_chunks_give_the_same_sets(monkeypatch, budget):
-    # 20 depths make 3-byte claim slots, and a window here is 27 rows, so a
-    # budget of 1 byte decodes every step on its own and 1000 bytes flush a
-    # chunk every 12 steps
+    # at eps = 0.05, 20 depths make 3-byte claim slots, and a window here is
+    # 27 rows, so a budget of 1 byte decodes every step on its own and 1000
+    # bytes flush a chunk every 12 steps; eps = 0.02 sweeps 10 depths in
+    # 2-byte slots over narrower windows, and keeps its own chunks
     pcmap = catalog_get("lorenz-full").map
     M = bowen._prepare(bowen.orbit_matrix(pcmap, sample_region(pcmap, X, grid=513, horizon=20)), 20, None)
-    whole = bowen._greedy_separated_indices(M, 0.05, range(1, 21))
+    wanted = {0.05: list(range(1, 21)), 0.02: list(range(2, 21, 2))}
+    whole = bowen._greedy_separated_indices(M, wanted)
     monkeypatch.setattr(bowen, "_DECODE_BYTES", budget)
-    chunked = bowen._greedy_separated_indices(M, 0.05, range(1, 21))
-    assert list(chunked) == list(whole)
-    for n, (admitted, witness) in chunked.items():
-        assert np.array_equal(admitted, whole[n][0]) and np.array_equal(witness, whole[n][1])
-    for n in (1, 9, 20):
-        assert _matches_reference(chunked[n], greedy_spanning_reference(M[:, :n], 0.05))
+    chunked = bowen._greedy_separated_indices(M, wanted)
+    assert list(chunked) == list(whole) == [0.05, 0.02]
+    for eps, by_n in chunked.items():
+        assert list(by_n) == wanted[eps]
+        for n, (admitted, witness) in by_n.items():
+            assert np.array_equal(admitted, whole[eps][n][0]) and np.array_equal(witness, whole[eps][n][1])
+        for n in (wanted[eps][0], 10, 20):
+            assert _matches_reference(by_n[n], greedy_spanning_reference(M[:, :n], eps))
 
 
 def test_greedy_window_ends_at_the_rounded_sum():
@@ -382,14 +398,15 @@ def test_greedy_window_ends_at_the_rounded_sum():
     M = np.asarray([[x], [top], [0.8]])
     assert np.searchsorted(M[:, 0], top, side="right") == 2
     assert greedy_spanning_reference(M, eps) == ([0, 2], [0, 0, 2])
-    assert _matches_reference(bowen._greedy_separated_indices(M, eps, [1])[1], ([0, 2], [0, 0, 2]))
+    assert _matches_reference(bowen._greedy_separated_indices(M, {eps: [1]})[eps][1], ([0, 2], [0, 0, 2]))
 
 
 def test_greedy_window_matches_the_certificate_norm():
     # 1.0 - 0.1 rounds up to the double 0.9, yet 1.0 - 0.9 < 0.1: row 1
     # lies within eps of row 0 in the norm the certificates use, and row 0's
     # window, which ends at the double 0.9 + 0.1, holds it
-    assert _matches_reference(bowen._greedy_separated_indices(np.asarray([[0.9], [1.0]]), 0.1, [1])[1], ([0], [0, 0]))
+    swept = bowen._greedy_separated_indices(np.asarray([[0.9], [1.0]]), {0.1: [1]})
+    assert _matches_reference(swept[0.1][1], ([0], [0, 0]))
     identity = catalog_get("identity").map
     s = sample_region(identity, X, grid=11, horizon=1)
     # seven of the ten grid gaps round below 0.1
@@ -416,9 +433,12 @@ def _run_cell(entry, tent):
 def test_separated_certificate_raises(entry, tent, monkeypatch, fresh_cells):
     real = bowen._greedy_separated_indices
 
-    def with_near_duplicate(M, eps, ns):
-        # the grid neighbour of the first point joins every depth's set
-        return {n: (np.sort(np.append(idx, idx[0] + 1)), witness) for n, (idx, witness) in real(M, eps, ns).items()}
+    def with_near_duplicate(M, wanted):
+        # the grid neighbour of the first point joins every cell's set
+        return {
+            eps: {n: (np.sort(np.append(idx, idx[0] + 1)), witness) for n, (idx, witness) in by_n.items()}
+            for eps, by_n in real(M, wanted).items()
+        }
 
     monkeypatch.setattr(bowen, "_greedy_separated_indices", with_near_duplicate)
     with pytest.raises(NotSeparatedError) as info:
@@ -430,11 +450,13 @@ def test_separated_certificate_raises_at_the_first_failing_depth(tent, monkeypat
     real = bowen._greedy_separated_indices
     corrupted = {}
 
-    def with_inner_near_duplicate(M, eps, ns):
-        # only depth 3 of the range 2..4 takes the grid neighbour of its first point
-        swept = real(M, eps, ns)
-        idx, witness = swept[3]
-        swept[3] = corrupted[eps] = (np.sort(np.append(idx, idx[0] + 1)), witness)
+    def with_inner_near_duplicate(M, wanted):
+        # only depth 3 of the range 2..4 takes the grid neighbour of its first
+        # point, at every eps of the one scan
+        swept = real(M, wanted)
+        for eps, by_n in swept.items():
+            idx, witness = by_n[3]
+            by_n[3] = corrupted[eps] = (np.sort(np.append(idx, idx[0] + 1)), witness)
         return swept
 
     monkeypatch.setattr(bowen, "_greedy_separated_indices", with_inner_near_duplicate)
@@ -442,8 +464,8 @@ def test_separated_certificate_raises_at_the_first_failing_depth(tent, monkeypat
         bowen_entropy(tent, X, [2, 3, 4], [0.1, 0.05], grid=513)
     a, b = info.value.witness
     assert a in corrupted[0.1][0] and b in corrupted[0.1][0]
-    # the shallower depth was certified and memoized first, the failing one and
-    # the deeper one were not
+    # the shallower depth of the first eps was certified and memoized first;
+    # the failing one, the deeper one and every cell of the later eps were not
     ((pcmap, O, cells),) = bowen._ORBIT_CACHE.values()
     assert list(cells) == [(2, 0.1, None)]
     M3 = bowen._prepare(O, 3, None)
@@ -454,10 +476,13 @@ def test_separated_certificate_raises_at_the_first_failing_depth(tent, monkeypat
 def test_spanning_certificate_raises(entry, tent, monkeypatch, fresh_cells):
     real = bowen._greedy_separated_indices
 
-    def without_first_center(M, eps, ns):
+    def without_first_center(M, wanted):
         # the first row is always admitted and is its own witness, so it is
         # left in no ball of the remaining rows
-        return {n: (admitted[1:], witness) for n, (admitted, witness) in real(M, eps, ns).items()}
+        return {
+            eps: {n: (admitted[1:], witness) for n, (admitted, witness) in by_n.items()}
+            for eps, by_n in real(M, wanted).items()
+        }
 
     monkeypatch.setattr(bowen, "_greedy_separated_indices", without_first_center)
     with pytest.raises(NotACoverError) as info:
@@ -465,19 +490,28 @@ def test_spanning_certificate_raises(entry, tent, monkeypatch, fresh_cells):
     assert info.value.witness == 0
 
 
-def test_cells_are_memoized_per_sample(tent, monkeypatch, fresh_cells):
+def _record_sweeps(monkeypatch):
+    """Patch the greedy to log each scan as ``{eps: depths}``."""
     sweeps = []
     real = bowen._greedy_separated_indices
-    monkeypatch.setattr(
-        bowen, "_greedy_separated_indices", lambda M, eps, ns: sweeps.append((eps, list(ns))) or real(M, eps, ns)
-    )
+
+    def recorded(M, wanted):
+        sweeps.append({eps: list(ns) for eps, ns in wanted.items()})
+        return real(M, wanted)
+
+    monkeypatch.setattr(bowen, "_greedy_separated_indices", recorded)
+    return sweeps
+
+
+def test_cells_are_memoized_per_sample(tent, monkeypatch, fresh_cells):
+    sweeps = _record_sweeps(monkeypatch)
     sample = sample_region(tent, X, grid=513, horizon=4)
     assert max_separated(tent, sample, 3, 0.05) == min_spanning(tent, sample, 3, 0.05)
     # a single cell sweeps its own depth only
-    assert sweeps == [(0.05, [3])]
+    assert sweeps == [{0.05: [3]}]
     max_separated(tent, sample, 3, 0.1)
     max_separated(tent, sample, 2, 0.05)
-    assert sweeps == [(0.05, [3]), (0.1, [3]), (0.05, [2])]
+    assert sweeps == [{0.05: [3]}, {0.1: [3]}, {0.05: [2]}]
     phi = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
     assert max_separated(tent, sample, 3, 0.05, metric=phi) != max_separated(tent, sample, 3, 0.05)
     assert len(sweeps) == 4
@@ -485,23 +519,31 @@ def test_cells_are_memoized_per_sample(tent, monkeypatch, fresh_cells):
     max_separated(WALKER_MAPS["anzie"], sample, 3, 0.05)
     max_separated(tent, sample, 3, 0.05)
     assert len(sweeps) == 6
-    # a series over an n-range sweeps once per eps
+    # a series over an eps schedule and an n-range scans once per sample
     sweeps.clear()
     bowen_entropy(tent, X, [2, 3, 4], [0.1, 0.05], grid=257)
-    assert sweeps == [(0.1, [2, 3, 4]), (0.05, [2, 3, 4])]
-    # a sweep takes only the depths asked for and not memoized yet: (3, 0.05)
+    assert sweeps == [{0.1: [2, 3, 4], 0.05: [2, 3, 4]}]
+    # a scan takes only the cells asked for and not memoized yet: (3, 0.05)
     # is, since the anzie orbits were replaced
     sweeps.clear()
     assert bowen._cell(tent, sample, [2, 3, 4], 0.05) == [max_separated(tent, sample, n, 0.05) for n in (2, 3, 4)]
     assert bowen._cell(tent, sample, [1, 4], 0.2) == [max_separated(tent, sample, n, 0.2) for n in (1, 4)]
-    assert sweeps == [(0.05, [2, 4]), (0.2, [1, 4])]
-    # verify asks each eps once for all its depths; its sample equals the one
-    # bowen_entropy built above, so that sample's cells are dropped first
+    assert sweeps == [{0.05: [2, 4]}, {0.2: [1, 4]}]
+    # over a list of eps, each eps sweeps its own missing depths, an eps with
+    # none is left out, and the counts come in the caller's eps order
+    sweeps.clear()
+    counts = bowen._cell(tent, sample, [2, 3, 4], [0.2, 0.05, 0.1])
+    assert sweeps == [{0.2: [2, 3], 0.1: [2, 3, 4]}]
+    assert counts == [[max_separated(tent, sample, n, eps) for n in (2, 3, 4)] for eps in (0.2, 0.05, 0.1)]
+    assert bowen._cell(tent, sample, 4, [0.1, 0.2]) == [counts[2][2], counts[0][2]]
+    assert len(sweeps) == 1
+    # verify asks for all its eps and depths at once; its sample equals the
+    # one bowen_entropy built above, so that sample's cells are dropped first
     bowen._ORBIT_CACHE.clear()
     sweeps.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--catalog", "tent", "--n-max", "4"]) == 0
-    assert sweeps == [(0.1, [2, 3, 4]), (0.05, [2, 3, 4]), (0.025, [2, 3, 4])]
+    assert sweeps == [{0.1: [2, 3, 4], 0.05: [2, 3, 4], 0.025: [2, 3, 4]}]
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -530,6 +572,84 @@ def test_depth_list_must_increase(ns, tent, fresh_cells):
             call(tent, sample, ns, 0.05)
     # nothing was swept or memoized
     assert not any(cells for _, _, cells in bowen._ORBIT_CACHE.values())
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_eps_list_matches_single_cells(name, monkeypatch):
+    # on verify's sample, a list call over every eps and depth returns the
+    # single-cell counts, each taken on an empty cache
+    f = catalog_get(name).map
+    sample = sample_region(f, RegionSet.of((f.domain.lo, f.domain.hi)), grid=257, horizon=4)
+    phi = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
+    eps_list, ns = [0.1, 0.05, 0.025], [2, 3, 4]
+    for metric in (None, phi):
+        single = []
+        for eps in eps_list:
+            row = []
+            for n in ns:
+                monkeypatch.setattr(bowen, "_ORBIT_CACHE", weakref.WeakKeyDictionary())
+                row.append(max_separated(f, sample, n, eps, metric))
+            single.append(row)
+        for call in (max_separated, min_spanning):
+            monkeypatch.setattr(bowen, "_ORBIT_CACHE", weakref.WeakKeyDictionary())
+            assert call(f, sample, ns, eps_list, metric) == single
+        monkeypatch.setattr(bowen, "_ORBIT_CACHE", weakref.WeakKeyDictionary())
+        assert max_separated(f, sample, 3, eps_list, metric) == [row[1] for row in single]
+
+
+@pytest.mark.parametrize("eps", [[], [0.05, 0.05], [0.05, 0.0], [0.0, 0.05], [0.05, -0.1], [0.05, math.nan]])
+def test_eps_list_is_checked_before_any_work(eps, tent, monkeypatch, fresh_cells):
+    sweeps = _record_sweeps(monkeypatch)
+    sample = sample_region(tent, X, grid=257, horizon=4)
+    for call in (bowen._cell, max_separated, min_spanning):
+        for ns in (3, [2, 3]):
+            with pytest.raises(ValueError, match="eps must"):
+                call(tent, sample, ns, eps)
+    # nothing was swept or memoized
+    assert sweeps == []
+    assert not any(cells for _, _, cells in bowen._ORBIT_CACHE.values())
+
+
+@pytest.mark.parametrize(
+    "schedule, message",
+    [
+        ([], "must not be empty"),
+        ([0.05, 0], "eps must be positive"),
+        ([0, 0.05], "eps must be positive"),
+        ([0.05, -0.02], "eps must be positive"),
+        ([0.05, math.nan], "eps must be positive"),
+        ([0.05, 0.05], "eps must not repeat"),
+        ([0.02, 0.05], "strictly decreasing"),
+    ],
+)
+def test_eps_schedule_is_checked_before_sampling(schedule, message, tent, monkeypatch):
+    # the sample is local to bowen_entropy, so its cache entry is gone after
+    # the error: recording the calls is what shows no work was done
+    sweeps = _record_sweeps(monkeypatch)
+    sampled = []
+    real_sample = bowen.sample_region
+    monkeypatch.setattr(bowen, "sample_region", lambda *args, **kw: sampled.append(args) or real_sample(*args, **kw))
+    with pytest.raises(ValueError, match=message):
+        bowen_entropy(tent, X, [2, 3], schedule, grid=513)
+    assert sampled == [] and sweeps == []
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_separated_counts_stay_under_the_lap_bound(name):
+    """s(n, eps) <= c_(n-1) + |Delta^(n-1)| + (|I| / eps) * sum_(k<n) c_k, with
+    c_0 = 1 and the lap counts before removable junctions merge, as derived in
+    ``max_separated``'s docstring; checked in exact arithmetic."""
+    f = catalog_get(name).map
+    sample = sample_region(f, RegionSet.of((f.domain.lo, f.domain.hi)), grid=4097, horizon=10)
+    ns, eps_list = list(range(1, 11)), [0.05, 0.02, 0.01, 0.005]
+    laps = [1] + [count_pieces(f, k, merge_removable=False) for k in range(1, 10)]
+    assert all(type(c) is int for c in laps)
+    length = Fraction(f.domain.hi) - Fraction(f.domain.lo)
+    table = delta_table(f)
+    for eps, counts in zip(eps_list, max_separated(f, sample, ns, eps_list)):
+        for n, s in zip(ns, counts):
+            bound = laps[n - 1] + table.delta_size(n - 1) + length / Fraction(eps) * sum(laps[:n])
+            assert s <= bound, (n, eps, s, bound)
 
 
 def test_no_assert_statements_in_package():

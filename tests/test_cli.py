@@ -300,6 +300,17 @@ class TestEntropyCommand:
         assert code == 1
         assert "eps must be positive" in err
 
+    @pytest.mark.parametrize("eps", ["0,0.05", "0.05,0", "0.05,-0.01"])
+    def test_non_positive_bowen_eps(self, capsys, eps):
+        # positivity is checked before the order, so an increasing schedule
+        # that starts at 0 names the zero
+        code, _, err = run(
+            capsys, "entropy", "--catalog", "tent", "--method", "bowen",
+            "--n-range", "2:3", "--eps", eps, "--grid", "257",
+        )
+        assert code == 1
+        assert "eps must be positive" in err
+
     def test_svg_plot(self, capsys, tmp_path):
         svg = tmp_path / "series.svg"
         code, _, _ = run(
@@ -422,7 +433,10 @@ class TestVerifyCommand:
 
     def test_sandwich_row_reports_the_first_failure(self, capsys, monkeypatch):
         # every cell breaks r <= s, so the first one, (n=2, eps=0.1), is the witness
-        monkeypatch.setattr(cli, "min_spanning", lambda pcmap, sample, n, eps, metric=None: [10**6] * len(n))
+        # verify asks for every eps and depth in one list call
+        monkeypatch.setattr(
+            cli, "min_spanning", lambda pcmap, sample, n, eps, metric=None: [[10**6] * len(n) for _ in eps]
+        )
         code, out, _ = run(capsys, "verify", "--catalog", "tent", "--n-max", "4")
         assert code == 1
         row = next(line for line in out.splitlines() if line.startswith("separated/spanning sandwich"))
