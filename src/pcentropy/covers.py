@@ -25,11 +25,11 @@ part covers a block of atoms.  A data reduction comes first and is the one
 coverage check: difference arrays count the parts over each atom, an atom
 under none is uncovered, an element owning the only part over some atom is
 forced into every subcover, and only the atoms that the forced elements
-leave, each under some other part, go to a search.  When every element is a
-single interval, a greedy sweep (optimal) takes the picks, read by pointer
-doubling; otherwise a branch and bound whose first dive is a greedy cover
-reads each atom's candidates from the (element, atom) pairs grouped by atom.
-The part and node caps are the constants ``DEFAULT_PART_CAP`` and
+leave, each under some other part, go to the one search: a branch and bound
+whose first dive is a greedy cover, reading each atom's candidates from the
+(element, atom) pairs grouped by atom, which ends as soon as it holds a cover
+as small as a greedy packing of atoms with disjoint candidate sets.  The
+part and node caps are the constants ``DEFAULT_PART_CAP`` and
 ``DEFAULT_NODE_CAP``.
 """
 
@@ -356,35 +356,6 @@ def _uncovered(reps: np.ndarray, code: int) -> NotACoverError:
     return NotACoverError(f"target point {x:.17g} is uncovered", witness=x)
 
 
-def _sweep(first, last, owner, n) -> SubcoverResult:
-    """Greedy sweep over single-interval parts covering atoms first..last of
-    atoms 0..n-1, each atom under at least one part, as ``_reduce`` leaves
-    them; the scalar reference is ``tests/reference.py::subcover_sweep_reference``.
-
-    From frontier atom f the greedy picks the part of furthest reach among
-    those starting at or before f, and moves on to the atom after that reach:
-    one step ``nxt[f] > f`` per atom, and the sink n.  The picks are the
-    orbit of atom 0, read by pointer doubling: ``path`` holds the first 2^k
-    frontiers and ``jump`` is the 2^k-th power of ``nxt``.
-    """
-    order = np.lexsort((owner, last, first))
-    first, last, owner = first[order], last[order], owner[order]
-    # the pick among parts 0..p is the first of them to reach their furthest atom
-    reach = np.maximum.accumulate(last)
-    rose = np.diff(reach, prepend=-1) > 0
-    best = owner[rose][np.cumsum(rose) - 1]
-    # upto[f]: the last part starting at or before atom f
-    upto = np.cumsum(np.bincount(first, minlength=n)) - 1
-    nxt = np.append(reach[upto] + 1, n)
-    path, jump = np.zeros(1, dtype=np.intp), nxt
-    while path[-1] != n:
-        path = np.concatenate([path, jump[path]])
-        jump = jump[jump]
-    # path rises to the sink and stays there
-    picks = best[upto[path[: np.searchsorted(path, n)]]].tolist()
-    return SubcoverResult(len(picks), tuple(picks), True)
-
-
 def _atomize(cover: Cover, target: RegionSet, exclude: PointSet):
     """The atoms of ``target`` minus ``exclude`` and the block of them that
     each part of ``cover`` covers; the mirror is
@@ -468,8 +439,16 @@ def _branch_and_bound(first, last, owner, n_elements, n_atoms) -> SubcoverResult
 
     Each atom's candidate elements are a slice of the (part, atom) pairs
     grouped stably by atom; parts come in element order, so each slice is in
-    index order.  The search stops after ``DEFAULT_NODE_CAP`` nodes once it
-    holds a cover, and then reports that cover with ``exact`` false.
+    index order.  A greedy packing bounds the count from below, computed once:
+    pack the lowest free atom, clear every atom that one of its candidates
+    covers, and repeat until no atom is free; the packed atoms share no
+    candidate, so each needs a pick of its own.  The search ends as soon as
+    it holds a cover of the bound's size.  When every element is a single
+    interval, the first dive takes the candidate of furthest reach at each
+    lowest uncovered atom, the optimal greedy sweep, and the packing packs
+    one atom per pick of it, so that dive ends the search.  Otherwise the
+    search stops after ``DEFAULT_NODE_CAP`` nodes once it holds a cover, and
+    then reports that cover with ``exact`` false.
     """
     full = (1 << n_atoms) - 1
     masks = [0] * n_elements
@@ -483,6 +462,12 @@ def _branch_and_bound(first, last, owner, n_elements, n_atoms) -> SubcoverResult
     np.cumsum(np.bincount(atom, minlength=n_atoms), out=start[1:])
     start = start.tolist()
     del row, atom, by_atom
+    bound, free = 0, full
+    while free:
+        pivot = (free & -free).bit_length() - 1
+        bound += 1
+        for idx in cands_of[start[pivot] : start[pivot + 1]]:
+            free &= ~masks[idx]
 
     # An explicit stack: each frame is a node's uncovered mask and the
     # iterator over its candidates, and picks[d] is the candidate taken at
@@ -504,6 +489,8 @@ def _branch_and_bound(first, last, owner, n_elements, n_atoms) -> SubcoverResult
         if not uncovered:
             if depth < best_count:
                 best_count, best_picks = depth, tuple(picks)
+            if best_count == bound:
+                break
         elif depth + math.ceil(uncovered.bit_count() / max_gain) < best_count:
             pivot = (uncovered & -uncovered).bit_length() - 1
             cands = cands_of[start[pivot] : start[pivot + 1]]
@@ -535,12 +522,12 @@ def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointS
     only part over some atom is forced, since every subcover holds it.  The
     forced elements are taken first, and only the atoms they leave,
     renumbered 0..m-1 (a block stays a block), each under a part of another
-    element, go to a search over the other elements: the greedy sweep, optimal
-    when every element is a single interval and run by pointer doubling in
-    ``_sweep``, or else ``_branch_and_bound`` on m-bit masks.  ``indices``
-    are the forced elements in index order, then the search's picks.  The
-    reduction counts no node against ``DEFAULT_NODE_CAP``; a search stopped
-    at the cap reports its best cover with ``exact`` false.
+    element, go to ``_branch_and_bound`` over the other elements on m-bit
+    masks, which a packing lower bound ends once its cover is proven
+    minimal.  ``indices`` are the forced elements in index order, then the
+    search's picks.  The reduction counts no node against
+    ``DEFAULT_NODE_CAP``; a search stopped at the cap reports its best cover
+    with ``exact`` false.
     """
     if target.is_empty():
         return SubcoverResult(0, (), True)
@@ -559,10 +546,7 @@ def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointS
     first, last = below[first], below[last + 1] - 1
     keep = (first <= last) & ~np.isin(owner, forced)
     first, last, owner = first[keep], last[keep], owner[keep]
-    if len(cover.parts.owner) == len(cover):  # every element is a single interval
-        found = _sweep(first, last, owner, len(leftover))
-    else:
-        found = _branch_and_bound(first, last, owner, len(cover), len(leftover))
+    found = _branch_and_bound(first, last, owner, len(cover), len(leftover))
     return SubcoverResult(len(picks) + found.count, picks + found.indices, found.exact)
 
 

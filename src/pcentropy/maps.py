@@ -355,8 +355,7 @@ def parse_map(source: str) -> PcMap:
     ``piece (a, b): <expression> [inc|dec]`` line per branch.  ``#`` starts a
     comment; bounds may be constant expressions such as ``1/3``.
     """
-    domain = None
-    at_delta = "left"
+    domain = at_delta = None
     pieces: list[tuple[float, float, Expr, bool | None]] = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -371,6 +370,8 @@ def parse_map(source: str) -> PcMap:
             continue
         m = _AT_DELTA_RE.match(line)
         if m:
+            if at_delta is not None:
+                raise ExprParseError("duplicate at_delta line", lineno, 1)
             at_delta = m.group("side")
             if at_delta not in ("left", "right"):
                 raise ExprParseError(f"at_delta must be left or right, got {at_delta!r}", lineno, 1)
@@ -398,4 +399,4 @@ def parse_map(source: str) -> PcMap:
         raise ExprParseError("missing domain line", 1, 1)
     if not pieces:
         raise ExprParseError("no piece lines", 1, 1)
-    return build_map(domain, pieces, at_delta=at_delta)
+    return build_map(domain, pieces, at_delta=at_delta or "left")

@@ -11,6 +11,7 @@ a lap end of Delta^k walked forward alone can round past a cut."""
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,9 @@ class PlHomeo:
             raise ValueError("need at least two nodes")
         xs = [p[0] for p in self.nodes]
         ys = [p[1] for p in self.nodes]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        if not all(math.isfinite(v) for v in xs + ys):
+            raise ValueError("node coordinates must be finite")
+        if not all(b > a for a, b in zip(xs, xs[1:])):
             raise ValueError("node abscissas must be strictly increasing")
         up = all(b > a for a, b in zip(ys, ys[1:]))
         down = all(b < a for a, b in zip(ys, ys[1:]))

@@ -382,10 +382,10 @@ def refinement_product_reference(pcmap, cover, n_max):
 
 
 def subcover_sweep_reference(first, last, owner, n) -> SubcoverResult:
-    """Tuple sweep reference for ``covers._sweep``, which reads the same picks
-    by pointer doubling: the parts sorted as ``(first, last, owner)`` tuples,
-    and the best reach kept while the frontier advances one pick at a time.
-    Like ``_sweep``, it takes what ``covers._reduce`` leaves: every part has
+    """Tuple greedy sweep, the count oracle for ``covers._branch_and_bound``
+    on single-interval parts: the parts sorted as ``(first, last, owner)``
+    tuples, and the best reach kept while the frontier advances one pick at
+    a time.  It takes what ``covers._reduce`` leaves: every part has
     first <= last, and each of the atoms 0..n-1 lies under some part."""
     ranges = sorted(zip(first, last, owner))
     picks = []

@@ -234,6 +234,13 @@ class TestEntropyCommand:
         assert code == 1 and out == ""
         assert err == f"error: bad phi literal {phi!r}; expected [(x0, y0), (x1, y1), ...]\n"
 
+    @pytest.mark.parametrize("command", ["entropy", "verify"])
+    def test_non_finite_phi_rejected(self, capsys, command):
+        phi = '[(0,0),("nan",0.5),(1,1)]'
+        code, out, err = run(capsys, command, "--catalog", "tent", "--n-max", "3", "--phi", phi)
+        assert code == 1 and out == ""
+        assert err == "error: node coordinates must be finite\n"
+
     def test_cap_truncates_cover_route(self, capsys, monkeypatch):
         monkeypatch.setenv("PCENTROPY_CAP", "50")
         code, out, _ = run(capsys, "entropy", "--catalog", "mod3", "--method", "cover", "--n-max", "6")

@@ -433,12 +433,17 @@ def grid_intervals(draw, grid=GRID):
 
 
 @st.composite
-def subcover_cases(draw):
+def subcover_cases(draw, repeated=False):
+    """A cover, a target, excluded points and the grid points they remove;
+    a ``repeated`` cover lists every element twice, so no element owns the
+    only part over an atom, nothing is forced and every draw is searched."""
     max_parts = draw(st.sampled_from([1, 3, 3]))
     elements = tuple(
         OpenSet(tuple(draw(grid_intervals()) for _ in range(draw(st.integers(1, max_parts)))))
         for _ in range(draw(st.integers(1, 6)))
     )
+    if repeated:
+        elements *= 2
     ends = sorted(draw(st.sampled_from(GRID[1:-1])) for _ in range(draw(st.sampled_from([2, 4]))))
     target = RegionSet.of(*zip(ends[0::2], ends[1::2]))
     excluded, removed = [], set()
@@ -495,6 +500,22 @@ def test_minimal_subcover_matches_brute_force(case):
     assert _covers(cover, capped.indices, needed)
 
 
+@given(subcover_cases(repeated=True))
+@settings(max_examples=200, deadline=None)
+def test_unforced_search_matches_brute_force(case):
+    cover, target, exclude, removed = case
+    needed = _needed_points(target, removed)
+    # a repeat covers what its first copy does, so the first half's minimum is the whole cover's
+    expected = _brute_minimum(Cover(cover.elements[: len(cover) // 2]), needed)
+    if expected is None:
+        with pytest.raises(NotACoverError):
+            minimal_subcover(cover, target, exclude)
+        return
+    res = minimal_subcover(cover, target, exclude)
+    assert (res.count, res.exact) == (expected, True)
+    assert len(res.indices) == res.count and _covers(cover, res.indices, needed)
+
+
 @st.composite
 def reduction_cases(draw):
     # elements of up to three ranges over a few atoms; some ranges are empty
@@ -524,7 +545,7 @@ def test_reduce_matches_loop_reference(case):
 
 
 def _with_every_atom_covered(first, last, n_atoms):
-    """What ``_reduce`` leaves for the sweep: the parts with first <= last,
+    """What ``_reduce`` leaves for the search: the parts with first <= last,
     and a one-atom part for each atom that none of them covers."""
     keep = first <= last
     first, last = first[keep], last[keep]
@@ -544,17 +565,35 @@ def sweep_cases(draw):
     return first, last, owner, n_atoms
 
 
+def _search_single_intervals(first, last, owner, n_atoms) -> SubcoverResult:
+    """``_branch_and_bound`` on one single-interval part per element; checks
+    that its picks cover every atom and that the packing bound proved them
+    minimal, with the sweep reference's count."""
+    res = covers._branch_and_bound(first, last, owner, len(owner), n_atoms)
+    expected = subcover_sweep_reference(first, last, owner, n_atoms)
+    assert (res.count, res.exact) == (expected.count, True)
+    by_owner = dict(zip(owner.tolist(), zip(first.tolist(), last.tolist())))
+    covered = np.zeros(n_atoms, dtype=bool)
+    for idx in res.indices:
+        a, b = by_owner[idx]
+        covered[a : b + 1] = True
+    assert len(res.indices) == res.count and covered.all()
+    return res
+
+
 @given(sweep_cases())
 @settings(max_examples=400, deadline=None)
 def test_sweep_matches_tuple_reference(case):
-    assert covers._sweep(*case) == subcover_sweep_reference(*case)
+    # on single intervals the search's first dive is the greedy sweep, and
+    # the packing bound ends the search there
+    _search_single_intervals(*case)
 
 
 @st.composite
 def long_sweep_cases(draw):
     # a chain of up to 300 ranges, each reaching at least to the start of the
-    # next, so the greedy takes many picks and the doubling many rounds; a
-    # few more ranges make ties, and half of the chains get a hole cut deep
+    # next, so the greedy takes many picks and the search dives deep; a few
+    # more ranges make ties, and half of the chains get a hole cut deep
     # into them, an atom that only a one-atom part then covers
     size = draw(st.integers(1, 300))
     gaps = np.array(draw(st.lists(st.integers(1, 3), min_size=size, max_size=size)), dtype=np.intp)
@@ -576,16 +615,15 @@ def long_sweep_cases(draw):
 @given(long_sweep_cases())
 @settings(max_examples=200, deadline=None)
 def test_long_sweep_matches_tuple_reference(case):
-    assert covers._sweep(*case) == subcover_sweep_reference(*case)
+    _search_single_intervals(*case)
 
 
 def test_sweep_of_one_part_per_atom():
-    # 3000 picks, so the doubling runs ceil(log2(3001)) = 12 rounds
+    # 3000 picks, so the first dive holds 3000 frames
     n = 3000
     atoms = np.arange(n)
     owner = atoms[::-1].copy()
-    res = covers._sweep(atoms, atoms, owner, n)
-    assert res == subcover_sweep_reference(atoms, atoms, owner, n)
+    res = _search_single_intervals(atoms, atoms, owner, n)
     assert res.indices == tuple(range(n - 1, -1, -1))
 
 
@@ -692,6 +730,15 @@ class TestCoverEntropy:
         assert [r.value for r in series.records] == [
             2, 4, 8, 16, 31, 59, 112, 212, 400, 754, 1421, 2677, 5042, 9496, 17884,
         ]
+        assert all(r.flag is None for r in series.records)
+
+    def test_packing_bound_proves_overlapping_intervals(self):
+        # at n = 6 the search runs on 9,375 leftover atoms; each first dive
+        # meets the packing bound, so no count is flagged
+        mod5 = catalog_get("mod5").map
+        cover = Cover(tuple(OpenSet.of(p) for p in ((0.0, 0.5), (0.4, 0.6), (0.45, 0.65), (0.55, 1.0))))
+        series = cover_entropy(mod5, cover, 6)
+        assert [r.value for r in series.records] == [3, 8, 21, 55, 144, 377]
         assert all(r.flag is None for r in series.records)
 
     def test_cap_flags_the_last_record(self, tent):

@@ -103,8 +103,9 @@ class TestAffineDetection:
 
 # random fully parenthesized expressions of the grammar, each paired with the
 # same expression as Python text: the oracle is that text evaluated by Python
-# itself, with A^k read as the chain of products _pw(A, k)
-_NUMBERS = st.floats(-10, 10, allow_nan=False).map(lambda v: repr(v) if v >= 0 else f"({v!r})")
+# itself, with A^k read as the chain of products _pw(A, k); a signed literal,
+# -0.0 too, is parenthesized, since -a^k reads as -(a^k)
+_NUMBERS = st.floats(-10, 10, allow_nan=False).map(lambda v: f"({v!r})" if math.copysign(1.0, v) < 0 else repr(v))
 
 
 def _pw(v, k):

@@ -148,6 +148,14 @@ class TestParseMap:
         m = parse_map("domain = [0, 1]\nat_delta = right\npiece (0, 1): x\n")
         assert m.at_delta == "right"
 
+    def test_duplicate_at_delta_line(self):
+        # like a second domain line, a second at_delta line is refused, even
+        # one that repeats the first
+        for second in ("right", "left"):
+            with pytest.raises(ExprParseError, match="duplicate at_delta line") as exc:
+                parse_map(f"domain = [0, 1]\nat_delta = left\nat_delta = {second}\npiece (0, 1): x\n")
+            assert exc.value.line == 3
+
 
 class TestEvaluate:
     def test_tent_values(self, tent):

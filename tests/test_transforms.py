@@ -27,6 +27,16 @@ class TestPlHomeo:
         with pytest.raises(ValueError):
             PlHomeo(((0.0, 0.0), (0.5, 1.0), (1.0, 0.5)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [(1, 0), (1, 1), (2, 1)])
+    def test_refuses_non_finite_nodes(self, bad, at):
+        # a NaN abscissa compares false both ways, so only a check that each
+        # abscissa rises refuses it
+        nodes = [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]
+        nodes[at[0]][at[1]] = bad
+        with pytest.raises(ValueError, match="node coordinates must be finite"):
+            PlHomeo(tuple(map(tuple, nodes)))
+
     def test_inverse_roundtrip(self):
         inv = PHI3.inverse()
         for x in np.linspace(0, 1, 37):
