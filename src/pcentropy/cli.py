@@ -41,14 +41,20 @@ def _load_map(args) -> PcMap:
 
 
 def _parse_eps(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+    try:
+        return [float(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise ValueError(f"bad --eps literal {text!r}; expected comma-separated numbers") from None
 
 
 def _parse_n_range(text: str) -> list[int]:
-    if ":" in text:
-        a, b = text.split(":", 1)
-        return list(range(int(a), int(b) + 1))
-    return [int(t) for t in text.split(",") if t.strip()]
+    try:
+        if ":" in text:
+            a, b = text.split(":", 1)
+            return list(range(int(a), int(b) + 1))
+        return [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise ValueError(f"bad --n-range literal {text!r}; expected 'a:b' or a comma list") from None
 
 
 def _parse_region(text: str) -> RegionSet:

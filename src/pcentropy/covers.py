@@ -10,16 +10,21 @@ one-element cover C⁰ = {X} of the whole domain.  The pullback clips the parts
 of Cⁿ⁻¹ to each branch's image and inverts them through
 ``maps.branch_preimages``, the branch inverse of the MS levels (a closed form
 on affine branches, safeguarded secant rounds from a per-branch bracket table
-on smooth ones); the join intersects C with the result, every two parts by one
-row rule, ``_meet`` (``Interval.intersect`` on arrays).  A branch's preimages
-lie in its piece, which is open at the cuts, so f⁻¹{X} is the element of
-every continuity piece and no step reads the cut set.  The rows stay in
-order throughout: intersections of canonical elements in (a, b, p, q) order
-(element of each cover, then part of each) are canonical already and need no
-merge, and a pullback keeps each element's parts in order by reversing a
-decreasing branch's rows, so ``_canonical`` only merges neighbours where
-rounding closed a gap.  Every element of the n-step refinement avoids the
-n-step discontinuity set.  Minimal subcover cardinalities are exact.  The
+on smooth ones); the join intersects C with the result, every two parts that
+may meet by one row rule, ``_meet`` (``Interval.intersect`` on arrays).  A
+branch's preimages lie in its piece, which is open at the cuts, so f⁻¹{X} is
+the element of every continuity piece and no step reads the cut set.  The
+rows stay in order throughout: intersections of canonical elements in
+(a, b, p, q) order (element of each cover, then part of each) are canonical
+already and need no merge, and a pullback keeps each element's parts in
+order by reversing a decreasing branch's rows, so ``_canonical`` only merges
+neighbours where rounding closed a gap.  Each step builds every row-wide
+column once and drops it once read: the join gathers for each part pair
+only the ends and flags ``_meet`` reads and keys only the pairs it keeps,
+and the pullback inverts a branch's ends from one array and sets image ends
+to piece ends in place; the docstrings of ``_join`` and ``_pullback`` list
+what each holds at its peak.  Every element of the n-step refinement avoids
+the n-step discontinuity set.  Minimal subcover cardinalities are exact.  The
 target splits into atoms by one stable sort of every coordinate, and each
 part covers a block of atoms.  A data reduction comes first and is the one
 coverage check: difference arrays count the parts over each atom, an atom
@@ -46,7 +51,7 @@ import numpy as np
 from .errors import NotACoverError, ResourceCapExceeded
 from .estimators import EntropySeries, SeriesRecord, count_series
 from .intervals import Interval, OpenSet, PointSet, RegionSet, dedupe_sorted
-from .maps import PcMap, branch_preimages
+from .maps import Branch, PcMap, branch_preimages
 from .symbolic import delta_n
 
 DEFAULT_PART_CAP = 1_000_000
@@ -225,40 +230,67 @@ def _meet(p, q):
     return Parts(p.owner, lo, hi, lo_open, hi_open), (lo < hi) | ((lo == hi) & ~(lo_open | hi_open))
 
 
+def _pairs(pa: Parts, pb: Parts) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) of parts pa[i] and pb[j] that may meet: pb[j].lo in
+    [pa[i].lo, pa[i].hi] or pa[i].lo in (pb[j].lo, pb[j].hi], an upper end
+    counting only when closed.  One range expansion each over
+    the other side's parts sorted by ``lo``, the first grouped by i in i
+    order, then the second grouped by j; where no pa[i].lo lies in a pb[j],
+    the second costs its two searches and nothing more.  Which of two equal
+    ``lo`` sorts first changes neither expansion's pair set."""
+    sa, sb = np.argsort(pa.lo), np.argsort(pb.lo)
+    # x < hi is x <= the float below hi
+    a_hi, b_hi = (np.nextafter(p.hi, -np.inf, out=p.hi.copy(), where=p.hi_open) for p in (pa, pb))
+    b_lo = pb.lo[sb]
+    i, j = _ranges(np.searchsorted(b_lo, pa.lo, "left"), np.searchsorted(b_lo, a_hi, "right"))
+    a_lo = pa.lo[sa]
+    start, stop = np.searchsorted(a_lo, pb.lo, "right"), np.searchsorted(a_lo, b_hi, "right")
+    if not (stop > start).any():
+        return i, sb[j]
+    jb, ia = _ranges(start, stop)
+    return np.concatenate([i, sa[ia]]), np.concatenate([sb[j], jb])
+
+
 def _join(a: Cover, b: Cover) -> Cover:
     """The non-empty intersections of an element of ``a`` with one of ``b``,
-    in (a, b) order, without repeats.
+    in (a, b) order; the callers drop repeats with ``_dedupe`` once this
+    frame and its transients are gone.
 
-    Parts p of a and q of b meet when q.lo lies in [p.lo, p.hi] or p.lo in
-    (q.lo, q.hi], the upper end counting only when closed: one range
-    expansion each over the other cover's parts sorted by ``lo``.  ``_meet``
-    intersects each pair, and the pairs left empty (a closed end on an open
-    one, a point on an open end) are dropped.
+    ``_meet`` intersects the pairs of ``_pairs`` from the ends and flags
+    gathered for them, and the pairs left empty (a closed end on an open
+    one, a point on an open end) are dropped.  Live at the peak, per pair:
+    the two indices, the eight gathered columns, which go when ``_meet``
+    returns, and the meet's four.  Only the kept pairs get keys: one stable
+    sort by (a-element, q) orders them, and the (a, b) key marks where each
+    element starts.
 
-    The pairs are ordered by (a-element, b-element, p, q) and need no merge:
-    the parts of each element are sorted and disjoint, so the intersections
-    of one (a, b) in (p, q) order are too.  Two of them touch at an included
-    point only if two parts of a's element or of b's element do, which
-    ``OpenSet``'s canonical form rules out; so each element is already in
-    that form.
+    That is (a-element, b-element, p, q) order, and it needs no merge.  b's
+    parts are listed by element, so q's index runs in b-element order.  The
+    parts of each element are sorted and disjoint, so within one (a, b) the
+    kept pairs in p order are in q order too, and the pairs of one q and
+    one a-element come in p order, those of the first expansion before
+    those of the second.  So the intersections of one (a, b) are sorted and
+    disjoint, and two of them touch at an included point only if two parts
+    of a's element or of b's element do, which ``OpenSet``'s canonical form
+    rules out; so each element is already in that form.
     """
     pa, pb = a.parts, b.parts
-    sa, sb = np.argsort(pa.lo, kind="stable"), np.argsort(pb.lo, kind="stable")
-    # x < hi is x <= the float below hi
-    a_hi, b_hi = (np.where(p.hi_open, np.nextafter(p.hi, -np.inf), p.hi) for p in (pa, pb))
-    ia, jb = _ranges(np.searchsorted(pb.lo[sb], pa.lo, "left"), np.searchsorted(pb.lo[sb], a_hi, "right"))
-    ib, ja = _ranges(np.searchsorted(pa.lo[sa], pb.lo, "right"), np.searchsorted(pa.lo[sa], b_hi, "right"))
-    i, j = np.concatenate([ia, sa[ja]]), np.concatenate([sb[jb], ib])
-    q = pb.take(j)
-    meet, keep = _meet(pa.take(i), q)
-    key = meet.owner * len(b) + q.owner
-    key, i, j = key[keep], i[keep], j[keep]
-    by_pair = np.lexsort((j, i, key))
-    order, key = np.flatnonzero(keep)[by_pair], key[by_pair]
+    i, j = _pairs(pa, pb)
+    meet, keep = _meet(Parts(None, *(col[i] for col in pa[1:])), Parts(None, *(col[j] for col in pb[1:])))
+    kept = None
+    if not keep.all():
+        kept = np.flatnonzero(keep)
+        i, j = i[kept], j[kept]
+    a_owner = pa.owner[i]
+    order = np.argsort(a_owner * len(pb.lo) + j, kind="stable")
+    key = (a_owner * len(b) + pb.owner[j])[order]
+    del i, j, a_owner
+    if kept is not None:
+        order = kept[order]
     new = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=new[1:])
     owner = np.cumsum(new) - 1
-    return _dedupe(Cover._of(Parts(owner, *(col[order] for col in meet[1:]))))
+    return Cover._of(Parts(owner, *(col[order] for col in meet[1:])))
 
 
 def vee(covers: list[Cover]) -> Cover:
@@ -267,8 +299,30 @@ def vee(covers: list[Cover]) -> Cover:
         raise ValueError("need at least one cover")
     out = _dedupe(covers[0])
     for c in covers[1:]:
-        out = _join(out, c)
+        out = _dedupe(_join(out, c))
     return out
+
+
+def _branch_rows(pcmap: PcMap, b: Branch, parts: Parts) -> tuple[np.ndarray, ...]:
+    """The part rows of ``_pullback`` through the branch ``b``: owner, ends
+    and flags, each element's parts in ``lo`` order."""
+    d = b.direction
+    vmin, vmax = (min(max(v, pcmap.domain.lo), pcmap.domain.hi) for v in b.image)
+    # the image's flags are the piece's, swapped by a decreasing branch
+    meet, keep = _meet(parts, Parts(None, vmin, vmax, *(b.piece.lo_open, b.piece.hi_open)[::d]))
+    if not keep.all():
+        meet = meet.take(keep)
+    # row 0 holds the lower ends, row 1 the upper ones
+    ends = np.concatenate([meet.lo, meet.hi]).reshape(2, -1)
+    xs = branch_preimages(b, ends.ravel()).reshape(ends.shape)
+    # image ends go to piece ends exactly; a decreasing branch swaps the
+    # rows, and reversing its columns puts each element's parts back in lo
+    # order (the owners then descend)
+    np.copyto(xs, [[b.piece.lo], [b.piece.hi]][::d], where=ends == [[vmin], [vmax]])
+    x_lo, x_hi = xs[::d]
+    lo_open, hi_open = (meet.lo_open, meet.hi_open)[::d]
+    # NaN ends fail both of _canonical's emptiness comparisons
+    return tuple(col[::d] for col in (meet.owner, x_lo, x_hi, lo_open, hi_open))
 
 
 def _pullback(pcmap: PcMap, cover: Cover) -> Cover:
@@ -276,35 +330,25 @@ def _pullback(pcmap: PcMap, cover: Cover) -> Cover:
     empty preimages are dropped.
 
     Each branch clips every part to its domain-clipped image by ``_meet``,
-    the join's rule, and inverts all the part ends with one
-    ``branch_preimages`` call.  An end on an image end maps to the piece end
-    exactly, so points of the discontinuity set are never included, matching
-    the convention-independent refinement semantics.
+    the join's rule, keeps the rows that meet it (all of them, uncopied, on
+    a full branch), and inverts their lower and upper ends, written into one
+    array, with one ``branch_preimages`` call.  An end on an image end is
+    set to the piece end exactly, in place, so points of the discontinuity
+    set are never included, matching the convention-independent refinement
+    semantics.  A branch's meet, ends and preimages go before the next
+    branch runs, each column is concatenated once, and its copy reordered
+    by the one stable owner sort replaces it; live at the peak, per row, are
+    every branch's rows and their concatenation.
     """
-    pieces = []
-    for b in pcmap.branches:
-        d = b.direction
-        vmin, vmax = (min(max(v, pcmap.domain.lo), pcmap.domain.hi) for v in b.image)
-        # the image's flags are the piece's, swapped by a decreasing branch
-        meet, keep = _meet(cover.parts, Parts(None, vmin, vmax, *(b.piece.lo_open, b.piece.hi_open)[::d]))
-        meet = meet.take(keep)
-        # row 0 holds the lower ends, row 1 the upper ones
-        ends = np.stack([meet.lo, meet.hi])
-        xs = branch_preimages(b, ends.ravel()).reshape(ends.shape)
-        # image ends go to piece ends exactly; a decreasing branch swaps the
-        # rows, and reversing its columns puts each element's parts back in
-        # lo order (the owners then descend)
-        piece_ends = np.array([[b.piece.lo], [b.piece.hi]])[::d]
-        xs = np.where(ends == [[vmin], [vmax]], piece_ends, xs)[::d, ::d]
-        opens = np.stack([meet.lo_open, meet.hi_open])[::d, ::d]
-        # NaN ends fail both of _canonical's emptiness comparisons
-        pieces.append((meet.owner[::d], xs[0], xs[1], opens[0], opens[1]))
     # branches come in piece order, so one stable sort by owner leaves each
     # element's parts in lo order; _canonical sorts only where a rounded
     # inverse crossed two parts
-    cols = [np.concatenate(col) for col in zip(*pieces)]
+    cols = [np.concatenate(col) for col in zip(*[_branch_rows(pcmap, b, cover.parts) for b in pcmap.branches])]
     order = np.argsort(cols[0], kind="stable")
-    return _canonical(*(col[order] for col in cols))
+    for k in range(len(cols)):
+        cols[k] = cols[k][order]
+    del order
+    return _canonical(*cols)
 
 
 def pullback_cover(pcmap: PcMap, cover: Cover, j: int) -> Cover:
@@ -323,7 +367,7 @@ def refinement_steps(pcmap: PcMap, cover: Cover, n_max: int):
     C⁰ = {X}; f⁻¹{X} is the element of every piece, so C¹ is C minus the cuts."""
     acc = Cover((OpenSet((pcmap.domain,)),))
     for n in range(1, n_max + 1):
-        acc = _join(cover, _pullback(pcmap, acc))
+        acc = _dedupe(_join(cover, _pullback(pcmap, acc)))
         if acc.total_parts() > DEFAULT_PART_CAP:
             raise ResourceCapExceeded(f"refinement exceeded {DEFAULT_PART_CAP} interval parts", completed=n - 1)
         yield acc

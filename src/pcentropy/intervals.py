@@ -27,6 +27,8 @@ class Interval:
     hi_open: bool = True
 
     def __post_init__(self):
+        if self.lo != self.lo or self.hi != self.hi:  # NaN
+            raise ValueError(f"interval end is NaN: lo={self.lo!r}, hi={self.hi!r}")
         if not self.lo <= self.hi:
             raise ValueError(f"empty interval: lo={self.lo!r} > hi={self.hi!r}")
         if self.lo == self.hi and (self.lo_open or self.hi_open):

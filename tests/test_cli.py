@@ -294,6 +294,26 @@ class TestEntropyCommand:
         assert code == 1
         assert err.startswith("error: ") and path in err
 
+    @pytest.mark.parametrize("args, lo, hi", [
+        (["--method", "cover", "--cover", "{(0,nan),(0.4,1)}"], "0.0", "nan"),
+        (["--region", "[nan, 1]"], "nan", "1.0"),
+    ])
+    def test_nan_interval_end_is_named(self, capsys, args, lo, hi):
+        code, out, err = run(capsys, "entropy", "--catalog", "tent", "--n-max", "3", *args)
+        assert code == 1 and out == ""
+        assert err == f"error: interval end is NaN: lo={lo}, hi={hi}\n"
+
+    @pytest.mark.parametrize("flag, literal, expected", [
+        ("--eps", "abc", "comma-separated numbers"),
+        ("--eps", "0.05,x", "comma-separated numbers"),
+        ("--n-range", "4:10:2", "'a:b' or a comma list"),
+        ("--n-range", "4,five", "'a:b' or a comma list"),
+    ])
+    def test_bad_bowen_literal_names_the_flag(self, capsys, flag, literal, expected):
+        code, out, err = run(capsys, "entropy", "--catalog", "tent", "--method", "bowen", flag, literal)
+        assert code == 1 and out == ""
+        assert err == f"error: bad {flag} literal {literal!r}; expected {expected}\n"
+
     def test_empty_bowen_eps_schedule(self, capsys):
         code, _, err = run(capsys, "entropy", "--catalog", "tent", "--method", "bowen", "--eps", ",")
         assert code == 1

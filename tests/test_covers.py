@@ -206,6 +206,23 @@ def test_refinement_matches_pairwise_reference(case):
             assert part_rows(flat) == part_rows(expected)
 
 
+@pytest.mark.parametrize("name, halves, n_max", [
+    ("mod3", False, 8),  # 6,561 one-part elements at n = 8
+    ("tent", True, 10),  # overlapping halves: union elements
+    ("lorenz-full", False, 9),  # pulled back through smooth branches
+])
+def test_wide_refinement_matches_pairwise_reference(name, halves, n_max):
+    # row widths that the drawn cases above never reach
+    pcmap = catalog_get(name).map
+    cover = natural_cover(pcmap)
+    if halves:
+        cover = domainify_cover(Cover((OpenSet.of((0, 0.55)), OpenSet.of((0.45, 1)))), pcmap.domain)
+    steps = zip(refinement_steps(pcmap, cover, n_max), refinement_reference(pcmap, cover, n_max), strict=True)
+    for flat, expected in steps:
+        assert part_rows(flat) == part_rows(expected)
+    assert flat.total_parts() >= 512
+
+
 def _subcover_count(cover, target, exclude):
     """The count of an exact search, None for a capped one, or the error's
     type when the cover does not cover."""

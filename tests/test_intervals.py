@@ -29,6 +29,12 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(1.0, 0.0)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, float("nan")), (float("nan"), 1.0), (float("nan"), float("nan"))])
+    def test_rejects_nan_end(self, lo, hi):
+        # NaN fails lo <= hi too; it is refused first, under its own name
+        with pytest.raises(ValueError, match="^interval end is NaN: lo="):
+            Interval(lo, hi)
+
     def test_rejects_degenerate_open(self):
         with pytest.raises(ValueError):
             Interval.open(0.5, 0.5)
