@@ -24,7 +24,11 @@ only the ends and flags ``_meet`` reads and keys only the pairs it keeps,
 and the pullback inverts a branch's ends from one array and sets image ends
 to piece ends in place; the docstrings of ``_join`` and ``_pullback`` list
 what each holds at its peak.  Every element of the n-step refinement avoids
-the n-step discontinuity set.  Minimal subcover cardinalities are exact.  The
+the n-step discontinuity set Δⁿ, and when C¹ covers the domain minus the
+cut set, Cⁿ covers the domain minus Δⁿ; so over the whole domain the target
+points under no part of Cⁿ are Δⁿ, and ``cover_entropy`` drops them once
+their number equals the lap walk's |Δⁿ|, building no point of Δⁿ from
+n = 2.  Minimal subcover cardinalities are exact.  The
 target splits into atoms by one stable sort of every coordinate, and each
 part covers a block of atoms.  A data reduction comes first and is the one
 coverage check: difference arrays count the parts over each atom, an atom
@@ -52,7 +56,7 @@ from .errors import NotACoverError, ResourceCapExceeded
 from .estimators import EntropySeries, SeriesRecord, count_series
 from .intervals import Interval, OpenSet, PointSet, RegionSet, dedupe_sorted
 from .maps import Branch, PcMap, branch_preimages
-from .symbolic import delta_n
+from .symbolic import delta_n, delta_table
 
 DEFAULT_PART_CAP = 1_000_000
 DEFAULT_NODE_CAP = 1_000_000
@@ -555,16 +559,24 @@ def _branch_and_bound(first, last, owner, n_elements, n_atoms) -> SubcoverResult
     return SubcoverResult(best_count, best_picks, exact)
 
 
-def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointSet.empty()) -> SubcoverResult:
-    """Exact minimal subcover of ``target`` minus ``exclude`` points.
+def minimal_subcover(
+    cover: Cover, target: RegionSet, exclude: PointSet = PointSet.empty(), bare: int | None = None
+) -> SubcoverResult:
+    """Exact minimal subcover of ``target`` minus ``exclude`` points, and
+    minus the ``bare`` target points that no part covers, if given.
 
     The target decomposes into atoms (the endpoint coordinates and the open
     gaps between consecutive ones, from one sort in ``_atomize``), and each
     part covers a contiguous block of them.  ``_reduce`` counts the parts
     over each atom, the one coverage check: an atom under none is uncovered,
-    and the lowest such one is the error's witness; an element owning the
-    only part over some atom is forced, since every subcover holds it.  The
-    forced elements are taken first, and only the atoms they leave,
+    and the lowest such one is the error's witness.  With ``bare`` given,
+    only an uncovered gap is an error, with the lowest such one the witness;
+    the uncovered point atoms are dropped from the target, and a number of
+    them other than ``bare`` raises ``ResourceCapExceeded`` naming both
+    counts; ``cover_entropy`` passes |Δⁿ| there, since the bare points of
+    Cⁿ over the whole domain are Δⁿ.  An element owning the only part over
+    some atom is forced, since every subcover holds it.
+    The forced elements are taken first, and only the atoms they leave,
     renumbered 0..m-1 (a block stays a block), each under a part of another
     element, go to ``_branch_and_bound`` over the other elements on m-bit
     masks, which a packing lower bound ends once its cover is proven
@@ -578,8 +590,14 @@ def minimal_subcover(cover: Cover, target: RegionSet, exclude: PointSet = PointS
     reps, atoms, first, last = _atomize(cover, target, exclude)
     owner = cover.parts.owner
     cands, forced, leftover = _reduce(first, last, owner, len(atoms))
-    if not cands.all():
-        raise _uncovered(reps, atoms[np.argmin(cands)])
+    missed = np.flatnonzero(cands == 0)
+    holes = missed if bare is None else missed[atoms[missed] % 2 == 1]
+    if len(holes):
+        raise _uncovered(reps, atoms[holes[0]])
+    if bare is not None and len(missed) != bare:
+        raise ResourceCapExceeded(f"expected {bare} target points under no part, found {len(missed)}")
+    # bare points lie in no part's block, so dropping them renumbers nothing else
+    leftover = leftover[cands[leftover] > 0]
     picks = tuple(forced.tolist())
     if not len(leftover):
         return SubcoverResult(len(picks), picks, True)
@@ -613,16 +631,35 @@ def cover_entropy(
     """Minimal-subcover growth of the n-step refinements over the region minus
     the n-step discontinuity set; ``cap`` bounds that set's size as in
     ``ms_entropy``, and hitting it, or the part cap of the refinement, ends
-    the series there, as ``count_series`` says."""
+    the series there, as ``count_series`` says.
+
+    Over the whole domain and from n = 2, Δⁿ is read from the refinement and
+    no point of it is built: Cⁿ covers X minus Δⁿ when C¹ covers X minus Δ,
+    which the n = 1 record checks against Δ itself, the map's cut set.  So
+    ``minimal_subcover`` drops the points of X under no part of Cⁿ, after
+    checking that they number |Δⁿ| from the lap walk; ``tol`` merging two of
+    them ends the series at the n where building Δⁿ would refuse it.  A
+    region narrower than the domain excludes ``delta_n``'s points at every
+    n: the walk has no count of Δⁿ in the region, and Cⁿ may leave points of
+    the region outside Δⁿ bare by design.
+    """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    if region is None:
-        region = RegionSet.of((pcmap.domain.lo, pcmap.domain.hi))
+    whole = RegionSet.of((pcmap.domain.lo, pcmap.domain.hi))
+    region = whole if region is None else region
     cover = domainify_cover(cover, pcmap.domain)
+    table, no_points = delta_table(pcmap), PointSet.empty(pcmap.tol)
 
     def records():
         for n, refined in enumerate(refinement_steps(pcmap, cover, n_max), start=1):
-            res = minimal_subcover(refined, region, delta_n(pcmap, n, cap))
+            if n == 1 or region != whole:
+                res = minimal_subcover(refined, region, delta_n(pcmap, n, cap))
+            else:
+                table.ensure(n, cap)
+                try:
+                    res = minimal_subcover(refined, region, no_points, table.delta_size(n))
+                except ResourceCapExceeded as exc:
+                    raise ResourceCapExceeded(f"Delta^{n}: {exc}", completed=n - 1) from None
             yield SeriesRecord(n, res.count, flag=None if res.exact else "inexact")
 
     return count_series("cover", records(), estimator)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcentropy import covers
+from pcentropy import covers, symbolic
 from pcentropy.catalog import get as catalog_get
+from pcentropy.catalog import names as catalog_names
 from pcentropy.covers import (
     Cover,
     SubcoverResult,
@@ -27,7 +28,7 @@ from pcentropy.covers import (
 from pcentropy.errors import NotACoverError, ResourceCapExceeded, SubadditivityError
 from pcentropy.intervals import Interval, OpenSet, PointSet, RegionSet
 from pcentropy.maps import parse_map
-from pcentropy.symbolic import delta_n
+from pcentropy.symbolic import delta_n, delta_table
 from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
 from reference import (
     lebesgue_number_reference,
@@ -788,6 +789,74 @@ class TestCoverEntropy:
         bad = Cover((OpenSet.of((0.0, 0.4)),))
         with pytest.raises(NotACoverError):
             cover_entropy(tent, bad, 4)
+        # a gap at n = 1, checked against the cut set itself
+        gap = Cover((OpenSet.of((0.0, 0.3)), OpenSet.of((0.35, 1.0))))
+        with pytest.raises(NotACoverError, match=r"^target point 0.29999999999999999 is uncovered$"):
+            cover_entropy(tent, gap, 4)
+
+    def test_whole_domain_builds_no_delta_point(self, monkeypatch):
+        # over the whole domain Δⁿ is read from the refinement's bare points
+        # from n = 2; a region narrower than the domain excludes Δⁿ's points
+        mod3 = catalog_get("mod3").map
+        real, seen = covers.delta_n, []
+        monkeypatch.setattr(covers, "delta_n", lambda pcmap, n, cap=None: seen.append(n) or real(pcmap, n, cap))
+        whole = cover_entropy(mod3, natural_cover(mod3), 8)
+        assert seen == [1]
+        seen.clear()
+        # narrower than the domain by less than an element of C⁸ is wide
+        # (a region that a counted element misses can break submultiplicativity)
+        near = cover_entropy(mod3, natural_cover(mod3), 8, region=RegionSet.of((0.0, 0.9999)))
+        assert seen == list(range(1, 9))
+        assert [r.value for r in whole.records] == [r.value for r in near.records] == [3**n for n in range(1, 9)]
+
+    def test_tol_merged_bare_points_end_the_series(self):
+        # at n = 18 tol merges lorenz-full's bare points to 261,874 of
+        # |Δ¹⁸| = 262,143, where the built Δ¹⁸ refuses the same way
+        lorenz = catalog_get("lorenz-full").map
+        series = cover_entropy(lorenz, natural_cover(lorenz), 19)
+        assert series.truncated
+        assert [r.n for r in series.records] == list(range(1, 18))
+        assert series.records[-1].value == 2**17 and series.records[-1].flag == "truncated"
+
+    def test_bare_count_mismatch_ends_the_series(self, tent, monkeypatch):
+        # |Δ³| read one high: the 7 bare points of C³ no longer match it
+        real = symbolic.DeltaTable.delta_size
+        monkeypatch.setattr(symbolic.DeltaTable, "delta_size", lambda self, n: real(self, n) + (n == 3))
+        series = cover_entropy(tent, natural_cover(tent), 5)
+        assert [r.value for r in series.records] == [2, 4]
+        assert series.truncated and series.records[-1].flag == "truncated"
+        monkeypatch.setattr(covers, "count_series", lambda method, records, estimator: list(records))
+        with pytest.raises(ResourceCapExceeded) as info:
+            cover_entropy(tent, natural_cover(tent), 5)
+        assert str(info.value) == "Delta^3: expected 8 target points under no part, found 7"
+        assert info.value.completed == 2
+
+    def test_bare_gap_is_not_a_discontinuity_point(self, tent):
+        cover = Cover((OpenSet.of((0.1, 0.5)), OpenSet.of((0.5, 1.0))))
+        with pytest.raises(NotACoverError, match=r"^target point 0.050000000000000003 is uncovered$"):
+            minimal_subcover(cover, X, PointSet.empty(tent.tol), 1)
+
+
+BARE_COVERS = [
+    None,  # the map's natural cover
+    Cover((OpenSet.of((0.0, 0.55)), OpenSet.of((0.45, 1.0)))),
+    Cover((OpenSet.of((0.0, 0.3), (0.6, 1.0)), OpenSet.of((0.2, 0.7)))),
+    Cover(tuple(OpenSet.of(p) for p in ((0.0, 0.5), (0.4, 0.6), (0.45, 0.65), (0.55, 1.0)))),
+]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_bare_points_give_the_delta_exclusion_result(name):
+    # Cⁿ leaves exactly Δⁿ bare, so dropping its bare points from the whole
+    # domain gives the subcover that excludes the built Δⁿ, as a whole result
+    pcmap = catalog_get(name).map
+    target = RegionSet.of((pcmap.domain.lo, pcmap.domain.hi))
+    table = delta_table(pcmap)
+    for cover in BARE_COVERS:
+        cover = domainify_cover(natural_cover(pcmap) if cover is None else cover, pcmap.domain)
+        for n, refined in enumerate(refinement_steps(pcmap, cover, 5 if name == "mod5" else 6), start=1):
+            bare = minimal_subcover(refined, target, PointSet.empty(pcmap.tol), table.delta_size(n))
+            assert bare == minimal_subcover(refined, target, delta_n(pcmap, n)), (name, n)
 
 
 class TestBoundary:
