@@ -10,28 +10,29 @@ are confined to a sliding window in the first orbit coordinate.
 
 One kernel, ``_cell``, builds every (n, eps) cell, and each cell is checked
 by two certificates that raise before its count is reported
-(``NotSeparatedError`` for two points closer than eps, ``NotACoverError`` for
-a sample point outside every ball).  ``max_separated``, ``min_spanning``,
-``bowen_entropy`` and the CLI all read their counts from it, so every
-reported cell has passed both certificates.  One scan per sample builds the
-cells of every eps and n a caller asks for at once (``bowen_entropy`` asks
+(``NotSeparatedError`` for two points closer than eps, ``NotACoverError``
+for a sample point outside every ball).  ``max_separated``,
+``min_spanning``, ``bowen_entropy`` and the CLI all read their counts from
+it, so every reported cell has passed both certificates.  One scan builds
+the cells of every eps and n a call asks for at once (``bowen_entropy`` asks
 for its whole schedule and n-range, ``verify`` passes its three eps and its
-depths to ``max_separated`` and ``min_spanning``), and memoizes them.  The
-Bowen distance only grows with n, so each eps sweeps all its depths at once:
-each row admitted at any of them takes one vectorized claim step.  The
-claims of every n live in one Python int per eps, the claim word, with one
-slot of bits per sample row and one bit per n, so a step is a few bigint
-operations; the steps' claims are decoded into each n's admitted rows and
-witnesses after the scan, a bounded number of bytes at a time.  The eps that
-step at the same row share that row's table of coordinate gaps.  The
-separated-set certificate of an eps is one pass too: it prunes the close
-pairs of the union of its sets column by column in the greedy's row order,
-recomputing each distance from the orbits, and reads a depth's pairs after
-its last column.
+depths to ``max_separated``), and no cell outlives its call, so a metric may
+be any callable and is read afresh by each call.  The Bowen distance only
+grows with n, so each eps sweeps all its depths at once: each row admitted
+at any of them takes one vectorized claim step.  The claims of every n live
+in one Python int per eps, the claim word, with one slot of bits per sample
+row and one bit per n, so a step is a few bigint operations; the steps'
+claims are decoded into each n's admitted rows and witnesses after the scan,
+a bounded number of bytes at a time.  The eps that step at the same row
+share that row's table of coordinate gaps.  The separated-set certificate of
+an eps is one pass too: it prunes the close pairs of the union of its sets
+column by column in the greedy's row order, recomputing each distance from
+the orbits, and reads a depth's pairs after its last column.
 
 One recurrence, ``_orbits``, makes every orbit table, the sampling's and the
-orbit matrix's; ``_ORBIT_CACHE`` holds each sample's matrix and certified
-cells.  The cache takes no lock: use it from one thread at a time.
+orbit matrix's; ``_ORBIT_CACHE`` holds each sample's matrix, a function of
+the frozen map and sample alone.  The cache takes no lock: use it from one
+thread at a time.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .errors import EmptySampleError, NotACoverError, NotSeparatedError
 from .estimators import EntropySeries, SeriesRecord
 from .intervals import PointSet, RegionSet
 from .maps import PcMap, evaluate_many, evaluate_orbit
+from .transforms import restrict_map
 
 _ORBIT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
@@ -133,7 +135,7 @@ def orbit_matrix(pcmap: PcMap, sample: SampleSet) -> np.ndarray:
     if cached is not None and cached[0] == pcmap:
         return cached[1]
     out = _orbits(pcmap, sample.points.points, sample.horizon)
-    _ORBIT_CACHE[sample] = (pcmap, out, {})  # the dict holds _cell's results
+    _ORBIT_CACHE[sample] = (pcmap, out)
     return out
 
 
@@ -348,13 +350,10 @@ def _cell(
     raises ``NotSeparatedError`` with the offending pair of rows of the sorted
     orbit matrix, and a check that each row lies within eps of an admitted
     witness, which raises ``NotACoverError`` with the first row that does not.
-    Cells are memoized in the sample's ``_ORBIT_CACHE`` entry under
-    ``(n, eps, metric)``.  The cells not memoized yet are built by one greedy
-    scan, in which each eps sweeps just its own missing depths, and one
-    ``_close_pairs`` pass per eps checks the separated sets of all its depths.
-    The cells are then certified in the caller's eps order and increasing n,
-    and memoized, so a failure raises after the earlier cells are memoized.
-    No call builds, certifies or memoizes a cell it did not ask for.
+    One greedy scan sweeps every depth of every eps, and one ``_close_pairs``
+    pass per eps checks the separated sets of all its depths.  The cells are
+    certified in the caller's eps order and increasing n, so a failure raises
+    at the first failing cell, and none is kept past the call.
     """
     one_n, one_eps = np.ndim(ns) == 0, np.ndim(eps) == 0
     ns = [ns] if one_n else list(ns)
@@ -366,34 +365,29 @@ def _cell(
     if not all(1 <= n <= sample.horizon for n in ns):
         raise ValueError("n must satisfy 1 <= n <= sample.horizon")
     _check_eps(eps_list)
-    O = orbit_matrix(pcmap, sample)
-    cells = _ORBIT_CACHE[sample][2]
-    todo = {e: [n for n in ns if (n, e, metric) not in cells] for e in eps_list}
-    todo = {e: missing for e, missing in todo.items() if missing}
-    if todo:
-        M = _prepare(O, max(missing[-1] for missing in todo.values()), metric)
-        for e, swept in _greedy_separated_indices(M, todo).items():
-            close = _close_pairs(M, {n: sep for n, (sep, _) in swept.items()}, e)
-            for n, (sep, witness) in swept.items():
-                Mn = M[:, :n]
-                pair = close[n]
-                if pair is not None:
-                    raise NotSeparatedError(
-                        f"separated-set certificate failed at n={n}, eps={e:g}: "
-                        f"orbit rows {pair[0]} and {pair[1]} are closer than eps",
-                        witness=pair,
-                    )
-                is_center = np.zeros(len(Mn), dtype=bool)
-                is_center[sep] = True
-                covered = is_center[witness] & (np.abs(Mn - Mn[witness]).max(axis=1) < e)
-                if not covered.all():
-                    miss = int(np.flatnonzero(~covered)[0])
-                    raise NotACoverError(
-                        f"spanning certificate failed at n={n}, eps={e:g}: orbit row {miss} lies in no ball",
-                        witness=miss,
-                    )
-                cells[(n, e, metric)] = len(sep)
-    counts = [[cells[(n, e, metric)] for n in ns] for e in eps_list]
+    M = _prepare(orbit_matrix(pcmap, sample), ns[-1], metric)
+    counts = []
+    for e, swept in _greedy_separated_indices(M, dict.fromkeys(eps_list, ns)).items():
+        close = _close_pairs(M, {n: sep for n, (sep, _) in swept.items()}, e)
+        for n, (sep, witness) in swept.items():
+            Mn = M[:, :n]
+            pair = close[n]
+            if pair is not None:
+                raise NotSeparatedError(
+                    f"separated-set certificate failed at n={n}, eps={e:g}: "
+                    f"orbit rows {pair[0]} and {pair[1]} are closer than eps",
+                    witness=pair,
+                )
+            is_center = np.zeros(len(Mn), dtype=bool)
+            is_center[sep] = True
+            covered = is_center[witness] & (np.abs(Mn - Mn[witness]).max(axis=1) < e)
+            if not covered.all():
+                miss = int(np.flatnonzero(~covered)[0])
+                raise NotACoverError(
+                    f"spanning certificate failed at n={n}, eps={e:g}: orbit row {miss} lies in no ball",
+                    witness=miss,
+                )
+        counts.append([len(sep) for sep, _ in swept.values()])
     if one_n:
         counts = [row[0] for row in counts]
     return counts[0] if one_eps else counts
@@ -470,10 +464,10 @@ def bowen_entropy(
     Every reported cell comes from one ``_cell`` call over the whole schedule,
     so one scan builds them all, and each has passed both certificates; a
     failed one raises instead of being reported.  The schedule and the
-    n-range are checked before the region is sampled.  The spanning series holds
-    the same counts as the separated one, since each cell's separated set is
-    its certified cover.  The cells are memoized in ``_ORBIT_CACHE`` under
-    the same single-thread contract as the orbits.  The slopes use a plain
+    n-range are checked before the region is sampled, and a region narrower
+    than the domain must pass ``restrict_map``'s invariance check.  The
+    spanning series holds the same counts as the separated one, since each
+    cell's separated set is its certified cover.  The slopes use a plain
     least-squares fit rather than ``estimators.slope_fit``, which needs at
     least four records: a fit here can rest on two.
     """
@@ -490,6 +484,8 @@ def bowen_entropy(
         raise ValueError("n_range must be increasing")
     if n_range[0] < 1:
         raise ValueError(f"n_range must start at n >= 1, got n = {n_range[0]}")
+    if region != RegionSet.of((pcmap.domain.lo, pcmap.domain.hi)):
+        restrict_map(pcmap, region)
     sample = sample_region(pcmap, region, grid, horizon=max(n_range))
     m = len(sample.points)
     sat = max(8, int(SATURATION_FRACTION * m))

@@ -57,6 +57,7 @@ from .estimators import EntropySeries, SeriesRecord, count_series
 from .intervals import Interval, OpenSet, PointSet, RegionSet, dedupe_sorted
 from .maps import Branch, PcMap, branch_preimages
 from .symbolic import delta_n, delta_table
+from .transforms import restrict_map
 
 DEFAULT_PART_CAP = 1_000_000
 DEFAULT_NODE_CAP = 1_000_000
@@ -639,14 +640,17 @@ def cover_entropy(
     ``minimal_subcover`` drops the points of X under no part of Cⁿ, after
     checking that they number |Δⁿ| from the lap walk; ``tol`` merging two of
     them ends the series at the n where building Δⁿ would refuse it.  A
-    region narrower than the domain excludes ``delta_n``'s points at every
-    n: the walk has no count of Δⁿ in the region, and Cⁿ may leave points of
-    the region outside Δⁿ bare by design.
+    region narrower than the domain must pass ``restrict_map``'s invariance
+    check first, and it excludes ``delta_n``'s points at every n: the walk
+    has no count of Δⁿ in the region, and Cⁿ may leave points of the region
+    outside Δⁿ bare by design.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     whole = RegionSet.of((pcmap.domain.lo, pcmap.domain.hi))
     region = whole if region is None else region
+    if region != whole:
+        restrict_map(pcmap, region)
     cover = domainify_cover(cover, pcmap.domain)
     table, no_points = delta_table(pcmap), PointSet.empty(pcmap.tol)
 

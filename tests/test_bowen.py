@@ -2,7 +2,6 @@ import ast
 import contextlib
 import io
 import math
-import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from pcentropy.bowen import (
 )
 from pcentropy.catalog import get as catalog_get
 from pcentropy.catalog import names as catalog_names
-from pcentropy.errors import EmptySampleError, NotACoverError, NotSeparatedError
+from pcentropy.errors import EmptySampleError, InvarianceError, NotACoverError, NotSeparatedError
 from pcentropy.intervals import RegionSet
 from pcentropy.maps import evaluate_orbit
 from pcentropy.symbolic import count_pieces, delta_n, delta_table
@@ -413,12 +412,6 @@ def test_greedy_window_matches_the_certificate_norm():
     assert max_separated(identity, s, 1, 0.1) == 8
 
 
-@pytest.fixture
-def fresh_cells(monkeypatch):
-    """An empty orbit and cell cache, so no memoized cell hides a patched builder."""
-    monkeypatch.setattr(bowen, "_ORBIT_CACHE", weakref.WeakKeyDictionary())
-
-
 def _run_cell(entry, tent):
     sample = sample_region(tent, X, grid=513, horizon=4)
     if entry == "bowen_entropy":
@@ -430,7 +423,7 @@ def _run_cell(entry, tent):
 
 
 @pytest.mark.parametrize("entry", ["bowen_entropy", "max_separated", "min_spanning"])
-def test_separated_certificate_raises(entry, tent, monkeypatch, fresh_cells):
+def test_separated_certificate_raises(entry, tent, monkeypatch):
     real = bowen._greedy_separated_indices
 
     def with_near_duplicate(M, wanted):
@@ -446,7 +439,7 @@ def test_separated_certificate_raises(entry, tent, monkeypatch, fresh_cells):
     assert len(info.value.witness) == 2
 
 
-def test_separated_certificate_raises_at_the_first_failing_depth(tent, monkeypatch, fresh_cells):
+def test_separated_certificate_raises_at_the_first_failing_depth(tent, monkeypatch):
     real = bowen._greedy_separated_indices
     corrupted = {}
 
@@ -464,16 +457,13 @@ def test_separated_certificate_raises_at_the_first_failing_depth(tent, monkeypat
         bowen_entropy(tent, X, [2, 3, 4], [0.1, 0.05], grid=513)
     a, b = info.value.witness
     assert a in corrupted[0.1][0] and b in corrupted[0.1][0]
-    # the shallower depth of the first eps was certified and memoized first;
-    # the failing one, the deeper one and every cell of the later eps were not
-    ((pcmap, O, cells),) = bowen._ORBIT_CACHE.values()
-    assert list(cells) == [(2, 0.1, None)]
+    O = bowen.orbit_matrix(tent, sample_region(tent, X, grid=513, horizon=4))
     M3 = bowen._prepare(O, 3, None)
     assert np.abs(M3[a] - M3[b]).max() < 0.1
 
 
 @pytest.mark.parametrize("entry", ["bowen_entropy", "max_separated", "min_spanning"])
-def test_spanning_certificate_raises(entry, tent, monkeypatch, fresh_cells):
+def test_spanning_certificate_raises(entry, tent, monkeypatch):
     real = bowen._greedy_separated_indices
 
     def without_first_center(M, wanted):
@@ -503,111 +493,115 @@ def _record_sweeps(monkeypatch):
     return sweeps
 
 
-def test_cells_are_memoized_per_sample(tent, monkeypatch, fresh_cells):
+def test_each_call_scans_its_own_cells(tent, monkeypatch):
     sweeps = _record_sweeps(monkeypatch)
     sample = sample_region(tent, X, grid=513, horizon=4)
     assert max_separated(tent, sample, 3, 0.05) == min_spanning(tent, sample, 3, 0.05)
-    # a single cell sweeps its own depth only
-    assert sweeps == [{0.05: [3]}]
+    # a single cell sweeps its own depth only, and a repeated call rescans
+    assert sweeps == [{0.05: [3]}, {0.05: [3]}]
     max_separated(tent, sample, 3, 0.1)
     max_separated(tent, sample, 2, 0.05)
-    assert sweeps == [{0.05: [3]}, {0.1: [3]}, {0.05: [2]}]
-    phi = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
-    assert max_separated(tent, sample, 3, 0.05, metric=phi) != max_separated(tent, sample, 3, 0.05)
-    assert len(sweeps) == 4
-    # another map on the same sample replaces the orbits and their cells
-    max_separated(WALKER_MAPS["anzie"], sample, 3, 0.05)
-    max_separated(tent, sample, 3, 0.05)
-    assert len(sweeps) == 6
-    # a series over an eps schedule and an n-range scans once per sample
+    assert sweeps[2:] == [{0.1: [3]}, {0.05: [2]}]
+    # another map on the same sample replaces the orbits
+    anzie = WALKER_MAPS["anzie"]
+    max_separated(anzie, sample, 3, 0.05)
+    assert bowen._ORBIT_CACHE[sample][0] == anzie
+    # a series over an eps schedule and an n-range scans once
     sweeps.clear()
     bowen_entropy(tent, X, [2, 3, 4], [0.1, 0.05], grid=257)
     assert sweeps == [{0.1: [2, 3, 4], 0.05: [2, 3, 4]}]
-    # a scan takes only the cells asked for and not memoized yet: (3, 0.05)
-    # is, since the anzie orbits were replaced
-    sweeps.clear()
-    assert bowen._cell(tent, sample, [2, 3, 4], 0.05) == [max_separated(tent, sample, n, 0.05) for n in (2, 3, 4)]
-    assert bowen._cell(tent, sample, [1, 4], 0.2) == [max_separated(tent, sample, n, 0.2) for n in (1, 4)]
-    assert sweeps == [{0.05: [2, 4]}, {0.2: [1, 4]}]
-    # over a list of eps, each eps sweeps its own missing depths, an eps with
-    # none is left out, and the counts come in the caller's eps order
+    # a list call sweeps all its eps in one scan, in the caller's eps order
     sweeps.clear()
     counts = bowen._cell(tent, sample, [2, 3, 4], [0.2, 0.05, 0.1])
-    assert sweeps == [{0.2: [2, 3], 0.1: [2, 3, 4]}]
+    assert sweeps == [{0.2: [2, 3, 4], 0.05: [2, 3, 4], 0.1: [2, 3, 4]}]
     assert counts == [[max_separated(tent, sample, n, eps) for n in (2, 3, 4)] for eps in (0.2, 0.05, 0.1)]
-    assert bowen._cell(tent, sample, 4, [0.1, 0.2]) == [counts[2][2], counts[0][2]]
-    assert len(sweeps) == 1
-    # verify asks for all its eps and depths at once; its sample equals the
-    # one bowen_entropy built above, so that sample's cells are dropped first
-    bowen._ORBIT_CACHE.clear()
+    # verify asks for all its eps and depths at once
     sweeps.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--catalog", "tent", "--n-max", "4"]) == 0
     assert sweeps == [{0.1: [2, 3, 4], 0.05: [2, 3, 4], 0.025: [2, 3, 4]}]
 
 
+class _Scale:
+    """A metric ``v -> k * v`` whose factor may change between calls."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __call__(self, v):
+        return self.k * v
+
+
+class _UnhashableScale(_Scale):
+    __hash__ = None
+
+
+def test_metric_is_read_afresh_by_each_call(tent):
+    sample = sample_region(tent, X, grid=257, horizon=4)
+    m = _Scale(1)
+    assert max_separated(tent, sample, 3, 0.05, metric=m) == 64
+    m.k = 4
+    assert max_separated(tent, sample, 3, 0.05, metric=m) == 241
+    assert max_separated(tent, sample, 3, 0.05, metric=_Scale(4)) == 241
+
+
+def test_metric_need_not_be_hashable(tent):
+    sample = sample_region(tent, X, grid=257, horizon=4)
+    for call in (max_separated, min_spanning):
+        assert call(tent, sample, [2, 3], [0.1, 0.05], _UnhashableScale(4)) == call(
+            tent, sample, [2, 3], [0.1, 0.05], _Scale(4)
+        )
+    sep, _ = bowen_entropy(tent, X, [2, 3, 4], [0.1, 0.05], grid=257, metric=_UnhashableScale(4))
+    assert sep.records == bowen_entropy(tent, X, [2, 3, 4], [0.1, 0.05], grid=257, metric=_Scale(4))[0].records
+
+
 @pytest.mark.parametrize("name", catalog_names())
-def test_depth_list_matches_single_depths(name, monkeypatch):
-    # on verify's sample, a list call returns the single-depth counts, each
-    # taken on an empty cache so that no memoized cell is shared
+def test_depth_list_matches_single_depths(name):
+    # on verify's sample, a list call returns the single-depth counts
     f = catalog_get(name).map
     sample = sample_region(f, RegionSet.of((f.domain.lo, f.domain.hi)), grid=257, horizon=4)
     phi = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
     for metric in (None, phi):
         for eps in (0.1, 0.05, 0.025):
-            monkeypatch.setattr(bowen, "_ORBIT_CACHE", weakref.WeakKeyDictionary())
             single = [max_separated(f, sample, n, eps, metric) for n in (2, 3, 4)]
             assert all(type(c) is int for c in single)
-            monkeypatch.setattr(bowen, "_ORBIT_CACHE", weakref.WeakKeyDictionary())
             assert max_separated(f, sample, [2, 3, 4], eps, metric) == single
-            monkeypatch.setattr(bowen, "_ORBIT_CACHE", weakref.WeakKeyDictionary())
             assert min_spanning(f, sample, [2, 3, 4], eps, metric) == single
 
 
 @pytest.mark.parametrize("ns", [[], [4, 2], [2, 2], [2, 4, 3]])
-def test_depth_list_must_increase(ns, tent, fresh_cells):
+def test_depth_list_must_increase(ns, tent):
     sample = sample_region(tent, X, grid=257, horizon=4)
     for call in (bowen._cell, max_separated, min_spanning):
         with pytest.raises(ValueError, match="depths must"):
             call(tent, sample, ns, 0.05)
-    # nothing was swept or memoized
-    assert not any(cells for _, _, cells in bowen._ORBIT_CACHE.values())
 
 
 @pytest.mark.parametrize("name", catalog_names())
-def test_eps_list_matches_single_cells(name, monkeypatch):
+def test_eps_list_matches_single_cells(name):
     # on verify's sample, a list call over every eps and depth returns the
-    # single-cell counts, each taken on an empty cache
+    # single-cell counts
     f = catalog_get(name).map
     sample = sample_region(f, RegionSet.of((f.domain.lo, f.domain.hi)), grid=257, horizon=4)
     phi = PlHomeo(((0.0, 0.0), (0.35, 0.55), (1.0, 1.0)))
     eps_list, ns = [0.1, 0.05, 0.025], [2, 3, 4]
     for metric in (None, phi):
-        single = []
-        for eps in eps_list:
-            row = []
-            for n in ns:
-                monkeypatch.setattr(bowen, "_ORBIT_CACHE", weakref.WeakKeyDictionary())
-                row.append(max_separated(f, sample, n, eps, metric))
-            single.append(row)
+        single = [[max_separated(f, sample, n, eps, metric) for n in ns] for eps in eps_list]
         for call in (max_separated, min_spanning):
-            monkeypatch.setattr(bowen, "_ORBIT_CACHE", weakref.WeakKeyDictionary())
             assert call(f, sample, ns, eps_list, metric) == single
-        monkeypatch.setattr(bowen, "_ORBIT_CACHE", weakref.WeakKeyDictionary())
         assert max_separated(f, sample, 3, eps_list, metric) == [row[1] for row in single]
 
 
 @pytest.mark.parametrize("eps", [[], [0.05, 0.05], [0.05, 0.0], [0.0, 0.05], [0.05, -0.1], [0.05, math.nan]])
-def test_eps_list_is_checked_before_any_work(eps, tent, monkeypatch, fresh_cells):
+def test_eps_list_is_checked_before_any_work(eps, tent, monkeypatch):
     sweeps = _record_sweeps(monkeypatch)
     sample = sample_region(tent, X, grid=257, horizon=4)
     for call in (bowen._cell, max_separated, min_spanning):
         for ns in (3, [2, 3]):
             with pytest.raises(ValueError, match="eps must"):
                 call(tent, sample, ns, eps)
-    # nothing was swept or memoized
+    # nothing was swept
     assert sweeps == []
-    assert not any(cells for _, _, cells in bowen._ORBIT_CACHE.values())
 
 
 @pytest.mark.parametrize(
@@ -632,6 +626,20 @@ def test_eps_schedule_is_checked_before_sampling(schedule, message, tent, monkey
     with pytest.raises(ValueError, match=message):
         bowen_entropy(tent, X, [2, 3], schedule, grid=513)
     assert sampled == [] and sweeps == []
+
+
+def test_region_is_checked_after_the_schedule_and_before_sampling(tent, monkeypatch):
+    sampled = []
+    real_sample = bowen.sample_region
+    monkeypatch.setattr(bowen, "sample_region", lambda *args, **kw: sampled.append(args) or real_sample(*args, **kw))
+    outside = RegionSet.of((-1.0, 2.0))
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        bowen_entropy(tent, outside, [2, 3, 4], [0.05, 0.1], 257)
+    with pytest.raises(InvarianceError, match=r"^region part \[-1, 2\] is not inside the domain \[0, 1\]$"):
+        bowen_entropy(tent, outside, [2, 3, 4], [0.1, 0.05], 257)
+    with pytest.raises(InvarianceError, match="leaves the region"):
+        bowen_entropy(tent, RegionSet.of((0.0, 0.5)), [2, 3, 4], [0.1, 0.05], 257)
+    assert sampled == []
 
 
 @pytest.mark.parametrize("name", catalog_names())

@@ -459,15 +459,16 @@ class TestVerifyCommand:
         assert row.endswith("FAIL  witness (1, 1)")
 
     def test_sandwich_row_reports_the_first_failure(self, capsys, monkeypatch):
-        # every cell breaks r <= s, so the first one, (n=2, eps=0.1), is the witness
-        # verify asks for every eps and depth in one list call
+        # verify asks for every eps and depth in one list call; counts that
+        # fall at eps/2 break s <= r(eps/2) in every cell, so the first one,
+        # (n=2, eps=0.1), is the witness
         monkeypatch.setattr(
-            cli, "min_spanning", lambda pcmap, sample, n, eps, metric=None: [[10**6] * len(n) for _ in eps]
+            cli, "max_separated", lambda pcmap, sample, n, eps, metric=None: [[round(1000 * e)] * len(n) for e in eps]
         )
         code, out, _ = run(capsys, "verify", "--catalog", "tent", "--n-max", "4")
         assert code == 1
         row = next(line for line in out.splitlines() if line.startswith("separated/spanning sandwich"))
-        assert "FAIL  (n=2, eps=0.1): r=1000000," in row
+        assert row.endswith("FAIL  (n=2, eps=0.1): r=100, s=100, r(eps/2)=50")
 
     def test_boundary_row_ignores_domain_endpoints(self, capsys):
         # Delta^n of anzie holds the endpoint 1.0, which no refined cover boundary has

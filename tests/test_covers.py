@@ -25,7 +25,7 @@ from pcentropy.covers import (
     refinement_steps,
     vee,
 )
-from pcentropy.errors import NotACoverError, ResourceCapExceeded, SubadditivityError
+from pcentropy.errors import InvarianceError, NotACoverError, ResourceCapExceeded, SubadditivityError
 from pcentropy.intervals import Interval, OpenSet, PointSet, RegionSet
 from pcentropy.maps import parse_map
 from pcentropy.symbolic import delta_n, delta_table
@@ -808,6 +808,13 @@ class TestCoverEntropy:
         near = cover_entropy(mod3, natural_cover(mod3), 8, region=RegionSet.of((0.0, 0.9999)))
         assert seen == list(range(1, 9))
         assert [r.value for r in whole.records] == [r.value for r in near.records] == [3**n for n in range(1, 9)]
+
+    def test_region_must_be_invariant(self):
+        # mod3 carries [0, 1/2] out of itself, which the route refuses before
+        # counting, rather than failing submultiplicativity on the counts
+        mod3 = catalog_get("mod3").map
+        with pytest.raises(InvarianceError, match=r"^f\(0\.16671667166716672\) = 0\.50015001500150014 leaves the region$"):
+            cover_entropy(mod3, natural_cover(mod3), 4, region=RegionSet.of((0.0, 0.5)))
 
     def test_tol_merged_bare_points_end_the_series(self):
         # at n = 18 tol merges lorenz-full's bare points to 261,874 of
