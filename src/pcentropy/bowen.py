@@ -459,7 +459,10 @@ def bowen_entropy(
     cells are flagged unreliable and the flagged-saturated ones are dropped
     from the slopes: ``coarse`` when the sample density exceeds eps/4, and
     ``saturated`` when the count exceeds a fixed fraction of the sample, past
-    which grid quantization caps the packing and the growth stalls.
+    which grid quantization caps the packing and the growth stalls.  An eps
+    with fewer than two unsaturated cells is fit through all of them; when
+    that eps is the headline, ``estimate_method`` reads
+    ``slope-fit+saturated``.
 
     Every reported cell comes from one ``_cell`` call over the whole schedule,
     so one scan builds them all, and each has passed both certificates; a
@@ -502,13 +505,14 @@ def bowen_entropy(
             all_pairs.append((n, math.log(s)))
             if s <= sat:
                 pairs.append((n, math.log(s)))
-        slope = _lsq_slope(pairs if len(pairs) >= 2 else all_pairs)
+        fallback = len(pairs) < 2
+        slope = _lsq_slope(all_pairs if fallback else pairs)
         slopes[f"slope(eps={eps:g})"] = slope
     sep = EntropySeries(
         method="bowen-separated",
         records=tuple(records),
         estimate=slope,
-        estimate_method="slope-fit",
+        estimate_method="slope-fit+saturated" if fallback else "slope-fit",
         estimates=slopes,
     )
     return sep, replace(sep, method="bowen-spanning", estimates=dict(slopes))

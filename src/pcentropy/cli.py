@@ -62,9 +62,10 @@ def _parse_region(text: str) -> RegionSet:
     parts = []
     for chunk in text.split("|"):
         m = re.match(r"^\s*\[([^,]+),([^\]]+)\]\s*$", chunk)
-        if not m:
-            raise ValueError(f"bad region literal {chunk!r}; expected [a, b]")
-        parts.append((float(m.group(1)), float(m.group(2))))
+        try:
+            parts.append((float(m[1]), float(m[2])))
+        except (TypeError, ValueError):  # no match, or an end that is not a number
+            raise ValueError(f"bad region literal {chunk!r}; expected [a, b]") from None
     return RegionSet.of(*parts)
 
 
@@ -77,11 +78,16 @@ def _parse_cover(text: str) -> Cover:
     pieces = re.split(r"(\([^()]*\))", body)
     seps = [s.strip() for s in pieces[0::2]]
     ivals = [re.fullmatch(r"\(([^,()]+),([^,()]+)\)", iv) for iv in pieces[1::2]]
+    bad = ValueError(f"bad cover literal {text!r}; expected intervals (a, b) joined by ',' or '|'")
     if not ivals or not all(ivals) or seps[0] or seps[-1] or any(s not in (",", "|") for s in seps[1:-1]):
-        raise ValueError(f"bad cover literal {text!r}; expected intervals (a, b) joined by ',' or '|'")
+        raise bad
+    try:
+        ends = [(float(iv[1]), float(iv[2])) for iv in ivals]
+    except ValueError:
+        raise bad from None
     groups: list[list[Interval]] = []
-    for sep, iv in zip(seps, ivals):
-        interval = Interval.open(float(iv[1]), float(iv[2]))
+    for sep, (lo, hi) in zip(seps, ends):
+        interval = Interval.open(lo, hi)
         if sep == "|":
             groups[-1].append(interval)
         else:

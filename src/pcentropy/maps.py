@@ -145,9 +145,9 @@ def evaluate_many(pcmap: PcMap, xs: np.ndarray) -> np.ndarray:
     """Vectorized evaluation for points away from the discontinuity set.
 
     Values are clipped to the domain, whereas ``evaluate`` raises beyond
-    ``IMAGE_TOL``.  The callers pass only sample orbits and grid points of
-    the domain.  There, validation already keeps every branch value within
-    ``IMAGE_TOL`` of the domain, so the clip only absorbs round-off.
+    ``IMAGE_TOL``.  The one caller, ``bowen.orbit_matrix``, passes sample
+    orbits in the domain.  There, validation already keeps every branch value
+    within ``IMAGE_TOL`` of the domain, so the clip only absorbs round-off.
     """
     idx = np.searchsorted(pcmap.delta.points, xs, side="right")
     out = np.empty_like(xs, dtype=float)

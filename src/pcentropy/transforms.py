@@ -6,7 +6,11 @@ Iterates and restrictions build their pieces by one rule: a piece is a lap
 lap's branch word, the k branches all its points follow (Milnor & Thurston).
 The word is read from the lap's image carried forward, as ``DeltaTable``
 carries lap images: its midpoint is half an image width from every cut, while
-a lap end of Delta^k walked forward alone can round past a cut."""
+a lap end of Delta^k walked forward alone can round past a cut.
+
+A restriction decides invariance from the same laps it builds: on a lap f is
+continuous and strictly monotone, so the lap's image runs between the
+one-sided limits at its ends, and both must lie in one region part."""
 
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import numpy as np
 from .errors import InvarianceError, MapValidationError
 from .expr import Compose, PiecewiseAffine, Var
 from .intervals import Interval, PointSet, RegionSet, components_of_complement
-from .maps import LEFT, RIGHT, PcMap, build_map, evaluate_many, identity_map, limit_step
+from .maps import IMAGE_TOL, LEFT, RIGHT, PcMap, build_map, identity_map, limit_step
 from .symbolic import delta_n
 
 
@@ -75,7 +79,7 @@ class PlHomeo:
         return PiecewiseAffine(arg if arg is not None else Var(), self.xs, self.ys)
 
 
-def _lap_rows(pcmap: PcMap, laps: list[Interval], k: int) -> list[tuple]:
+def _lap_rows(pcmap: PcMap, laps: list[Interval] | tuple[Interval, ...], k: int) -> list[tuple]:
     """``build_map`` rows for laps of f^k: each step takes the branch at the
     midpoint of the lap's current image and maps the image's ends, clipped
     onto that branch's piece, through it."""
@@ -127,64 +131,59 @@ def conjugate_map(pcmap: PcMap, phi: PlHomeo) -> PcMap:
 
 @dataclass(frozen=True)
 class RestrictedMap:
-    """A map together with a verified (pseudo-)invariant region."""
+    """A map, a verified (pseudo-)invariant region, and the laps that verified it."""
 
     pcmap: PcMap
     region: RegionSet
-    checked_points: int
+    laps: tuple[Interval, ...]
 
     @property
     def report(self) -> str:
-        return (
-            f"invariance verified on {self.checked_points} grid points of {self.region!r}; "
-            "one-sided limits at interior cut points stay inside"
-        )
+        k = len(self.laps)
+        return f"invariance verified on {self.region!r} over {k} lap{'s' * (k != 1)} by their one-sided end limits"
 
     def as_pcmap(self) -> PcMap:
         """The restriction as a map on its own interval (single-part regions)."""
         if len(self.region.parts) != 1:
             raise MapValidationError("only single-interval regions restrict to a pc-map")
         part = self.region.parts[0]
-        cuts, tol = self.pcmap.delta.points, self.pcmap.tol
-        inner = PointSet(cuts[(cuts > part.lo + tol) & (cuts < part.hi - tol)], tol)
-        laps = components_of_complement(Interval.closed(part.lo, part.hi), inner)
-        return build_map((part.lo, part.hi), _lap_rows(self.pcmap, laps, 1), at_delta=self.pcmap.at_delta)
+        return build_map((part.lo, part.hi), _lap_rows(self.pcmap, self.laps, 1), at_delta=self.pcmap.at_delta)
 
 
 def restrict_map(pcmap: PcMap, region: RegionSet) -> RestrictedMap:
     """Verify the region is (pseudo-)invariant and return the restriction handle.
 
-    Grid-based: failures are certain (a witness point is reported), passes are
-    up to the verification tolerance.  Points of the cut set inside the region
-    pass when at least one one-sided limit stays in the region.
+    Exact, by the lap rule: each region part minus the cuts more than ``tol``
+    inside it falls into laps, and on a lap f is continuous and strictly
+    monotone, so the lap's image runs between the one-sided limits at its
+    ends.  A lap passes when both limits lie in one region part, within
+    ``IMAGE_TOL``; a refusal's witness is the lap end whose limit leaves the
+    part that holds the other end's limit.  A point part passes when at
+    least one one-sided limit there stays in the region.
     """
     if region.is_empty():
         raise InvarianceError("region is empty")
-    tol = 1e-9
-    dom = pcmap.domain
-    for p in region.parts:
-        if p.lo < dom.lo - tol or p.hi > dom.hi + tol:
-            raise InvarianceError(f"region part {p!r} is not inside the domain {dom!r}")
-    checked = 0
+    dom, cuts, tol = pcmap.domain, pcmap.delta.points, pcmap.tol
+    laps: list[Interval] = []
     for part in region.parts:
-        xs = np.linspace(part.lo, part.hi, 10_000)
-        xs = xs[~pcmap.delta.contains_many(xs)]
-        vals = evaluate_many(pcmap, xs)
-        ok = region.contains_many(vals, tol=tol)
-        if not ok.all():
-            i = int(np.argmax(~ok))
-            raise InvarianceError(
-                f"f({xs[i]:.17g}) = {vals[i]:.17g} leaves the region",
-                witness=float(xs[i]),
-            )
-        checked += len(xs)
-    for d in pcmap.delta:
-        if not region.contains(d, tol=tol):
+        if part.lo < dom.lo - IMAGE_TOL or part.hi > dom.hi + IMAGE_TOL:
+            raise InvarianceError(f"region part {part!r} is not inside the domain {dom!r}")
+        inner = PointSet(cuts[(cuts > part.lo + tol) & (cuts < part.hi - tol)], tol)
+        laps += components_of_complement(part, inner)
+    for lap in laps:
+        if lap.is_point():
+            vl, vr = limit_step(pcmap, lap.lo, LEFT)[0], limit_step(pcmap, lap.lo, RIGHT)[0]
+            if not (region.contains(vl, tol=IMAGE_TOL) or region.contains(vr, tol=IMAGE_TOL)):
+                raise InvarianceError(
+                    f"both one-sided limits at {lap.lo:.17g} ({vl:.17g}, {vr:.17g}) leave the region",
+                    witness=float(lap.lo),
+                )
             continue
-        vl, vr = limit_step(pcmap, d, LEFT)[0], limit_step(pcmap, d, RIGHT)[0]
-        if not (region.contains(vl, tol=tol) or region.contains(vr, tol=tol)):
+        a, b = limit_step(pcmap, lap.lo, RIGHT)[0], limit_step(pcmap, lap.hi, LEFT)[0]
+        home = next((p for p in region.parts if p.lo - IMAGE_TOL <= a <= p.hi + IMAGE_TOL), None)
+        if home is None or not home.lo - IMAGE_TOL <= b <= home.hi + IMAGE_TOL:
             raise InvarianceError(
-                f"both one-sided limits at {d:.17g} ({vl:.17g}, {vr:.17g}) leave the region",
-                witness=float(d),
+                f"f maps {lap!r} onto [{min(a, b):g}, {max(a, b):g}], which leaves the region",
+                witness=float(lap.lo if home is None else lap.hi),
             )
-    return RestrictedMap(pcmap, region, checked)
+    return RestrictedMap(pcmap, region, tuple(laps))

@@ -175,6 +175,18 @@ class TestBowenEntropy:
         assert sep.estimate == span.estimate == 0.0
         assert bowen._lsq_slope([(2, 2.5), (3, 2.5), (5, 2.5)]) == 0.0
 
+    def test_saturated_headline_fit_is_marked(self, tent):
+        # one unsaturated cell at eps = 0.01, so the headline slope runs
+        # through the saturated counts and reads far below log 2
+        sep, span = bowen_entropy(tent, X, list(range(4, 13)), [0.05, 0.02, 0.01], grid=4097)
+        finest = [r for r in sep.records if r.aux == 0.01]
+        assert [r.flag for r in finest] == [None] + ["saturated"] * 8
+        assert sep.estimate == pytest.approx(0.195, abs=1e-3)
+        assert sep.estimate_method == span.estimate_method == "slope-fit+saturated"
+        # a headline with two unsaturated cells keeps the plain name
+        sep, _ = bowen_entropy(tent, X, list(range(4, 13)), [0.05, 0.02], grid=4097)
+        assert sep.estimate_method == "slope-fit"
+
     def test_records_carry_eps(self, identity):
         sep, _ = bowen_entropy(identity, X, [2, 4, 6, 8], [0.1, 0.05], grid=257)
         assert {r.aux for r in sep.records} == {0.1, 0.05}

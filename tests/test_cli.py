@@ -314,6 +314,19 @@ class TestEntropyCommand:
         assert code == 1 and out == ""
         assert err == f"error: bad {flag} literal {literal!r}; expected {expected}\n"
 
+    @pytest.mark.parametrize("args, expected", [
+        (["--region", "[a, 1]"], "bad region literal '[a, 1]'; expected [a, b]"),
+        (["--region", "[0, 0.5]|[0.6, x]"], "bad region literal '[0.6, x]'; expected [a, b]"),
+        (["--method", "cover", "--cover", "{(a,1)}"],
+         "bad cover literal '{(a,1)}'; expected intervals (a, b) joined by ',' or '|'"),
+        (["--method", "cover", "--cover", "{(0,0.6)|(0.5,y), (0.4,1)}"],
+         "bad cover literal '{(0,0.6)|(0.5,y), (0.4,1)}'; expected intervals (a, b) joined by ',' or '|'"),
+    ])
+    def test_non_numeric_region_or_cover_end_names_the_literal(self, capsys, args, expected):
+        code, out, err = run(capsys, "entropy", "--catalog", "tent", "--n-max", "3", *args)
+        assert code == 1 and out == ""
+        assert err == f"error: {expected}\n"
+
     def test_empty_bowen_eps_schedule(self, capsys):
         code, _, err = run(capsys, "entropy", "--catalog", "tent", "--method", "bowen", "--eps", ",")
         assert code == 1

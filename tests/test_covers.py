@@ -802,19 +802,21 @@ class TestCoverEntropy:
         monkeypatch.setattr(covers, "delta_n", lambda pcmap, n, cap=None: seen.append(n) or real(pcmap, n, cap))
         whole = cover_entropy(mod3, natural_cover(mod3), 8)
         assert seen == [1]
+        assert [r.value for r in whole.records] == [3**n for n in range(1, 9)]
         seen.clear()
-        # narrower than the domain by less than an element of C⁸ is wide
-        # (a region that a counted element misses can break submultiplicativity)
-        near = cover_entropy(mod3, natural_cover(mod3), 8, region=RegionSet.of((0.0, 0.9999)))
+        # anzie's invariant right block [0.7, 1] is narrower than its domain
+        anzie = catalog_get("anzie").map
+        block = cover_entropy(anzie, natural_cover(anzie), 8, region=RegionSet.of((0.7, 1.0)))
         assert seen == list(range(1, 9))
-        assert [r.value for r in whole.records] == [r.value for r in near.records] == [3**n for n in range(1, 9)]
+        assert [r.value for r in block.records] == [2**n for n in range(1, 9)]
 
     def test_region_must_be_invariant(self):
         # mod3 carries [0, 1/2] out of itself, which the route refuses before
         # counting, rather than failing submultiplicativity on the counts
         mod3 = catalog_get("mod3").map
-        with pytest.raises(InvarianceError, match=r"^f\(0\.16671667166716672\) = 0\.50015001500150014 leaves the region$"):
+        with pytest.raises(InvarianceError, match=r"^f maps \[0, 0\.333333\) onto \[0, 1\], which leaves the region$") as exc:
             cover_entropy(mod3, natural_cover(mod3), 4, region=RegionSet.of((0.0, 0.5)))
+        assert exc.value.witness == 1 / 3
 
     def test_tol_merged_bare_points_end_the_series(self):
         # at n = 18 tol merges lorenz-full's bare points to 261,874 of

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcentropy.catalog import get as catalog_get
 from pcentropy.catalog import names as catalog_names
 from pcentropy.errors import InvarianceError, MapValidationError
-from pcentropy.intervals import RegionSet
-from pcentropy.maps import RIGHT, evaluate, evaluate_orbit, parse_map
+from pcentropy.expr import PiecewiseAffine, Var
+from pcentropy.intervals import Interval, RegionSet
+from pcentropy.maps import IMAGE_TOL, LEFT, RIGHT, build_map, evaluate, evaluate_orbit, parse_map
 from pcentropy.symbolic import count_pieces, delta_n, ms_entropy
 from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map, restrict_map
 from reference import limit_orbit
@@ -155,8 +158,8 @@ class TestConjugateMap:
 class TestRestrictMap:
     def test_full_domain_passes(self, tent):
         handle = restrict_map(tent, RegionSet.of((0.0, 1.0)))
-        assert handle.checked_points > 0
-        assert handle.report.startswith(f"invariance verified on {handle.checked_points} grid points")
+        assert handle.laps == (Interval(0.0, 0.5, False, True), Interval(0.5, 1.0, True, False))
+        assert handle.report == "invariance verified on [0, 1] over 2 laps by their one-sided end limits"
 
     def test_anzie_right_block(self):
         an = catalog_get("anzie").map
@@ -177,6 +180,27 @@ class TestRestrictMap:
             restrict_map(tent, RegionSet.of((0.0, 0.5)))
         assert 0.25 <= exc.value.witness <= 0.5
 
+    @pytest.mark.parametrize("name", ["mod2", "mod3", "mod5", "lorenz-full"])
+    def test_escape_between_grid_points_is_refused(self, name):
+        # the lap left of the first cut maps onto the whole domain, though
+        # every multiple of 1e-4 in [0, 0.9999] maps into [0, 0.9999]
+        pcmap = catalog_get(name).map
+        with pytest.raises(InvarianceError, match=r"^f maps \[0, .*\) onto \[0, 1\], which leaves the region$") as exc:
+            restrict_map(pcmap, RegionSet.of((0.0, 0.9999)))
+        assert exc.value.witness == pcmap.delta.points[0]
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_whole_domain_passes(self, name):
+        pcmap = catalog_get(name).map
+        handle = restrict_map(pcmap, RegionSet.of((pcmap.domain.lo, pcmap.domain.hi)))
+        assert [lap.hi for lap in handle.laps[:-1]] == list(pcmap.delta)
+
+    def test_anzie_cut_point_passes_on_one_limit(self):
+        an = catalog_get("anzie").map
+        handle = restrict_map(an, RegionSet.of((0.7, 0.7)))
+        assert handle.laps == (Interval.point(0.7),)
+        assert handle.report == "invariance verified on [0.7, 0.7] over 1 lap by their one-sided end limits"
+
     def test_region_outside_domain(self, tent):
         with pytest.raises(InvarianceError):
             restrict_map(tent, RegionSet.of((0.5, 1.5)))
@@ -193,3 +217,75 @@ class TestRestrictMap:
         restricted = ms_entropy(handle.as_pcmap(), 8, estimator="fekete-min")
         full = ms_entropy(an, 8, estimator="fekete-min")
         assert restricted.estimate <= full.estimate + 1e-9
+
+
+GRID = 64
+
+
+@st.composite
+def lap_rule_cases(draw):
+    """A piecewise-affine map on [0, 1] with 1-4 pieces and a region of 1-3
+    parts, every piece end, branch end value and part end on the 1/64 grid;
+    rows are (a, b, f(a+), f(b-)) per piece."""
+    ends = [0, *sorted(draw(st.sets(st.integers(1, GRID - 1), max_size=3))), GRID]
+    rows = []
+    for a, b in zip(ends, ends[1:]):
+        y0, y1 = draw(st.lists(st.integers(0, GRID), min_size=2, max_size=2, unique=True))
+        rows.append((a / GRID, b / GRID, y0 / GRID, y1 / GRID))
+    pcmap = build_map(
+        (0.0, 1.0),
+        [(a, b, PiecewiseAffine(Var(), (a, b), (y0, y1)), y1 > y0) for a, b, y0, y1 in rows],
+        at_delta=draw(st.sampled_from(["left", "right"])),
+    )
+    parts = [sorted(draw(st.lists(st.integers(0, GRID), min_size=2, max_size=2))) for _ in range(draw(st.integers(1, 3)))]
+    return pcmap, rows, RegionSet.of(*((lo / GRID, hi / GRID) for lo, hi in parts))
+
+
+@given(lap_rule_cases())
+@settings(max_examples=200, deadline=None)
+def test_lap_rule_agrees_with_dense_sampling(case):
+    """A pass holds on 1,001 points inside each lap and 1e-12 inside its ends,
+    evaluated through the case's own rows; a refusal's witness is a lap end
+    whose one-sided limit leaves the part holding the other end's limit, or
+    the region where the other limit lies in no part."""
+    pcmap, rows, region = case
+
+    def limit(x, side):
+        if side == RIGHT:
+            a, b, y0, y1 = next((r for r in rows if r[0] <= x < r[1]), rows[-1])
+        else:
+            a, b, y0, y1 = next((r for r in rows if r[0] < x <= r[1]), rows[0])
+        return float(np.interp(x, (a, b), (y0, y1)))
+
+    def homes(v):
+        return [p for p in region.parts if p.lo - IMAGE_TOL <= v <= p.hi + IMAGE_TOL]
+
+    cuts = [r[0] for r in rows[1:]]
+    laps = []
+    for p in region.parts:
+        ends = [p.lo, *(c for c in cuts if p.lo < c < p.hi), p.hi]
+        laps += list(zip(ends, ends[1:])) or [(p.lo, p.hi)]
+    try:
+        handle = restrict_map(pcmap, region)
+    except InvarianceError as exc:
+        w = exc.witness
+
+        def refused_at(lo, hi):
+            if w not in (lo, hi):
+                return False
+            if lo == hi:
+                return not (homes(limit(lo, LEFT)) or homes(limit(lo, RIGHT)))
+            at_lo, at_hi = limit(lo, RIGHT), limit(hi, LEFT)
+            mine, other = (at_lo, at_hi) if w == lo else (at_hi, at_lo)
+            return not homes(mine) or bool(homes(other)) and homes(mine) != homes(other)
+
+        assert any(refused_at(lo, hi) for lo, hi in laps)
+        return
+    assert [(lap.lo, lap.hi) for lap in handle.laps] == laps
+    for lo, hi in laps:
+        if lo == hi:
+            assert homes(limit(lo, LEFT)) or homes(limit(lo, RIGHT))
+            continue
+        a, b, y0, y1 = next(r for r in rows if r[0] <= lo and hi <= r[1])
+        xs = np.concatenate([np.linspace(lo, hi, 1003)[1:-1], [lo + 1e-12, hi - 1e-12]])
+        assert region.contains_many(np.interp(xs, (a, b), (y0, y1)), tol=IMAGE_TOL).all()
