@@ -113,6 +113,10 @@ class PcMap:
     def delta(self) -> PointSet:
         return PointSet([b.piece.hi for b in self.branches[:-1]], self.tol)
 
+    @cached_property
+    def cuts(self) -> tuple[float, ...]:
+        return tuple(self.delta.points.tolist())
+
     def __hash__(self) -> int:
         # the dataclass hash walks every expression tree; a map is looked up
         # by hash on every DeltaTable read, so it is taken once per instance
@@ -125,11 +129,23 @@ class PcMap:
 
 def _check_in_domain(pcmap: PcMap, x: float) -> float:
     d = pcmap.domain
-    if x < d.lo or x > d.hi:
-        if x < d.lo - IMAGE_TOL or x > d.hi + IMAGE_TOL:
+    if not d.lo <= x <= d.hi:  # NaN too
+        if not d.lo - IMAGE_TOL <= x <= d.hi + IMAGE_TOL:
             raise DomainError(f"{x!r} outside domain {d!r}")
         x = min(max(x, d.lo), d.hi)
     return x
+
+
+def _cut_near(pcmap: PcMap, v: float) -> tuple[int | None, int]:
+    """``(j, i)``: the left insertion index i of v among the cuts, and the cut
+    j within ``tol`` of v, or None; as in ``PointSet.index_near``, i - 1 wins."""
+    cuts, tol = pcmap.cuts, pcmap.tol
+    i = bisect.bisect_left(cuts, v)
+    if i and abs(cuts[i - 1] - v) <= tol:
+        return i - 1, i
+    if i < len(cuts) and abs(cuts[i] - v) <= tol:
+        return i, i
+    return None, i
 
 
 LEFT, RIGHT = 0, 1
@@ -176,18 +192,20 @@ def limit_step(pcmap: PcMap, v: float, side: int) -> tuple[float, int, int]:
     flips under a decreasing branch.  This is the primitive that makes every
     piece/cover computation independent of the value convention at
     discontinuities.
+
+    One ``bisect`` over ``PcMap.cuts`` finds the cut within ``tol`` of v, or
+    else the branch, so the lap walk steps on Python floats alone.
     """
     v = _check_in_domain(pcmap, v)
-    j = pcmap.delta.index_near(v)
+    j, i = _cut_near(pcmap, v)
     if j is not None:
-        bi = j if side == LEFT else j + 1
-        v = float(pcmap.delta.points[j])
+        bi, v = (j if side == LEFT else j + 1), pcmap.cuts[j]
     elif v - pcmap.domain.lo <= pcmap.tol:
         bi, v = 0, pcmap.domain.lo
     elif pcmap.domain.hi - v <= pcmap.tol:
         bi, v = pcmap.n_pieces - 1, pcmap.domain.hi
     else:
-        bi = bisect.bisect_right(pcmap.delta.points, v)
+        bi = i  # no cut equals v, so its left and right insertion indices agree
     b = pcmap.branches[bi]
     value = _check_in_domain(pcmap, b.at(v))
     new_side = side if b.increasing else 1 - side

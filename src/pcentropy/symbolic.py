@@ -23,6 +23,10 @@ the m - n steps left after the hit, so the cut heads give one column of a
 table rem[r, m] per step, and the merged count is the lap count minus
 new[k][r] * rem[r, m - k] summed over the levels k and cut points r.
 
+The walk steps on Python floats and lists alone, so that it can also run on
+exact rationals or interval enclosures: each cut's one-sided limits are taken
+once per table, and a head's hit test is ``limit_step``'s cut lookup.
+
 Delta^n as a point set is built only where it is read, backwards, one
 preimage level at a time and never by forward composition, because
 inverting a monotone branch is well-conditioned: level k is
@@ -50,7 +54,7 @@ import numpy as np
 from .errors import DomainError, ResourceCapExceeded
 from .estimators import EntropySeries, SeriesRecord, count_series
 from .intervals import PointSet
-from .maps import LEFT, RIGHT, PcMap, branch_preimages, limit_step
+from .maps import LEFT, RIGHT, PcMap, _cut_near, branch_preimages, limit_step
 
 DEFAULT_DELTA_CAP = 2_000_000
 
@@ -82,7 +86,6 @@ class DeltaTable:
     def __init__(self, pcmap: PcMap):
         self.map = pcmap
         dom = pcmap.domain
-        base = pcmap.delta.points
         # Delta^1 .. Delta^depth fit under the cap of some ``ensure`` call
         self.depth = 1
         # index k holds f^{-k}(Delta), index n holds Delta^n
@@ -96,10 +99,12 @@ class DeltaTable:
         # one-sided limit orbit heads (value, side, direction product): the two
         # domain ends, then the left and right side of each cut point
         self._heads = [(dom.lo, RIGHT, 1), (dom.hi, LEFT, 1)]
-        self._heads += [(x, side, 1) for x in base.tolist() for side in (LEFT, RIGHT)]
+        self._heads += [(x, side, 1) for x in pcmap.cuts for side in (LEFT, RIGHT)]
         # the first step j >= 1 at which each head lies within tol of a cut
-        self._hits = [np.inf] * len(self._heads)
-        self._rem = np.ones((len(base), 1), dtype=bool)  # verdict columns rem[root, m]
+        self._hits = [float("inf")] * len(self._heads)
+        self._rem = [[True] * len(pcmap.cuts)]  # verdict columns: _rem[m][root] is rem[root, m]
+        # the one-sided limits of f at each cut, from the left and from the right
+        self._limits = [[limit_step(pcmap, c, side)[0] for c in pcmap.cuts] for side in (LEFT, RIGHT)]
 
     # -- lap counting --------------------------------------------------------
 
@@ -116,44 +121,46 @@ class DeltaTable:
         test is symmetric in the two sides, and column m does not depend on n.
         """
         pcmap, tol = self.map, self.map.tol
-        cuts = pcmap.delta.points.tolist()
+        cuts = pcmap.cuts
+        from_left, from_right = self._limits
         new = [0] * len(cuts)
         laps: dict[tuple[float, float], int] = {}
         for (u, v), mult in self._laps.items():
             first, stop = bisect.bisect_right(cuts, u + tol), bisect.bisect_left(cuts, v - tol)
             for r in range(first, stop):
                 new[r] += mult
-            ends = [u, *cuts[first:stop], v]
-            for p, q in zip(ends, ends[1:]):
-                a, b = limit_step(pcmap, p, RIGHT)[0], limit_step(pcmap, q, LEFT)[0]
+            starts = [limit_step(pcmap, u, RIGHT)[0], *from_right[first:stop]]
+            ends = [*from_left[first:stop], limit_step(pcmap, v, LEFT)[0]]
+            for a, b in zip(starts, ends):
                 image = (a, b) if a <= b else (b, a)
                 laps[image] = laps.get(image, 0) + mult
         self._laps = laps
         self._new.append(new)
         self._interior.append(self._interior[-1] + sum(new))
-        for i, (v, s, d) in enumerate(self._heads):
+        k, heads, hits = len(self._new), self._heads, self._hits
+        for i, (v, s, d) in enumerate(heads):
             v, s, bi = limit_step(pcmap, v, s)
-            self._heads[i] = (v, s, d * pcmap.branches[bi].direction)
-        h = np.array(self._heads, dtype=float)
-        near = pcmap.delta.contains_many(h[:, 0]).tolist()
-        self._hits = [min(j, len(self._new)) if hit else j for j, hit in zip(self._hits, near)]
-        h = h[2:].reshape(-1, 2, 3)  # [root, side, field]
-        col = (np.abs(h[:, 0, 0] - h[:, 1, 0]) <= tol) & (h[:, 0, 2] == h[:, 1, 2])
-        self._rem = np.column_stack([self._rem, col])
+            heads[i] = (v, s, d * pcmap.branches[bi].direction)
+            if hits[i] > k and _cut_near(pcmap, v)[0] is not None:
+                hits[i] = k
+        # heads[2 + 2 * root] starts left of the cut, heads[3 + 2 * root] right of it
+        self._rem.append([abs(p[0] - q[0]) <= tol and p[2] == q[2] for p, q in zip(heads[2::2], heads[3::2])])
 
     def delta_size(self, n: int) -> int:
         """|Delta^n|: its interior points plus the domain ends it holds."""
         while len(self._new) < n:
             self._step()
-        return self._interior[n] + sum(j < n for j in self._hits[:2])
+        return self._interior[n] + (self._hits[0] < n) + (self._hits[1] < n)
 
     def ensure(self, n: int, cap: int | None = None):
         """Count the laps of f^1 .. f^n, or raise ``ResourceCapExceeded`` with
         ``completed = k - 1`` at the first k whose exact |Delta^k| passes the
-        point cap.  No point is built here; a deeper table still respects a
-        smaller cap, because every k is held against it."""
+        point cap.  No point is built here, and each level is checked once:
+        |Delta^k| never decreases, so a deeper table refuses a smaller cap by
+        one ``bisect`` over the sizes up to ``depth``."""
         cap = DEFAULT_DELTA_CAP if cap is None else cap
-        for k in range(1, n + 1):
+        first = 1 + bisect.bisect_right(range(1, min(n, self.depth) + 1), cap, key=self.delta_size)
+        for k in range(first, n + 1):
             size = self.delta_size(k)
             if size > cap:
                 raise ResourceCapExceeded(f"Delta^{k} holds {size} points (cap {cap})", completed=k - 1)
@@ -167,7 +174,7 @@ class DeltaTable:
         count = 1 + self._interior[n]
         if merge_removable:
             for k, row in enumerate(self._new[:n]):
-                count -= sum(c for c, merged in zip(row, self._rem[:, n - k].tolist()) if merged)
+                count -= sum(c for c, merged in zip(row, self._rem[n - k]) if merged)
         return count
 
     # -- point sets ------------------------------------------------------------

@@ -83,7 +83,7 @@ def _lap_rows(pcmap: PcMap, laps: list[Interval] | tuple[Interval, ...], k: int)
     """``build_map`` rows for laps of f^k: each step takes the branch at the
     midpoint of the lap's current image and maps the image's ends, clipped
     onto that branch's piece, through it."""
-    cuts = pcmap.delta.points.tolist()
+    cuts = pcmap.cuts
     rows = []
     for lap in laps:
         a, b, expr, inc = lap.lo, lap.hi, None, True

@@ -5,6 +5,7 @@ must agree with; the test modules compare the two.  None of them runs in
 the library itself.
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -27,6 +28,26 @@ from pcentropy.maps import (
     evaluate,
     limit_step,
 )
+
+
+def limit_step_reference(pcmap: PcMap, v: float, side: int) -> tuple[float, int, int]:
+    """``maps.limit_step`` on the cut array: ``PointSet.index_near`` finds the
+    cut within ``tol`` of v, and a second ``bisect_right`` the branch."""
+    v = _check_in_domain(pcmap, v)
+    j = pcmap.delta.index_near(v)
+    if j is not None:
+        bi = j if side == LEFT else j + 1
+        v = float(pcmap.delta.points[j])
+    elif v - pcmap.domain.lo <= pcmap.tol:
+        bi, v = 0, pcmap.domain.lo
+    elif pcmap.domain.hi - v <= pcmap.tol:
+        bi, v = pcmap.n_pieces - 1, pcmap.domain.hi
+    else:
+        bi = bisect.bisect_right(pcmap.delta.points, v)
+    b = pcmap.branches[bi]
+    value = _check_in_domain(pcmap, b.at(v))
+    new_side = side if b.increasing else 1 - side
+    return value, new_side, bi
 
 
 def limit_orbit(pcmap: PcMap, x: float, side: int, n: int) -> tuple[float, int, int]:

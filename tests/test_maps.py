@@ -1,19 +1,24 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pcentropy.bowen import rho_n
 from pcentropy.catalog import get as catalog_get, names as catalog_names
 from pcentropy.covers import cover_entropy, natural_cover
 from pcentropy.errors import DomainError, ExprParseError, MapValidationError, MonotonicityError
 from pcentropy import maps
-from pcentropy.expr import compile_expr, parse_expression
+from pcentropy.expr import PiecewiseAffine, Var, compile_expr, parse_expression
 from pcentropy.intervals import Interval
 from pcentropy.maps import (
     _INVERSE_TOL,
+    IMAGE_TOL,
     LEFT,
     RIGHT,
     Branch,
+    PcMap,
     branch_preimages,
     build_map,
     evaluate,
@@ -24,7 +29,7 @@ from pcentropy.maps import (
 )
 from pcentropy.symbolic import ms_entropy
 from pcentropy.transforms import PlHomeo, conjugate_map, iterate_map
-from reference import branch_inverse, branch_preimage_scalar, limit_orbit, orbit_avoids_delta
+from reference import branch_inverse, branch_preimage_scalar, limit_orbit, limit_step_reference, orbit_avoids_delta
 
 TENT_SRC = "domain = [0, 1]\npiece (0, 0.5): 2*x inc\npiece (0.5, 1): 2 - 2*x dec\n"
 
@@ -172,6 +177,22 @@ class TestEvaluate:
     def test_outside_domain(self, tent):
         with pytest.raises(DomainError):
             evaluate(tent, 1.5)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_raises_at_every_entry_point(self, tent, x):
+        """NaN compares false with both domain ends, so it raises like inf
+        instead of passing the domain check as a point inside."""
+        with pytest.raises(DomainError):
+            evaluate(tent, x)
+        for side in (LEFT, RIGHT):
+            with pytest.raises(DomainError):
+                limit_step(tent, x, side)
+        with pytest.raises(DomainError):
+            evaluate_orbit(tent, x, 3)
+        with pytest.raises(DomainError):
+            rho_n(tent, 0.1, x, 3)
+        with pytest.raises(DomainError):
+            rho_n(tent, x, 0.1, 3)
 
     def test_at_delta_conventions(self):
         left = build_map((0, 1), [(0, 0.5, parse_expression("2*x"), True),
@@ -350,6 +371,72 @@ class TestBranchPreimages:
             branch_preimages(b, np.array([0.2]))
         # a target outside the image reads no table
         assert np.isnan(branch_preimages(b, np.array([2.0]))).all()
+
+
+def _tol_edges(c: float, s: int) -> tuple[float, float]:
+    """The last float at most ``tol`` from c on the side of sign s, and the
+    first one past it."""
+    tol, away = PcMap.tol, s * math.inf
+    x = c + s * tol
+    while abs(x - c) > tol:
+        x = math.nextafter(x, c)
+    while abs(math.nextafter(x, away) - c) <= tol:
+        x = math.nextafter(x, away)
+    return x, math.nextafter(x, away)
+
+
+@st.composite
+def limit_step_cases(draw):
+    """A map of 1-5 affine pieces on a drawn domain, where one cut may lie
+    only just more than ``tol`` right of another, so a point can be within
+    ``tol`` of two cuts; and points at every cut and domain end, at ``tol``
+    and the floats either side of ``tol`` from them, on both sides of the
+    exact ``tol`` boundary, midway between them, just past ``IMAGE_TOL``
+    outside the domain, and inside it."""
+    tol = PcMap.tol
+    lo = draw(st.sampled_from([0.0, -1.5, 2.0]))
+    hi = lo + draw(st.sampled_from([1.0, 0.25, 3.0]))
+    cuts = sorted(draw(st.lists(st.floats(lo, hi, exclude_min=True, exclude_max=True), max_size=3, unique=True)))
+    if cuts and draw(st.booleans()):
+        i = draw(st.integers(0, len(cuts) - 1))
+        cuts.insert(i + 1, cuts[i] + tol * draw(st.floats(1.01, 2.5)))
+    ends = [lo, *cuts, hi]
+    assume(all(b - a > tol for a, b in zip(ends, ends[1:])))
+    rows = []
+    for a, b in zip(ends, ends[1:]):
+        y0, y1 = draw(st.lists(st.floats(lo, hi), min_size=2, max_size=2, unique=True))
+        rows.append((a, b, PiecewiseAffine(Var(), (a, b), (y0, y1)), y1 > y0))
+    try:
+        pcmap = build_map((lo, hi), rows, at_delta=draw(st.sampled_from(["left", "right"])))
+    except MapValidationError:
+        assume(False)
+    offsets = [0.0, tol, math.nextafter(tol, 0.0), math.nextafter(tol, math.inf)]
+    points = [c + s * off for c in ends for off in offsets for s in (-1, 1)]
+    points += [edge for c in ends for s in (-1, 1) for edge in _tol_edges(c, s)]
+    points += [0.5 * (a + b) for a, b in zip(ends, ends[1:])]
+    points += [lo - IMAGE_TOL, math.nextafter(lo - IMAGE_TOL, -math.inf), hi + IMAGE_TOL,
+               math.nextafter(hi + IMAGE_TOL, math.inf), math.nan]
+    points += draw(st.lists(st.floats(lo, hi), max_size=10))
+    return pcmap, points
+
+
+def _limit_outcome(step, pcmap, x, side):
+    try:
+        return repr(step(pcmap, x, side))
+    except DomainError:
+        return "DomainError"
+
+
+@given(limit_step_cases())
+@settings(max_examples=200, deadline=None)
+def test_limit_step_matches_its_scalar_reference(case):
+    """The lookup over ``PcMap.cuts`` returns the triples that the cut array
+    lookup returns, the sign of a zero included, and raises where it raises."""
+    pcmap, points = case
+    for x in points:
+        for side in (LEFT, RIGHT):
+            expected = _limit_outcome(limit_step_reference, pcmap, x, side)
+            assert _limit_outcome(limit_step, pcmap, x, side) == expected, (x, side)
 
 
 class TestLimits:

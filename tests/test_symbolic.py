@@ -261,6 +261,46 @@ def _verdict_map(label: str):
 VERDICT_MAPS = [*catalog_names(), *(f"{m}^2" for m in catalog_names()), "tent-phi", "beta-golden", "near-cut"]
 
 
+def _refusal(table: DeltaTable, n: int, cap: int) -> tuple[str, int]:
+    with pytest.raises(ResourceCapExceeded) as exc:
+        table.ensure(n, cap)
+    return str(exc.value), exc.value.completed
+
+
+@pytest.mark.parametrize("label", [*catalog_names(), *(f"{m}^2" for m in catalog_names())])
+def test_deep_table_refuses_a_smaller_cap_as_a_fresh_one_does(label):
+    """A table that has walked to n = 30 finds the first level past a smaller
+    cap among the sizes it has checked: for every k the cap |Delta^k| - 1 is
+    refused with the message and ``completed`` of a fresh table, and the
+    depth stays where it was."""
+    pcmap, n = _verdict_map(label), 30
+    deep = DeltaTable(pcmap)
+    deep.ensure(n, cap=10**100)
+    for k in range(1, n + 1):
+        cap = deep.delta_size(k) - 1
+        assert _refusal(deep, n, cap) == _refusal(DeltaTable(pcmap), n, cap), k
+        assert deep.depth == n
+
+
+@pytest.mark.parametrize("label", [*catalog_names(), *(f"{m}^2" for m in catalog_names())])
+def test_refused_table_walks_on_under_a_larger_cap(label):
+    """Refused at |Delta^n| - 1 and then asked again at |Delta^n|, one table
+    reaches every n in turn: the refusal leaves its depth alone, the larger
+    cap takes it to n, and its counts are those of a table that never saw a
+    cap."""
+    pcmap, n_max = _verdict_map(label), 30
+    free = DeltaTable(pcmap)
+    free.ensure(n_max, cap=10**100)
+    table = DeltaTable(pcmap)
+    for n in range(1, n_max + 1):
+        size = free.delta_size(n)
+        assert _refusal(table, n, size - 1) == _refusal(DeltaTable(pcmap), n, size - 1), n
+        assert table.depth == max(n - 1, 1)
+        table.ensure(n, size)
+        assert table.depth == n
+    assert [table.count_pieces(n) for n in range(1, n_max + 1)] == [free.count_pieces(n) for n in range(1, n_max + 1)]
+
+
 @pytest.mark.parametrize("label", VERDICT_MAPS)
 def test_verdict_table_matches_scalar_loop(label):
     """Lap counts, with and without the removable merge, equal the scalar
